@@ -6,14 +6,12 @@ from fractions import Fraction as Rational
 
 from .errors import (ArityMismatch, BasepointNotOnScheme, DimensionMismatch,
                      IndexOutOfRange, InputError, JetforgeError,
-                     NoRationalFvPoint, NotAUnit, NoValidChart, OrderIncrease,
-                     OrderMismatch, OrderTooLow, SingularInitial,
-                     SingularPoint)
+                     NonIntegrable, NoRationalFvPoint, NotAUnit, NoValidChart,
+                     OrderIncrease, OrderMismatch, OrderTooLow,
+                     SingularInitial, SingularPoint)
 from .poly import MultiIndex, Polynomial, graded_monomials, monomial_key
 from .ratfunc import RationalFunction
-from .series import (JetPoint, TruncatedSeries, restrict, series_add,
-                     series_compose, series_derive, series_invert_unit,
-                     series_mul)
+from .series import JetPoint, TruncatedSeries, series_compose
 from .scheme import (AffineMap, AffineScheme, PolyMap, PolySystem,
                      WitnessReport, dimension_witness, generic_jet,
                      is_compatible, is_nondegenerate, jet_membership,

@@ -2,7 +2,8 @@
 
 One subcommand per library operation; canonical JSON on stdout, diagnostics
 on stderr.  Exit status: 0 success, 1 mathematical falsity (an --expect
-mismatch or a failed verification), 2 malformed input, 3 singular-point or
+mismatch or a failed verification), 2 malformed input (including a
+non-integrable chart given to beta or alpha), 3 singular-point or
 singular-initial data.
 """
 
@@ -16,9 +17,9 @@ import sys
 from . import io as jio
 from .connection import beta
 from .errors import (InputError, JetforgeError, NoRationalFvPoint,
-                     SingularInitial, SingularPoint)
+                     NonIntegrable, SingularInitial, SingularPoint)
 from .examples import builtin_examples
-from .flags import HodgeData, alpha, check_fv, check_hr1
+from .flags import alpha, check_fv, check_hr1
 from .linalg import identity
 from .scheme import (is_nondegenerate, jet_membership, jet_prolong,
                      jet_prolong_universal, jet_space_equations,
@@ -34,27 +35,18 @@ EXIT_SINGULAR = 3
 def _load_json_arg(value):
     """Inline JSON, or @path to read a file."""
     if value.startswith("@"):
+        path = value[1:]
         try:
-            with open(value[1:], "r", encoding="utf-8") as handle:
+            with open(path, "r", encoding="utf-8") as handle:
                 return json.load(handle)
         except OSError as exc:
-            raise InputError(f"cannot read {value[1:]}: {exc}") from None
+            raise InputError(f"cannot read {path}: {exc}") from None
         except json.JSONDecodeError as exc:
-            raise InputError(f"bad JSON in {value[1:]}: {exc}") from None
+            raise InputError(f"bad JSON in {path}: {exc}") from None
     try:
         return json.loads(value)
     except json.JSONDecodeError as exc:
         raise InputError(f"bad inline JSON: {exc}") from None
-
-
-def _load_json_file(path):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"bad JSON in {path}: {exc}") from None
 
 
 def _emit(data):
@@ -94,7 +86,7 @@ def _parse_point_arg(value, n):
 
 
 def _cmd_jetspace(args):
-    scheme = jio.scheme_from_json(_load_json_file(args.scheme))
+    scheme = jio.scheme_from_json(_load_json_arg("@" + args.scheme))
     build = jet_space_equations_universal if args.universal \
         else jet_space_equations
     system = build(scheme, args.d, args.r)
@@ -104,7 +96,7 @@ def _cmd_jetspace(args):
 
 
 def _cmd_prolong(args):
-    amap = jio.affine_map_from_json(_load_json_file(args.map))
+    amap = jio.affine_map_from_json(_load_json_arg("@" + args.map))
     build = jet_prolong_universal if args.universal else jet_prolong
     pmap = build(amap, args.d, args.r)
     _emit({"d": args.d, "r": args.r, "n": amap.n, "m": amap.m,
@@ -113,7 +105,7 @@ def _cmd_prolong(args):
 
 
 def _cmd_membership(args):
-    scheme = jio.scheme_from_json(_load_json_file(args.scheme))
+    scheme = jio.scheme_from_json(_load_json_arg("@" + args.scheme))
     jet = jio.jet_from_json(_load_json_arg(args.jet))
     member = jet_membership(scheme, jet)
     _emit({"member": member})
@@ -127,30 +119,32 @@ def _cmd_nondeg(args):
     return _expected(args, result, "nondegenerate")
 
 
-def _cmd_beta(args):
-    chart = jio.chart_from_json(_load_json_file(args.connection))
+def _frame_inputs(args):
+    """The integrable chart, the jet (restricted by -r) and the initial
+    matrix of the beta and alpha commands."""
+    chart = jio.chart_from_json(_load_json_arg("@" + args.connection))
+    if not chart.is_integrable():
+        raise NonIntegrable("the chart's flat-frame system fails the "
+                            "mixed-partial condition; its frame jets are "
+                            "not defined")
     jet = jio.jet_from_json(_load_json_arg(args.jet))
     if args.r is not None:
         jet = jet.restrict(args.r)
-    initial = _parse_matrix_arg(args.init, chart.m)
-    frame = beta(chart, jet, initial)
-    _emit(jio.matrixjet_to_json(frame))
+    return chart, jet, _parse_matrix_arg(args.init, chart.m)
+
+
+def _cmd_beta(args):
+    _emit(jio.matrixjet_to_json(beta(*_frame_inputs(args))))
     return EXIT_OK
 
 
 def _cmd_alpha(args):
-    chart = jio.chart_from_json(_load_json_file(args.connection))
-    jet = jio.jet_from_json(_load_json_arg(args.jet))
-    if args.r is not None:
-        jet = jet.restrict(args.r)
-    initial = _parse_matrix_arg(args.init, chart.m)
-    flag = alpha(chart, jet, initial)
-    _emit(jio.flagjet_to_json(flag))
+    _emit(jio.flagjet_to_json(alpha(*_frame_inputs(args))))
     return EXIT_OK
 
 
 def _cmd_fv(args):
-    chart = jio.chart_from_json(_load_json_file(args.connection))
+    chart = jio.chart_from_json(_load_json_arg("@" + args.connection))
     point = _parse_point_arg(args.point, chart.n)
     matrix = _parse_matrix_arg(args.matrix, chart.m)
     result = check_fv(chart, point, matrix)
@@ -159,15 +153,19 @@ def _cmd_fv(args):
 
 
 def _cmd_hr1(args):
-    chart = jio.chart_from_json(_load_json_file(args.connection))
+    chart = jio.chart_from_json(_load_json_arg("@" + args.connection))
     flag = jio.flagjet_from_json(_load_json_arg(args.flag))
-    result = check_hr1(HodgeData.of_chart(chart), flag)
+    result = check_hr1(chart.hodge, flag)
     _emit({"hr1": result})
     return _expected(args, result, "hr1")
 
 
 def _cmd_verify(args):
-    chart = jio.chart_from_json(_load_json_file(args.connection))
+    if args.cases < 1:
+        raise InputError("--cases must be at least 1")
+    if args.max_order < 0:
+        raise InputError("--max-order must be non-negative")
+    chart = jio.chart_from_json(_load_json_arg("@" + args.connection))
     report = verify_connection(chart, max_order=args.max_order,
                                seed=args.seed, cases=args.cases)
     _emit(report)

@@ -30,28 +30,15 @@ from .errors import (ArityMismatch, DimensionMismatch, SingularInitial,
                      SingularPoint)
 from .poly import graded_monomials
 from .ratfunc import RationalFunction
-from .series import TruncatedSeries
+from .series import TruncatedSeries, taylor_weights
 
 
-class ConnectionChart:
-    """Connection data on one affine chart with coordinates z_1..z_n."""
+class HodgeData:
+    """Frame size, weight, filtration step dimensions and lattice form."""
 
-    __slots__ = ("n", "m", "coeffs", "weight", "filtration_dims", "gram",
-                 "polarization", "variables", "_a_matrices")
+    __slots__ = ("m", "weight", "filtration_dims", "polarization")
 
-    def __init__(self, n, m, coeffs, weight, filtration_dims, gram,
-                 polarization, variables=None):
-        if len(coeffs) != m or any(len(row) != m for row in coeffs):
-            raise ArityMismatch("connection coefficient array is not m x m")
-        for row in coeffs:
-            for entry in row:
-                if len(entry) != n:
-                    raise ArityMismatch(
-                        "each coefficient needs one component per coordinate")
-                for rf in entry:
-                    if rf.arity != n:
-                        raise ArityMismatch(
-                            "coefficient arity does not match the chart")
+    def __init__(self, m, weight, filtration_dims, polarization):
         filtration_dims = tuple(filtration_dims)
         if not filtration_dims or filtration_dims[0] != m:
             raise ValueError("filtration dims must start at the frame size")
@@ -67,25 +54,83 @@ class ConnectionChart:
                         "polarization does not have the symmetry of the weight")
         if linalg.det([[Fraction(x) for x in row] for row in polarization]) == 0:
             raise ValueError("polarization is degenerate")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "filtration_dims", filtration_dims)
+        object.__setattr__(self, "polarization",
+                           tuple(tuple(int(x) for x in row)
+                                 for row in polarization))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("HodgeData is immutable")
+
+    @classmethod
+    def of_chart(cls, chart):
+        return chart.hodge
+
+    def step_sizes(self):
+        """Proper step dimensions, deepest first (ascending)."""
+        return tuple(reversed(self.filtration_dims[1:]))
+
+    def dim_of_level(self, p):
+        """Dimension of the level-p filtration step (full space for p <= 0)."""
+        if p <= 0:
+            return self.m
+        if p < len(self.filtration_dims):
+            return self.filtration_dims[p]
+        return 0
+
+    def __eq__(self, other):
+        if not isinstance(other, HodgeData):
+            return NotImplemented
+        return (self.m, self.weight, self.filtration_dims, self.polarization) \
+            == (other.m, other.weight, other.filtration_dims, other.polarization)
+
+
+class ConnectionChart:
+    """Connection data on one affine chart with coordinates z_1..z_n.
+
+    The frame size, weight, filtration and lattice form are validated and
+    held as a HodgeData in `hodge`; `weight`, `filtration_dims` and
+    `polarization` repeat its fields.
+    """
+
+    __slots__ = ("n", "m", "coeffs", "hodge", "weight", "filtration_dims",
+                 "gram", "polarization", "variables", "_a_matrices")
+
+    def __init__(self, n, m, coeffs, weight, filtration_dims, gram,
+                 polarization, variables=None):
+        if len(coeffs) != m or any(len(row) != m for row in coeffs):
+            raise ArityMismatch("connection coefficient array is not m x m")
+        for row in coeffs:
+            for entry in row:
+                if len(entry) != n:
+                    raise ArityMismatch(
+                        "each coefficient needs one component per coordinate")
+                for rf in entry:
+                    if rf.arity != n:
+                        raise ArityMismatch(
+                            "coefficient arity does not match the chart")
+        hodge = HodgeData(m, weight, filtration_dims, polarization)
         if len(gram) != m or any(len(r) != m for r in gram):
             raise ArityMismatch("gram must be m x m")
+        sign = Fraction(-1 if weight % 2 else 1)
         for i in range(m):
             for k in range(m):
                 if gram[i][k].arity != n:
                     raise ArityMismatch("gram arity does not match the chart")
-                if not (gram[i][k] == gram[k][i] * Fraction(sign)):
+                if not (gram[i][k] == gram[k][i] * sign):
                     raise ValueError(
                         "gram does not have the symmetry of the weight")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "coeffs",
                            tuple(tuple(tuple(e) for e in row) for row in coeffs))
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "filtration_dims", filtration_dims)
+        object.__setattr__(self, "hodge", hodge)
+        object.__setattr__(self, "weight", hodge.weight)
+        object.__setattr__(self, "filtration_dims", hodge.filtration_dims)
         object.__setattr__(self, "gram", tuple(tuple(row) for row in gram))
-        object.__setattr__(self, "polarization",
-                           tuple(tuple(int(x) for x in row)
-                                 for row in polarization))
+        object.__setattr__(self, "polarization", hodge.polarization)
         object.__setattr__(self, "variables", tuple(variables) if variables
                            else tuple(f"z{i + 1}" for i in range(n)))
         # the solver works with A_l = - C_l^T acting on the left of f
@@ -97,9 +142,6 @@ class ConnectionChart:
 
     def __setattr__(self, name, value):
         raise AttributeError("ConnectionChart is immutable")
-
-    def c(self, i, j, l):
-        return self.coeffs[i][j][l]
 
     def a_matrix(self, l):
         """The left-multiplier matrix of the flat-frame system for d/dz_l."""
@@ -230,35 +272,8 @@ class MatrixJet:
         """Product with another matrix jet or a constant matrix on the right."""
         if isinstance(other, MatrixJet):
             other = other.entries
-        if isinstance(other, (list, tuple)) and other and \
-                isinstance(other[0][0], TruncatedSeries):
-            return MatrixJet(linalg.mat_mul(self.entries, other),
-                             require_invertible=False)
-        d, r = self.dims, self.order
-        rows = []
-        for row in self.entries:
-            out = []
-            for k in range(len(other[0])):
-                acc = TruncatedSeries.zero(d, r)
-                for i, s in enumerate(row):
-                    acc = acc + s.scale(other[i][k])
-                out.append(acc)
-            rows.append(out)
-        return MatrixJet(rows, require_invertible=False)
-
-    def left_mul(self, matrix):
-        """Product with a constant matrix on the left."""
-        d, r = self.dims, self.order
-        rows = []
-        for j in range(len(matrix)):
-            out = []
-            for k in range(self.m):
-                acc = TruncatedSeries.zero(d, r)
-                for i in range(self.m):
-                    acc = acc + self.entries[i][k].scale(matrix[j][i])
-                out.append(acc)
-            rows.append(out)
-        return MatrixJet(rows, require_invertible=False)
+        return MatrixJet(linalg.mat_mul(self.entries, other),
+                         require_invertible=False)
 
     def is_zero(self):
         return all(s.is_zero() for row in self.entries for s in row)
@@ -290,8 +305,8 @@ def invert_series_matrix(entries):
         inv0 = linalg.invert(const)
     except ValueError:
         raise SingularInitial("constant term matrix is singular") from None
-    jet = MatrixJet(entries, require_invertible=False)
-    nilpotent = jet.left_mul(inv0) - MatrixJet.identity(m, d, r)
+    nilpotent = MatrixJet(linalg.mat_mul(inv0, entries),
+                          require_invertible=False) - MatrixJet.identity(m, d, r)
     negated = MatrixJet([[-s for s in row] for row in nilpotent.entries],
                         require_invertible=False)
     total = MatrixJet.identity(m, d, r)
@@ -405,30 +420,19 @@ def beta(chart, sigma, initial, table=None):
     d, r = sigma.dims, sigma.order
     if table is None or table.order < r or table.chart is not chart:
         table = build_xi(chart, r)
-    offsets = sigma.offsets()
-    one = TruncatedSeries.one(d, r)
-    pow_cache = [[one] for _ in range(chart.n)]
+    weight = taylor_weights(sigma.offsets())
     acc = [[TruncatedSeries.zero(d, r) for _ in range(chart.m)]
            for _ in range(chart.m)]
     for q in graded_monomials(chart.n, r):
-        wq = one
-        for i, e in enumerate(q):
-            while len(pow_cache[i]) <= e:
-                pow_cache[i].append(pow_cache[i][-1] * offsets[i])
-            if e:
-                wq = wq * pow_cache[i][e]
+        wq = weight(q)
         if wq.is_zero():
             continue
-        qfact = 1
-        for e in q:
-            qfact *= math.factorial(e)
         coeff = linalg.mat_mul(table.gamma_at(q, s), initial)
-        inv_fact = Fraction(1, qfact)
         for j in range(chart.m):
             for k in range(chart.m):
                 c = coeff[j][k]
                 if c:
-                    acc[j][k] = acc[j][k] + wq.scale(c * inv_fact)
+                    acc[j][k] = acc[j][k] + wq.scale(c)
     return MatrixJet(acc)
 
 

@@ -41,6 +41,10 @@ class SingularInitial(JetforgeError):
     """The initial matrix of a frame jet is not invertible."""
 
 
+class NonIntegrable(JetforgeError):
+    """The flat-frame system of a chart fails the mixed-partial condition."""
+
+
 class NoValidChart(JetforgeError):
     """No pivot row set gives an invertible constant minor."""
 

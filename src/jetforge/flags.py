@@ -22,65 +22,11 @@ from itertools import combinations
 
 from . import linalg
 from .congruence import solve_congruence
-from .connection import (MatrixJet, beta, invert_series_matrix,
+# HodgeData lives with the charts that hold it; it stays importable here
+from .connection import (HodgeData, MatrixJet, beta, invert_series_matrix,
                          matrixjet_invert)
 from .errors import ArityMismatch, NoRationalFvPoint, NoValidChart
 from .series import TruncatedSeries
-
-
-class HodgeData:
-    """Frame size, weight, filtration step dimensions and lattice form."""
-
-    __slots__ = ("m", "weight", "filtration_dims", "polarization")
-
-    def __init__(self, m, weight, filtration_dims, polarization):
-        filtration_dims = tuple(filtration_dims)
-        if not filtration_dims or filtration_dims[0] != m:
-            raise ValueError("filtration dims must start at the frame size")
-        if any(a <= b for a, b in zip(filtration_dims, filtration_dims[1:])):
-            raise ValueError("filtration dims must be strictly decreasing")
-        if len(polarization) != m or any(len(r) != m for r in polarization):
-            raise ArityMismatch("polarization must be m x m")
-        sign = -1 if weight % 2 else 1
-        for i in range(m):
-            for k in range(m):
-                if polarization[i][k] != sign * polarization[k][i]:
-                    raise ValueError(
-                        "polarization does not have the symmetry of the weight")
-        if linalg.det([[Fraction(x) for x in row] for row in polarization]) == 0:
-            raise ValueError("polarization is degenerate")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "filtration_dims", filtration_dims)
-        object.__setattr__(self, "polarization",
-                           tuple(tuple(int(x) for x in row)
-                                 for row in polarization))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HodgeData is immutable")
-
-    @classmethod
-    def of_chart(cls, chart):
-        return cls(chart.m, chart.weight, chart.filtration_dims,
-                   chart.polarization)
-
-    def step_sizes(self):
-        """Proper step dimensions, deepest first (ascending)."""
-        return tuple(reversed(self.filtration_dims[1:]))
-
-    def dim_of_level(self, p):
-        """Dimension of the level-p filtration step (full space for p <= 0)."""
-        if p <= 0:
-            return self.m
-        if p < len(self.filtration_dims):
-            return self.filtration_dims[p]
-        return 0
-
-    def __eq__(self, other):
-        if not isinstance(other, HodgeData):
-            return NotImplemented
-        return (self.m, self.weight, self.filtration_dims, self.polarization) \
-            == (other.m, other.weight, other.filtration_dims, other.polarization)
 
 
 class FlagChart:
@@ -103,6 +49,15 @@ class FlagChart:
 
     def __setattr__(self, name, value):
         raise AttributeError("FlagChart is immutable")
+
+    def columns(self):
+        """(step_index, pivot_row) for every representative column, in order."""
+        out = []
+        prev = ()
+        for step, pivots in enumerate(self.pivot_sets):
+            out.extend((step, row) for row in pivots if row not in prev)
+            prev = pivots
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, FlagChart):
@@ -129,11 +84,16 @@ class FlagJet:
                 len(s) != size for s, size in zip(chart.pivot_sets, sizes)):
             raise ValueError("chart does not match the filtration dims")
         coords = dict(coords)
+        columns = chart.columns()
         for (row, col), series in coords.items():
             if series.dims != dims or series.order != order:
                 raise ValueError("coordinate series must share (dims, order)")
             if not 0 <= row < hodge.m:
                 raise ValueError("coordinate row out of range")
+            if not 0 <= col < len(columns) \
+                    or row in chart.pivot_sets[columns[col][0]]:
+                raise ValueError(f"coordinate ({row}, {col}) is not a free "
+                                 "entry of the echelon representative")
         object.__setattr__(self, "hodge", hodge)
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "coords", coords)
@@ -143,20 +103,6 @@ class FlagJet:
     def __setattr__(self, name, value):
         raise AttributeError("FlagJet is immutable")
 
-    def _column_blocks(self):
-        """(column, step_index, pivot_row) for every representative column."""
-        sizes = self.hodge.step_sizes()
-        out = []
-        col = 0
-        prev = ()
-        for step, pivots in enumerate(self.chart.pivot_sets):
-            new_rows = [p for p in pivots if p not in prev]
-            for row in new_rows:
-                out.append((col, step, row))
-                col += 1
-            prev = pivots
-        return out
-
     def representative(self):
         """The echelon representative as an m x (dim of widest step) matrix."""
         m = self.hodge.m
@@ -164,7 +110,7 @@ class FlagJet:
         zero = TruncatedSeries.zero(self.dims, self.order)
         one = TruncatedSeries.one(self.dims, self.order)
         rep = [[zero for _ in range(width)] for _ in range(m)]
-        for col, step, pivot_row in self._column_blocks():
+        for col, (step, pivot_row) in enumerate(self.chart.columns()):
             pivots = set(self.chart.pivot_sets[step])
             for row in range(m):
                 if row == pivot_row:
@@ -237,34 +183,22 @@ def flag_of_matrix(hodge, matrix, chart=None):
         return FlagJet(hodge, FlagChart([]), {}, jet.dims, jet.order)
     if chart is None:
         chart = select_chart(hodge, jet.constant_matrix())
-    d, r = jet.dims, jet.order
+    columns = chart.columns()
     coords = {}
-    col = 0
-    prev = ()
+    done = 0
     for step, size in enumerate(sizes):
         pivots = chart.pivot_sets[step]
-        minor = [[jet.entry(row, c) for c in range(size)] for row in pivots]
-        minor_inv = invert_series_matrix(minor)
-        block = [[None] * size for _ in range(hodge.m)]
-        for row in range(hodge.m):
-            for c in range(size):
-                acc = TruncatedSeries.zero(d, r)
-                for k in range(size):
-                    acc = acc + jet.entry(row, k) * minor_inv[k][c]
-                block[row][c] = acc
-        new_rows = [p for p in pivots if p not in prev]
-        pivot_list = list(pivots)
-        for row_added in new_rows:
-            src_col = pivot_list.index(row_added)
+        leading = [[jet.entry(row, c) for c in range(size)]
+                   for row in range(hodge.m)]
+        block = linalg.mat_mul(leading, invert_series_matrix(
+            [leading[row] for row in pivots]))
+        for col in range(done, size):   # the columns this step adds
+            src_col = pivots.index(columns[col][1])
             for row in range(hodge.m):
-                if row in pivots:
-                    continue
-                series = block[row][src_col]
-                if not series.is_zero():
-                    coords[(row, col)] = series
-            col += 1
-        prev = pivots
-    return FlagJet(hodge, chart, coords, d, r)
+                if row not in pivots and not block[row][src_col].is_zero():
+                    coords[(row, col)] = block[row][src_col]
+        done = size
+    return FlagJet(hodge, chart, coords, jet.dims, jet.order)
 
 
 def check_hr1(hodge, flag):
@@ -296,7 +230,7 @@ def gram_obeys_first_relation(chart):
     """Whether the chart's Gram matrix vanishes identically on complementary
     filtration blocks (the pattern that makes the containment of period-map
     jets in the first-relation locus a theorem for this chart)."""
-    hodge = HodgeData.of_chart(chart)
+    hodge = chart.hodge
     for p in range(1, hodge.weight + 1):
         left = hodge.dim_of_level(p)
         right = hodge.dim_of_level(hodge.weight + 1 - p)
@@ -358,7 +292,7 @@ def alpha(chart, sigma, matrix, table=None):
     """
     frame = beta(chart, sigma, matrix, table=table)
     inverse = matrixjet_invert(frame)
-    return flag_of_matrix(HodgeData.of_chart(chart), inverse)
+    return flag_of_matrix(chart.hodge, inverse)
 
 
 def eta_chartlocal(chart, sigma, bound=6, table=None):

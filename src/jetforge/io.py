@@ -271,11 +271,15 @@ def flagjet_from_json(data):
     coords = {}
     for key, text in raw.items():
         parts = key.split("_")
-        if len(parts) != 3 or parts[0] != "w":
+        if len(parts) != 3 or parts[0] != "w" \
+                or not (parts[1].isdecimal() and parts[2].isdecimal()):
             raise InputError(f"bad coordinate key {key!r}")
         coords[(int(parts[1]), int(parts[2]))] = \
             TruncatedSeries.from_string(text, d, r)
-    return FlagJet(hodge, chart, coords, d, r)
+    try:
+        return FlagJet(hodge, chart, coords, d, r)
+    except ValueError as exc:
+        raise InputError(f"malformed flag jet: {exc}") from None
 
 
 def witness_report_to_json(report):

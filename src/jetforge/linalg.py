@@ -38,17 +38,8 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    return [sum((row[k] * v[k] for k in range(1, len(v))), row[0] * v[0])
-            for row in a]
-
-
 def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_scale(a, c):
@@ -156,7 +147,3 @@ def invert(a):
     if pivots[:m] != list(range(m)):
         raise ValueError("matrix is singular")
     return [row[m:] for row in rows[:m]]
-
-
-def is_invertible(a):
-    return len(a) == len(a[0]) and rank(a) == len(a)

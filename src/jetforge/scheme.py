@@ -27,7 +27,7 @@ from . import linalg
 from .errors import (ArityMismatch, BasepointNotOnScheme, OrderMismatch,
                      OrderTooLow)
 from .poly import Polynomial, graded_monomials
-from .series import JetPoint, TruncatedSeries, series_compose
+from .series import JetPoint, TruncatedSeries, series_compose, taylor_weights
 
 
 class AffineScheme:
@@ -161,14 +161,9 @@ class PolyMap:
 
 # -- jet coordinates ---------------------------------------------------------
 
-def jet_monomials(d, r):
-    """The graded-lex list of monomials indexing jet coordinates."""
-    return graded_monomials(d, r)
-
-
 def jet_variable_names(n, d, r, names=None):
     """Names of the n*ell jet coordinates, component outside, monomial inside."""
-    mons = jet_monomials(d, r)
+    mons = graded_monomials(d, r)
     names = names or [f"x{i + 1}" for i in range(n)]
     out = []
     for i in range(n):
@@ -179,7 +174,7 @@ def jet_variable_names(n, d, r, names=None):
 
 def jet_to_coords(jet):
     """Flatten a jet into its coordinate vector (component outer, monomial inner)."""
-    mons = jet_monomials(jet.dims, jet.order)
+    mons = graded_monomials(jet.dims, jet.order)
     out = []
     for s in jet.series:
         for p in mons:
@@ -188,7 +183,7 @@ def jet_to_coords(jet):
 
 
 def coords_to_jet(values, n, d, r):
-    mons = jet_monomials(d, r)
+    mons = graded_monomials(d, r)
     ell = len(mons)
     if len(values) != n * ell:
         raise ArityMismatch(f"expected {n * ell} coordinates, got {len(values)}")
@@ -201,7 +196,7 @@ def coords_to_jet(values, n, d, r):
 
 def generic_jet(n, d, r):
     """The jet whose coefficients are the jet coordinate variables themselves."""
-    mons = jet_monomials(d, r)
+    mons = graded_monomials(d, r)
     ell = len(mons)
     total = n * ell
     series = []
@@ -212,13 +207,43 @@ def generic_jet(n, d, r):
     return JetPoint(series)
 
 
-def _as_polynomial(c, arity):
-    if isinstance(c, Polynomial):
-        return c
-    return Polynomial.const(c, arity)
-
-
 # -- the two construction routes ---------------------------------------------
+
+def _expand_generic(polys, n, d, r, expand):
+    """The coefficients of expand(f, generic jet) for each f in polys, as
+    polynomials in the n*ell jet coordinates: f outside, monomial inside."""
+    mons = graded_monomials(d, r)
+    total = n * len(mons)
+    sigma = generic_jet(n, d, r)
+    out = []
+    for f in polys:
+        expansion = expand(f, sigma)
+        for p in mons:
+            c = expansion.coefficient(p)
+            out.append(c if isinstance(c, Polynomial)
+                       else Polynomial.const(c, total))
+    return out
+
+
+def _taylor_compose(f, sigma):
+    """Order-r Taylor expansion of f at the symbolic base point of the
+    generic jet sigma, evaluated on its positive-valuation offsets."""
+    n, r = sigma.n, sigma.order
+    ell = math.comb(sigma.dims + r, r)
+    # the base-point symbols are the constant-monomial coordinates
+    base_index = [i * ell for i in range(n)]
+    weight = taylor_weights(sigma.offsets())
+    result = TruncatedSeries.zero(sigma.dims, r)
+    for q in graded_monomials(n, r):
+        part = f
+        for i, e in enumerate(q):
+            for _ in range(e):
+                part = part.derivative(i)
+        if part.is_zero():
+            continue
+        result = result + weight(q).scale(part.rename_into(n * ell, base_index))
+    return result
+
 
 def jet_space_equations(scheme, d, r):
     """Defining equations of the jet space, by direct substitution.
@@ -227,16 +252,16 @@ def jet_space_equations(scheme, d, r):
     and monomial graded-lex inside; for r = 0 the system is the original
     generators read in the jet coordinates.
     """
-    mons = jet_monomials(d, r)
-    total = scheme.n * len(mons)
-    sigma = generic_jet(scheme.n, d, r)
-    names = jet_variable_names(scheme.n, d, r, scheme.names)
-    equations = []
-    for f in scheme.generators:
-        expansion = series_compose(f, sigma)
-        for p in mons:
-            equations.append(_as_polynomial(expansion.coefficient(p), total))
-    return PolySystem(names, equations)
+    return PolySystem(jet_variable_names(scheme.n, d, r, scheme.names),
+                      _expand_generic(scheme.generators, scheme.n, d, r,
+                                      series_compose))
+
+
+def jet_space_equations_universal(scheme, d, r):
+    """Same contract as jet_space_equations, via the Taylor-expansion route."""
+    return PolySystem(jet_variable_names(scheme.n, d, r, scheme.names),
+                      _expand_generic(scheme.generators, scheme.n, d, r,
+                                      _taylor_compose))
 
 
 def jet_prolong(g, d, r):
@@ -246,78 +271,16 @@ def jet_prolong(g, d, r):
     composing each component of g with the jet and truncating; this is
     functorial in g.
     """
-    mons = jet_monomials(d, r)
-    source = g.n * len(mons)
-    target = g.m * len(mons)
-    sigma = generic_jet(g.n, d, r)
-    components = []
-    for gj in g.components:
-        expansion = series_compose(gj, sigma)
-        for p in mons:
-            components.append(_as_polynomial(expansion.coefficient(p), source))
-    return PolyMap(source, target, components)
-
-
-def _taylor_compose(f, n, d, r, sigma):
-    """Order-r Taylor expansion of f at the symbolic base point, evaluated on
-    the positive-valuation offsets of the generic jet."""
-    mons = jet_monomials(d, r)
-    ell = len(mons)
-    total = n * ell
-    # the base-point symbols are the constant-monomial coordinates
-    base_index = [i * ell for i in range(n)]
-    offsets = sigma.offsets()
-    one = TruncatedSeries.one(d, r)
-    # cached powers of each offset component
-    pow_cache = [[one] for _ in range(n)]
-    result = TruncatedSeries.zero(d, r)
-    for q in graded_monomials(n, r):
-        part = f
-        for i, e in enumerate(q):
-            for _ in range(e):
-                part = part.derivative(i)
-        if part.is_zero():
-            continue
-        coeff = part.rename_into(total, base_index)
-        qfact = 1
-        for e in q:
-            qfact *= math.factorial(e)
-        wq = one
-        for i, e in enumerate(q):
-            while len(pow_cache[i]) <= e:
-                pow_cache[i].append(pow_cache[i][-1] * offsets[i])
-            if e:
-                wq = wq * pow_cache[i][e]
-        result = result + wq.scale(coeff * Fraction(1, qfact))
-    return result
-
-
-def jet_space_equations_universal(scheme, d, r):
-    """Same contract as jet_space_equations, via the Taylor-expansion route."""
-    mons = jet_monomials(d, r)
-    total = scheme.n * len(mons)
-    sigma = generic_jet(scheme.n, d, r)
-    names = jet_variable_names(scheme.n, d, r, scheme.names)
-    equations = []
-    for f in scheme.generators:
-        expansion = _taylor_compose(f, scheme.n, d, r, sigma)
-        for p in mons:
-            equations.append(_as_polynomial(expansion.coefficient(p), total))
-    return PolySystem(names, equations)
+    ell = math.comb(d + r, r)
+    return PolyMap(g.n * ell, g.m * ell,
+                   _expand_generic(g.components, g.n, d, r, series_compose))
 
 
 def jet_prolong_universal(g, d, r):
     """Same contract as jet_prolong, via the Taylor-expansion route."""
-    mons = jet_monomials(d, r)
-    source = g.n * len(mons)
-    target = g.m * len(mons)
-    sigma = generic_jet(g.n, d, r)
-    components = []
-    for gj in g.components:
-        expansion = _taylor_compose(gj, g.n, d, r, sigma)
-        for p in mons:
-            components.append(_as_polynomial(expansion.coefficient(p), source))
-    return PolyMap(source, target, components)
+    ell = math.comb(d + r, r)
+    return PolyMap(g.n * ell, g.m * ell,
+                   _expand_generic(g.components, g.n, d, r, _taylor_compose))
 
 
 def apply_prolonged(pmap, jet, m):
@@ -396,7 +359,7 @@ def _lift_once(scheme, jet):
     d, r = jet.dims, jet.order
     lifted = jet.zero_extended(r + 1)
     jac = _jacobian_at(scheme, jet.basepoint())
-    top_monomials = [p for p in jet_monomials(d, r + 1) if sum(p) == r + 1]
+    top_monomials = [p for p in graded_monomials(d, r + 1) if sum(p) == r + 1]
     residuals = [series_compose(f, lifted) for f in scheme.generators]
     corrections = [dict() for _ in range(scheme.n)]
     for mu in top_monomials:

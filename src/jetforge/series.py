@@ -11,15 +11,12 @@ function, so concurrent use needs no synchronization.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import (ArityMismatch, DimensionMismatch, IndexOutOfRange,
                      InputError, NotAUnit, OrderIncrease)
 from .poly import Polynomial, evaluate_terms, monomial_key
-
-
-def _is_scalar_zero(c):
-    return not c
 
 
 class TruncatedSeries:
@@ -44,11 +41,11 @@ class TruncatedSeries:
                 continue
             if isinstance(c, int):
                 c = Fraction(c)
-            if _is_scalar_zero(c):
+            if not c:
                 continue
             if expo in table:
                 c = table[expo] + c
-                if _is_scalar_zero(c):
+                if not c:
                     del table[expo]
                     continue
             table[expo] = c
@@ -122,7 +119,7 @@ class TruncatedSeries:
             for p, c in other.coeffs.items():
                 s = table.get(p)
                 s = c if s is None else s + c
-                if _is_scalar_zero(s):
+                if not s:
                     table.pop(p, None)
                 else:
                     table[p] = s
@@ -136,9 +133,6 @@ class TruncatedSeries:
                                {p: -c for p, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._check_compatible(other)
-            return self + (-other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -158,7 +152,7 @@ class TruncatedSeries:
                     cd = c * d
                     s = table.get(pq)
                     s = cd if s is None else s + cd
-                    if _is_scalar_zero(s):
+                    if not s:
                         table.pop(pq, None)
                     else:
                         table[pq] = s
@@ -169,7 +163,7 @@ class TruncatedSeries:
 
     def scale(self, scalar):
         """Multiply every coefficient by a ring scalar."""
-        if _is_scalar_zero(scalar):
+        if not scalar:
             return TruncatedSeries.zero(self.dims, self.order)
         return TruncatedSeries(self.dims, self.order,
                                {p: c * scalar for p, c in self.coeffs.items()})
@@ -226,7 +220,7 @@ class TruncatedSeries:
                 c0 = c0.constant_term()
             else:
                 raise NotAUnit("constant term is not a rational unit")
-        if _is_scalar_zero(c0):
+        if not c0:
             raise NotAUnit("constant term is zero")
         # a = c0 (1 - n) with n of positive valuation, so 1/a is the
         # finite geometric sum (1 + n + ... + n^r) / c0.
@@ -261,10 +255,7 @@ class TruncatedSeries:
     def from_string(cls, text, dims, order):
         """Parse the canonical text (rational coefficients only)."""
         names = [f"t{i + 1}" for i in range(dims)]
-        try:
-            poly = Polynomial.from_string(text, names)
-        except InputError:
-            raise
+        poly = Polynomial.from_string(text, names)
         for p in poly.terms:
             if sum(p) > order:
                 raise InputError(
@@ -343,26 +334,27 @@ class JetPoint:
         return cls([TruncatedSeries.const(v, dims, order) for v in values])
 
 
-# -- module-level operation names ------------------------------------------
+def taylor_weights(offsets):
+    """The map q -> prod_i offsets[i]^q[i] / q! over multi-degrees q.
 
-def series_add(a, b):
-    return a + b
+    `offsets` are series of positive valuation sharing (dims, order), such as
+    the offsets of a jet; the powers of each are cached across calls.
+    """
+    one = TruncatedSeries.one(offsets[0].dims, offsets[0].order)
+    powers = [[one] for _ in offsets]
 
+    def weight(q):
+        w = one
+        qfact = 1
+        for cache, s, e in zip(powers, offsets, q):
+            while len(cache) <= e:
+                cache.append(cache[-1] * s)
+            if e:
+                w = w * cache[e]
+                qfact *= math.factorial(e)
+        return w if qfact == 1 else w.scale(Fraction(1, qfact))
 
-def series_mul(a, b):
-    return a * b
-
-
-def series_derive(a, index):
-    return a.derive(index)
-
-
-def series_invert_unit(a):
-    return a.invert_unit()
-
-
-def restrict(a, new_order):
-    return a.restrict(new_order)
+    return weight
 
 
 def series_compose(f, jet):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import linalg
 from .connection import (ConnectionChart, beta, build_xi, check_flatness,
                          check_right_equivariance, series_oracle)
-from .flags import HodgeData, alpha, check_fv, check_hr1
+from .flags import alpha, check_fv, check_hr1
 from .poly import Polynomial, graded_monomials
 from .ratfunc import RationalFunction
 from .scheme import (AffineMap, AffineScheme, apply_prolonged, is_compatible,
@@ -226,6 +226,28 @@ def _chart_mix(rng, m_max, n_max):
     return random_flat_chart(rng, m, n)
 
 
+def _frame_suites():
+    return {name: SuiteReport(name)
+            for name in ("dual_route", "right_equivariance", "flatness")}
+
+
+def _check_frame_case(rng, chart, d, r, name, suites):
+    """Draw a jet, an initial matrix and an action on the chart, record the
+    dual-route, equivariance and flatness checks under `name`, and return
+    the jet and the xi table."""
+    sigma = random_jet(rng, chart, d, r)
+    initial = random_invertible(rng, chart.m)
+    table = build_xi(chart, r)
+    frame = beta(chart, sigma, initial, table=table)
+    suites["dual_route"].add(name, frame == series_oracle(chart, sigma,
+                                                          initial))
+    action = random_invertible(rng, chart.m)
+    suites["right_equivariance"].add(name, check_right_equivariance(
+        chart, sigma, initial, action, table=table))
+    suites["flatness"].add(name, check_flatness(chart, sigma, frame))
+    return sigma, table
+
+
 def run_frame_corpus(seed, count=200, m_max=3, n_max=2, d_max=2, r_max=5):
     """Shared corpus driving the dual-route, equivariance and flatness suites.
 
@@ -233,26 +255,15 @@ def run_frame_corpus(seed, count=200, m_max=3, n_max=2, d_max=2, r_max=5):
     the three checks are recorded in separate suite reports.
     """
     rng = random.Random(seed)
-    dual = SuiteReport("dual_route")
-    equiv = SuiteReport("right_equivariance")
-    flat = SuiteReport("flatness")
+    suites = _frame_suites()
     for case in range(count):
         rc = _chart_mix(rng, m_max, n_max)
         chart = rc.chart
         d = rng.randint(1, d_max)
         r = rng.randint(0, r_max)
-        sigma = random_jet(rng, chart, d, r)
-        initial = random_invertible(rng, chart.m)
-        table = build_xi(chart, r)
         name = f"case{case}[m={chart.m},n={chart.n},d={d},r={r},{rc.style}]"
-        frame = beta(chart, sigma, initial, table=table)
-        oracle = series_oracle(chart, sigma, initial)
-        dual.add(name, frame == oracle)
-        action = random_invertible(rng, chart.m)
-        equiv.add(name, check_right_equivariance(chart, sigma, initial,
-                                                 action, table=table))
-        flat.add(name, check_flatness(chart, sigma, frame))
-    return {"dual_route": dual, "right_equivariance": equiv, "flatness": flat}
+        _check_frame_case(rng, chart, d, r, name, suites)
+    return suites
 
 
 def run_hr1_suite(seed, count=40, r_max=4):
@@ -274,7 +285,7 @@ def run_hr1_suite(seed, count=40, r_max=4):
             report.add(name, False, "generator produced a non-torsor point")
             continue
         flag = alpha(chart, sigma, initial)
-        report.add(name, check_hr1(HodgeData.of_chart(chart), flag))
+        report.add(name, check_hr1(chart.hodge, flag))
     return report
 
 
@@ -409,25 +420,14 @@ def verify_connection(chart, max_order=4, seed=0, cases=12):
     from .congruence import solve_congruence
     from .flags import gram_obeys_first_relation
     rng = random.Random(seed)
-    dual = SuiteReport("dual_route")
-    equiv = SuiteReport("right_equivariance")
-    flat = SuiteReport("flatness")
+    suites = _frame_suites()
     hr1 = SuiteReport("hr1_containment")
     hr1_applicable = chart.pairing_is_flat() and gram_obeys_first_relation(chart)
     for case in range(cases):
         d = rng.randint(1, 2)
         r = rng.randint(0, max_order)
-        sigma = random_jet(rng, chart, d, r)
-        initial = random_invertible(rng, chart.m)
-        table = build_xi(chart, r)
         name = f"case{case}[d={d},r={r}]"
-        frame = beta(chart, sigma, initial, table=table)
-        oracle = series_oracle(chart, sigma, initial)
-        dual.add(name, frame == oracle)
-        action = random_invertible(rng, chart.m)
-        equiv.add(name, check_right_equivariance(chart, sigma, initial,
-                                                 action, table=table))
-        flat.add(name, check_flatness(chart, sigma, frame))
+        sigma, table = _check_frame_case(rng, chart, d, r, name, suites)
         if not hr1_applicable:
             continue
         point = sigma.basepoint()
@@ -438,14 +438,14 @@ def verify_connection(chart, max_order=4, seed=0, cases=12):
             hr1.add(name, True, "no rational torsor point above this base")
             continue
         flag = alpha(chart, sigma, mstar, table=table)
-        hr1.add(name, check_hr1(HodgeData.of_chart(chart), flag))
-    suites = [dual, equiv, flat, hr1]
+        hr1.add(name, check_hr1(chart.hodge, flag))
+    reports = [*suites.values(), hr1]
     report = {
         "seed": seed,
         "max_order": max_order,
         "cases": cases,
-        "suites": [s.summary() for s in suites],
-        "ok": all(s.ok for s in suites),
+        "suites": [s.summary() for s in reports],
+        "ok": all(s.ok for s in reports),
     }
     if not hr1_applicable:
         report["hr1_skipped"] = "pairing is not parallel with the " \

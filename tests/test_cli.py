@@ -5,7 +5,11 @@ import pytest
 
 import jetforge.io as jio
 from jetforge.cli import run
+from jetforge.connection import ConnectionChart, beta, series_oracle
 from jetforge.examples import legendre_chart
+from jetforge.poly import Polynomial
+from jetforge.ratfunc import RationalFunction
+from jetforge.series import JetPoint, TruncatedSeries
 
 
 @pytest.fixture
@@ -21,6 +25,18 @@ def circle_file(tmp_path):
 def legendre_file(tmp_path):
     path = tmp_path / "legendre.json"
     path.write_text(jio.canonical_dumps(jio.chart_to_json(legendre_chart())))
+    return str(path)
+
+
+@pytest.fixture
+def non_integrable_file(tmp_path):
+    """m = 1, n = 2 with A_1 = z2 and A_2 = 0: d_2 A_1 != d_1 A_2."""
+    zero = RationalFunction.zero(2)
+    coeffs = [[[RationalFunction(-Polynomial.variable(1, 2)), zero]]]
+    chart = ConnectionChart(2, 1, coeffs, 0, (1,),
+                            [[RationalFunction.one(2)]], [[1]])
+    path = tmp_path / "non_integrable.json"
+    path.write_text(jio.canonical_dumps(jio.chart_to_json(chart)))
     return str(path)
 
 
@@ -125,6 +141,25 @@ class TestFrameCommands:
         jet = json.dumps({"d": 1, "r": 2, "series": ["1 * t1^1"]})
         assert run(["beta", "--connection", legendre_file, "--jet", jet]) == 3
 
+    def test_non_integrable_chart_exit_two(self, non_integrable_file,
+                                           capsys):
+        # the two library routes disagree on such a chart, so the CLI
+        # refuses it instead of printing either frame
+        chart = jio.chart_from_json(json.loads(
+            open(non_integrable_file).read()))
+        sigma = JetPoint([TruncatedSeries.variable(0, 2, 2),
+                          TruncatedSeries.variable(1, 2, 2)])
+        assert beta(chart, sigma, [[Fraction(1)]]) != \
+            series_oracle(chart, sigma, [[Fraction(1)]])
+        jet = json.dumps({"d": 2, "r": 2, "series": ["1 * t1^1",
+                                                     "1 * t2^1"]})
+        for command in ("beta", "alpha"):
+            assert run([command, "--connection", non_integrable_file,
+                        "--jet", jet]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "mixed-partial" in captured.err
+
     def test_order_restriction_flag(self, legendre_file, capsys):
         jet = json.dumps({"d": 1, "r": 3, "series": ["1/2 + 1 * t1^1"]})
         assert run(["beta", "--connection", legendre_file, "--jet", jet,
@@ -171,6 +206,18 @@ class TestVerify:
         assert env_run == plain
 
 
+    @pytest.mark.parametrize("flag,value", [("--cases", "-1"),
+                                            ("--cases", "0"),
+                                            ("--max-order", "-2")])
+    def test_rejects_empty_or_negative_ranges(self, legendre_file, capsys,
+                                              flag, value):
+        assert run(["verify", "--connection", legendre_file,
+                    flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
+
+
 class TestExampleExport:
     def test_list(self, capsys):
         assert run(["example", "--list"]) == 0
@@ -206,3 +253,26 @@ class TestInputErrors:
 
     def test_bad_subcommand(self, capsys):
         assert run(["frobnicate"]) == 2
+
+    def _legendre_flag(self, legendre_file, capsys):
+        jet = json.dumps({"d": 1, "r": 2, "series": ["1/2 + 1 * t1^1"]})
+        matrix = json.dumps([["1", "0"], ["0", "1/4"]])
+        assert run(["alpha", "--connection", legendre_file, "--jet", jet,
+                    "--init", matrix]) == 0
+        return out_json(capsys)
+
+    def test_malformed_flag_key(self, legendre_file, capsys):
+        flag = self._legendre_flag(legendre_file, capsys)
+        flag["coords"]["w_x_0"] = "0"
+        assert run(["hr1", "--connection", legendre_file,
+                    "--flag", json.dumps(flag)]) == 2
+        assert "w_x_0" in capsys.readouterr().err
+
+    def test_flag_coordinate_outside_representative(self, legendre_file,
+                                                     capsys):
+        flag = self._legendre_flag(legendre_file, capsys)
+        assert flag["chart"] == [[0]]
+        flag["coords"]["w_1_5"] = "1"
+        assert run(["hr1", "--connection", legendre_file,
+                    "--flag", json.dumps(flag)]) == 2
+        assert capsys.readouterr().out == ""

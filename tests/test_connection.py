@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -16,6 +18,11 @@ from jetforge.ratfunc import RationalFunction
 from jetforge.series import JetPoint, TruncatedSeries
 from jetforge.verify import (random_flat_chart, random_invertible, random_jet,
                              random_n1_chart, run_frame_corpus)
+
+
+@pytest.fixture(scope="module")
+def corpus99():
+    return run_frame_corpus(seed=99, count=25)
 
 
 def linear_coefficient_chart():
@@ -133,10 +140,18 @@ class TestOracleAgreement:
         assert beta(chart, sigma, initial) == series_oracle(chart, sigma,
                                                             initial)
 
-    def test_corpus_smoke(self):
-        reports = run_frame_corpus(seed=99, count=25)
-        for rep in reports.values():
+    def test_corpus_smoke(self, corpus99):
+        for rep in corpus99.values():
             assert rep.ok, [c.name for c in rep.failures]
+
+    def test_corpus_draw_order_matches_golden(self, corpus99):
+        # the case names carry every shape the corpus draws, so a change in
+        # the order or number of random draws per case shows up here
+        golden = pathlib.Path(__file__).parent / "golden" / \
+            "frame_corpus_seed99.json"
+        names = {suite: [c.name for c in rep.cases]
+                 for suite, rep in corpus99.items()}
+        assert names == json.loads(golden.read_text())
 
     def test_action_is_right_sided_not_left_sided(self):
         # left multiplication by the initial matrix is not the frame action
@@ -146,7 +161,8 @@ class TestOracleAgreement:
         frame = beta(chart, sigma, m)
         base = beta(chart, sigma, la.identity(2))
         assert frame == base * m
-        assert frame != base.left_mul(m)
+        assert frame != MatrixJet(la.mat_mul(m, base.entries),
+                                  require_invertible=False)
 
     def test_oracle_is_linear_in_the_initial_matrix(self):
         rng = random.Random(14)

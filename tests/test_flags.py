@@ -8,9 +8,9 @@ from jetforge.connection import (MatrixJet, beta, matrixjet_invert,
                                  series_oracle)
 from jetforge.errors import NoRationalFvPoint
 from jetforge.examples import legendre_chart, nilpotent_chart
-from jetforge.flags import (HodgeData, TorsorPoint, alpha, check_fv,
-                            check_hr1, eta_chartlocal, flag_of_matrix,
-                            weight1_positivity)
+from jetforge.flags import (FlagChart, FlagJet, HodgeData, TorsorPoint,
+                            alpha, check_fv, check_hr1, eta_chartlocal,
+                            flag_of_matrix, weight1_positivity)
 from jetforge.poly import graded_monomials
 from jetforge.ratfunc import RationalFunction
 from jetforge.series import JetPoint, TruncatedSeries
@@ -44,6 +44,15 @@ class TestFlagOfMatrix:
         flag = flag_of_matrix(weight1_data(), [[1, 0], [tau, 1]])
         assert flag.chart.pivot_sets == ((0,),)
         assert flag.coords == {(1, 0): TruncatedSeries.const(tau, 1, 0)}
+
+    @pytest.mark.parametrize("key", [(1, 5), (0, 0), (1, -1)])
+    def test_rejects_coordinates_outside_representative(self, key):
+        # the representative of a line in the ((0,),) chart has one column
+        # whose pivot row 0 is implicit; only (1, 0) is a coordinate
+        one = TruncatedSeries.one(1, 0)
+        FlagJet(weight1_data(), FlagChart([(0,)]), {(1, 0): one}, 1, 0)
+        with pytest.raises(ValueError, match="echelon representative"):
+            FlagJet(weight1_data(), FlagChart([(0,)]), {key: one}, 1, 0)
 
     def test_pivot_fallback(self):
         flag = flag_of_matrix(weight1_data(), [[0, 1], [1, 0]])

@@ -134,6 +134,24 @@ def test_witness_report_serialization():
     jio.canonical_dumps(data)
 
 
+@pytest.mark.parametrize("key", ["w_x_0", "w_1", "v_1_0", "w_-1_0"])
+def test_malformed_flag_key(key):
+    data = jio.flagjet_to_json(flag_of_matrix(
+        HodgeData(2, 1, (2, 1), [[0, 1], [-1, 0]]), [[1, 0], [2, 1]]))
+    data["coords"][key] = "0"
+    with pytest.raises(InputError, match="bad coordinate key"):
+        jio.flagjet_from_json(data)
+
+
+@pytest.mark.parametrize("key", ["w_1_5", "w_0_0"])
+def test_flag_coordinate_outside_representative(key):
+    data = jio.flagjet_to_json(flag_of_matrix(
+        HodgeData(2, 1, (2, 1), [[0, 1], [-1, 0]]), [[1, 0], [2, 1]]))
+    data["coords"][key] = "1"
+    with pytest.raises(InputError, match="echelon representative"):
+        jio.flagjet_from_json(data)
+
+
 def test_malformed_inputs():
     with pytest.raises(InputError):
         jio.jet_from_json({"d": 1})

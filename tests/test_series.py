@@ -7,9 +7,7 @@ import pytest
 from jetforge.errors import (ArityMismatch, DimensionMismatch,
                              IndexOutOfRange, NotAUnit, OrderIncrease)
 from jetforge.poly import Polynomial, graded_monomials
-from jetforge.series import (JetPoint, TruncatedSeries, restrict, series_add,
-                             series_compose, series_derive,
-                             series_invert_unit, series_mul)
+from jetforge.series import JetPoint, TruncatedSeries, series_compose
 
 
 def S(dims, order, coeffs):
@@ -28,76 +26,76 @@ class TestAdd:
     def test_cancellation(self):
         a = S(1, 1, {(0,): 1, (1,): 1})
         b = S(1, 1, {(0,): 1, (1,): -1})
-        assert series_add(a, b) == S(1, 1, {(0,): 2})
+        assert a + b == S(1, 1, {(0,): 2})
 
     def test_identity(self):
         a = S(1, 2, {(0,): 3, (2,): Fraction(1, 2)})
-        assert series_add(a, TruncatedSeries.zero(1, 2)) == a
+        assert a + TruncatedSeries.zero(1, 2) == a
 
     def test_direct_sum(self):
         a = S(2, 2, {(1, 0): 1, (0, 2): 1})
         b = S(2, 2, {(0, 2): 1})
-        assert series_add(a, b) == S(2, 2, {(1, 0): 1, (0, 2): 2})
+        assert a + b == S(2, 2, {(1, 0): 1, (0, 2): 2})
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            series_add(S(1, 1, {}), S(2, 1, {}))
+            S(1, 1, {}) + S(2, 1, {})
         with pytest.raises(DimensionMismatch):
-            series_add(S(1, 1, {}), S(1, 2, {}))
+            S(1, 1, {}) + S(1, 2, {})
 
 
 class TestMul:
     def test_truncation_forced(self):
         a = S(1, 1, {(0,): 1, (1,): 1})
-        assert series_mul(a, a) == S(1, 1, {(0,): 1, (1,): 2})
+        assert a * a == S(1, 1, {(0,): 1, (1,): 2})
 
     def test_cross_variable(self):
         t1 = TruncatedSeries.variable(0, 2, 2)
         t2 = TruncatedSeries.variable(1, 2, 2)
-        assert series_mul(t1, t2) == S(2, 2, {(1, 1): 1})
+        assert t1 * t2 == S(2, 2, {(1, 1): 1})
 
     def test_telescoping(self):
         a = S(1, 2, {(0,): 1, (1,): 1, (2,): 1})
         b = S(1, 2, {(0,): 1, (1,): -1})
-        assert series_mul(a, b) == TruncatedSeries.one(1, 2)
+        assert a * b == TruncatedSeries.one(1, 2)
 
 
 class TestDerive:
     def test_power(self):
-        assert series_derive(S(1, 2, {(2,): 1}), 0) == S(1, 2, {(1,): 2})
+        assert S(1, 2, {(2,): 1}).derive(0) == S(1, 2, {(1,): 2})
 
     def test_missing_variable(self):
-        assert series_derive(S(2, 2, {(1, 0): 1}), 1).is_zero()
+        assert S(2, 2, {(1, 0): 1}).derive(1).is_zero()
 
     def test_mixed(self):
         a = S(2, 3, {(1, 1): 3, (2, 1): 1})
-        assert series_derive(a, 0) == S(2, 3, {(0, 1): 3, (1, 1): 2})
+        assert a.derive(0) == S(2, 3, {(0, 1): 3, (1, 1): 2})
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
-            series_derive(S(2, 1, {}), 2)
+            S(2, 1, {}).derive(2)
 
 
 class TestInvert:
     def test_geometric(self):
         a = S(1, 2, {(0,): 1, (1,): -1})
-        assert series_invert_unit(a) == S(1, 2, {(0,): 1, (1,): 1, (2,): 1})
+        assert a.invert_unit() == S(1, 2, {(0,): 1, (1,): 1, (2,): 1})
 
     def test_constant(self):
-        assert series_invert_unit(S(1, 3, {(0,): 2})) == \
+        assert S(1, 3, {(0,): 2}).invert_unit() == \
             S(1, 3, {(0,): Fraction(1, 2)})
 
     def test_two_variables(self):
         a = S(2, 2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
-        inv = series_invert_unit(a)
+        inv = a.invert_unit()
         expected = S(2, 2, {(0, 0): 1, (1, 0): -1, (0, 1): -1,
                             (2, 0): 1, (1, 1): 2, (0, 2): 1})
         assert inv == expected
-        assert series_mul(a, inv) == TruncatedSeries.one(2, 2)
+        assert a * inv == TruncatedSeries.one(2, 2)
 
     def test_not_a_unit(self):
         with pytest.raises(NotAUnit):
-            series_invert_unit(S(1, 2, {(1,): 1}))
+            S(1, 2, {(1,): 1}).invert_unit()
 
     def test_randomized_inverse(self):
         rng = random.Random(47)
@@ -108,8 +106,7 @@ class TestInvert:
             unit = raw - TruncatedSeries.const(raw.constant_term(), d, r) \
                 + TruncatedSeries.const(Fraction(rng.randint(1, 4),
                                                  rng.randint(1, 3)), d, r)
-            assert series_mul(unit, series_invert_unit(unit)) == \
-                TruncatedSeries.one(d, r)
+            assert unit * unit.invert_unit() == TruncatedSeries.one(d, r)
 
 
 class TestCompose:
@@ -145,21 +142,21 @@ class TestCompose:
 class TestRestrict:
     def test_drop_top(self):
         a = S(1, 2, {(0,): 1, (1,): 1, (2,): 1})
-        assert restrict(a, 1) == S(1, 1, {(0,): 1, (1,): 1})
+        assert a.restrict(1) == S(1, 1, {(0,): 1, (1,): 1})
 
     def test_identity(self):
         a = S(1, 2, {(1,): 4})
-        assert restrict(a, 2) == a
+        assert a.restrict(2) == a
 
     def test_tower_functoriality(self):
         rng = random.Random(5)
         for _ in range(25):
             a = rand_series(rng, rng.randint(1, 2), 2)
-            assert restrict(restrict(a, 1), 0) == restrict(a, 0)
+            assert a.restrict(1).restrict(0) == a.restrict(0)
 
     def test_order_increase_rejected(self):
         with pytest.raises(OrderIncrease):
-            restrict(S(1, 1, {}), 2)
+            S(1, 1, {}).restrict(2)
 
     def test_jet_restriction(self):
         j = JetPoint([S(1, 2, {(0,): 1, (1,): 2, (2,): 3})])
