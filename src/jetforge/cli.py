@@ -3,7 +3,8 @@
 One subcommand per library operation; canonical JSON on stdout, diagnostics
 on stderr.  Exit status: 0 success, 1 mathematical falsity (an --expect
 mismatch or a failed verification), 2 malformed input (including a
-non-integrable chart given to beta or alpha), 3 singular-point or
+non-integrable chart given to beta or alpha and a flag given to hr1 with
+other filtration data than the chart's), 3 singular-point or
 singular-initial data.
 """
 
@@ -85,7 +86,15 @@ def _parse_point_arg(value, n):
     return point
 
 
+def _check_jet_shape(args):
+    if args.d < 1:
+        raise InputError("-d must be at least 1")
+    if args.r < 0:
+        raise InputError("-r must be non-negative")
+
+
 def _cmd_jetspace(args):
+    _check_jet_shape(args)
     scheme = jio.scheme_from_json(_load_json_arg("@" + args.scheme))
     build = jet_space_equations_universal if args.universal \
         else jet_space_equations
@@ -96,6 +105,7 @@ def _cmd_jetspace(args):
 
 
 def _cmd_prolong(args):
+    _check_jet_shape(args)
     amap = jio.affine_map_from_json(_load_json_arg("@" + args.map))
     build = jet_prolong_universal if args.universal else jet_prolong
     pmap = build(amap, args.d, args.r)
@@ -129,6 +139,8 @@ def _frame_inputs(args):
                             "not defined")
     jet = jio.jet_from_json(_load_json_arg(args.jet))
     if args.r is not None:
+        if args.r < 0:
+            raise InputError("-r must be non-negative")
         jet = jet.restrict(args.r)
     return chart, jet, _parse_matrix_arg(args.init, chart.m)
 
@@ -155,6 +167,8 @@ def _cmd_fv(args):
 def _cmd_hr1(args):
     chart = jio.chart_from_json(_load_json_arg("@" + args.connection))
     flag = jio.flagjet_from_json(_load_json_arg(args.flag))
+    if flag.hodge != chart.hodge:
+        raise InputError("the flag's filtration data differ from the chart's")
     result = check_hr1(chart.hodge, flag)
     _emit({"hr1": result})
     return _expected(args, result, "hr1")

@@ -44,6 +44,8 @@ class HodgeData:
             raise ValueError("filtration dims must start at the frame size")
         if any(a <= b for a, b in zip(filtration_dims, filtration_dims[1:])):
             raise ValueError("filtration dims must be strictly decreasing")
+        if filtration_dims[-1] < 1:
+            raise ValueError("filtration dims must be positive")
         if len(polarization) != m or any(len(r) != m for r in polarization):
             raise ArityMismatch("polarization must be m x m")
         sign = -1 if weight % 2 else 1

@@ -49,8 +49,35 @@ def matrix_to_json(matrix):
     return [[fraction_to_str(x) for x in row] for row in matrix]
 
 
+def _is_rows(data):
+    return isinstance(data, list) and bool(data) \
+        and all(isinstance(row, list) for row in data)
+
+
+def _check_shape(data, shape, what):
+    """Raise InputError unless data is a nested list of the given shape."""
+    if not shape:
+        return
+    if not isinstance(data, list) or len(data) != shape[0]:
+        raise InputError(
+            f"{what} must be nested lists of shape {' x '.join(map(str, shape))}")
+    for item in data:
+        _check_shape(item, shape[1:], what)
+
+
+def _check_dims_order(d, r):
+    if d < 1 or r < 0:
+        raise InputError(f"series need d >= 1 and r >= 0, got d={d}, r={r}")
+
+
+def _strings(data, what):
+    if not isinstance(data, list) or not all(isinstance(x, str) for x in data):
+        raise InputError(f"{what} must be a list of strings")
+    return data
+
+
 def matrix_from_json(data):
-    if not isinstance(data, list) or not data:
+    if not _is_rows(data):
         raise InputError("a matrix must be a non-empty list of rows")
     return [[fraction_from_str(x) for x in row] for row in data]
 
@@ -68,6 +95,7 @@ def jet_from_json(data):
         strings = data["series"]
     except (KeyError, TypeError, ValueError):
         raise InputError("a jet needs keys d, r and series") from None
+    _check_dims_order(d, r)
     if not isinstance(strings, list) or not strings:
         raise InputError("jet series must be a non-empty list")
     return JetPoint([TruncatedSeries.from_string(s, d, r) for s in strings])
@@ -84,6 +112,9 @@ def matrixjet_from_json(data, require_invertible=True):
         rows = data["entries"]
     except (KeyError, TypeError, ValueError):
         raise InputError("a matrix jet needs keys d, r and entries") from None
+    _check_dims_order(d, r)
+    if not _is_rows(rows):
+        raise InputError("matrix jet entries must be a non-empty list of rows")
     entries = [[TruncatedSeries.from_string(s, d, r) for s in row]
                for row in rows]
     return MatrixJet(entries, require_invertible=require_invertible)
@@ -100,8 +131,9 @@ def scheme_to_json(scheme):
 def scheme_from_json(data):
     try:
         n = int(data["n"])
-        names = data.get("variables") or [f"x{i + 1}" for i in range(n)]
-        gens = data.get("generators", [])
+        names = _strings(data.get("variables")
+                         or [f"x{i + 1}" for i in range(n)], "variables")
+        gens = _strings(data.get("generators", []), "generators")
     except (KeyError, TypeError, ValueError):
         raise InputError("a scheme needs n and generators") from None
     if len(names) != n:
@@ -119,8 +151,9 @@ def affine_map_to_json(amap, names=None):
 def affine_map_from_json(data):
     try:
         n, m = int(data["n"]), int(data["m"])
-        names = data.get("variables") or [f"x{i + 1}" for i in range(n)]
-        comps = data["components"]
+        names = _strings(data.get("variables")
+                         or [f"x{i + 1}" for i in range(n)], "variables")
+        comps = _strings(data["components"], "components")
     except (KeyError, TypeError, ValueError):
         raise InputError("a map needs n, m and components") from None
     if len(names) != n:
@@ -136,8 +169,8 @@ def polysystem_to_json(system):
 
 def polysystem_from_json(data):
     try:
-        names = list(data["variables"])
-        eqs = data["equations"]
+        names = _strings(data["variables"], "variables")
+        eqs = _strings(data["equations"], "equations")
     except (KeyError, TypeError):
         raise InputError("a system needs variables and equations") from None
     return PolySystem(names, [Polynomial.from_string(e, names) for e in eqs])
@@ -152,9 +185,9 @@ def polymap_to_json(pmap, source_names=None):
 
 def polymap_from_json(data):
     try:
-        names = list(data["source_variables"])
+        names = _strings(data["source_variables"], "source_variables")
         target = int(data["target_arity"])
-        comps = data["components"]
+        comps = _strings(data["components"], "components")
     except (KeyError, TypeError, ValueError):
         raise InputError(
             "a jet map needs source_variables, target_arity, components"
@@ -207,21 +240,30 @@ def chart_from_json(data):
         n, m = int(data["n"]), int(data["m"])
         weight = int(data["weight"])
         dims = [int(x) for x in data["filtration_dims"]]
-        names = data.get("variables") or [f"z{i + 1}" for i in range(n)]
         conn = data["connection"]
         gram = data["gram"]
         pol = data["polarization"]
+        names = _strings(data.get("variables")
+                         or [f"z{i + 1}" for i in range(n)], "variables")
     except (KeyError, TypeError, ValueError):
         raise InputError("malformed connection chart") from None
+    if n < 1 or m < 1:
+        raise InputError(f"a chart needs n >= 1 and m >= 1, got n={n}, m={m}")
     if len(names) != n:
         raise InputError("variable list does not match n")
+    _check_shape(conn, (m, m, n), "connection")
+    _check_shape(gram, (m, m), "gram")
+    _check_shape(pol, (m, m), "polarization")
     coeffs = [[[_rf_from_json(conn[i][j][l], names) for l in range(n)]
                for j in range(m)] for i in range(m)]
     gram_rf = [[_rf_from_json(gram[i][k], names) for k in range(m)]
                for i in range(m)]
-    polarization = [[int(x) for x in row] for row in pol]
-    return ConnectionChart(n, m, coeffs, weight, dims, gram_rf, polarization,
-                           variables=names)
+    try:
+        polarization = [[int(x) for x in row] for row in pol]
+        return ConnectionChart(n, m, coeffs, weight, dims, gram_rf,
+                               polarization, variables=names)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed connection chart: {exc}") from None
 
 
 def chart_examples_from_json(data):
@@ -268,6 +310,9 @@ def flagjet_from_json(data):
         raw = data.get("coords", {})
     except (KeyError, TypeError, ValueError):
         raise InputError("malformed flag jet") from None
+    _check_dims_order(d, r)
+    if not isinstance(raw, dict):
+        raise InputError("flag coords must be an object of series strings")
     coords = {}
     for key, text in raw.items():
         parts = key.split("_")

@@ -4,13 +4,20 @@ A polynomial is a map from exponent tuples to nonzero Fraction coefficients.
 The single term order used throughout the package is graded lexicographic:
 smaller total degree first, ties broken so that earlier variables dominate
 (so for two variables the monomials read 1, x1, x2, x1^2, x1*x2, x2^2, ...).
+
+The module functions `*_terms` are the arithmetic of such sparse tables for
+`Polynomial` and `series.TruncatedSeries`.  Only `clean_terms` checks its
+input; the others map canonical tables to canonical tables, since over the
+integral domains Q and Q[x] only a sum can cancel to zero.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from itertools import product
+from operator import add
 
 from .errors import ArityMismatch, IndexOutOfRange, InputError
 
@@ -45,27 +52,102 @@ def _fr(x):
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+# -- the term-table kernel ---------------------------------------------------
+
+def clean_terms(pairs, arity, coerce, max_degree=None,
+                mismatch=ArityMismatch):
+    """The canonical table of caller input, given as (exponent, coefficient)
+    pairs: int exponent tuples of length `arity` (else `mismatch`) with no
+    negative entry (else ValueError), none of total degree above
+    `max_degree`, coefficients through `coerce`, repeats summed, zeros
+    dropped."""
+    out = {}
+    for expo, c in pairs:
+        expo = tuple(int(e) for e in expo)
+        if len(expo) != arity:
+            raise mismatch(
+                f"exponent {expo} has length {len(expo)}, expected {arity}")
+        if any(e < 0 for e in expo):
+            raise ValueError(f"negative exponent in {expo}")
+        if max_degree is not None and sum(expo) > max_degree:
+            continue
+        c = coerce(c)
+        if c:
+            s = out.get(expo)
+            s = c if s is None else s + c
+            if s:
+                out[expo] = s
+            else:
+                del out[expo]
+    return out
+
+
+def add_terms(a, b):
+    """The sum of two canonical tables."""
+    out = dict(a)
+    for p, c in b.items():
+        s = out.get(p)
+        s = c if s is None else s + c
+        if s:
+            out[p] = s
+        else:
+            del out[p]
+    return out
+
+
+def mul_terms(a, b, max_degree=None):
+    """The product of two canonical tables, cut above `max_degree`."""
+    right = [(q, sum(q), d) for q, d in b.items()]
+    out = {}
+    for p, c in a.items():
+        room = math.inf if max_degree is None else max_degree - sum(p)
+        for q, dq, d in right:
+            if dq <= room:
+                pq = tuple(map(add, p, q))
+                s = out.get(pq)
+                s = c * d if s is None else s + c * d
+                if s:
+                    out[pq] = s
+                else:
+                    del out[pq]
+    return out
+
+
+def derive_terms(terms, index, arity):
+    """The partial derivative of a canonical table along variable `index`."""
+    if not 0 <= index < arity:
+        raise IndexOutOfRange(f"variable {index} not in 0..{arity - 1}")
+    return {p[:index] + (p[index] - 1,) + p[index + 1:]: c * p[index]
+            for p, c in terms.items() if p[index]}
+
+
+def pow_terms(terms, n, arity, max_degree=None):
+    """A canonical table to the power n >= 0, cut above `max_degree`."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("exponent must be a non-negative integer")
+    result = {(0,) * arity: Fraction(1)}
+    for _ in range(n):
+        result = mul_terms(result, terms, max_degree)
+    return result
+
+
 class Polynomial:
     """Immutable sparse polynomial with Fraction coefficients."""
 
     __slots__ = ("arity", "terms")
 
     def __init__(self, arity, terms=None):
-        coeffs = {}
-        for expo, c in (terms or {}).items():
-            expo = tuple(int(e) for e in expo)
-            if len(expo) != arity:
-                raise ArityMismatch(
-                    f"exponent {expo} has length {len(expo)}, expected {arity}")
-            if any(e < 0 for e in expo):
-                raise ValueError(f"negative exponent in {expo}")
-            c = _fr(c)
-            if c:
-                coeffs[expo] = coeffs.get(expo, Fraction(0)) + c
-                if not coeffs[expo]:
-                    del coeffs[expo]
         object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "terms", coeffs)
+        object.__setattr__(self, "terms",
+                           clean_terms((terms or {}).items(), arity, _fr))
+
+    @classmethod
+    def _wrap(cls, arity, terms):
+        """The polynomial of a canonical table, taken as is."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -78,9 +160,6 @@ class Polynomial:
 
     @classmethod
     def const(cls, value, arity):
-        value = _fr(value)
-        if not value:
-            return cls.zero(arity)
         return cls(arity, {(0,) * arity: value})
 
     @classmethod
@@ -103,9 +182,6 @@ class Polynomial:
         if not self.terms:
             return -1
         return max(sum(p) for p in self.terms)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: monomial_key(kv[0]))
 
     def leading(self):
         """(exponent, coefficient) of the graded-lex greatest monomial."""
@@ -143,19 +219,13 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for p, c in other.terms.items():
-            s = terms.get(p, Fraction(0)) + c
-            if s:
-                terms[p] = s
-            else:
-                terms.pop(p, None)
-        return Polynomial(self.arity, terms)
+        return Polynomial._wrap(self.arity, add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.arity, {p: -c for p, c in self.terms.items()})
+        return Polynomial._wrap(self.arity,
+                                {p: -c for p, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -170,45 +240,20 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = {}
-        for p, c in self.terms.items():
-            for q, d in other.terms.items():
-                pq = tuple(a + b for a, b in zip(p, q))
-                s = terms.get(pq, Fraction(0)) + c * d
-                if s:
-                    terms[pq] = s
-                else:
-                    del terms[pq]
-        return Polynomial(self.arity, terms)
+        return Polynomial._wrap(self.arity, mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = Polynomial.const(1, self.arity)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return Polynomial._wrap(self.arity,
+                                pow_terms(self.terms, n, self.arity))
 
     # -- calculus and evaluation -------------------------------------------
 
     def derivative(self, index):
         """Formal partial derivative with respect to variable `index`."""
-        if not 0 <= index < self.arity:
-            raise IndexOutOfRange(f"variable {index} not in 0..{self.arity - 1}")
-        terms = {}
-        for p, c in self.terms.items():
-            e = p[index]
-            if e == 0:
-                continue
-            q = tuple(v - 1 if i == index else v for i, v in enumerate(p))
-            terms[q] = terms.get(q, Fraction(0)) + c * e
-        return Polynomial(self.arity, terms)
+        return Polynomial._wrap(self.arity,
+                                derive_terms(self.terms, index, self.arity))
 
     def evaluate(self, point):
         """Exact value at a tuple of rationals."""
@@ -231,13 +276,14 @@ class Polynomial:
 
     def rename_into(self, target_arity, index_map):
         """Reinterpret inside a larger ring, sending variable i to index_map[i]."""
-        terms = {}
+        pairs = []
         for p, c in self.terms.items():
             q = [0] * target_arity
             for i, e in enumerate(p):
                 q[index_map[i]] += e
-            terms[tuple(q)] = terms.get(tuple(q), Fraction(0)) + c
-        return Polynomial(target_arity, terms)
+            pairs.append((q, c))
+        return Polynomial._wrap(target_arity,
+                                clean_terms(pairs, target_arity, _fr))
 
     # -- canonical form ----------------------------------------------------
 
@@ -260,74 +306,116 @@ class Polynomial:
         lead = ints[max(ints, key=monomial_key)]
         if lead < 0:
             g = -g
-        return Polynomial(self.arity, {p: c / g for p, c in ints.items()})
+        return Polynomial._wrap(self.arity,
+                                {p: c / g for p, c in ints.items()})
 
     # -- text form ---------------------------------------------------------
 
     def to_string(self, names=None):
         """Canonical text: graded-lex sorted terms joined by ' + '."""
-        if not self.terms:
-            return "0"
         names = names or default_names(self.arity)
         if len(names) != self.arity:
             raise ArityMismatch("wrong number of variable names")
-        parts = []
-        for p, c in self.sorted_terms():
-            factors = [f"{names[i]}^{e}" for i, e in enumerate(p) if e]
-            if factors:
-                parts.append(str(c) + "*" + "*".join(factors))
-            else:
-                parts.append(str(c))
-        return " + ".join(parts)
+        return terms_to_string(self.terms, names, "*")
 
     @classmethod
     def from_string(cls, text, names):
         """Parse the textual form; tolerates '-' separators, bare variables
-        and omitted '^1' exponents."""
+        and omitted '^1' exponents.
+
+        The text is read as tokens, so '+' and '-' separate terms everywhere
+        except inside the decimal exponent of a number such as 1e-3.
+        """
+        if not isinstance(text, str):
+            raise InputError(
+                f"expected polynomial text, got {type(text).__name__}")
         index = {n: i for i, n in enumerate(names)}
         arity = len(names)
-        text = text.strip()
-        if text in ("", "0"):
-            return cls.zero(arity)
-        text = text.replace("-", "+-").replace("e+-", "e-")
-        terms = {}
-        for chunk in text.split("+"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            coeff = Fraction(1)
-            if chunk.startswith("-"):
-                coeff = Fraction(-1)
-                chunk = chunk[1:].strip()
+        pairs = []
+        for sign, factors in _split_terms(text):
+            coeff = Fraction(sign)
             expo = [0] * arity
-            for factor in chunk.split("*"):
-                factor = factor.strip()
-                if not factor:
-                    raise InputError(f"empty factor in term {chunk!r}")
-                if not (factor[0].isalpha() or factor[0] == "_"):
+            for factor in factors:
+                kind, value = factor[0]
+                if kind == "number" and len(factor) == 1:
                     try:
-                        coeff *= Fraction(factor)
-                        continue
+                        coeff *= Fraction(value)
                     except (ValueError, ZeroDivisionError):
-                        raise InputError(f"bad coefficient {factor!r}") from None
-                name, _, power = factor.partition("^")
-                name = name.strip()
-                if name not in index:
-                    raise InputError(f"unknown variable {name!r}")
-                e = int(power) if power else 1
-                if e < 0:
-                    raise InputError(f"negative exponent in {factor!r}")
-                expo[index[name]] += e
-            key = tuple(expo)
-            s = terms.get(key, Fraction(0)) + coeff
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-        return cls(arity, terms)
+                        raise InputError(f"bad coefficient {value!r}") from None
+                elif kind == "name" and (len(factor) == 1 or (
+                        len(factor) == 3 and factor[1] == ("op", "^")
+                        and factor[2][1].isdecimal())):
+                    if value not in index:
+                        raise InputError(f"unknown variable {value!r}")
+                    expo[index[value]] += \
+                        int(factor[2][1]) if len(factor) == 3 else 1
+                else:
+                    raise InputError("bad factor " + repr(
+                        "".join(v for _, v in factor)))
+            pairs.append((expo, coeff))
+        return cls._wrap(arity, clean_terms(pairs, arity, _fr))
 
     def __repr__(self):
         return f"Polynomial({self.to_string()!r})"
+
+
+# A number (digits, an optional '/q', decimal point or decimal exponent), a
+# name (a letter or '_', then anything but blanks and operators), an
+# operator, or any other visible character, which is an error.
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<number>(?:\d|\.\d)[\w.]*(?:/\w+|(?<=[eE])[+-]\w+)?)
+  | (?P<name>[^\W\d][^\s+\-*^]*)
+  | (?P<op>[-+*^])
+  | (?P<other>\S)
+)""", re.VERBOSE)
+
+
+def _split_terms(text):
+    """The terms of polynomial text as (sign, factors), each factor a list
+    of (kind, value) tokens.
+
+    Empty terms are skipped after '+' and at the start, so '+ -x' reads as
+    '-x'; an empty term after '-' is an error.
+    """
+    terms = [(1, [])]
+    for match in _TOKEN.finditer(text.rstrip()):
+        kind = match.lastgroup
+        value = match.group(kind)
+        if kind == "other":
+            raise InputError(f"unexpected character {value!r}")
+        if kind == "op" and value in "+-":
+            terms.append((1 if value == "+" else -1, []))
+        else:
+            terms[-1][1].append((kind, value))
+    out = []
+    for sign, tokens in terms:
+        if not tokens:
+            if sign < 0:
+                raise InputError("a '-' is not followed by a term")
+            continue
+        factors = [[]]
+        for token in tokens:
+            if token == ("op", "*"):
+                factors.append([])
+            else:
+                factors[-1].append(token)
+        if not all(factors):
+            raise InputError("empty factor in term " + repr(
+                "".join(v for _, v in tokens)))
+        out.append((sign, factors))
+    return out
+
+
+def terms_to_string(terms, names, times):
+    """Canonical text of a table: graded-lex terms 'c<times>x^e*y^f...'
+    joined by ' + ', or '0'."""
+    parts = []
+    for p in sorted(terms, key=monomial_key):
+        c = terms[p]
+        text = c.to_string() if isinstance(c, Polynomial) else str(c)
+        factors = "*".join(f"{names[i]}^{e}" for i, e in enumerate(p) if e)
+        parts.append(text + times + factors if factors else text)
+    return " + ".join(parts) or "0"
 
 
 def default_names(arity):

@@ -14,9 +14,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import (ArityMismatch, DimensionMismatch, IndexOutOfRange,
-                     InputError, NotAUnit, OrderIncrease)
-from .poly import Polynomial, evaluate_terms, monomial_key
+from .errors import (ArityMismatch, DimensionMismatch, InputError, NotAUnit,
+                     OrderIncrease)
+from .poly import (Polynomial, add_terms, clean_terms, derive_terms,
+                   evaluate_terms, mul_terms, pow_terms, terms_to_string)
+
+
+def _ring_element(c):
+    return Fraction(c) if isinstance(c, int) else c
 
 
 class TruncatedSeries:
@@ -29,29 +34,20 @@ class TruncatedSeries:
             raise ValueError("series need at least one variable")
         if order < 0:
             raise ValueError("truncation order must be non-negative")
-        table = {}
-        for expo, c in (coeffs or {}).items():
-            expo = tuple(int(e) for e in expo)
-            if len(expo) != dims:
-                raise DimensionMismatch(
-                    f"exponent {expo} has length {len(expo)}, expected {dims}")
-            if any(e < 0 for e in expo):
-                raise ValueError(f"negative exponent {expo}")
-            if sum(expo) > order:
-                continue
-            if isinstance(c, int):
-                c = Fraction(c)
-            if not c:
-                continue
-            if expo in table:
-                c = table[expo] + c
-                if not c:
-                    del table[expo]
-                    continue
-            table[expo] = c
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", table)
+        object.__setattr__(self, "coeffs", clean_terms(
+            (coeffs or {}).items(), dims, _ring_element, order,
+            DimensionMismatch))
+
+    @classmethod
+    def _wrap(cls, dims, order, coeffs):
+        """The series of a canonical table of degree <= order, taken as is."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", coeffs)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
@@ -72,12 +68,7 @@ class TruncatedSeries:
 
     @classmethod
     def variable(cls, index, dims, order):
-        if not 0 <= index < dims:
-            raise IndexOutOfRange(f"variable {index} not in 0..{dims - 1}")
-        if order < 1:
-            return cls.zero(dims, order)
-        expo = tuple(1 if i == index else 0 for i in range(dims))
-        return cls(dims, order, {expo: Fraction(1)})
+        return cls(dims, order, Polynomial.variable(index, dims).terms)
 
     # -- inspection --------------------------------------------------------
 
@@ -115,22 +106,15 @@ class TruncatedSeries:
     def __add__(self, other):
         if isinstance(other, TruncatedSeries):
             self._check_compatible(other)
-            table = dict(self.coeffs)
-            for p, c in other.coeffs.items():
-                s = table.get(p)
-                s = c if s is None else s + c
-                if not s:
-                    table.pop(p, None)
-                else:
-                    table[p] = s
-            return TruncatedSeries(self.dims, self.order, table)
+            return TruncatedSeries._wrap(self.dims, self.order,
+                                         add_terms(self.coeffs, other.coeffs))
         return self + TruncatedSeries.const(other, self.dims, self.order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(self.dims, self.order,
-                               {p: -c for p, c in self.coeffs.items()})
+        return TruncatedSeries._wrap(self.dims, self.order,
+                                     {p: -c for p, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -141,22 +125,8 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             self._check_compatible(other)
-            table = {}
-            r = self.order
-            for p, c in self.coeffs.items():
-                dp = sum(p)
-                for q, d in other.coeffs.items():
-                    if dp + sum(q) > r:
-                        continue
-                    pq = tuple(a + b for a, b in zip(p, q))
-                    cd = c * d
-                    s = table.get(pq)
-                    s = cd if s is None else s + cd
-                    if not s:
-                        table.pop(pq, None)
-                    else:
-                        table[pq] = s
-            return TruncatedSeries(self.dims, self.order, table)
+            return TruncatedSeries._wrap(self.dims, self.order, mul_terms(
+                self.coeffs, other.coeffs, self.order))
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -165,16 +135,13 @@ class TruncatedSeries:
         """Multiply every coefficient by a ring scalar."""
         if not scalar:
             return TruncatedSeries.zero(self.dims, self.order)
-        return TruncatedSeries(self.dims, self.order,
-                               {p: c * scalar for p, c in self.coeffs.items()})
+        return TruncatedSeries._wrap(
+            self.dims, self.order,
+            {p: c * scalar for p, c in self.coeffs.items()})
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = TruncatedSeries.one(self.dims, self.order)
-        for _ in range(n):
-            result = result * self
-        return result
+        return TruncatedSeries._wrap(self.dims, self.order, pow_terms(
+            self.coeffs, n, self.dims, self.order))
 
     # -- truncation structure ----------------------------------------------
 
@@ -183,16 +150,18 @@ class TruncatedSeries:
         if new_order > self.order:
             raise OrderIncrease(
                 f"cannot restrict order {self.order} to {new_order}")
-        return TruncatedSeries(self.dims, new_order,
-                               {p: c for p, c in self.coeffs.items()
-                                if sum(p) <= new_order})
+        if new_order < 0:
+            raise ValueError("truncation order must be non-negative")
+        return TruncatedSeries._wrap(self.dims, new_order,
+                                     {p: c for p, c in self.coeffs.items()
+                                      if sum(p) <= new_order})
 
     def zero_extended(self, new_order):
         """The zero-fill preimage at a higher order (a section of restrict)."""
         if new_order < self.order:
             raise OrderIncrease(
                 f"zero_extended targets order >= {self.order}")
-        return TruncatedSeries(self.dims, new_order, dict(self.coeffs))
+        return TruncatedSeries._wrap(self.dims, new_order, dict(self.coeffs))
 
     def derive(self, index):
         """Formal d/dt_index.
@@ -201,16 +170,8 @@ class TruncatedSeries:
         information: a caller that needs the derivative faithful at order r
         must start from an order r+1 series.
         """
-        if not 0 <= index < self.dims:
-            raise IndexOutOfRange(f"variable {index} not in 0..{self.dims - 1}")
-        table = {}
-        for p, c in self.coeffs.items():
-            e = p[index]
-            if e == 0:
-                continue
-            q = tuple(v - 1 if i == index else v for i, v in enumerate(p))
-            table[q] = c * e
-        return TruncatedSeries(self.dims, self.order, table)
+        return TruncatedSeries._wrap(self.dims, self.order, derive_terms(
+            self.coeffs, index, self.dims))
 
     def invert_unit(self):
         """Multiplicative inverse; the constant term must be a nonzero rational."""
@@ -238,18 +199,8 @@ class TruncatedSeries:
 
     def to_string(self):
         """Canonical text: graded-lex terms 'c * t1^e1*...' joined by ' + '."""
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for p in sorted(self.coeffs, key=monomial_key):
-            c = self.coeffs[p]
-            cs = c.to_string() if isinstance(c, Polynomial) else str(c)
-            factors = [f"t{i + 1}^{e}" for i, e in enumerate(p) if e]
-            if factors:
-                parts.append(f"{cs} * " + "*".join(factors))
-            else:
-                parts.append(cs)
-        return " + ".join(parts)
+        return terms_to_string(
+            self.coeffs, [f"t{i + 1}" for i in range(self.dims)], " * ")
 
     @classmethod
     def from_string(cls, text, dims, order):
@@ -260,7 +211,7 @@ class TruncatedSeries:
             if sum(p) > order:
                 raise InputError(
                     f"term of degree {sum(p)} exceeds order {order}")
-        return cls(dims, order, dict(poly.terms))
+        return cls(dims, order, poly.terms)
 
     def __repr__(self):
         return f"TruncatedSeries(d={self.dims}, r={self.order}, {self.to_string()!r})"

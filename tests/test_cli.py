@@ -7,6 +7,8 @@ import jetforge.io as jio
 from jetforge.cli import run
 from jetforge.connection import ConnectionChart, beta, series_oracle
 from jetforge.examples import legendre_chart
+from jetforge.flags import HodgeData, flag_of_matrix
+from jetforge.linalg import identity
 from jetforge.poly import Polynomial
 from jetforge.ratfunc import RationalFunction
 from jetforge.series import JetPoint, TruncatedSeries
@@ -276,3 +278,58 @@ class TestInputErrors:
         assert run(["hr1", "--connection", legendre_file,
                     "--flag", json.dumps(flag)]) == 2
         assert capsys.readouterr().out == ""
+
+    def test_hr1_rejects_flag_of_other_filtration(self, legendre_file,
+                                                   capsys):
+        hodge = HodgeData(3, 2, (3, 2, 1), [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+        flag = jio.flagjet_to_json(flag_of_matrix(hodge, identity(3)))
+        flag["coords"]["w_2_0"] = "1"
+        assert run(["hr1", "--connection", legendre_file,
+                    "--flag", json.dumps(flag)]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("key, value", [
+        ("polarization", [[0, 1], [1, 0]]),
+        ("connection", [[[{"num": "0", "den": "1"}]] * 2]),
+        ("filtration_dims", [2, 2]),
+        ("filtration_dims", [2, 0]),
+    ])
+    def test_malformed_chart(self, tmp_path, capsys, key, value):
+        data = jio.chart_to_json(legendre_chart())
+        data[key] = value
+        path = tmp_path / "chart.json"
+        path.write_text(json.dumps(data))
+        jet = json.dumps({"d": 1, "r": 2, "series": ["1/2 + 1 * t1^1"]})
+        assert run(["beta", "--connection", str(path), "--jet", jet]) == 2
+
+    @pytest.mark.parametrize("coords", [["1"], {"w_1_0": 1}])
+    def test_malformed_flag_coords(self, legendre_file, capsys, coords):
+        flag = self._legendre_flag(legendre_file, capsys)
+        flag["coords"] = coords
+        assert run(["hr1", "--connection", legendre_file,
+                    "--flag", json.dumps(flag)]) == 2
+
+    def test_init_matrix_rows_must_be_lists(self, legendre_file, capsys):
+        jet = json.dumps({"d": 1, "r": 2, "series": ["1/2 + 1 * t1^1"]})
+        assert run(["beta", "--connection", legendre_file, "--jet", jet,
+                    "--init", "[1, 2]"]) == 2
+
+    @pytest.mark.parametrize("d, r", [(0, 2), (1, -1)])
+    def test_jet_dims_and_order(self, legendre_file, capsys, d, r):
+        jet = json.dumps({"d": d, "r": r, "series": ["0"]})
+        assert run(["beta", "--connection", legendre_file, "--jet", jet]) == 2
+
+    def test_negative_restriction_order(self, legendre_file, capsys):
+        jet = json.dumps({"d": 1, "r": 2, "series": ["1/2 + 1 * t1^1"]})
+        assert run(["beta", "--connection", legendre_file, "--jet", jet,
+                    "-r", "-1"]) == 2
+
+    def test_jetspace_needs_positive_d(self, circle_file, capsys):
+        assert run(["jetspace", "--scheme", circle_file, "-d", "0",
+                    "-r", "1"]) == 2
+
+    def test_prolong_needs_positive_d(self, tmp_path, capsys):
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps({"n": 1, "m": 1, "variables": ["x"],
+                                    "components": ["x^2"]}))
+        assert run(["prolong", "--map", str(path), "-d", "0", "-r", "1"]) == 2

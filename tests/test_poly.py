@@ -106,3 +106,22 @@ def test_rename_into():
     p = Polynomial(2, {(1, 1): 2, (2, 0): 1})
     q = p.rename_into(4, [3, 1])
     assert q == Polynomial(4, {(0, 1, 0, 1): 2, (0, 0, 0, 2): 1})
+
+
+def test_variable_name_ending_in_e():
+    names = ["xe", "y"]
+    p = Polynomial.from_string("xe-y", names)
+    assert p == Polynomial(2, {(1, 0): 1, (0, 1): -1})
+    assert Polynomial.from_string(p.to_string(names), names) == p
+
+
+def test_decimal_exponent_in_coefficient():
+    p = Polynomial.from_string("1e-3*x - 2.5E+1", ["x"])
+    assert p == Polynomial(1, {(1,): Fraction(1, 1000), (0,): -25})
+
+
+@pytest.mark.parametrize("text", ["x^2.5", "x^", "x^-2", "x -", "2x", "x y",
+                                  "(x)", "x**2", 5])
+def test_malformed_text(text):
+    with pytest.raises(InputError):
+        Polynomial.from_string(text, ["x", "y"])
