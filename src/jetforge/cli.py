@@ -3,8 +3,8 @@
 One subcommand per library operation; canonical JSON on stdout, diagnostics
 on stderr.  Exit status: 0 success, 1 mathematical falsity (an --expect
 mismatch or a failed verification), 2 malformed input (including a
-non-integrable chart given to beta or alpha and a flag given to hr1 with
-other filtration data than the chart's), 3 singular-point or
+non-integrable chart given to beta, alpha or verify and a flag given to
+hr1 with other filtration data than the chart's), 3 singular-point or
 singular-initial data.
 """
 

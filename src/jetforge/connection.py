@@ -11,26 +11,31 @@ linear system
 and two independent evaluators compute the order-r jet of f along a base
 jet sigma with initial matrix M:
 
-* `beta` expresses every iterated partial of f as a universal linear form
-  in the entries of f (the xi table) and assembles the Taylor composition;
+* `beta` expresses every iterated partial of f as a linear form in the
+  entries of f (the xi table), recursing over derivative multi-degrees in
+  chart coordinates on the Taylor series of the coefficients at the base
+  point, and assembles the Taylor composition;
 * `series_oracle` pulls the system back along sigma and solves the truncated
-  equations degree by degree.
+  equations degree by degree in jet coordinates.
 
-They share only the series ring, so their exact agreement is a genuine
-cross-check.
+They share the series ring and `RationalFunction.eval_on_jet`, which
+expands the coefficients (along the identity jet at the base point for
+`beta`, along sigma for the oracle), and nothing else, so their exact
+agreement is a genuine cross-check.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 from . import linalg
-from .errors import (ArityMismatch, DimensionMismatch, SingularInitial,
-                     SingularPoint)
+from .errors import (ArityMismatch, DimensionMismatch, NonIntegrable,
+                     SingularInitial, SingularPoint)
 from .poly import graded_monomials
 from .ratfunc import RationalFunction
-from .series import TruncatedSeries, taylor_weights
+from .series import JetPoint, TruncatedSeries, taylor_weights
 
 
 class HodgeData:
@@ -327,65 +332,128 @@ def matrixjet_invert(jet):
 
 
 class XiTable:
-    """Universal linear forms for the iterated partials of flat frames.
+    """The derivative forms of flat frames, at base points on demand.
 
-    For every derivative multi-degree q with |q| <= order, `gamma(q)` is the
-    matrix G_q of rational functions with d_q f = G_q f for every solution f;
-    the base case is the identity and each step applies the product rule and
-    substitutes the first-order system.  Since the system is linear, every
-    table entry is linear in the frame entries, and the coefficient of f_ik
-    in the form for d_q f_jk is G_q[j][i], independent of the column k.
-    Mixed partials are keyed by their sorted multi-degree; the word-order
-    independence this assumes holds exactly for integrable systems and is
-    spot-checked in the test suite.
+    For every derivative multi-degree q with |q| <= order, G_q is the matrix
+    with d_q f = G_q f for every solution f; since the system is linear, the
+    coefficient of f_ik in the form for d_q f_jk is G_q[j][i], independent
+    of the column k.  G_0 is the identity and G_q = d_l G_p + G_p A_l with
+    p = q - e_l, l the lowest index with q_l > 0.  Mixed partials are keyed
+    by their multi-degree; the word-order independence this assumes holds
+    exactly for integrable systems.
+
+    `gamma_at(q, s)` is the value of G_q at a regular point s.  The first
+    call at s builds the values of every G_q there (see `_local_gammas`)
+    and keeps them on the table, so later calls at s, from any number of
+    `beta` calls sharing the table, reuse them.  `gamma(q)` and `entry` give
+    the universal rational forms through `word_gamma`, computed on demand
+    and memoised in `table`; only tests use them.
     """
 
-    __slots__ = ("chart", "order", "table")
+    __slots__ = ("chart", "order", "table", "_local")
 
-    def __init__(self, chart, order, table):
+    def __init__(self, chart, order):
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "table", {})
+        object.__setattr__(self, "_local", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("XiTable is immutable")
 
     def gamma(self, q):
-        return self.table[tuple(q)]
+        """The matrix G_q of rational functions on the chart."""
+        q = tuple(q)
+        gamma = self.table.get(q)
+        if gamma is None:
+            word = [l for l in reversed(range(self.chart.n))
+                    for _ in range(q[l])]
+            gamma = self.table[q] = word_gamma(self.chart, word)
+        return gamma
 
     def entry(self, q, j, k):
         """The linear form for d_q f_jk as {(i, k): coefficient}."""
-        row = self.table[tuple(q)][j]
+        row = self.gamma(q)[j]
         return {(i, k): row[i] for i in range(self.chart.m) if row[i]}
 
     def gamma_at(self, q, point):
-        return [[rf.evaluate(point) for rf in row] for row in self.table[tuple(q)]]
+        """The matrix G_q at a regular point, as rationals."""
+        point = tuple(point)
+        local = self._local.get(point)
+        if local is None:
+            local = self._local[point] = _local_gammas(self.chart, self.order,
+                                                       point)
+        return [list(row) for row in local[tuple(q)]]
 
 
 def build_xi(chart, order):
-    """Build the table of derivative forms for all multi-degrees up to order."""
+    """The table of derivative forms for all multi-degrees up to order.
+
+    Does no algebra: the values at a base point are built by the table's
+    first `gamma_at` call there.
+    """
+    return XiTable(chart, order)
+
+
+def _local_gammas(chart, order, point):
+    """{q: G_q(point)} for every |q| <= order, from Taylor series at the point.
+
+    The entries of each A_l are expanded to order `order` along the
+    identity jet point + t, and the recursion of `XiTable` runs over those
+    series, with G_q carried at order `order - |q|`: the parent is
+    differentiated before it is truncated, so no degree is lost.
+
+    For a < b the recursion takes G at e_a + e_b to be d_a A_b + A_b A_a;
+    integrability asks d_b A_a + A_a A_b to agree with it, through order
+    `order - 2`, the part the recursion reads.  Otherwise the values would
+    depend on the order of the partials, and NonIntegrable is raised.
+    """
     m, n = chart.m, chart.n
-    one = RationalFunction.one(n)
-    zero = RationalFunction.zero(n)
-    table = {(0,) * n: [[one if i == j else zero for i in range(m)]
-                        for j in range(m)]}
-    for q in graded_monomials(n, order):
-        if sum(q) == 0:
-            continue
+    jet = JetPoint([TruncatedSeries.const(x, n, order)
+                    + TruncatedSeries.variable(i, n, order)
+                    for i, x in enumerate(point)])
+    zero = TruncatedSeries.zero(n, order)
+    a_series = [[[rf.eval_on_jet(jet) if rf else zero for rf in row]
+                 for row in chart.a_matrix(l)] for l in range(n)]
+
+    def step(gamma, l, k):
+        """d_l gamma + gamma A_l at order k, skipping zero products."""
+        a_low = [[(i, s.restrict(k)) for i, s in enumerate(row)
+                  if not s.is_zero()] for row in a_series[l]]
+        out = []
+        for row in gamma:
+            new = [s.derive(l).restrict(k) for s in row]
+            for g, a_row in zip(row, a_low):
+                if not g.is_zero():
+                    g = g.restrict(k)
+                    for i, a in a_row:
+                        new[i] = new[i] + g * a
+            out.append(new)
+        return out
+
+    one = TruncatedSeries.one(n, order)
+    gammas = {(0,) * n: [[one if i == j else zero for i in range(m)]
+                         for j in range(m)]}
+    for q in graded_monomials(n, order)[1:]:
         l = next(i for i, e in enumerate(q) if e)
-        prev = tuple(e - 1 if i == l else e for i, e in enumerate(q))
-        gamma_prev = table[prev]
-        derived = [[rf.derivative(l) for rf in row] for row in gamma_prev]
-        table[tuple(q)] = linalg.mat_add(
-            derived, linalg.mat_mul(gamma_prev, chart.a_matrix(l)))
-    return XiTable(chart, order, table)
+        prev = q[:l] + (q[l] - 1,) + q[l + 1:]
+        gammas[q] = step(gammas[prev], l, order - sum(q))
+    for a, b in combinations(range(n), 2) if order >= 2 else ():
+        mixed = tuple(int(i in (a, b)) for i in range(n))
+        if not linalg.mat_eq(gammas[mixed], step(a_series[a], b, order - 2)):
+            shown = ", ".join(str(x) for x in point)
+            raise NonIntegrable("the chart's flat-frame system fails the "
+                                f"mixed-partial condition at ({shown})")
+    return {q: [[s.constant_term() for s in row] for row in gamma]
+            for q, gamma in gammas.items()}
 
 
 def word_gamma(chart, word):
-    """The derivative form along an explicit word of partials.
+    """The derivative form along an explicit word of partials, as rational
+    functions; `XiTable.gamma` reads its multi-degrees through this.
 
-    Used to guard the sorted-multi-degree keying of the table: for charts
-    whose system is integrable the result depends only on the multi-degree.
+    For charts whose system is integrable the result depends only on the
+    multi-degree of the word.
     """
     m, n = chart.m, chart.n
     one = RationalFunction.one(n)
@@ -412,7 +480,10 @@ def beta(chart, sigma, initial, table=None):
     The result equals the jet of the unique local solution of the flat-frame
     system through (base point, initial); its constant term is `initial`.
     Entries of `initial` may be polynomials (the map is linear in them), as
-    long as the determinant is not identically zero.
+    long as the determinant is not identically zero.  A table passed in is
+    reused when it belongs to the chart and reaches order r.  Raises
+    NonIntegrable when the chart fails the mixed-partial condition at the
+    base point below the table's order minus one (see `_local_gammas`).
     """
     if sigma.n != chart.n:
         raise ArityMismatch("jet does not live on the chart")
@@ -442,7 +513,8 @@ def series_oracle(chart, sigma, initial, require_invertible=True):
     """Same contract as `beta`, computed by pulling the system back along
     sigma and solving the truncated equations degree by degree.
 
-    Shares no code with the xi-table route beyond the series ring.  With
+    Shares with the xi-table route only the series ring and
+    `RationalFunction.eval_on_jet`.  With
     `require_invertible=False` the recursion extends linearly to singular
     initial matrices.
     """

@@ -70,10 +70,25 @@ def _check_dims_order(d, r):
         raise InputError(f"series need d >= 1 and r >= 0, got d={d}, r={r}")
 
 
+def _int(value):
+    """A JSON integer as is; floats, strings and booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _strings(data, what):
     if not isinstance(data, list) or not all(isinstance(x, str) for x in data):
         raise InputError(f"{what} must be a list of strings")
     return data
+
+
+def _names(data, what):
+    """A list of distinct variable names."""
+    names = _strings(data, what)
+    if len(set(names)) != len(names):
+        raise InputError(f"{what} must not repeat a name")
+    return names
 
 
 def matrix_from_json(data):
@@ -91,7 +106,7 @@ def jet_to_json(jet):
 
 def jet_from_json(data):
     try:
-        d, r = int(data["d"]), int(data["r"])
+        d, r = _int(data["d"]), _int(data["r"])
         strings = data["series"]
     except (KeyError, TypeError, ValueError):
         raise InputError("a jet needs keys d, r and series") from None
@@ -108,7 +123,7 @@ def matrixjet_to_json(jet):
 
 def matrixjet_from_json(data, require_invertible=True):
     try:
-        d, r = int(data["d"]), int(data["r"])
+        d, r = _int(data["d"]), _int(data["r"])
         rows = data["entries"]
     except (KeyError, TypeError, ValueError):
         raise InputError("a matrix jet needs keys d, r and entries") from None
@@ -130,9 +145,9 @@ def scheme_to_json(scheme):
 
 def scheme_from_json(data):
     try:
-        n = int(data["n"])
-        names = _strings(data.get("variables")
-                         or [f"x{i + 1}" for i in range(n)], "variables")
+        n = _int(data["n"])
+        names = _names(data.get("variables")
+                       or [f"x{i + 1}" for i in range(n)], "variables")
         gens = _strings(data.get("generators", []), "generators")
     except (KeyError, TypeError, ValueError):
         raise InputError("a scheme needs n and generators") from None
@@ -150,9 +165,9 @@ def affine_map_to_json(amap, names=None):
 
 def affine_map_from_json(data):
     try:
-        n, m = int(data["n"]), int(data["m"])
-        names = _strings(data.get("variables")
-                         or [f"x{i + 1}" for i in range(n)], "variables")
+        n, m = _int(data["n"]), _int(data["m"])
+        names = _names(data.get("variables")
+                       or [f"x{i + 1}" for i in range(n)], "variables")
         comps = _strings(data["components"], "components")
     except (KeyError, TypeError, ValueError):
         raise InputError("a map needs n, m and components") from None
@@ -169,7 +184,7 @@ def polysystem_to_json(system):
 
 def polysystem_from_json(data):
     try:
-        names = _strings(data["variables"], "variables")
+        names = _names(data["variables"], "variables")
         eqs = _strings(data["equations"], "equations")
     except (KeyError, TypeError):
         raise InputError("a system needs variables and equations") from None
@@ -185,8 +200,8 @@ def polymap_to_json(pmap, source_names=None):
 
 def polymap_from_json(data):
     try:
-        names = _strings(data["source_variables"], "source_variables")
-        target = int(data["target_arity"])
+        names = _names(data["source_variables"], "source_variables")
+        target = _int(data["target_arity"])
         comps = _strings(data["components"], "components")
     except (KeyError, TypeError, ValueError):
         raise InputError(
@@ -237,14 +252,14 @@ def chart_to_json(chart, examples=None):
 
 def chart_from_json(data):
     try:
-        n, m = int(data["n"]), int(data["m"])
-        weight = int(data["weight"])
-        dims = [int(x) for x in data["filtration_dims"]]
+        n, m = _int(data["n"]), _int(data["m"])
+        weight = _int(data["weight"])
+        dims = [_int(x) for x in data["filtration_dims"]]
         conn = data["connection"]
         gram = data["gram"]
         pol = data["polarization"]
-        names = _strings(data.get("variables")
-                         or [f"z{i + 1}" for i in range(n)], "variables")
+        names = _names(data.get("variables")
+                       or [f"z{i + 1}" for i in range(n)], "variables")
     except (KeyError, TypeError, ValueError):
         raise InputError("malformed connection chart") from None
     if n < 1 or m < 1:
@@ -259,7 +274,7 @@ def chart_from_json(data):
     gram_rf = [[_rf_from_json(gram[i][k], names) for k in range(m)]
                for i in range(m)]
     try:
-        polarization = [[int(x) for x in row] for row in pol]
+        polarization = [[_int(x) for x in row] for row in pol]
         return ConnectionChart(n, m, coeffs, weight, dims, gram_rf,
                                polarization, variables=names)
     except (TypeError, ValueError) as exc:
@@ -283,9 +298,9 @@ def hodge_to_json(hodge):
 
 def hodge_from_json(data):
     try:
-        return HodgeData(int(data["m"]), int(data["weight"]),
-                         [int(x) for x in data["filtration_dims"]],
-                         [[int(x) for x in row]
+        return HodgeData(_int(data["m"]), _int(data["weight"]),
+                         [_int(x) for x in data["filtration_dims"]],
+                         [[_int(x) for x in row]
                           for row in data["polarization"]])
     except (KeyError, TypeError, ValueError):
         raise InputError("malformed filtration data") from None
@@ -304,9 +319,9 @@ def flagjet_to_json(flag):
 
 def flagjet_from_json(data):
     try:
-        d, r = int(data["d"]), int(data["r"])
+        d, r = _int(data["d"]), _int(data["r"])
         hodge = hodge_from_json(data["hodge"])
-        chart = FlagChart([tuple(int(x) for x in s) for s in data["chart"]])
+        chart = FlagChart([tuple(_int(x) for x in s) for s in data["chart"]])
         raw = data.get("coords", {})
     except (KeyError, TypeError, ValueError):
         raise InputError("malformed flag jet") from None

@@ -17,7 +17,7 @@ import math
 import re
 from fractions import Fraction
 from itertools import product
-from operator import add
+from operator import add, index as exact_int
 
 from .errors import ArityMismatch, IndexOutOfRange, InputError
 
@@ -63,7 +63,7 @@ def clean_terms(pairs, arity, coerce, max_degree=None,
     dropped."""
     out = {}
     for expo, c in pairs:
-        expo = tuple(int(e) for e in expo)
+        expo = tuple(map(exact_int, expo))
         if len(expo) != arity:
             raise mismatch(
                 f"exponent {expo} has length {len(expo)}, expected {arity}")
@@ -331,6 +331,8 @@ class Polynomial:
                 f"expected polynomial text, got {type(text).__name__}")
         index = {n: i for i, n in enumerate(names)}
         arity = len(names)
+        if len(index) != arity:
+            raise InputError("repeated variable name")
         pairs = []
         for sign, factors in _split_terms(text):
             coeff = Fraction(sign)

@@ -5,7 +5,8 @@ import pytest
 
 import jetforge.io as jio
 from jetforge.cli import run
-from jetforge.connection import ConnectionChart, beta, series_oracle
+from jetforge.connection import ConnectionChart, beta
+from jetforge.errors import NonIntegrable
 from jetforge.examples import legendre_chart
 from jetforge.flags import HodgeData, flag_of_matrix
 from jetforge.linalg import identity
@@ -145,14 +146,14 @@ class TestFrameCommands:
 
     def test_non_integrable_chart_exit_two(self, non_integrable_file,
                                            capsys):
-        # the two library routes disagree on such a chart, so the CLI
-        # refuses it instead of printing either frame
+        # frame jets are not defined on such a chart, so library beta and
+        # the CLI both refuse it
         chart = jio.chart_from_json(json.loads(
             open(non_integrable_file).read()))
         sigma = JetPoint([TruncatedSeries.variable(0, 2, 2),
                           TruncatedSeries.variable(1, 2, 2)])
-        assert beta(chart, sigma, [[Fraction(1)]]) != \
-            series_oracle(chart, sigma, [[Fraction(1)]])
+        with pytest.raises(NonIntegrable):
+            beta(chart, sigma, [[Fraction(1)]])
         jet = json.dumps({"d": 2, "r": 2, "series": ["1 * t1^1",
                                                      "1 * t2^1"]})
         for command in ("beta", "alpha"):
@@ -161,6 +162,16 @@ class TestFrameCommands:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "mixed-partial" in captured.err
+
+    def test_verify_refuses_non_integrable_chart(self, non_integrable_file,
+                                                 capsys):
+        # library beta raises NonIntegrable, so verify exits 2 instead of
+        # reporting failed dual-route and flatness cases with exit 1
+        assert run(["verify", "--connection", non_integrable_file,
+                    "--cases", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "mixed-partial" in captured.err
 
     def test_order_restriction_flag(self, legendre_file, capsys):
         jet = json.dumps({"d": 1, "r": 3, "series": ["1/2 + 1 * t1^1"]})
@@ -333,3 +344,31 @@ class TestInputErrors:
         path.write_text(json.dumps({"n": 1, "m": 1, "variables": ["x"],
                                     "components": ["x^2"]}))
         assert run(["prolong", "--map", str(path), "-d", "0", "-r", "1"]) == 2
+
+    def test_float_jet_dims_and_order(self, legendre_file, capsys):
+        # int() used to read these as d=1, r=1 and print a frame jet
+        jet = json.dumps({"d": 1.9, "r": 1.7, "series": ["1/2 + 1 * t1^1"]})
+        assert run(["beta", "--connection", legendre_file, "--jet", jet]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_float_polarization(self, tmp_path, capsys):
+        data = jio.chart_to_json(legendre_chart())
+        data["polarization"] = [[0, 1.5], [-1.5, 0]]
+        path = tmp_path / "chart.json"
+        path.write_text(json.dumps(data))
+        jet = json.dumps({"d": 1, "r": 2, "series": ["1/2 + 1 * t1^1"]})
+        assert run(["beta", "--connection", str(path), "--jet", jet]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_repeated_variable_names(self, tmp_path, capsys):
+        # the generator used to be read in the second variable only, so
+        # the jet (5, 1) was a member and jetspace named two coordinates
+        # a_x_0
+        path = tmp_path / "scheme.json"
+        path.write_text(json.dumps({"n": 2, "variables": ["x", "x"],
+                                    "generators": ["x^2 - 1"]}))
+        jet = json.dumps({"d": 1, "r": 0, "series": ["5", "1"]})
+        assert run(["membership", "--scheme", str(path), "--jet", jet]) == 2
+        assert run(["jetspace", "--scheme", str(path), "-d", "1",
+                    "-r", "0"]) == 2
+        assert capsys.readouterr().out == ""

@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+import jetforge.connection as connection
 import jetforge.linalg as la
 from jetforge.connection import (ConnectionChart, MatrixJet, beta, build_xi,
                                  check_flatness, check_right_equivariance,
                                  matrixjet_invert, period_system, scalar_ode,
                                  series_oracle, word_gamma)
-from jetforge.errors import SingularInitial, SingularPoint
+from jetforge.errors import NonIntegrable, SingularInitial, SingularPoint
 from jetforge.examples import exponential_chart, legendre_chart, \
     nilpotent_chart
 from jetforge.poly import Polynomial, graded_monomials
@@ -31,6 +32,14 @@ def linear_coefficient_chart():
     cz = RationalFunction(Polynomial.variable(0, 1))
     return ConnectionChart(1, 1, [[[cz]]], 0, (1,),
                            [[RationalFunction.one(1)]], [[1]])
+
+
+def non_integrable_chart():
+    """m = 1, n = 2 with A_1 = z2 and A_2 = 0: d_2 A_1 != d_1 A_2."""
+    zero = RationalFunction.zero(2)
+    coeffs = [[[RationalFunction(-Polynomial.variable(1, 2)), zero]]]
+    return ConnectionChart(2, 1, coeffs, 0, (1,),
+                           [[RationalFunction.one(2)]], [[1]])
 
 
 def line_jet(base, r, d=1):
@@ -56,18 +65,23 @@ class TestXiTable:
         rng = random.Random(4)
         rc = random_flat_chart(rng, 3, 2)
         table = build_xi(rc.chart, 3)
-        for q in table.table:
+        checked = 0
+        for q in graded_monomials(rc.chart.n, 3):
             for j in range(3):
                 for k in range(3):
                     form = table.entry(q, j, k)
                     assert all(key[1] == k for key in form)
+            checked += 1
+        assert checked == 10
 
     def test_substitution_invariant(self):
         rng = random.Random(11)
         rc = random_flat_chart(rng, 2, 2)
         chart = rc.chart
         table = build_xi(chart, 3)
-        for q in list(table.table):
+        checked = 0
+        for q in graded_monomials(chart.n, 3):
+            checked += 1
             for l in range(chart.n):
                 bumped = tuple(e + 1 if i == l else e for i, e in enumerate(q))
                 if sum(bumped) > 3:
@@ -77,6 +91,7 @@ class TestXiTable:
                 expected = la.mat_add(derived,
                                       la.mat_mul(gamma, chart.a_matrix(l)))
                 assert la.mat_eq(table.gamma(bumped), expected)
+        assert checked == 10
 
     def test_word_order_independence_on_integrable_charts(self):
         rng = random.Random(19)
@@ -87,6 +102,54 @@ class TestXiTable:
             word = [rng.randrange(2) for _ in range(rng.randint(1, 3))]
             degree = (word.count(0), word.count(1))
             assert la.mat_eq(word_gamma(rc.chart, word), table.gamma(degree))
+
+    def test_local_values_match_the_symbolic_forms(self):
+        def check(table, point):
+            for q in graded_monomials(table.chart.n, table.order):
+                symbolic = [[rf.evaluate(point) for rf in row]
+                            for row in table.gamma(q)]
+                assert table.gamma_at(q, point) == symbolic, (q, point)
+
+        rng = random.Random(31)
+        for _ in range(6):
+            rc = random_flat_chart(rng, rng.randint(1, 3), rng.randint(1, 2))
+            table = build_xi(rc.chart, 4)
+            for _ in range(2):
+                while True:
+                    point = tuple(Fraction(rng.randint(-5, 5),
+                                           rng.randint(1, 3))
+                                  for _ in range(rc.chart.n))
+                    try:
+                        rc.chart.assert_regular(point)
+                        break
+                    except SingularPoint:
+                        continue
+                check(table, point)
+        table = build_xi(legendre_chart(), 8)
+        for x in (Fraction(1, 2), Fraction(1, 4), Fraction(2)):
+            check(table, (x,))
+
+    def test_shared_table_builds_each_point_once(self, monkeypatch):
+        builds = []
+        original = connection._local_gammas
+
+        def counting(chart, order, point):
+            builds.append(point)
+            return original(chart, order, point)
+
+        monkeypatch.setattr(connection, "_local_gammas", counting)
+        rng = random.Random(8)
+        rc = random_flat_chart(rng, 2, 2)
+        table = build_xi(rc.chart, 3)
+        for _ in range(2):
+            sigma = random_jet(rng, rc.chart, 2, 3)
+            initial = random_invertible(rng, 2)
+            beta(rc.chart, sigma, initial, table=table)
+            assert check_right_equivariance(
+                rc.chart, sigma, initial, random_invertible(rng, 2),
+                table=table)
+            assert builds.count(sigma.basepoint()) == 1
+        assert len(builds) == len(set(builds)) == 2
 
 
 class TestBeta:
@@ -118,6 +181,25 @@ class TestBeta:
         with pytest.raises(SingularInitial):
             beta(legendre_chart(), line_jet(Fraction(1, 2), 2),
                  [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
+
+    def test_non_integrable_chart_is_refused(self):
+        # beta used to return 1 here while series_oracle returns
+        # 1 - 1/2 t1 t2
+        chart = non_integrable_chart()
+        sigma = JetPoint([TruncatedSeries.variable(0, 2, 2),
+                          TruncatedSeries.variable(1, 2, 2)])
+        with pytest.raises(NonIntegrable):
+            beta(chart, sigma, [[Fraction(1)]])
+
+    def test_non_integrable_chart_below_order_two(self):
+        # orders 0 and 1 read no mixed partial, so the frame is defined
+        chart = non_integrable_chart()
+        for r in (0, 1):
+            sigma = JetPoint([TruncatedSeries.variable(0, 2, r),
+                              TruncatedSeries.variable(1, 2, r)])
+            frame = beta(chart, sigma, [[Fraction(1)]])
+            assert frame == series_oracle(chart, sigma, [[Fraction(1)]])
+            assert frame == MatrixJet.identity(1, 2, r)
 
     def test_restriction_compatibility(self):
         rng = random.Random(6)

@@ -13,7 +13,7 @@ from jetforge.poly import Polynomial, graded_monomials
 from jetforge.scheme import (AffineMap, AffineScheme, dimension_witness,
                              jet_prolong, jet_space_equations)
 from jetforge.series import JetPoint, TruncatedSeries
-from jetforge.verify import rand_poly
+from jetforge.verify import rand_poly, random_flat_chart
 
 
 def rand_jet(rng, n, d, r):
@@ -89,7 +89,6 @@ def test_chart_round_trip_is_bit_exact():
 
 
 def test_random_two_variable_chart_round_trip():
-    from jetforge.verify import random_flat_chart
     rng = random.Random(9)
     chart = random_flat_chart(rng, 3, 2).chart
     data = jio.chart_to_json(chart)
@@ -159,3 +158,71 @@ def test_malformed_inputs():
         jio.chart_from_json({"n": 1})
     with pytest.raises(InputError):
         jio.flagjet_from_json({"d": 1, "r": 0, "hodge": {}, "chart": []})
+
+
+def _legendre_data():
+    return jio.chart_to_json(legendre_chart())
+
+
+def _flag_data():
+    return jio.flagjet_to_json(flag_of_matrix(
+        HodgeData(2, 1, (2, 1), [[0, 1], [-1, 0]]), [[1, 0], [2, 1]]))
+
+
+def _edited(data, path, value):
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("load, data, path, value", [
+    (jio.jet_from_json, {"d": 1, "r": 1, "series": ["1"]}, ["d"], 1.9),
+    (jio.jet_from_json, {"d": 1, "r": 1, "series": ["1"]}, ["r"], 1.7),
+    (jio.jet_from_json, {"d": 1, "r": 1, "series": ["1"]}, ["r"], "1"),
+    (jio.jet_from_json, {"d": 1, "r": 1, "series": ["1"]}, ["d"], True),
+    (jio.matrixjet_from_json, {"d": 1, "r": 0, "entries": [["1"]]},
+     ["r"], 0.0),
+    (jio.scheme_from_json, {"n": 1, "generators": ["x1"]}, ["n"], 1.0),
+    (jio.affine_map_from_json, {"n": 1, "m": 1, "components": ["x1"]},
+     ["m"], 1.5),
+    (jio.polymap_from_json, {"source_variables": ["u"], "target_arity": 1,
+                             "components": ["u"]}, ["target_arity"], 1.0),
+    (jio.chart_from_json, _legendre_data(), ["polarization"],
+     [[0, 1.5], [-1.5, 0]]),
+    (jio.chart_from_json, _legendre_data(), ["weight"], 1.0),
+    (jio.chart_from_json, _legendre_data(), ["n"], 1.0),
+    (jio.chart_from_json, _legendre_data(), ["filtration_dims"], [2, 1.0]),
+    (jio.flagjet_from_json, _flag_data(), ["r"], 0.5),
+    (jio.flagjet_from_json, _flag_data(), ["hodge", "weight"], 1.0),
+    (jio.flagjet_from_json, _flag_data(), ["hodge", "polarization"],
+     [[0, 1.0], [-1, 0]]),
+    (jio.flagjet_from_json, _flag_data(), ["chart"], [[1.0]]),
+])
+def test_integer_fields_must_be_integers(load, data, path, value):
+    # int() used to truncate 1.9 to 1 and accept "1" and true
+    data = json.loads(json.dumps(data))
+    load(data)
+    with pytest.raises(InputError, match="integer"):
+        load(_edited(data, path, value))
+
+
+@pytest.mark.parametrize("load, data, key", [
+    (jio.scheme_from_json, {"n": 2, "variables": ["x", "y"],
+                            "generators": ["x^2 - 1"]}, "variables"),
+    (jio.affine_map_from_json, {"n": 2, "m": 1, "variables": ["x", "y"],
+                                "components": ["x"]}, "variables"),
+    (jio.polysystem_from_json, {"variables": ["x", "y"],
+                                "equations": ["x"]}, "variables"),
+    (jio.polymap_from_json, {"source_variables": ["u", "v"],
+                             "target_arity": 1, "components": ["u"]},
+     "source_variables"),
+    (jio.chart_from_json, jio.chart_to_json(random_flat_chart(
+        random.Random(5), 1, 2).chart), "variables"),
+])
+def test_repeated_variable_names(load, data, key):
+    load(data)
+    data = dict(data, **{key: [data[key][0]] * len(data[key])})
+    with pytest.raises(InputError, match="repeat"):
+        load(data)

@@ -5,6 +5,7 @@ import pytest
 
 from jetforge.errors import ArityMismatch, InputError
 from jetforge.poly import Polynomial, graded_monomials, monomial_key
+from jetforge.series import TruncatedSeries
 
 
 def rand_poly(rng, arity, degree):
@@ -125,3 +126,15 @@ def test_decimal_exponent_in_coefficient():
 def test_malformed_text(text):
     with pytest.raises(InputError):
         Polynomial.from_string(text, ["x", "y"])
+
+
+def test_repeated_variable_names():
+    with pytest.raises(InputError):
+        Polynomial.from_string("x^2 - 1", ["x", "x"])
+
+
+def test_float_exponent_is_refused():
+    with pytest.raises(TypeError):
+        Polynomial(1, {(1.5,): 1})
+    with pytest.raises(TypeError):
+        TruncatedSeries(1, 3, {(1.0,): 1})
