@@ -546,14 +546,18 @@ def series_oracle(chart, sigma, initial, require_invertible=True):
     parts = [[{(0,) * d: initial[j][k]} if initial[j][k] else {}
               for k in range(m)] for j in range(m)]
     for degree in range(1, r + 1):
-        current = [[TruncatedSeries(d, r, parts[j][k]) for k in range(m)]
+        # the new degree reads the products only in degree - 1, so both
+        # factors are cut there
+        low = degree - 1
+        current = [[TruncatedSeries(d, low, parts[j][k]) for k in range(m)]
                    for j in range(m)]
         inv_deg = Fraction(1, degree)
         for a in range(d):
-            prod = linalg.mat_mul(pulled[a], current)
+            prod = linalg.mat_mul([[s.restrict(low) for s in row]
+                                   for row in pulled[a]], current)
             for j in range(m):
                 for k in range(m):
-                    for p, c in prod[j][k].homogeneous(degree - 1).items():
+                    for p, c in prod[j][k].homogeneous(low).items():
                         shifted = tuple(e + 1 if i == a else e
                                         for i, e in enumerate(p))
                         prev = parts[j][k].get(shifted)

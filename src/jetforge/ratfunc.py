@@ -173,6 +173,9 @@ class RationalFunction:
             raise ArityMismatch(
                 f"function of {self.arity} variables on a jet with {jet.n} "
                 "components")
+        if self.den.degree() == 0:
+            # the constructor keeps a constant denominator equal to 1
+            return series_compose(self.num, jet)
         den_series = series_compose(self.den, jet)
         try:
             inv = den_series.invert_unit()

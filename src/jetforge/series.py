@@ -1,9 +1,17 @@
 """Exact arithmetic in the truncated multivariate power series ring.
 
 A series lives in Q[t_1..t_d]/(t_1..t_d)^(r+1): a sparse map from exponent
-tuples of total degree <= r to nonzero coefficients.  Coefficients are
-Fractions in ordinary use; any commutative ring element that supports +, *
-and truth testing (notably Polynomial, for generic jets) works as well.
+tuples of total degree <= r to nonzero coefficients.
+
+A series whose coefficients are all rational stores them as a sparse table
+of nonzero integer numerators over one positive common denominator, kept in
+lowest terms.  Its arithmetic runs the term-table kernel of `poly` on the
+integers and reduces the result once, with one gcd over the numerators and
+the denominator.  A series with any other coefficient (notably Polynomial,
+for generic jets) keeps a table of those ring elements, which need only
+support +, * and truth testing; an operation with such an operand runs the
+kernel on the coefficients themselves.  `coeffs` reads either form as a
+dict of ring elements, with Fractions for rationals.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no synchronization.
@@ -24,47 +32,101 @@ def _ring_element(c):
     return Fraction(c) if isinstance(c, int) else c
 
 
+def _check_shape(dims, order):
+    if dims < 1:
+        raise ValueError("series need at least one variable")
+    if order < 0:
+        raise ValueError("truncation order must be non-negative")
+
+
 class TruncatedSeries:
-    """Element of the order-r truncated power series ring in d variables."""
+    """Element of the order-r truncated power series ring in d variables.
 
-    __slots__ = ("dims", "order", "coeffs")
+    With all coefficients rational, `_table` maps exponents to integer
+    numerators and `_den` is their positive common denominator, with no
+    factor common to all of them; otherwise `_table` maps exponents to the
+    coefficients and `_den` is None.  Either way the table holds no zero.
+    `_coeffs` keeps the Fractions of a rational series once `coeffs` has
+    been read.
+    """
 
-    def __init__(self, dims, order, coeffs=None):
-        if dims < 1:
-            raise ValueError("series need at least one variable")
-        if order < 0:
-            raise ValueError("truncation order must be non-negative")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", clean_terms(
+    __slots__ = ("dims", "order", "_table", "_den", "_coeffs")
+
+    def __new__(cls, dims, order, coeffs=None):
+        _check_shape(dims, order)
+        return cls._wrap(dims, order, clean_terms(
             (coeffs or {}).items(), dims, _ring_element, order,
             DimensionMismatch))
 
     @classmethod
-    def _wrap(cls, dims, order, coeffs):
-        """The series of a canonical table of degree <= order, taken as is."""
+    def _new(cls, dims, order, table, den):
+        """The series of a stored form (see the class docstring), taken as is."""
         self = object.__new__(cls)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
+        _set_dims(self, dims)
+        _set_order(self, order)
+        _set_table(self, table)
+        _set_den(self, den)
         return self
+
+    @classmethod
+    def _reduced(cls, dims, order, num, den):
+        """The series num/den of integer numerators and a positive den."""
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                num = {p: n // g for p, n in num.items()}
+                den //= g
+        return cls._new(dims, order, num, den)
+
+    @classmethod
+    def _wrap(cls, dims, order, table):
+        """The series of a canonical table of ring elements of degree <=
+        order, unchecked; in integer form if every coefficient is a
+        Fraction (the lcm of the denominators leaves no common factor)."""
+        for c in table.values():
+            if type(c) is not Fraction:
+                return cls._new(dims, order, table, None)
+        den = math.lcm(*(c.denominator for c in table.values()))
+        return cls._new(dims, order, {p: c.numerator * (den // c.denominator)
+                                      for p, c in table.items()}, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
+
+    @property
+    def coeffs(self):
+        """The read-only dict of nonzero coefficients by exponent, rationals
+        as Fractions, shared by every reader of the series; for a rational
+        series it is built from the integer form on first read and kept."""
+        den = self._den
+        if den is None:
+            return self._table
+        try:
+            return self._coeffs
+        except AttributeError:
+            coeffs = {p: Fraction(n, den) for p, n in self._table.items()}
+            _set_coeffs(self, coeffs)
+            return coeffs
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, dims, order):
-        return cls(dims, order, {})
+        _check_shape(dims, order)
+        return cls._new(dims, order, {}, 1)
 
     @classmethod
     def const(cls, value, dims, order):
-        return cls(dims, order, {(0,) * dims: value})
+        if not isinstance(value, (int, Fraction)):
+            return cls(dims, order, {(0,) * dims: value})
+        _check_shape(dims, order)
+        return cls._new(
+            dims, order, {(0,) * dims: value.numerator} if value else {},
+            value.denominator)
 
     @classmethod
     def one(cls, dims, order):
-        return cls.const(Fraction(1), dims, order)
+        return cls.const(1, dims, order)
 
     @classmethod
     def variable(cls, index, dims, order):
@@ -74,26 +136,38 @@ class TruncatedSeries:
 
     def coefficient(self, expo):
         expo = tuple(expo)
-        return self.coeffs.get(expo, Fraction(0))
+        if self._den is None:
+            return self._table.get(expo, Fraction(0))
+        return Fraction(self._table.get(expo, 0), self._den)
 
     def constant_term(self):
-        return self.coeffs.get((0,) * self.dims, Fraction(0))
+        return self.coefficient((0,) * self.dims)
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._table
+
+    def _is_one(self):
+        return (self._den == 1 and len(self._table) == 1
+                and self._table.get((0,) * self.dims) == 1)
 
     def homogeneous(self, degree):
         """The degree-s coefficients as a dict (may be empty)."""
-        return {p: c for p, c in self.coeffs.items() if sum(p) == degree}
+        den = self._den
+        return {p: c if den is None else Fraction(c, den)
+                for p, c in self._table.items() if sum(p) == degree}
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return (self.dims == other.dims and self.order == other.order
-                and self.coeffs == other.coeffs)
+        if self.dims != other.dims or self.order != other.order:
+            return False
+        if self._den is None or other._den is None:
+            return self.coeffs == other.coeffs
+        return self._den == other._den and self._table == other._table
 
     def __hash__(self):
-        return hash((self.dims, self.order, frozenset(self.coeffs.items())))
+        # equal series share their exponents, whatever the coefficient type
+        return hash((self.dims, self.order, frozenset(self._table)))
 
     def _check_compatible(self, other):
         if self.dims != other.dims or self.order != other.order:
@@ -104,17 +178,30 @@ class TruncatedSeries:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._check_compatible(other)
+        if not isinstance(other, TruncatedSeries):
+            return self + TruncatedSeries.const(other, self.dims, self.order)
+        self._check_compatible(other)
+        da, db = self._den, other._den
+        if da is None or db is None:
             return TruncatedSeries._wrap(self.dims, self.order,
                                          add_terms(self.coeffs, other.coeffs))
-        return self + TruncatedSeries.const(other, self.dims, self.order)
+        a, b = self._table, other._table
+        if da != db:
+            g = math.gcd(da, db)
+            if db != g:
+                a = {p: n * (db // g) for p, n in a.items()}
+            if da != g:
+                b = {p: n * (da // g) for p, n in b.items()}
+            da = da // g * db
+        return TruncatedSeries._reduced(self.dims, self.order,
+                                        add_terms(a, b), da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries._wrap(self.dims, self.order,
-                                     {p: -c for p, c in self.coeffs.items()})
+        return TruncatedSeries._new(self.dims, self.order,
+                                    {p: -c for p, c in self._table.items()},
+                                    self._den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -123,11 +210,21 @@ class TruncatedSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._check_compatible(other)
+        if not isinstance(other, TruncatedSeries):
+            return self.scale(other)
+        self._check_compatible(other)
+        # products by 1, where powers and Taylor weights start, are free
+        if self._is_one():
+            return other
+        if other._is_one():
+            return self
+        if self._den is None or other._den is None:
             return TruncatedSeries._wrap(self.dims, self.order, mul_terms(
                 self.coeffs, other.coeffs, self.order))
-        return self.scale(other)
+        return TruncatedSeries._reduced(
+            self.dims, self.order,
+            mul_terms(self._table, other._table, self.order),
+            self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -135,6 +232,12 @@ class TruncatedSeries:
         """Multiply every coefficient by a ring scalar."""
         if not scalar:
             return TruncatedSeries.zero(self.dims, self.order)
+        if self._den is not None and isinstance(scalar, (int, Fraction)):
+            num = scalar.numerator
+            return TruncatedSeries._reduced(
+                self.dims, self.order,
+                {p: n * num for p, n in self._table.items()},
+                self._den * scalar.denominator)
         return TruncatedSeries._wrap(
             self.dims, self.order,
             {p: c * scalar for p, c in self.coeffs.items()})
@@ -152,16 +255,19 @@ class TruncatedSeries:
                 f"cannot restrict order {self.order} to {new_order}")
         if new_order < 0:
             raise ValueError("truncation order must be non-negative")
-        return TruncatedSeries._wrap(self.dims, new_order,
-                                     {p: c for p, c in self.coeffs.items()
-                                      if sum(p) <= new_order})
+        table = {p: c for p, c in self._table.items() if sum(p) <= new_order}
+        if self._den is None:
+            return TruncatedSeries._wrap(self.dims, new_order, table)
+        return TruncatedSeries._reduced(self.dims, new_order, table,
+                                        self._den)
 
     def zero_extended(self, new_order):
         """The zero-fill preimage at a higher order (a section of restrict)."""
         if new_order < self.order:
             raise OrderIncrease(
                 f"zero_extended targets order >= {self.order}")
-        return TruncatedSeries._wrap(self.dims, new_order, dict(self.coeffs))
+        return TruncatedSeries._new(self.dims, new_order, self._table,
+                                    self._den)
 
     def derive(self, index):
         """Formal d/dt_index.
@@ -170,8 +276,11 @@ class TruncatedSeries:
         information: a caller that needs the derivative faithful at order r
         must start from an order r+1 series.
         """
-        return TruncatedSeries._wrap(self.dims, self.order, derive_terms(
-            self.coeffs, index, self.dims))
+        table = derive_terms(self._table, index, self.dims)
+        if self._den is None:
+            return TruncatedSeries._wrap(self.dims, self.order, table)
+        return TruncatedSeries._reduced(self.dims, self.order, table,
+                                        self._den)
 
     def invert_unit(self):
         """Multiplicative inverse; the constant term must be a nonzero rational."""
@@ -215,6 +324,13 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"TruncatedSeries(d={self.dims}, r={self.order}, {self.to_string()!r})"
+
+
+# Writers of the slots of a series, past the guard of its __setattr__; the
+# slot descriptors' own setters are the cheapest way in.
+_set_dims, _set_order, _set_table, _set_den, _set_coeffs = (
+    getattr(TruncatedSeries, name).__set__
+    for name in TruncatedSeries.__slots__)
 
 
 class JetPoint:

@@ -16,7 +16,7 @@ from jetforge.examples import exponential_chart, legendre_chart, \
     nilpotent_chart
 from jetforge.poly import Polynomial, graded_monomials
 from jetforge.ratfunc import RationalFunction
-from jetforge.series import JetPoint, TruncatedSeries
+from jetforge.series import JetPoint, TruncatedSeries, series_compose
 from jetforge.verify import (random_flat_chart, random_invertible, random_jet,
                              random_n1_chart, run_frame_corpus)
 
@@ -152,6 +152,29 @@ class TestXiTable:
         assert len(builds) == len(set(builds)) == 2
 
 
+class TestEvalOnJet:
+    def test_polynomial_function_is_not_inverted(self, monkeypatch):
+        f = RationalFunction(Polynomial(1, {(2,): Fraction(1, 2), (0,): 3}))
+        sigma = line_jet(Fraction(2, 3), 4)
+        expected = series_compose(f.num, sigma)
+
+        def refuse(self):
+            raise AssertionError("inverted a constant denominator")
+
+        monkeypatch.setattr(TruncatedSeries, "invert_unit", refuse)
+        assert f.eval_on_jet(sigma) == expected
+
+    def test_denominator_is_inverted(self):
+        f = RationalFunction(Polynomial.const(1, 1),
+                             Polynomial(1, {(1,): 1, (0,): -1}))
+        sigma = line_jet(3, 3)
+        series = f.eval_on_jet(sigma)
+        den = series_compose(f.den, sigma)
+        assert series * den == TruncatedSeries.one(1, 3)
+        with pytest.raises(SingularPoint):
+            f.eval_on_jet(line_jet(1, 3))
+
+
 class TestBeta:
     def test_order_zero_is_the_initial_matrix(self):
         chart = exponential_chart()
@@ -265,6 +288,23 @@ class TestOracleAgreement:
                 for k in range(2):
                     assert left.entry(j, k) == \
                         f1.entry(j, k).scale(a) + f2.entry(j, k).scale(b)
+
+    def test_oracle_cuts_products_at_the_degree_it_reads(self, monkeypatch):
+        orders = []
+        original = la.mat_mul
+
+        def recording(a, b):
+            orders.append((a[0][0].order, b[0][0].order))
+            return original(a, b)
+
+        rng = random.Random(16)
+        rc = random_flat_chart(rng, 2, 2)
+        sigma = random_jet(rng, rc.chart, 2, 4)
+        initial = random_invertible(rng, 2)
+        expected = series_oracle(rc.chart, sigma, initial)
+        monkeypatch.setattr(la, "mat_mul", recording)
+        assert series_oracle(rc.chart, sigma, initial) == expected
+        assert orders == [(k, k) for k in range(4) for _ in range(2)]
 
     def test_flatness_of_oracle_output(self):
         rng = random.Random(15)

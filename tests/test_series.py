@@ -209,6 +209,22 @@ class TestRingAxioms:
                 a.restrict(rp).derive(i).restrict(rp - 1)
 
 
+class TestEquality:
+    def test_hash_agrees_with_equality_across_coefficient_types(self):
+        symbolic = S(1, 2, {(0,): Polynomial.const(3, 2)})
+        rational = S(1, 2, {(0,): 3})
+        assert symbolic == rational
+        assert hash(symbolic) == hash(rational)
+        assert len({symbolic, rational}) == 1
+
+    def test_equal_values_from_different_routes(self):
+        a = S(2, 3, {(0, 0): Fraction(1, 6), (1, 2): Fraction(-4, 9)})
+        b = (a.scale(Fraction(3)) + a.scale(Fraction(-2))) * \
+            TruncatedSeries.one(2, 3)
+        assert a == b and hash(a) == hash(b)
+        assert a != a.zero_extended(4)
+
+
 class TestMonomialCounts:
     @pytest.mark.parametrize("d,r", [(1, 0), (1, 4), (2, 2), (2, 3), (3, 2)])
     def test_count(self, d, r):
