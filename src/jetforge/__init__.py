@@ -21,7 +21,7 @@ from .scheme import (AffineMap, AffineScheme, PolyMap, PolySystem,
 from .connection import (ConnectionChart, MatrixJet, XiTable, beta, build_xi,
                          check_flatness, check_right_equivariance,
                          matrixjet_invert, period_system, scalar_ode,
-                         series_oracle, word_gamma)
+                         series_oracle)
 from .flags import (EtaWitness, FlagChart, FlagJet, HodgeData, TorsorPoint,
                     alpha, check_fv, check_hr1, eta_chartlocal,
                     flag_of_matrix, gram_obeys_first_relation,

@@ -2,23 +2,27 @@
 
 One subcommand per library operation; canonical JSON on stdout, diagnostics
 on stderr.  Exit status: 0 success, 1 mathematical falsity (an --expect
-mismatch or a failed verification), 2 malformed input (including a
-non-integrable chart given to beta, alpha or verify and a flag given to
-hr1 with other filtration data than the chart's), 3 singular-point or
-singular-initial data.
+mismatch or a failed verification), 2 malformed input (including a jet of
+order r >= 2 given to beta, alpha or verify on a chart that fails the
+mixed-partial condition at its base point through order r - 2, a jet with
+more than MAX_JET_COEFFICIENTS coefficients for jetspace, prolong, beta,
+alpha or verify, and a flag given to hr1 with other filtration data than
+the chart's), 3 singular-point or singular-initial data.  beta and alpha
+answer what library `beta` answers.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from . import io as jio
 from .connection import beta
 from .errors import (InputError, JetforgeError, NoRationalFvPoint,
-                     NonIntegrable, SingularInitial, SingularPoint)
+                     SingularInitial, SingularPoint)
 from .examples import builtin_examples
 from .flags import alpha, check_fv, check_hr1
 from .linalg import identity
@@ -31,6 +35,11 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_SINGULAR = 3
+
+# The most coefficients n * C(r + d, d) of a jet (n series in d variables at
+# order r) that jetspace, prolong, beta, alpha and verify accept; d and r are
+# each held to it as well.  Larger inputs are refused with exit 2.
+MAX_JET_COEFFICIENTS = 10_000
 
 
 def _load_json_arg(value):
@@ -93,9 +102,21 @@ def _check_jet_shape(args):
         raise InputError("-r must be non-negative")
 
 
+def check_jet_size(n, d, r):
+    """Refuse jets with more than MAX_JET_COEFFICIENTS coefficients.
+
+    d and r are compared first, so `math.comb` only sees bounded arguments.
+    """
+    limit = MAX_JET_COEFFICIENTS
+    if d > limit or r > limit or n * math.comb(r + d, d) > limit:
+        raise InputError(f"jet too large: n * C(r + d, d) with n={n}, d={d}, "
+                         f"r={r} exceeds {limit} coefficients")
+
+
 def _cmd_jetspace(args):
     _check_jet_shape(args)
     scheme = jio.scheme_from_json(_load_json_arg("@" + args.scheme))
+    check_jet_size(scheme.n, args.d, args.r)
     build = jet_space_equations_universal if args.universal \
         else jet_space_equations
     system = build(scheme, args.d, args.r)
@@ -107,6 +128,7 @@ def _cmd_jetspace(args):
 def _cmd_prolong(args):
     _check_jet_shape(args)
     amap = jio.affine_map_from_json(_load_json_arg("@" + args.map))
+    check_jet_size(max(amap.n, amap.m), args.d, args.r)
     build = jet_prolong_universal if args.universal else jet_prolong
     pmap = build(amap, args.d, args.r)
     _emit({"d": args.d, "r": args.r, "n": amap.n, "m": amap.m,
@@ -130,17 +152,17 @@ def _cmd_nondeg(args):
 
 
 def _frame_inputs(args):
-    """The integrable chart, the jet (restricted by -r) and the initial
-    matrix of the beta and alpha commands."""
+    """The chart, the jet (restricted by -r) and the initial matrix of the
+    beta and alpha commands."""
     chart = jio.chart_from_json(_load_json_arg("@" + args.connection))
-    if not chart.is_integrable():
-        raise NonIntegrable("the chart's flat-frame system fails the "
-                            "mixed-partial condition; its frame jets are "
-                            "not defined")
-    jet = jio.jet_from_json(_load_json_arg(args.jet))
+    if args.r is not None and args.r < 0:
+        raise InputError("-r must be non-negative")
+
+    def check_size(n, d, r):
+        check_jet_size(n, d, r if args.r is None else min(r, args.r))
+
+    jet = jio.jet_from_json(_load_json_arg(args.jet), check_size)
     if args.r is not None:
-        if args.r < 0:
-            raise InputError("-r must be non-negative")
         jet = jet.restrict(args.r)
     return chart, jet, _parse_matrix_arg(args.init, chart.m)
 
@@ -180,6 +202,8 @@ def _cmd_verify(args):
     if args.max_order < 0:
         raise InputError("--max-order must be non-negative")
     chart = jio.chart_from_json(_load_json_arg("@" + args.connection))
+    # verify draws jets with d <= 2 and r <= --max-order
+    check_jet_size(chart.n, 2, args.max_order)
     report = verify_connection(chart, max_order=args.max_order,
                                seed=args.seed, cases=args.cases)
     _emit(report)

@@ -15,9 +15,6 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from sympy import symbols
-from sympy.solvers.diophantine.diophantine import diop_ternary_quadratic
-
 from . import linalg
 
 
@@ -112,8 +109,12 @@ def _represent_ternary(a1, a2, b):
     """A rational (x, y) with a1 x^2 + a2 y^2 = b, or None.
 
     Complete for nonzero rational inputs: reduces to isotropy of the ternary
-    form a1 X^2 + a2 Y^2 - b Z^2 over the integers.
+    form a1 X^2 + a2 Y^2 - b Z^2 over the integers.  sympy is imported
+    here, the only place that needs it, to keep it out of `import jetforge`.
     """
+    from sympy import symbols
+    from sympy.solvers.diophantine.diophantine import diop_ternary_quadratic
+
     denom = (a1.denominator * a2.denominator * b.denominator)
     A1, A2, B = (int(a1 * denom), int(a2 * denom), int(b * denom))
     x, y, z = symbols("x y z", integer=True)

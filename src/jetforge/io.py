@@ -104,7 +104,9 @@ def jet_to_json(jet):
             "series": [s.to_string() for s in jet.series]}
 
 
-def jet_from_json(data):
+def jet_from_json(data, check_size=None):
+    """The jet of a JSON object; `check_size(n, d, r)`, when given, runs
+    before any series is parsed."""
     try:
         d, r = _int(data["d"]), _int(data["r"])
         strings = data["series"]
@@ -113,6 +115,8 @@ def jet_from_json(data):
     _check_dims_order(d, r)
     if not isinstance(strings, list) or not strings:
         raise InputError("jet series must be a non-empty list")
+    if check_size is not None:
+        check_size(len(strings), d, r)
     return JetPoint([TruncatedSeries.from_string(s, d, r) for s in strings])
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from itertools import product
 from operator import add, index as exact_int
 
 from .errors import ArityMismatch, IndexOutOfRange, InputError
@@ -34,12 +33,12 @@ def graded_monomials(arity, max_degree):
     """All exponent tuples with total degree <= max_degree, graded-lex sorted.
 
     For arity d and bound r the list has C(r + d, d) entries; the empty
-    exponent comes first.
+    exponent comes first.  Each exponent is extended within the degree left,
+    so the work follows the output rather than the (r + 1)^d box.
     """
-    if arity == 0:
-        return [()]
-    mons = [p for p in product(range(max_degree + 1), repeat=arity)
-            if sum(p) <= max_degree]
+    mons = [()]
+    for _ in range(arity):
+        mons = [p + (e,) for p in mons for e in range(max_degree + 1 - sum(p))]
     mons.sort(key=monomial_key)
     return mons
 

@@ -54,7 +54,7 @@ class RationalFunction:
             raise ZeroDivisionError("denominator is identically zero")
         if num.is_zero():
             den = Polynomial.const(1, num.arity)
-        elif num.arity == 1:
+        elif num.arity == 1 and den.degree() > 0:
             g = _univ_gcd(num, den)
             if g.degree() > 0:
                 num = _univ_divmod(num, g)[0]

@@ -1,14 +1,17 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
+import jetforge.cli as cli
 import jetforge.io as jio
 from jetforge.cli import run
-from jetforge.connection import ConnectionChart, beta
-from jetforge.errors import NonIntegrable
+from jetforge.connection import (ConnectionChart, MatrixJet, beta,
+                                 series_oracle)
+from jetforge.errors import InputError, NonIntegrable
 from jetforge.examples import legendre_chart
-from jetforge.flags import HodgeData, flag_of_matrix
+from jetforge.flags import HodgeData, alpha, flag_of_matrix
 from jetforge.linalg import identity
 from jetforge.poly import Polynomial
 from jetforge.ratfunc import RationalFunction
@@ -31,16 +34,29 @@ def legendre_file(tmp_path):
     return str(path)
 
 
-@pytest.fixture
-def non_integrable_file(tmp_path):
-    """m = 1, n = 2 with A_1 = z2 and A_2 = 0: d_2 A_1 != d_1 A_2."""
+def rank_one_chart_file(path, a1):
+    """m = 1, n = 2 with A_1 = a1 and A_2 = 0, written as chart JSON."""
     zero = RationalFunction.zero(2)
-    coeffs = [[[RationalFunction(-Polynomial.variable(1, 2)), zero]]]
+    coeffs = [[[RationalFunction(-a1), zero]]]
     chart = ConnectionChart(2, 1, coeffs, 0, (1,),
                             [[RationalFunction.one(2)]], [[1]])
-    path = tmp_path / "non_integrable.json"
     path.write_text(jio.canonical_dumps(jio.chart_to_json(chart)))
     return str(path)
+
+
+@pytest.fixture
+def non_integrable_file(tmp_path):
+    """A_1 = z2 and A_2 = 0: d_2 A_1 != d_1 A_2 at every point."""
+    return rank_one_chart_file(tmp_path / "non_integrable.json",
+                               Polynomial.variable(1, 2))
+
+
+@pytest.fixture
+def cubic_file(tmp_path):
+    """A_1 = z2^3 and A_2 = 0: d_2 A_1 = 3 z2^2 vanishes to order 1 at
+    z2 = 0 and not at all at z2 = 1."""
+    return rank_one_chart_file(tmp_path / "cubic.json",
+                               Polynomial.variable(1, 2) ** 3)
 
 
 def out_json(capsys):
@@ -116,6 +132,91 @@ class TestBooleanCommands:
         assert out_json(capsys) == {"fv": True}
 
 
+    def test_sparse_high_order_jet_is_not_size_limited(self, circle_file,
+                                                       capsys):
+        # membership and nondeg read the jet they are given; only the
+        # commands that enumerate jet coefficients are size-limited
+        jet = json.dumps({"d": 2, "r": 400,
+                          "series": ["1 + 1 * t1^1", "1 * t2^1 + 1 * t1^3"]})
+        assert run(["membership", "--scheme", circle_file, "--jet", jet]) == 0
+        assert out_json(capsys) == {"member": False}
+        assert run(["nondeg", "--jet", jet]) == 0
+        assert out_json(capsys) == {"nondegenerate": True}
+
+
+class TestSizeGuard:
+    def test_guard_arithmetic(self):
+        limit = cli.MAX_JET_COEFFICIENTS
+        assert limit == 10_000  # the value README documents
+        for n, d, r in ((1, 1, limit - 1), (2, 1, limit // 2 - 1),
+                        (1, limit, 0), (1, 2, 139)):
+            cli.check_jet_size(n, d, r)
+        for n, d, r in ((1, 1, limit), (2, 1, limit // 2), (1, limit + 1, 0),
+                        (1, 2, 140), (limit + 1, 1, 0)):
+            with pytest.raises(InputError, match="too large"):
+                cli.check_jet_size(n, d, r)
+
+    def test_bounds_on_d_and_r_come_before_the_binomial(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"math.comb called with {args}")
+
+        monkeypatch.setattr(cli.math, "comb", refuse)
+        for d, r in ((10 ** 18, 1), (1, 10 ** 18)):
+            with pytest.raises(InputError, match="too large"):
+                cli.check_jet_size(1, d, r)
+
+    def refused(self, argv, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "too large" in captured.err
+
+    def test_jetspace(self, circle_file, capsys):
+        # the circle has n = 2: 2 * C(r + 1, 1) = limit + 2
+        r = cli.MAX_JET_COEFFICIENTS // 2
+        self.refused(["jetspace", "--scheme", circle_file, "-d", "1",
+                      "-r", str(r)], capsys)
+
+    def test_prolong(self, tmp_path, capsys):
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps({"n": 1, "m": 1, "variables": ["x"],
+                                    "components": ["x^2"]}))
+        self.refused(["prolong", "--map", str(path), "-d", "1",
+                      "-r", str(cli.MAX_JET_COEFFICIENTS)], capsys)
+
+    @pytest.mark.parametrize("command", ["beta", "alpha"])
+    def test_frame_commands(self, command, legendre_file, capsys):
+        jet = json.dumps({"d": 1, "r": cli.MAX_JET_COEFFICIENTS,
+                          "series": ["1/2 + 1 * t1^1"]})
+        self.refused([command, "--connection", legendre_file, "--jet", jet],
+                     capsys)
+
+    def test_frame_jet_is_checked_before_it_is_parsed(self, legendre_file,
+                                                       capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a series was parsed")
+
+        monkeypatch.setattr(jio.TruncatedSeries, "from_string", refuse)
+        jet = json.dumps({"d": cli.MAX_JET_COEFFICIENTS + 1, "r": 1,
+                          "series": ["1/2 + 1 * t1^1"]})
+        self.refused(["beta", "--connection", legendre_file, "--jet", jet],
+                     capsys)
+
+    def test_restriction_order_is_what_counts(self, legendre_file, capsys):
+        jet = json.dumps({"d": 1, "r": cli.MAX_JET_COEFFICIENTS + 1,
+                          "series": ["1/2 + 1 * t1^1"]})
+        assert run(["beta", "--connection", legendre_file, "--jet", jet,
+                    "-r", "2"]) == 0
+        assert out_json(capsys)["r"] == 2
+
+    def test_verify(self, legendre_file, capsys):
+        # Legendre has n = 1 and verify draws jets with d <= 2
+        r = next(r for r in range(cli.MAX_JET_COEFFICIENTS)
+                 if math.comb(r + 2, 2) > cli.MAX_JET_COEFFICIENTS)
+        self.refused(["verify", "--connection", legendre_file, "--max-order",
+                      str(r), "--cases", "1"], capsys)
+
+
 class TestFrameCommands:
     def test_beta_matches_library(self, legendre_file, capsys):
         jet = json.dumps({"d": 1, "r": 3, "series": ["1/2 + 1 * t1^1"]})
@@ -162,6 +263,46 @@ class TestFrameCommands:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "mixed-partial" in captured.err
+
+    def test_non_integrable_chart_below_order_two(self, non_integrable_file,
+                                                  capsys):
+        # orders 0 and 1 read no mixed partial: the CLI prints the frame
+        # that library beta returns, the identity jet
+        chart = jio.chart_from_json(json.loads(
+            open(non_integrable_file).read()))
+        for r in (0, 1):
+            sigma = JetPoint([TruncatedSeries.variable(0, 2, r),
+                              TruncatedSeries.variable(1, 2, r)])
+            frame = beta(chart, sigma, [[Fraction(1)]])
+            assert frame == MatrixJet.identity(1, 2, r)
+            jet = json.dumps(jio.jet_to_json(sigma))
+            assert run(["beta", "--connection", non_integrable_file,
+                        "--jet", jet]) == 0
+            assert out_json(capsys) == jio.matrixjet_to_json(frame)
+            assert run(["alpha", "--connection", non_integrable_file,
+                        "--jet", jet]) == 0
+            assert out_json(capsys) == jio.flagjet_to_json(
+                alpha(chart, sigma, [[Fraction(1)]]))
+
+    def test_cli_follows_library_beta_at_the_base_point(self, cubic_file,
+                                                         capsys):
+        # d_2 A_1 = 3 z2^2 vanishes at (0, 0) through order 1, all that an
+        # order-3 jet reads there, and not at all at (0, 1)
+        chart = jio.chart_from_json(json.loads(open(cubic_file).read()))
+        sigma = JetPoint([TruncatedSeries.variable(0, 2, 3),
+                          TruncatedSeries.variable(1, 2, 3)])
+        frame = beta(chart, sigma, [[Fraction(1)]])
+        assert frame == series_oracle(chart, sigma, [[Fraction(1)]])
+        jet = json.dumps(jio.jet_to_json(sigma))
+        assert run(["beta", "--connection", cubic_file, "--jet", jet]) == 0
+        assert out_json(capsys) == jio.matrixjet_to_json(frame)
+        shifted = json.dumps({"d": 2, "r": 2,
+                              "series": ["1 * t1^1", "1 + 1 * t2^1"]})
+        assert run(["beta", "--connection", cubic_file, "--jet",
+                    shifted]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "mixed-partial" in captured.err
 
     def test_verify_refuses_non_integrable_chart(self, non_integrable_file,
                                                  capsys):

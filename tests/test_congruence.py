@@ -1,6 +1,11 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
+import jetforge
 import jetforge.linalg as la
 from jetforge.congruence import (darboux_basis, diagonalize_symmetric,
                                  is_square, rational_sqrt, solve_congruence)
@@ -93,3 +98,11 @@ def test_three_by_three_bounded_search():
     assert m is not None
     # scaling by 2 changes the determinant class in odd rank
     assert solve_congruence([[0, 0, 2], [0, 2, 0], [2, 0, 0]], anti, 2) is None
+
+
+def test_import_leaves_sympy_unloaded():
+    # sympy is imported only by the ternary-quadratic branch
+    src = str(pathlib.Path(jetforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", "import jetforge, sys; "
+                    "assert 'sympy' not in sys.modules"], env=env, check=True)

@@ -17,6 +17,7 @@ from jetforge.poly import Polynomial
 from jetforge.ratfunc import _univ_divmod
 from jetforge.series import JetPoint, TruncatedSeries
 from jetforge.verify import random_invertible, random_jet
+from symbolic_xi import is_integrable
 
 Y_NAMES = ["y0", "y1"]
 
@@ -208,7 +209,7 @@ class TestSyntheticCharts:
     def test_registry_charts_validate(self):
         examples = builtin_examples()
         for name, example in examples.items():
-            assert example.chart.is_integrable(), name
+            assert is_integrable(example.chart), name
             for point in example.basepoints:
                 pt = point if isinstance(point, tuple) else (point,)
                 example.chart.assert_regular(pt)

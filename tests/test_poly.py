@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -77,6 +79,18 @@ def test_monomial_key_order():
     mons = graded_monomials(2, 2)
     assert mons == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
     assert monomial_key((1, 0)) < monomial_key((0, 1))
+
+
+def test_graded_monomials_are_all_exponents_within_the_degree():
+    for arity in range(4):
+        for degree in range(5):
+            box = [p for p in itertools.product(range(degree + 1),
+                                                repeat=arity)
+                   if sum(p) <= degree]
+            assert graded_monomials(arity, degree) == \
+                sorted(box, key=monomial_key)
+    # the list follows the output: C(14, 2) exponents, not 3^12
+    assert len(graded_monomials(12, 2)) == math.comb(14, 2)
 
 
 def test_string_round_trip():
