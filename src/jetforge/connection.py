@@ -35,7 +35,7 @@ from itertools import combinations
 from . import linalg
 from .errors import (ArityMismatch, DimensionMismatch, NonIntegrable,
                      SingularInitial, SingularPoint)
-from .poly import graded_monomials
+from .poly import graded_monomials, primitive_parts
 from .ratfunc import RationalFunction
 from .series import JetPoint, TruncatedSeries, taylor_weights
 
@@ -663,21 +663,5 @@ def normalize_poly_triple(p2, p1, p0):
     for dpoly in dens[1:]:
         g = _univ_gcd(lcm, dpoly)
         lcm = _univ_divmod(lcm * dpoly, g)[0]
-    polys = []
-    for p in (p2, p1, p0):
-        factor = _univ_divmod(lcm, p.den)[0]
-        polys.append(p.num * factor)
-    denlcm = 1
-    for poly in polys:
-        for c in poly.terms.values():
-            denlcm = denlcm * c.denominator // math.gcd(denlcm, c.denominator)
-    g = 0
-    for poly in polys:
-        for c in poly.terms.values():
-            g = math.gcd(g, int(c * denlcm))
-    g = g or 1
-    scale = Fraction(denlcm, g)
-    polys = [poly * scale for poly in polys]
-    if polys[0] and polys[0].leading()[1] < 0:
-        polys = [-poly for poly in polys]
-    return tuple(polys)
+    return tuple(primitive_parts([p.num * _univ_divmod(lcm, p.den)[0]
+                                  for p in (p2, p1, p0)]))

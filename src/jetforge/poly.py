@@ -1,14 +1,20 @@
 """Sparse multivariate polynomials over exact rationals.
 
-A polynomial is a map from exponent tuples to nonzero Fraction coefficients.
-The single term order used throughout the package is graded lexicographic:
-smaller total degree first, ties broken so that earlier variables dominate
-(so for two variables the monomials read 1, x1, x2, x1^2, x1*x2, x2^2, ...).
+A polynomial is stored as a sparse table from exponent tuples to nonzero
+integer numerators over one positive common denominator, in lowest terms:
+no factor divides the denominator and every numerator.  The single term
+order used throughout the package is graded lexicographic: smaller total
+degree first, ties broken so that earlier variables dominate (so for two
+variables the monomials read 1, x1, x2, x1^2, x1*x2, x2^2, ...).
 
-The module functions `*_terms` are the arithmetic of such sparse tables for
+The module functions `*_terms` are the arithmetic of sparse tables for
 `Polynomial` and `series.TruncatedSeries`.  Only `clean_terms` checks its
 input; the others map canonical tables to canonical tables, since over the
-integral domains Q and Q[x] only a sum can cancel to zero.
+integral domains Z, Q and Q[x] only a sum can cancel to zero.  Rational
+tables of either class run them on the integer numerators and keep the
+denominator with the functions under "rational tables": one lcm to clear
+Fractions, one gcd to reduce a result (the content and primitive part of
+Knuth, TAOCP vol. 2, 4.6.1).
 """
 
 from __future__ import annotations
@@ -124,107 +130,195 @@ def pow_terms(terms, n, arity, max_degree=None):
     """A canonical table to the power n >= 0, cut above `max_degree`."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("exponent must be a non-negative integer")
-    result = {(0,) * arity: Fraction(1)}
+    result = {(0,) * arity: 1}
     for _ in range(n):
         result = mul_terms(result, terms, max_degree)
     return result
 
 
+def leading_exponent(terms):
+    """The graded-lex greatest exponent of a nonempty table: the
+    lexicographically least one of top total degree."""
+    top = max(map(sum, terms))
+    return min(p for p in terms if sum(p) == top)
+
+
+# -- rational tables: integer numerators over one common denominator ----------
+
+def integer_table(terms):
+    """(numerators, denominator) of a canonical table of rationals; the
+    denominator is the lcm of theirs, so the pair is in lowest terms."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return ({p: c.numerator * (den // c.denominator)
+             for p, c in terms.items()}, den)
+
+
+def lowest_terms(num, den):
+    """(num, den), integer numerators over a positive denominator, divided
+    by the gcd of all of them."""
+    if den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num = {p: n // g for p, n in num.items()}
+            den //= g
+    return num, den
+
+
+def add_fractions(a, da, b, db):
+    """The sum a/da + b/db of two integer tables, in lowest terms."""
+    if da != db:
+        g = math.gcd(da, db)
+        if db != g:
+            a = {p: n * (db // g) for p, n in a.items()}
+        if da != g:
+            b = {p: n * (da // g) for p, n in b.items()}
+        da = da // g * db
+    return lowest_terms(add_terms(a, b), da)
+
+
+def scale_fraction(num, den, scalar):
+    """num/den times an int or Fraction, in lowest terms."""
+    if not scalar:
+        return {}, 1
+    return lowest_terms({p: n * scalar.numerator for p, n in num.items()},
+                        den * scalar.denominator)
+
+
+def primitive_parts(polys):
+    """The polynomials times one rational: integer coefficients with no
+    factor common to all of them, the first polynomial's leading
+    coefficient positive unless it is zero.  All zero stays zero."""
+    den = math.lcm(*(f._den for f in polys))
+    tables = [f._table if f._den == den else
+              {p: n * (den // f._den) for p, n in f._table.items()}
+              for f in polys]
+    g = math.gcd(*(n for table in tables for n in table.values()))
+    first = tables[0]
+    if first and first[leading_exponent(first)] < 0:
+        g = -g
+    return [Polynomial._new(f.arity, table if g in (0, 1) else
+                            {p: n // g for p, n in table.items()}, 1)
+            for f, table in zip(polys, tables)]
+
+
 class Polynomial:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial with rational coefficients.
 
-    __slots__ = ("arity", "terms")
+    `_table` maps exponents to nonzero integer numerators and `_den` is their
+    positive common denominator, with no factor common to all of them.
+    `_terms` keeps the Fractions once `terms` has been read.
+    """
 
-    def __init__(self, arity, terms=None):
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "terms",
-                           clean_terms((terms or {}).items(), arity, _fr))
+    __slots__ = ("arity", "_table", "_den", "_terms")
+
+    def __new__(cls, arity, terms=None):
+        return cls._new(arity, *integer_table(
+            clean_terms((terms or {}).items(), arity, _fr)))
 
     @classmethod
-    def _wrap(cls, arity, terms):
-        """The polynomial of a canonical table, taken as is."""
+    def _new(cls, arity, table, den):
+        """The polynomial of a stored form (see the class docstring), taken
+        as is."""
         self = object.__new__(cls)
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "terms", terms)
+        _set_arity(self, arity)
+        _set_table(self, table)
+        _set_den(self, den)
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    @property
+    def terms(self):
+        """The read-only dict of nonzero Fraction coefficients by exponent,
+        built from the integer form on first read and kept."""
+        try:
+            return self._terms
+        except AttributeError:
+            den = self._den
+            terms = {p: Fraction(n, den) for p, n in self._table.items()}
+            _set_terms(self, terms)
+            return terms
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, arity):
-        return cls(arity, {})
+        return cls._new(arity, {}, 1)
 
     @classmethod
     def const(cls, value, arity):
-        return cls(arity, {(0,) * arity: value})
+        value = _fr(value)
+        return cls._new(arity, {(0,) * arity: value.numerator} if value
+                        else {}, value.denominator)
 
     @classmethod
     def variable(cls, index, arity):
         if not 0 <= index < arity:
             raise IndexOutOfRange(f"variable {index} not in 0..{arity - 1}")
         expo = tuple(1 if i == index else 0 for i in range(arity))
-        return cls(arity, {expo: Fraction(1)})
+        return cls._new(arity, {expo: 1}, 1)
 
     # -- basic structure ---------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self._table
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._table)
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._table:
             return -1
-        return max(sum(p) for p in self.terms)
+        return max(map(sum, self._table))
 
     def leading(self):
         """(exponent, coefficient) of the graded-lex greatest monomial."""
-        if not self.terms:
+        if not self._table:
             raise ValueError("zero polynomial has no leading term")
-        expo = max(self.terms, key=monomial_key)
-        return expo, self.terms[expo]
+        expo = leading_exponent(self._table)
+        return expo, Fraction(self._table[expo], self._den)
 
     def constant_term(self):
-        return self.terms.get((0,) * self.arity, Fraction(0))
+        return Fraction(self._table.get((0,) * self.arity, 0), self._den)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.const(other, self.arity)
         if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Polynomial.const(other, self.arity)
+        return (self.arity == other.arity and self._den == other._den
+                and self._table == other._table)
 
     def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
+        return hash((self.arity, self._den, frozenset(self._table.items())))
 
     # -- ring operations ---------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Polynomial.const(other, self.arity)
         if isinstance(other, Polynomial):
             if other.arity != self.arity:
                 raise ArityMismatch(
                     f"cannot combine arity {self.arity} with {other.arity}")
             return other
+        if isinstance(other, (int, Fraction)):
+            return Polynomial.const(other, self.arity)
         return None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Polynomial._wrap(self.arity, add_terms(self.terms, other.terms))
+        return Polynomial._new(self.arity, *add_fractions(
+            self._table, self._den, other._table, other._den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._wrap(self.arity,
-                                {p: -c for p, c in self.terms.items()})
+        return Polynomial._new(self.arity,
+                               {p: -n for p, n in self._table.items()},
+                               self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -236,23 +330,29 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
+        # a scalar scales the stored form; no constant polynomial is built
+        if not isinstance(other, Polynomial) and isinstance(
+                other, (int, Fraction)):
+            return Polynomial._new(self.arity, *scale_fraction(
+                self._table, self._den, other))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Polynomial._wrap(self.arity, mul_terms(self.terms, other.terms))
+        return Polynomial._new(self.arity, *lowest_terms(
+            mul_terms(self._table, other._table), self._den * other._den))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        return Polynomial._wrap(self.arity,
-                                pow_terms(self.terms, n, self.arity))
+        return Polynomial._new(self.arity, *lowest_terms(
+            pow_terms(self._table, n, self.arity), self._den ** n))
 
     # -- calculus and evaluation -------------------------------------------
 
     def derivative(self, index):
         """Formal partial derivative with respect to variable `index`."""
-        return Polynomial._wrap(self.arity,
-                                derive_terms(self.terms, index, self.arity))
+        return Polynomial._new(self.arity, *lowest_terms(
+            derive_terms(self._table, index, self.arity), self._den))
 
     def evaluate(self, point):
         """Exact value at a tuple of rationals."""
@@ -260,7 +360,7 @@ class Polynomial:
             raise ArityMismatch(
                 f"expected {self.arity} values, got {len(point)}")
         point = [_fr(v) for v in point]
-        return evaluate_terms(self.terms, point, Fraction(1))
+        return evaluate_terms(self._table, point, Fraction(1)) / self._den
 
     def evaluate_in(self, values, one):
         """Evaluate on elements of any commutative ring.
@@ -271,42 +371,33 @@ class Polynomial:
         if len(values) != self.arity:
             raise ArityMismatch(
                 f"expected {self.arity} values, got {len(values)}")
-        return evaluate_terms(self.terms, list(values), one)
+        return evaluate_terms(self._table, list(values), one, self._den)
 
     def rename_into(self, target_arity, index_map):
         """Reinterpret inside a larger ring, sending variable i to index_map[i]."""
-        pairs = []
-        for p, c in self.terms.items():
+        out = {}
+        for p, n in self._table.items():
             q = [0] * target_arity
             for i, e in enumerate(p):
                 q[index_map[i]] += e
-            pairs.append((q, c))
-        return Polynomial._wrap(target_arity,
-                                clean_terms(pairs, target_arity, _fr))
+            q = tuple(q)
+            s = out.get(q, 0) + n
+            if s:
+                out[q] = s
+            else:
+                del out[q]
+        return Polynomial._new(target_arity, *lowest_terms(out, self._den))
 
     # -- canonical form ----------------------------------------------------
 
     def normalized(self):
         """Primitive integer form with positive graded-lex leading coefficient.
 
-        Clears denominators, divides by the gcd of the integer coefficients
-        and fixes the sign, so two generators of the same rational line get
-        the literal same representation.  Zero maps to zero.
+        Divides the numerators by their gcd and fixes the sign, so two
+        generators of the same rational line get the literal same
+        representation.  Zero maps to zero.
         """
-        if not self.terms:
-            return self
-        denlcm = 1
-        for c in self.terms.values():
-            denlcm = denlcm * c.denominator // math.gcd(denlcm, c.denominator)
-        ints = {p: c * denlcm for p, c in self.terms.items()}
-        g = 0
-        for c in ints.values():
-            g = math.gcd(g, int(c))
-        lead = ints[max(ints, key=monomial_key)]
-        if lead < 0:
-            g = -g
-        return Polynomial._wrap(self.arity,
-                                {p: c / g for p, c in ints.items()})
+        return primitive_parts([self])[0]
 
     # -- text form ---------------------------------------------------------
 
@@ -315,7 +406,7 @@ class Polynomial:
         names = names or default_names(self.arity)
         if len(names) != self.arity:
             raise ArityMismatch("wrong number of variable names")
-        return terms_to_string(self.terms, names, "*")
+        return terms_to_string(self._table, names, "*", self._den)
 
     @classmethod
     def from_string(cls, text, names):
@@ -354,10 +445,15 @@ class Polynomial:
                     raise InputError("bad factor " + repr(
                         "".join(v for _, v in factor)))
             pairs.append((expo, coeff))
-        return cls._wrap(arity, clean_terms(pairs, arity, _fr))
+        return cls._new(arity, *integer_table(clean_terms(pairs, arity, _fr)))
 
     def __repr__(self):
         return f"Polynomial({self.to_string()!r})"
+
+
+# Writers of the slots of a polynomial, past the guard of its __setattr__.
+_set_arity, _set_table, _set_den, _set_terms = (
+    getattr(Polynomial, name).__set__ for name in Polynomial.__slots__)
 
 
 # A number (digits, an optional '/q', decimal point or decimal exponent), a
@@ -407,13 +503,14 @@ def _split_terms(text):
     return out
 
 
-def terms_to_string(terms, names, times):
-    """Canonical text of a table: graded-lex terms 'c<times>x^e*y^f...'
-    joined by ' + ', or '0'."""
+def terms_to_string(terms, names, times, den=1):
+    """Canonical text of a table with coefficients c / den: graded-lex terms
+    'c<times>x^e*y^f...' joined by ' + ', or '0'."""
     parts = []
     for p in sorted(terms, key=monomial_key):
         c = terms[p]
-        text = c.to_string() if isinstance(c, Polynomial) else str(c)
+        text = c.to_string() if isinstance(c, Polynomial) else str(
+            c if den == 1 else Fraction(c, den))
         factors = "*".join(f"{names[i]}^{e}" for i, e in enumerate(p) if e)
         parts.append(text + times + factors if factors else text)
     return " + ".join(parts) or "0"
@@ -423,8 +520,8 @@ def default_names(arity):
     return [f"x{i + 1}" for i in range(arity)]
 
 
-def evaluate_terms(terms, values, one):
-    """Sum of c * prod(values[i] ** e) over a sparse term table.
+def evaluate_terms(terms, values, one, den=1):
+    """Sum of c / den * prod(values[i] ** e) over a sparse term table.
 
     Works over any commutative ring containing the rational coefficients;
     powers of each value are computed once and cached.
@@ -448,6 +545,6 @@ def evaluate_terms(terms, values, one):
         for i, e in enumerate(p):
             if e:
                 term = term * powers[i][e]
-        term = term * c
+        term = term * (c if den == 1 else Fraction(c, den))
         total = term if total is None else total + term
     return total

@@ -22,10 +22,10 @@ def _univ_divmod(a, b):
     q = Polynomial.zero(1)
     r = a
     db = b.degree()
-    lb = b.terms[(db,)]
+    lb = b.leading()[1]
     while not r.is_zero() and r.degree() >= db:
         dr = r.degree()
-        c = r.terms[(dr,)] / lb
+        c = r.leading()[1] / lb
         mono = Polynomial(1, {(dr - db,): c})
         q = q + mono
         r = r - mono * b

@@ -300,11 +300,12 @@ def jet_membership(scheme, jet):
 
 
 def tangent_rows(jet):
-    """The d x n matrix of degree-one coefficients of a jet."""
-    rows = []
-    for a in range(jet.dims):
-        unit = tuple(1 if i == a else 0 for i in range(jet.dims))
-        rows.append([s.coefficient(unit) for s in jet.series])
+    """The d x n matrix of degree-one coefficients of a jet: entry (a, i)
+    is the coefficient of t_a in component i."""
+    rows = [[Fraction(0)] * jet.n for _ in range(jet.dims)]
+    for i, s in enumerate(jet.series):
+        for p, c in s.homogeneous(1).items():
+            rows[p.index(1)][i] = c
     return rows
 
 

@@ -3,14 +3,16 @@
 A series lives in Q[t_1..t_d]/(t_1..t_d)^(r+1): a sparse map from exponent
 tuples of total degree <= r to nonzero coefficients.
 
-A series whose coefficients are all rational stores them as a sparse table
-of nonzero integer numerators over one positive common denominator, kept in
-lowest terms.  Its arithmetic runs the term-table kernel of `poly` on the
-integers and reduces the result once, with one gcd over the numerators and
-the denominator.  A series with any other coefficient (notably Polynomial,
-for generic jets) keeps a table of those ring elements, which need only
-support +, * and truth testing; an operation with such an operand runs the
-kernel on the coefficients themselves.  `coeffs` reads either form as a
+A series whose coefficients are all rational stores them as `Polynomial`
+does: a sparse table of nonzero integer numerators over one positive common
+denominator, kept in lowest terms.  Its arithmetic runs the term-table
+kernel of `poly` on the integers and keeps the denominator with the
+rational-table functions of `poly` that `Polynomial` uses too, which reduce
+each result once, with one gcd over the numerators and the denominator.  A
+series with any other coefficient (notably Polynomial, for generic jets)
+keeps a table of those ring elements, which need only support +, * and
+truth testing; an operation with such an operand runs the kernel on the
+coefficients themselves.  `coeffs` reads either form as a
 dict of ring elements, with Fractions for rationals.
 
 All values are immutable after construction and every operation is a pure
@@ -24,8 +26,9 @@ from fractions import Fraction
 
 from .errors import (ArityMismatch, DimensionMismatch, InputError, NotAUnit,
                      OrderIncrease)
-from .poly import (Polynomial, add_terms, clean_terms, derive_terms,
-                   evaluate_terms, mul_terms, pow_terms, terms_to_string)
+from .poly import (Polynomial, add_fractions, add_terms, clean_terms,
+                   derive_terms, evaluate_terms, integer_table, lowest_terms,
+                   mul_terms, pow_terms, scale_fraction, terms_to_string)
 
 
 def _ring_element(c):
@@ -69,26 +72,14 @@ class TruncatedSeries:
         return self
 
     @classmethod
-    def _reduced(cls, dims, order, num, den):
-        """The series num/den of integer numerators and a positive den."""
-        if den != 1:
-            g = math.gcd(den, *num.values())
-            if g != 1:
-                num = {p: n // g for p, n in num.items()}
-                den //= g
-        return cls._new(dims, order, num, den)
-
-    @classmethod
     def _wrap(cls, dims, order, table):
         """The series of a canonical table of ring elements of degree <=
-        order, unchecked; in integer form if every coefficient is a
-        Fraction (the lcm of the denominators leaves no common factor)."""
+        order, unchecked; in integer form if every coefficient is an int or
+        a Fraction."""
         for c in table.values():
-            if type(c) is not Fraction:
+            if type(c) is not Fraction and type(c) is not int:
                 return cls._new(dims, order, table, None)
-        den = math.lcm(*(c.denominator for c in table.values()))
-        return cls._new(dims, order, {p: c.numerator * (den // c.denominator)
-                                      for p, c in table.items()}, den)
+        return cls._new(dims, order, *integer_table(table))
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
@@ -130,7 +121,7 @@ class TruncatedSeries:
 
     @classmethod
     def variable(cls, index, dims, order):
-        return cls(dims, order, Polynomial.variable(index, dims).terms)
+        return cls(dims, order, Polynomial.variable(index, dims)._table)
 
     # -- inspection --------------------------------------------------------
 
@@ -185,16 +176,8 @@ class TruncatedSeries:
         if da is None or db is None:
             return TruncatedSeries._wrap(self.dims, self.order,
                                          add_terms(self.coeffs, other.coeffs))
-        a, b = self._table, other._table
-        if da != db:
-            g = math.gcd(da, db)
-            if db != g:
-                a = {p: n * (db // g) for p, n in a.items()}
-            if da != g:
-                b = {p: n * (da // g) for p, n in b.items()}
-            da = da // g * db
-        return TruncatedSeries._reduced(self.dims, self.order,
-                                        add_terms(a, b), da)
+        return TruncatedSeries._new(self.dims, self.order, *add_fractions(
+            self._table, da, other._table, db))
 
     __radd__ = __add__
 
@@ -221,10 +204,9 @@ class TruncatedSeries:
         if self._den is None or other._den is None:
             return TruncatedSeries._wrap(self.dims, self.order, mul_terms(
                 self.coeffs, other.coeffs, self.order))
-        return TruncatedSeries._reduced(
-            self.dims, self.order,
+        return TruncatedSeries._new(self.dims, self.order, *lowest_terms(
             mul_terms(self._table, other._table, self.order),
-            self._den * other._den)
+            self._den * other._den))
 
     __rmul__ = __mul__
 
@@ -233,11 +215,8 @@ class TruncatedSeries:
         if not scalar:
             return TruncatedSeries.zero(self.dims, self.order)
         if self._den is not None and isinstance(scalar, (int, Fraction)):
-            num = scalar.numerator
-            return TruncatedSeries._reduced(
-                self.dims, self.order,
-                {p: n * num for p, n in self._table.items()},
-                self._den * scalar.denominator)
+            return TruncatedSeries._new(self.dims, self.order, *scale_fraction(
+                self._table, self._den, scalar))
         return TruncatedSeries._wrap(
             self.dims, self.order,
             {p: c * scalar for p, c in self.coeffs.items()})
@@ -258,8 +237,8 @@ class TruncatedSeries:
         table = {p: c for p, c in self._table.items() if sum(p) <= new_order}
         if self._den is None:
             return TruncatedSeries._wrap(self.dims, new_order, table)
-        return TruncatedSeries._reduced(self.dims, new_order, table,
-                                        self._den)
+        return TruncatedSeries._new(self.dims, new_order,
+                                    *lowest_terms(table, self._den))
 
     def zero_extended(self, new_order):
         """The zero-fill preimage at a higher order (a section of restrict)."""
@@ -279,8 +258,8 @@ class TruncatedSeries:
         table = derive_terms(self._table, index, self.dims)
         if self._den is None:
             return TruncatedSeries._wrap(self.dims, self.order, table)
-        return TruncatedSeries._reduced(self.dims, self.order, table,
-                                        self._den)
+        return TruncatedSeries._new(self.dims, self.order,
+                                    *lowest_terms(table, self._den))
 
     def invert_unit(self):
         """Multiplicative inverse; the constant term must be a nonzero rational."""
@@ -316,11 +295,13 @@ class TruncatedSeries:
         """Parse the canonical text (rational coefficients only)."""
         names = [f"t{i + 1}" for i in range(dims)]
         poly = Polynomial.from_string(text, names)
-        for p in poly.terms:
+        for p in poly._table:
             if sum(p) > order:
                 raise InputError(
                     f"term of degree {sum(p)} exceeds order {order}")
-        return cls(dims, order, poly.terms)
+        _check_shape(dims, order)
+        # a rational series stores what a polynomial stores
+        return cls._new(dims, order, poly._table, poly._den)
 
     def __repr__(self):
         return f"TruncatedSeries(d={self.dims}, r={self.order}, {self.to_string()!r})"
@@ -437,7 +418,7 @@ def series_compose(f, jet):
                 f"polynomial in {f.arity} variables applied to a jet with "
                 f"{jet.n} components")
         one = TruncatedSeries.one(jet.dims, jet.order)
-        return evaluate_terms(f.terms, list(jet.series), one)
+        return evaluate_terms(f._table, list(jet.series), one, f._den)
     if isinstance(f, TruncatedSeries):
         if f.dims != jet.n:
             raise ArityMismatch(

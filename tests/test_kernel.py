@@ -5,8 +5,8 @@ second check, so passing their tables back through the public constructor
 must give an equal table, with no zero coefficient and, for series, no term
 above the order.
 
-Rational series run the kernel on integer numerators over a common
-denominator; their results must equal the kernel run on the Fraction
+Polynomials and rational series run the kernel on integer numerators over
+a common denominator; their results must equal arithmetic on the Fraction
 coefficients, and stay in lowest terms.
 """
 
@@ -16,9 +16,10 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetforge.poly import (Polynomial, add_terms, derive_terms, mul_terms,
-                          pow_terms)
-from jetforge.series import TruncatedSeries
+from jetforge.poly import (Polynomial, add_terms, default_names, derive_terms,
+                          monomial_key, mul_terms, pow_terms, primitive_parts)
+from jetforge.scheme import AffineMap
+from jetforge.series import JetPoint, TruncatedSeries, series_compose
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -40,8 +41,15 @@ def series(dims, order, coeffs):
 
 
 def assert_canonical_poly(p):
+    """Integer numerators over a positive denominator, in lowest terms, and
+    the same polynomial as the constructor makes of its Fractions."""
+    assert type(p._den) is int and p._den > 0
+    assert all(type(n) is int and n for n in p._table.values())
+    assert math.gcd(p._den, *p._table.values()) == 1
+    assert all(len(e) == p.arity for e in p._table)
     assert all(p.terms.values())
-    assert Polynomial(p.arity, p.terms).terms == p.terms
+    rebuilt = Polynomial(p.arity, p.terms)
+    assert rebuilt._table == p._table and rebuilt._den == p._den
 
 
 def assert_canonical_series(s):
@@ -232,3 +240,185 @@ def test_product_with_one_is_the_other_factor():
     assert two * rational == rational.scale(2)
     assert TruncatedSeries(2, 3, {(0, 0): Fraction(4, 4)}) * symbolic \
         is symbolic
+
+
+# -- the integer form of polynomials --------------------------------------------
+
+# The reference arithmetic below works on dicts of Fractions and never sees
+# the stored form.
+
+def ref_add(a, b):
+    out = dict(a)
+    for p, c in b.items():
+        out[p] = out.get(p, 0) + c
+    return {p: c for p, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    out = {}
+    for p, c in a.items():
+        for q, d in b.items():
+            pq = tuple(x + y for x, y in zip(p, q))
+            out[pq] = out.get(pq, 0) + c * d
+    return {p: c for p, c in out.items() if c}
+
+
+def ref_pow(a, n, arity):
+    out = {(0,) * arity: Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_derivative(a, i):
+    return {p[:i] + (p[i] - 1,) + p[i + 1:]: c * p[i]
+            for p, c in a.items() if p[i]}
+
+
+def ref_rename(a, target_arity, index_map):
+    out = {}
+    for p, c in a.items():
+        q = [0] * target_arity
+        for i, e in enumerate(p):
+            q[index_map[i]] += e
+        out[tuple(q)] = out.get(tuple(q), 0) + c
+    return {p: c for p, c in out.items() if c}
+
+
+def ref_evaluate(a, point):
+    total = Fraction(0)
+    for p, c in a.items():
+        for x, e in zip(point, p):
+            c *= x ** e
+        total += c
+    return total
+
+
+def ref_primitive_parts(tables):
+    """The lcm/gcd algorithm of the Fraction storage: clear denominators,
+    divide by the gcd of all integer coefficients, then fix the sign by the
+    graded-lex leading coefficient of the first table."""
+    denlcm = 1
+    for a in tables:
+        for c in a.values():
+            denlcm = denlcm * c.denominator // math.gcd(denlcm, c.denominator)
+    g = 0
+    for a in tables:
+        for c in a.values():
+            g = math.gcd(g, int(c * denlcm))
+    g = g or 1
+    first = tables[0]
+    if first and first[max(first, key=monomial_key)] < 0:
+        g = -g
+    return [{p: c * denlcm / g for p, c in a.items()} for a in tables]
+
+
+def big_polynomials(arity):
+    return st.dictionaries(exponents(arity, 3), big_rationals,
+                           max_size=6).map(lambda t: Polynomial(arity, t))
+
+
+@st.composite
+def big_poly_operands(draw):
+    arity = draw(st.integers(1, 3))
+    a, b, c = (draw(big_polynomials(arity)) for _ in range(3))
+    target = draw(st.integers(1, 4))
+    index_map = draw(st.lists(st.integers(0, target - 1), min_size=arity,
+                              max_size=arity))
+    point = draw(st.lists(big_rationals, min_size=arity, max_size=arity))
+    return (a, b, c, draw(big_rationals), draw(st.integers(0, arity - 1)),
+            target, index_map, point)
+
+
+@SETTINGS
+@given(big_poly_operands())
+def test_polynomial_integer_form_matches_fraction_arithmetic(operands):
+    a, b, c, scalar, index, target, index_map, point = operands
+    fa, fb = dict(a.terms), dict(b.terms)
+    negb = {p: -x for p, x in fb.items()}
+    scaled = {p: x * scalar for p, x in fa.items() if scalar}
+    expected = [
+        (a + b, ref_add(fa, fb)),
+        (a - b, ref_add(fa, negb)),
+        (-a, {p: -x for p, x in fa.items()}),
+        (a * b, ref_mul(fa, fb)),
+        (a * scalar, scaled),
+        (scalar * a, scaled),
+        (a + scalar, ref_add(fa, {(0,) * a.arity: scalar} if scalar else {})),
+        (a ** 0, {(0,) * a.arity: Fraction(1)}),
+        (a ** 3, ref_pow(fa, 3, a.arity)),
+        (a.derivative(index), ref_derivative(fa, index)),
+        (a.rename_into(target, index_map),
+         ref_rename(fa, target, index_map)),
+        (a.normalized(), ref_primitive_parts([fa])[0]),
+    ]
+    for result, terms in expected:
+        assert_canonical_poly(result)
+        assert result.terms == terms
+    assert a.normalized()._den == 1
+    assert a.evaluate(point) == ref_evaluate(fa, point)
+    assert a.constant_term() == fa.get((0,) * a.arity, 0)
+    if fa:
+        expo = max(fa, key=monomial_key)
+        assert a.leading() == (expo, fa[expo])
+        assert a.degree() == sum(expo)
+    parts = primitive_parts([a, b, c])
+    assert [p.terms for p in parts] == ref_primitive_parts(
+        [fa, fb, dict(c.terms)])
+    for p in parts:
+        assert_canonical_poly(p)
+        assert p._den == 1
+
+
+@SETTINGS
+@given(big_poly_operands())
+def test_equal_polynomials_share_one_stored_form(operands):
+    a, b, c, scalar, index, _, _, _ = operands
+    routes = [
+        ((a * b) * c, a * (b * c)),
+        ((a + b) + c, a + (b + c)),
+        (a * b, b * a),
+        ((a + b) * c, a * c + b * c),
+        ((a + b) - b, a),
+        (a - a, Polynomial.zero(a.arity)),
+        (a * scalar, Polynomial.const(scalar, a.arity) * a),
+        ((a * b).derivative(index),
+         a.derivative(index) * b + a * b.derivative(index)),
+        (Polynomial(a.arity, a.terms), a),
+        (Polynomial.from_string(a.to_string(), default_names(a.arity)), a),
+    ]
+    for left, right in routes:
+        assert left == right
+        assert hash(left) == hash(right)
+        assert left._table == right._table and left._den == right._den
+    if scalar:
+        assert (a * scalar).normalized() == a.normalized()
+
+
+def test_fractions_of_a_polynomial_are_made_only_when_terms_are_read():
+    p = Polynomial(2, {(1, 0): Fraction(1, 3), (0, 2): Fraction(-5, 6)})
+    q = Polynomial(2, {(0, 0): 2, (1, 1): Fraction(3, 4)})
+    results = [p + q, p - q, p * q, p * Fraction(7, 5), p ** 2,
+               p.derivative(0), p.rename_into(3, [2, 0]), p.normalized(),
+               primitive_parts([p, q])[1], -p]
+    p.evaluate((Fraction(1, 2), 3))
+    p.evaluate_in([q, q], Polynomial.const(1, 2))
+    AffineMap(2, 1, [p]).compose(AffineMap(2, 2, [q, p]))
+    jet = JetPoint([TruncatedSeries(1, 3, {(0,): 1, (1,): Fraction(1, 2)}),
+                    TruncatedSeries(1, 3, {(1,): 2, (2,): Fraction(1, 7)})])
+    series_compose(p, jet)
+    p.to_string()
+    for f in (p, q, *results):
+        assert not hasattr(f, "_terms")
+    assert p.terms is p.terms
+    assert p.terms == {(1, 0): Fraction(1, 3), (0, 2): Fraction(-5, 6)}
+    assert all(type(c) is Fraction for c in p.terms.values())
+
+
+def test_product_with_a_scalar_scales_the_stored_form():
+    p = Polynomial(2, {(1, 0): Fraction(2, 3), (0, 0): 4})
+    assert (p._table, p._den) == ({(1, 0): 2, (0, 0): 12}, 3)
+    assert ((p * 3)._table, (p * 3)._den) == ({(1, 0): 2, (0, 0): 12}, 1)
+    half = p * Fraction(1, 2)
+    assert (half._table, half._den) == ({(1, 0): 1, (0, 0): 6}, 3)
+    assert (p * 0).is_zero() and (p * 0)._den == 1

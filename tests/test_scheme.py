@@ -12,7 +12,7 @@ from jetforge.scheme import (AffineMap, AffineScheme, apply_prolonged,
                              is_nondegenerate, jet_membership, jet_prolong,
                              jet_prolong_universal, jet_space_equations,
                              jet_space_equations_universal, jet_to_coords,
-                             coords_to_jet)
+                             coords_to_jet, tangent_rows)
 from jetforge.series import JetPoint, TruncatedSeries, series_compose
 from jetforge.verify import (rand_poly, run_prolong_functoriality_suite,
                              run_tower_suite, run_universal_route_suite)
@@ -170,6 +170,48 @@ class TestNondegeneracy:
     def test_order_zero_rejected(self):
         with pytest.raises(OrderTooLow):
             is_nondegenerate(JetPoint.constant((1,), 1, 0))
+
+    @staticmethod
+    def unit_rows(jet):
+        """The tangent rows by their definition: row a reads the
+        coefficient of the unit exponent t_a in every component."""
+        d = jet.dims
+        return [[s.coefficient(tuple(int(i == a) for i in range(d)))
+                 for s in jet.series] for a in range(d)]
+
+    def test_tangent_rows_match_their_definition(self):
+        rng = random.Random(4)
+        d = 300
+
+        def sparse_series(order):
+            coeffs = {(0,) * d: Fraction(rng.randint(-3, 3), 2)}
+            for _ in range(6):
+                expo = [0] * d
+                for _ in range(rng.randint(1, order)):
+                    expo[rng.randrange(d)] += 1
+                coeffs[tuple(expo)] = Fraction(rng.randint(1, 9),
+                                               rng.randint(1, 4))
+            return TruncatedSeries(d, order, coeffs)
+
+        jets = [
+            JetPoint([sparse_series(3) for _ in range(3)]),
+            JetPoint([sparse_series(1), sparse_series(1)]),
+            # no degree-one term in either component
+            JetPoint([TruncatedSeries(d, 2, {(0,) * d: 1}),
+                      TruncatedSeries(d, 2, {(2,) + (0,) * (d - 1): 5})]),
+            JetPoint([TruncatedSeries(1, 3, {(1,): Fraction(2, 3),
+                                             (3,): 1}),
+                      TruncatedSeries(1, 3, {(2,): 1})]),
+            JetPoint([TruncatedSeries(1, 1, {(0,): 4})]),
+        ]
+        for jet in jets:
+            rows = tangent_rows(jet)
+            assert rows == self.unit_rows(jet)
+            assert len(rows) == jet.dims
+            assert all(len(row) == jet.n for row in rows)
+        assert tangent_rows(jets[3]) == [[Fraction(2, 3), 0]]
+        assert not any(map(any, tangent_rows(jets[2])))
+        assert any(map(any, tangent_rows(jets[1])))
 
 
 class TestCompatibility:
