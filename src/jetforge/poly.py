@@ -35,6 +35,15 @@ def monomial_key(exponents):
     return (sum(exponents), tuple(-e for e in exponents))
 
 
+def graded_sorted(exponents):
+    """Exponent tuples of one length in ascending graded-lex order, the
+    order of `monomial_key`: lex descending, then a stable sort by total
+    degree, both with the builtin comparisons."""
+    out = sorted(exponents, reverse=True)
+    out.sort(key=sum)
+    return out
+
+
 def graded_monomials(arity, max_degree):
     """All exponent tuples with total degree <= max_degree, graded-lex sorted.
 
@@ -45,8 +54,7 @@ def graded_monomials(arity, max_degree):
     mons = [()]
     for _ in range(arity):
         mons = [p + (e,) for p in mons for e in range(max_degree + 1 - sum(p))]
-    mons.sort(key=monomial_key)
-    return mons
+    return graded_sorted(mons)
 
 
 def _fr(x):
@@ -507,7 +515,7 @@ def terms_to_string(terms, names, times, den=1):
     """Canonical text of a table with coefficients c / den: graded-lex terms
     'c<times>x^e*y^f...' joined by ' + ', or '0'."""
     parts = []
-    for p in sorted(terms, key=monomial_key):
+    for p in graded_sorted(terms):
         c = terms[p]
         text = c.to_string() if isinstance(c, Polynomial) else str(
             c if den == 1 else Fraction(c, den))
