@@ -252,25 +252,12 @@ class MatrixJet:
         return MatrixJet([[s.restrict(new_order) for s in row]
                           for row in self.entries], require_invertible=False)
 
-    def __add__(self, other):
-        return MatrixJet([[a + b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.entries, other.entries)],
-                         require_invertible=False)
-
-    def __sub__(self, other):
-        return MatrixJet([[a - b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.entries, other.entries)],
-                         require_invertible=False)
-
     def __mul__(self, other):
         """Product with another matrix jet or a constant matrix on the right."""
         if isinstance(other, MatrixJet):
             other = other.entries
         return MatrixJet(linalg.mat_mul(self.entries, other),
                          require_invertible=False)
-
-    def is_zero(self):
-        return all(s.is_zero() for row in self.entries for s in row)
 
     def __eq__(self, other):
         if not isinstance(other, MatrixJet):
@@ -285,7 +272,7 @@ def invert_series_matrix(entries):
     """Inverse of a square series matrix with invertible rational constant term.
 
     Writes the matrix as M0 (I + N) with N of positive valuation; the inverse
-    is the finite Neumann sum over powers of -N times the inverse of M0.
+    is the Neumann sum of `linalg.unipotent_inverse` times the inverse of M0.
     """
     m = len(entries)
     d, r = entries[0][0].dims, entries[0][0].order
@@ -299,18 +286,12 @@ def invert_series_matrix(entries):
         inv0 = linalg.invert(const)
     except ValueError:
         raise SingularInitial("constant term matrix is singular") from None
-    nilpotent = MatrixJet(linalg.mat_mul(inv0, entries),
-                          require_invertible=False) - MatrixJet.identity(m, d, r)
-    negated = MatrixJet([[-s for s in row] for row in nilpotent.entries],
-                        require_invertible=False)
-    total = MatrixJet.identity(m, d, r)
-    power = MatrixJet.identity(m, d, r)
-    for _ in range(r):
-        power = power * negated
-        if power.is_zero():
-            break
-        total = total + power
-    return (total * inv0).entries
+    nilpotent = [[s - 1 if i == j else s for j, s in enumerate(row)]
+                 for i, row in enumerate(linalg.mat_mul(inv0, entries))]
+    one, zero = TruncatedSeries.one(d, r), TruncatedSeries.zero(d, r)
+    identity = [[one if i == j else zero for j in range(m)] for i in range(m)]
+    return linalg.mat_mul(linalg.unipotent_inverse(identity, nilpotent, r),
+                          inv0)
 
 
 def matrixjet_invert(jet):
@@ -582,32 +563,10 @@ def period_system(chart):
     m, n = chart.m, chart.n
     coeffs = [[[-chart.coeffs[j][i][l] for l in range(n)]
                for j in range(m)] for i in range(m)]
-    gram_inv_t = linalg.transpose(_ratfunc_invert([list(r) for r in chart.gram]))
+    gram_inv_t = linalg.transpose(linalg.invert(chart.gram))
     adj = _integer_adjugate(chart.polarization)
     return ConnectionChart(n, m, coeffs, chart.weight, chart.filtration_dims,
                            gram_inv_t, adj, chart.variables)
-
-
-def _ratfunc_invert(g):
-    """Inverse of a square matrix of rational functions (Gauss-Jordan)."""
-    m = len(g)
-    arity = g[0][0].arity
-    one = RationalFunction.one(arity)
-    zero = RationalFunction.zero(arity)
-    work = [list(row) + [one if i == j else zero for j in range(m)]
-            for i, row in enumerate(g)]
-    for col in range(m):
-        pivot = next((i for i in range(col, m) if work[i][col]), None)
-        if pivot is None:
-            raise ValueError("matrix of rational functions is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = one / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for i in range(m):
-            if i != col and work[i][col]:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    return [row[m:] for row in work]
 
 
 def _integer_adjugate(q):

@@ -1,8 +1,13 @@
-"""Exact linear algebra over the rationals (and small division-free helpers).
+"""Exact linear algebra on matrices given as plain lists of row lists.
 
-Matrices are plain lists of row lists.  Entries are Fractions except where
-noted: `det` uses cofactor expansion and therefore also works for entries in
-any commutative ring (polynomials, truncated series).
+Over any commutative ring (Fractions, polynomials, truncated series):
+`transpose`, `mat_mul`, `mat_add`, `mat_eq`, `det` (cofactor expansion,
+division-free) and `unipotent_inverse`, the one Neumann sum.
+
+Over any field whose elements support +, -, *, truth testing and `1 / x`
+(Fractions, rational functions): `invert` and the Gauss-Jordan elimination
+`_eliminate` it runs; ints are read as Fractions.  `rank`, `kernel_basis`
+and `solve` fill in rational zeros and ones, so they take rational matrices.
 """
 
 from __future__ import annotations
@@ -42,10 +47,6 @@ def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(a, c):
-    return [[x * c for x in row] for row in a]
-
-
 def mat_eq(a, b):
     if len(a) != len(b):
         return False
@@ -74,23 +75,41 @@ def det(a):
     return total
 
 
+def unipotent_inverse(identity, nilpotent, steps):
+    """(I + N)^-1 for a nilpotent N: the sum of the powers of -N.
+
+    The sum stops at the first zero power and after at most `steps` powers,
+    so N^(steps + 1) must vanish.  `identity` is I over the ring of N's
+    entries.
+    """
+    negated = [[-x for x in row] for row in nilpotent]
+    total = power = identity
+    for _ in range(steps):
+        power = mat_mul(power, negated)
+        if not any(x for row in power for x in row):
+            break
+        total = mat_add(total, power)
+    return total
+
+
 def _eliminate(a):
-    """Row echelon form (copy); returns (rows, pivot_columns)."""
-    rows = [list(map(Fraction, row)) for row in a]
+    """Reduced row echelon form (copy); returns (rows, pivot_columns)."""
+    rows = [[Fraction(x) if isinstance(x, int) else x for x in row]
+            for row in a]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
     rank_row = 0
     for col in range(ncols):
-        pivot = next((i for i in range(rank_row, nrows) if rows[i][col] != 0),
+        pivot = next((i for i in range(rank_row, nrows) if rows[i][col]),
                      None)
         if pivot is None:
             continue
         rows[rank_row], rows[pivot] = rows[pivot], rows[rank_row]
-        inv = Fraction(1) / rows[rank_row][col]
+        inv = 1 / rows[rank_row][col]
         rows[rank_row] = [x * inv for x in rows[rank_row]]
         for i in range(nrows):
-            if i != rank_row and rows[i][col] != 0:
+            if i != rank_row and rows[i][col]:
                 factor = rows[i][col]
                 rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank_row])]
         pivots.append(col)
@@ -139,10 +158,9 @@ def solve(a, b):
 
 
 def invert(a):
-    """Inverse of a square rational matrix; ValueError if singular."""
+    """Inverse of a square matrix over a field; ValueError if singular."""
     m = len(a)
-    augmented = [list(map(Fraction, row)) + identity(m)[i]
-                 for i, row in enumerate(a)]
+    augmented = [list(row) + unit for row, unit in zip(a, identity(m))]
     rows, pivots = _eliminate(augmented)
     if pivots[:m] != list(range(m)):
         raise ValueError("matrix is singular")

@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from .errors import (ArityMismatch, DimensionMismatch, InputError, NotAUnit,
                      OrderIncrease)
+from .linalg import unipotent_inverse
 from .poly import (Polynomial, add_fractions, add_terms, clean_terms,
                    derive_terms, evaluate_terms, integer_table, lowest_terms,
                    mul_terms, pow_terms, scale_fraction, terms_to_string)
@@ -136,6 +137,9 @@ class TruncatedSeries:
 
     def is_zero(self):
         return not self._table
+
+    def __bool__(self):
+        return bool(self._table)
 
     def _is_one(self):
         return (self._den == 1 and len(self._table) == 1
@@ -271,17 +275,12 @@ class TruncatedSeries:
                 raise NotAUnit("constant term is not a rational unit")
         if not c0:
             raise NotAUnit("constant term is zero")
-        # a = c0 (1 - n) with n of positive valuation, so 1/a is the
-        # finite geometric sum (1 + n + ... + n^r) / c0.
-        n = TruncatedSeries.one(self.dims, self.order) - self.scale(Fraction(1) / c0)
-        result = TruncatedSeries.one(self.dims, self.order)
-        power = TruncatedSeries.one(self.dims, self.order)
-        for _ in range(self.order):
-            power = power * n
-            if power.is_zero():
-                break
-            result = result + power
-        return result.scale(Fraction(1) / c0)
+        # a = c0 (1 + n) with n of positive valuation, so n^(r+1) = 0
+        inv0 = Fraction(1) / c0
+        one = TruncatedSeries.one(self.dims, self.order)
+        [[result]] = unipotent_inverse([[one]], [[self.scale(inv0) - one]],
+                                       self.order)
+        return result.scale(inv0)
 
     # -- text form ---------------------------------------------------------
 

@@ -115,20 +115,6 @@ class RandomChart:
         return [[p.evaluate(point) for p in row] for row in self.gauge]
 
 
-def _matrix_inverse_unipotent(n_mat, m, arity):
-    """(I + N)^{-1} for strictly triangular polynomial N."""
-    one = Polynomial.const(1, arity)
-    zero = Polynomial.zero(arity)
-    identity = [[one if i == j else zero for j in range(m)] for i in range(m)]
-    acc = [row[:] for row in identity]
-    power = [row[:] for row in identity]
-    for k in range(1, m):
-        power = linalg.mat_mul(power, n_mat)
-        sign = -1 if k % 2 else 1
-        acc = linalg.mat_add(acc, linalg.mat_scale(power, Fraction(sign)))
-    return acc
-
-
 def random_flat_chart(rng, m, n, hodge_aligned=False):
     """A chart whose flat-frame system has global polynomial solutions.
 
@@ -154,7 +140,7 @@ def random_flat_chart(rng, m, n, hodge_aligned=False):
                 n_mat[i][j] = rand_poly(rng, n, 1, density=0.8)
     identity = [[one if i == j else zero for j in range(m)] for i in range(m)]
     g = linalg.mat_add(identity, n_mat)
-    ginv = _matrix_inverse_unipotent(n_mat, m, n)
+    ginv = linalg.unipotent_inverse(identity, n_mat, m - 1)
     if not hodge_aligned:
         p = random_invertible(rng, m, 2)
         pinv = linalg.invert(p)
