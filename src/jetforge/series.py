@@ -221,13 +221,17 @@ class TruncatedSeries:
         if self._den is not None and isinstance(scalar, (int, Fraction)):
             return TruncatedSeries._new(self.dims, self.order, *scale_fraction(
                 self._table, self._den, scalar))
-        return TruncatedSeries._wrap(
-            self.dims, self.order,
-            {p: c * scalar for p, c in self.coeffs.items()})
+        den = self._den
+        return TruncatedSeries._wrap(self.dims, self.order, {
+            p: (c if den is None else Fraction(c, den)) * scalar
+            for p, c in self._table.items()})
 
     def __pow__(self, n):
-        return TruncatedSeries._wrap(self.dims, self.order, pow_terms(
-            self.coeffs, n, self.dims, self.order))
+        table = pow_terms(self._table, n, self.dims, self.order)
+        if self._den is None:
+            return TruncatedSeries._wrap(self.dims, self.order, table)
+        return TruncatedSeries._new(self.dims, self.order,
+                                    *lowest_terms(table, self._den ** n))
 
     # -- truncation structure ----------------------------------------------
 
@@ -287,7 +291,8 @@ class TruncatedSeries:
     def to_string(self):
         """Canonical text: graded-lex terms 'c * t1^e1*...' joined by ' + '."""
         return terms_to_string(
-            self.coeffs, [f"t{i + 1}" for i in range(self.dims)], " * ")
+            self._table, [f"t{i + 1}" for i in range(self.dims)], " * ",
+            self._den or 1)
 
     @classmethod
     def from_string(cls, text, dims, order):
@@ -424,5 +429,5 @@ def series_compose(f, jet):
                 f"series in {f.dims} variables applied to a jet with "
                 f"{jet.n} components")
         one = TruncatedSeries.one(jet.dims, jet.order)
-        return evaluate_terms(f.coeffs, list(jet.offsets()), one)
+        return evaluate_terms(f._table, list(jet.offsets()), one, f._den or 1)
     raise TypeError("series_compose expects a Polynomial or TruncatedSeries")

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetforge.poly import (Polynomial, add_terms, default_names, derive_terms,
-                          monomial_key, mul_terms, pow_terms, primitive_parts)
+                          evaluate_terms, monomial_key, mul_terms, pow_terms,
+                          primitive_parts, terms_to_string)
 from jetforge.scheme import AffineMap
 from jetforge.series import JetPoint, TruncatedSeries, series_compose
 
@@ -227,6 +228,24 @@ def test_fractions_are_made_only_when_coefficients_are_read():
     assert_integer_form(b)
     assert b.coeffs is b.coeffs
     assert all(type(c) is Fraction for c in b.coeffs.values())
+
+
+def test_scale_power_text_and_composition_read_the_integer_form():
+    terms = {(0, 0): Fraction(1, 3), (1, 0): 2, (0, 2): Fraction(-5, 6)}
+    s = TruncatedSeries(2, 3, terms)
+    poly = Polynomial.variable(0, 4) + Fraction(1, 2)
+    jet = JetPoint([TruncatedSeries(1, 3, {(0,): 1, (1,): Fraction(1, 2)}),
+                    TruncatedSeries(1, 3, {(1,): 2, (2,): Fraction(1, 7)})])
+    scaled, squared = s.scale(poly), s ** 2
+    text, composed = s.to_string(), series_compose(s, jet)
+    assert not hasattr(s, "_coeffs")
+    fs = {p: Fraction(c) for p, c in terms.items()}
+    assert scaled.coeffs == {p: c * poly for p, c in fs.items()}
+    assert squared.coeffs == pow_terms(fs, 2, 2, 3)
+    assert_integer_form(squared)
+    assert text == terms_to_string(fs, ["t1", "t2"], " * ")
+    assert composed == evaluate_terms(fs, list(jet.offsets()),
+                                      TruncatedSeries.one(1, 3))
 
 
 def test_product_with_one_is_the_other_factor():
