@@ -6,8 +6,9 @@ mismatch or a failed verification), 2 malformed input (including a jet of
 order r >= 2 given to beta, alpha or verify on a chart that fails the
 mixed-partial condition at its base point through order r - 2, a jet with
 more than MAX_JET_COEFFICIENTS coefficients for jetspace, prolong, beta,
-alpha or verify, and a flag given to hr1 with other filtration data than
-the chart's), 3 singular-point or singular-initial data.  beta and alpha
+alpha or verify, a jet with d or r above it for membership or nondeg, and a
+flag given to hr1 with other filtration data than the chart's),
+3 singular-point or singular-initial data.  beta and alpha
 answer what library `beta` answers.
 """
 
@@ -38,7 +39,8 @@ EXIT_SINGULAR = 3
 
 # The most coefficients n * C(r + d, d) of a jet (n series in d variables at
 # order r) that jetspace, prolong, beta, alpha and verify accept; d and r are
-# each held to it as well.  Larger inputs are refused with exit 2.
+# each held to it as well, also by membership and nondeg, which read only the
+# terms they are given.  Larger inputs are refused with exit 2.
 MAX_JET_COEFFICIENTS = 10_000
 
 
@@ -102,13 +104,21 @@ def _check_jet_shape(args):
         raise InputError("-r must be non-negative")
 
 
+def check_jet_bounds(n, d, r):
+    """Refuse jets with d or r above MAX_JET_COEFFICIENTS."""
+    limit = MAX_JET_COEFFICIENTS
+    if d > limit or r > limit:
+        raise InputError(f"jet too large: d={d} or r={r} exceeds {limit}")
+
+
 def check_jet_size(n, d, r):
     """Refuse jets with more than MAX_JET_COEFFICIENTS coefficients.
 
     d and r are compared first, so `math.comb` only sees bounded arguments.
     """
+    check_jet_bounds(n, d, r)
     limit = MAX_JET_COEFFICIENTS
-    if d > limit or r > limit or n * math.comb(r + d, d) > limit:
+    if n * math.comb(r + d, d) > limit:
         raise InputError(f"jet too large: n * C(r + d, d) with n={n}, d={d}, "
                          f"r={r} exceeds {limit} coefficients")
 
@@ -138,14 +148,14 @@ def _cmd_prolong(args):
 
 def _cmd_membership(args):
     scheme = jio.scheme_from_json(_load_json_arg("@" + args.scheme))
-    jet = jio.jet_from_json(_load_json_arg(args.jet))
+    jet = jio.jet_from_json(_load_json_arg(args.jet), check_jet_bounds)
     member = jet_membership(scheme, jet)
     _emit({"member": member})
     return _expected(args, member, "member")
 
 
 def _cmd_nondeg(args):
-    jet = jio.jet_from_json(_load_json_arg(args.jet))
+    jet = jio.jet_from_json(_load_json_arg(args.jet), check_jet_bounds)
     result = is_nondegenerate(jet)
     _emit({"nondegenerate": result})
     return _expected(args, result, "nondegenerate")

@@ -202,6 +202,27 @@ class TestSizeGuard:
         self.refused(["beta", "--connection", legendre_file, "--jet", jet],
                      capsys)
 
+    @pytest.mark.parametrize("command", ["membership", "nondeg"])
+    def test_jet_reading_commands_bound_d_and_r(self, command, circle_file,
+                                                capsys, monkeypatch):
+        # membership and nondeg read only the terms they are given, so the
+        # coefficient count is not held, but d and r are, before parsing
+        argv = ["nondeg"] if command == "nondeg" else \
+            ["membership", "--scheme", circle_file]
+        limit = cli.MAX_JET_COEFFICIENTS
+        series = ["1 + 1 * t1^1", "1 * t1^1"]
+        at_bound = json.dumps({"d": limit, "r": limit, "series": series})
+        assert run(argv + ["--jet", at_bound]) == 0
+        capsys.readouterr()
+
+        def refuse(*args):
+            raise AssertionError("a series was parsed")
+
+        monkeypatch.setattr(jio.TruncatedSeries, "from_string", refuse)
+        for d, r in ((limit + 1, 1), (1, limit + 1)):
+            jet = json.dumps({"d": d, "r": r, "series": series})
+            self.refused(argv + ["--jet", jet], capsys)
+
     def test_restriction_order_is_what_counts(self, legendre_file, capsys):
         jet = json.dumps({"d": 1, "r": cli.MAX_JET_COEFFICIENTS + 1,
                           "series": ["1/2 + 1 * t1^1"]})
