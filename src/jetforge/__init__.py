@@ -12,10 +12,10 @@ from .errors import (ArityMismatch, BasepointNotOnScheme, DimensionMismatch,
 from .poly import MultiIndex, Polynomial, graded_monomials, monomial_key
 from .ratfunc import RationalFunction
 from .series import JetPoint, TruncatedSeries, series_compose
-from .scheme import (AffineMap, AffineScheme, PolyMap, PolySystem,
-                     WitnessReport, dimension_witness, generic_jet,
-                     is_compatible, is_nondegenerate, jet_membership,
-                     jet_prolong, jet_prolong_universal, jet_space_equations,
+from .scheme import (AffineMap, AffineScheme, WitnessReport,
+                     dimension_witness, generic_jet, is_compatible,
+                     is_nondegenerate, jet_membership, jet_prolong,
+                     jet_prolong_universal, jet_space_equations,
                      jet_space_equations_universal, jet_to_coords,
                      coords_to_jet)
 from .connection import (ConnectionChart, MatrixJet, XiTable, beta, build_xi,

@@ -15,7 +15,7 @@ from .errors import InputError
 from .flags import FlagChart, FlagJet, HodgeData
 from .poly import Polynomial
 from .ratfunc import RationalFunction
-from .scheme import AffineMap, AffineScheme, PolyMap, PolySystem
+from .scheme import AffineMap, AffineScheme
 from .series import JetPoint, TruncatedSeries
 
 
@@ -139,12 +139,12 @@ def matrixjet_from_json(data, require_invertible=True):
     return MatrixJet(entries, require_invertible=require_invertible)
 
 
-# -- schemes, maps and systems --------------------------------------------------
+# -- schemes and maps, ambient and in jet coordinates ---------------------------
 
 def scheme_to_json(scheme):
     return {"n": scheme.n, "variables": list(scheme.names),
             "generators": [g.to_string(scheme.names)
-                           for g in scheme.generators]}
+                           for g in scheme.equations]}
 
 
 def scheme_from_json(data):
@@ -180,10 +180,11 @@ def affine_map_from_json(data):
     return AffineMap(n, m, [Polynomial.from_string(c, names) for c in comps])
 
 
-def polysystem_to_json(system):
-    return {"variables": list(system.variables),
-            "equations": [eq.to_string(system.variables)
-                          for eq in system.equations]}
+def polysystem_to_json(scheme):
+    """The jet-space form of a scheme: its variables and equations."""
+    return {"variables": list(scheme.names),
+            "equations": [eq.to_string(scheme.names)
+                          for eq in scheme.equations]}
 
 
 def polysystem_from_json(data):
@@ -192,13 +193,16 @@ def polysystem_from_json(data):
         eqs = _strings(data["equations"], "equations")
     except (KeyError, TypeError):
         raise InputError("a system needs variables and equations") from None
-    return PolySystem(names, [Polynomial.from_string(e, names) for e in eqs])
+    return AffineScheme(len(names),
+                        [Polynomial.from_string(e, names) for e in eqs], names)
 
 
 def polymap_to_json(pmap, source_names=None):
-    names = source_names or [f"u{i + 1}" for i in range(pmap.source_arity)]
+    """The jet-space form of a map: source variables, target arity and
+    components."""
+    names = source_names or [f"u{i + 1}" for i in range(pmap.n)]
     return {"source_variables": list(names),
-            "target_arity": pmap.target_arity,
+            "target_arity": pmap.m,
             "components": [c.to_string(names) for c in pmap.components]}
 
 
@@ -211,8 +215,8 @@ def polymap_from_json(data):
         raise InputError(
             "a jet map needs source_variables, target_arity, components"
         ) from None
-    return PolyMap(len(names), target,
-                   [Polynomial.from_string(c, names) for c in comps])
+    return AffineMap(len(names), target,
+                     [Polynomial.from_string(c, names) for c in comps])
 
 
 # -- connection charts -----------------------------------------------------------

@@ -1,17 +1,20 @@
 """Jet spaces of affine schemes made explicit.
 
 Given a closed subscheme of affine n-space cut out by polynomials, the jet
-space of d-dimensional order-r jets is again affine, cut out inside the
-space of coefficient tuples by one polynomial equation per (generator,
-monomial of degree <= r) pair.  Two constructions are provided:
+space of d-dimensional order-r jets is again an affine scheme, cut out
+inside the space of coefficient tuples by one polynomial equation per
+(equation, monomial of degree <= r) pair; likewise a polynomial map
+prolongs to a polynomial map between jet spaces.  Two constructions are
+provided:
 
 * the direct route substitutes a generic coefficient series into each
-  generator and reads off the monomial coefficients;
-* the universal route builds the order-r Taylor expansion of each generator
-  at the symbolic base point and composes it with the positive-valuation
-  offset of the generic jet.
+  polynomial and reads off the monomial coefficients;
+* the universal route builds the order-r Taylor expansion of each
+  polynomial at the symbolic base point and composes it with the
+  positive-valuation offset of the generic jet.
 
-Both produce the same system; the equality is checked in the test suite.
+Both return the same `AffineScheme` or `AffineMap` after normalization;
+the equality is checked in the test suite.
 Jet coordinates are ordered with the ambient component outside and the
 monomial (graded-lex) inside.
 """
@@ -31,26 +34,39 @@ from .series import JetPoint, TruncatedSeries, series_compose, taylor_weights
 
 
 class AffineScheme:
-    """A closed subscheme of affine n-space given by polynomial generators."""
+    """A closed subscheme of affine n-space: polynomial equations in n named
+    variables.  A jet space is one too, in the jet coordinates."""
 
-    __slots__ = ("n", "generators", "names")
+    __slots__ = ("n", "equations", "names")
 
-    def __init__(self, n, generators, names=None):
-        generators = tuple(generators)
-        for g in generators:
+    def __init__(self, n, equations, names=None):
+        equations = tuple(equations)
+        names = tuple(names) if names else tuple(f"x{i + 1}" for i in range(n))
+        if len(names) != n:
+            raise ArityMismatch(f"{len(names)} variable names, ambient "
+                                f"dimension {n}")
+        for g in equations:
             if g.arity != n:
                 raise ArityMismatch(
-                    f"generator in {g.arity} variables, ambient dimension {n}")
+                    f"equation in {g.arity} variables, ambient dimension {n}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "names", tuple(names) if names else
-                           tuple(f"x{i + 1}" for i in range(n)))
+        object.__setattr__(self, "equations", equations)
+        object.__setattr__(self, "names", names)
 
     def __setattr__(self, name, value):
         raise AttributeError("AffineScheme is immutable")
 
     def contains_point(self, point):
-        return all(g.evaluate(point) == 0 for g in self.generators)
+        return all(g.evaluate(point) == 0 for g in self.equations)
+
+    def normalized(self):
+        return AffineScheme(self.n, [g.normalized() for g in self.equations],
+                            self.names)
+
+    def __eq__(self, other):
+        if not isinstance(other, AffineScheme):
+            return NotImplemented
+        return self.names == other.names and self.equations == other.equations
 
 
 class AffineMap:
@@ -86,76 +102,19 @@ class AffineMap:
         return AffineMap(other.n, self.m, comps)
 
     def apply(self, point):
+        if len(point) != self.n:
+            raise ArityMismatch(
+                f"expected {self.n} coordinates, got {len(point)}")
         return tuple(g.evaluate(point) for g in self.components)
 
-
-class PolySystem:
-    """A list of polynomial equations in named jet coordinates."""
-
-    __slots__ = ("variables", "equations")
-
-    def __init__(self, variables, equations):
-        object.__setattr__(self, "variables", tuple(variables))
-        object.__setattr__(self, "equations", tuple(equations))
-        for eq in self.equations:
-            if eq.arity != len(self.variables):
-                raise ArityMismatch("equation arity does not match variables")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolySystem is immutable")
-
     def normalized(self):
-        return PolySystem(self.variables,
-                          [eq.normalized() for eq in self.equations])
+        return AffineMap(self.n, self.m,
+                         [g.normalized() for g in self.components])
 
     def __eq__(self, other):
-        if not isinstance(other, PolySystem):
+        if not isinstance(other, AffineMap):
             return NotImplemented
-        return (self.variables == other.variables
-                and self.equations == other.equations)
-
-
-class PolyMap:
-    """A polynomial map between jet coordinate spaces."""
-
-    __slots__ = ("source_arity", "target_arity", "components")
-
-    def __init__(self, source_arity, target_arity, components):
-        components = tuple(components)
-        if len(components) != target_arity:
-            raise ArityMismatch(
-                f"expected {target_arity} components, got {len(components)}")
-        for g in components:
-            if g.arity != source_arity:
-                raise ArityMismatch("component arity does not match source")
-        object.__setattr__(self, "source_arity", source_arity)
-        object.__setattr__(self, "target_arity", target_arity)
-        object.__setattr__(self, "components", components)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyMap is immutable")
-
-    def apply_coords(self, values):
-        if len(values) != self.source_arity:
-            raise ArityMismatch("wrong number of coordinates")
-        return [g.evaluate(values) for g in self.components]
-
-    def compose(self, other):
-        if other.target_arity != self.source_arity:
-            raise ArityMismatch("arities do not chain")
-        one = Polynomial.const(1, other.source_arity)
-        comps = [g.evaluate_in(other.components, one) for g in self.components]
-        return PolyMap(other.source_arity, self.target_arity, comps)
-
-    def normalized(self):
-        return PolyMap(self.source_arity, self.target_arity,
-                       [g.normalized() for g in self.components])
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyMap):
-            return NotImplemented
-        return (self.source_arity == other.source_arity
-                and self.target_arity == other.target_arity
+        return (self.n == other.n and self.m == other.m
                 and self.components == other.components)
 
 
@@ -246,22 +205,23 @@ def _taylor_compose(f, sigma):
 
 
 def jet_space_equations(scheme, d, r):
-    """Defining equations of the jet space, by direct substitution.
+    """The jet space as an affine scheme in the jet coordinates, by direct
+    substitution.
 
-    Returns one equation per (generator, monomial) pair, generator outside
-    and monomial graded-lex inside; for r = 0 the system is the original
-    generators read in the jet coordinates.
+    Has one equation per (equation of the scheme, monomial) pair, scheme
+    equation outside and monomial graded-lex inside; for r = 0 these are
+    the scheme's own equations read in the jet coordinates.
     """
-    return PolySystem(jet_variable_names(scheme.n, d, r, scheme.names),
-                      _expand_generic(scheme.generators, scheme.n, d, r,
-                                      series_compose))
+    names = jet_variable_names(scheme.n, d, r, scheme.names)
+    return AffineScheme(len(names), _expand_generic(
+        scheme.equations, scheme.n, d, r, series_compose), names)
 
 
 def jet_space_equations_universal(scheme, d, r):
     """Same contract as jet_space_equations, via the Taylor-expansion route."""
-    return PolySystem(jet_variable_names(scheme.n, d, r, scheme.names),
-                      _expand_generic(scheme.generators, scheme.n, d, r,
-                                      _taylor_compose))
+    names = jet_variable_names(scheme.n, d, r, scheme.names)
+    return AffineScheme(len(names), _expand_generic(
+        scheme.equations, scheme.n, d, r, _taylor_compose), names)
 
 
 def jet_prolong(g, d, r):
@@ -272,31 +232,31 @@ def jet_prolong(g, d, r):
     functorial in g.
     """
     ell = math.comb(d + r, r)
-    return PolyMap(g.n * ell, g.m * ell,
-                   _expand_generic(g.components, g.n, d, r, series_compose))
+    return AffineMap(g.n * ell, g.m * ell,
+                     _expand_generic(g.components, g.n, d, r, series_compose))
 
 
 def jet_prolong_universal(g, d, r):
     """Same contract as jet_prolong, via the Taylor-expansion route."""
     ell = math.comb(d + r, r)
-    return PolyMap(g.n * ell, g.m * ell,
-                   _expand_generic(g.components, g.n, d, r, _taylor_compose))
+    return AffineMap(g.n * ell, g.m * ell,
+                     _expand_generic(g.components, g.n, d, r, _taylor_compose))
 
 
 def apply_prolonged(pmap, jet, m):
     """Apply a prolonged map to a jet, returning the image jet."""
-    values = pmap.apply_coords(jet_to_coords(jet))
+    values = pmap.apply(jet_to_coords(jet))
     return coords_to_jet(values, m, jet.dims, jet.order)
 
 
 # -- membership and non-degeneracy -------------------------------------------
 
 def jet_membership(scheme, jet):
-    """Whether every generator vanishes identically on the jet."""
+    """Whether every equation vanishes identically on the jet."""
     if jet.n != scheme.n:
         raise ArityMismatch(
             f"jet with {jet.n} components on a scheme in dimension {scheme.n}")
-    return all(series_compose(f, jet).is_zero() for f in scheme.generators)
+    return all(series_compose(f, jet).is_zero() for f in scheme.equations)
 
 
 def tangent_rows(jet):
@@ -351,7 +311,7 @@ class WitnessReport:
 
 def _jacobian_at(scheme, point):
     return [[g.derivative(i).evaluate(point) for i in range(scheme.n)]
-            for g in scheme.generators]
+            for g in scheme.equations]
 
 
 def _lift_once(scheme, jet):
@@ -361,10 +321,10 @@ def _lift_once(scheme, jet):
     lifted = jet.zero_extended(r + 1)
     jac = _jacobian_at(scheme, jet.basepoint())
     top_monomials = [p for p in graded_monomials(d, r + 1) if sum(p) == r + 1]
-    residuals = [series_compose(f, lifted) for f in scheme.generators]
+    residuals = [series_compose(f, lifted) for f in scheme.equations]
     corrections = [dict() for _ in range(scheme.n)]
     for mu in top_monomials:
-        if not scheme.generators:
+        if not scheme.equations:
             continue
         rhs = [-res.coefficient(mu) for res in residuals]
         sol = linalg.solve(jac, rhs)
@@ -404,7 +364,7 @@ def dimension_witness(scheme, point, d, r_max, parametrizations=(), rng=None,
     point = tuple(Fraction(v) for v in point)
     if not scheme.contains_point(point):
         raise BasepointNotOnScheme(f"{point} does not satisfy the generators")
-    kernel = linalg.kernel_basis(_jacobian_at(scheme, point)) if scheme.generators \
+    kernel = linalg.kernel_basis(_jacobian_at(scheme, point)) if scheme.equations \
         else [[Fraction(1 if j == i else 0) for j in range(scheme.n)]
               for i in range(scheme.n)]
     report = WitnessReport(d=d, r_max=r_max, tangent_dim=len(kernel))

@@ -300,7 +300,7 @@ def run_universal_route_suite(seed, count=30):
             scheme = random_scheme(rng)
             left = jet_space_equations(scheme, d, r).normalized()
             right = jet_space_equations_universal(scheme, d, r).normalized()
-            report.add(f"scheme{case}[n={scheme.n},k={len(scheme.generators)},"
+            report.add(f"scheme{case}[n={scheme.n},k={len(scheme.equations)},"
                        f"d={d},r={r}]", left == right)
         else:
             gmap = random_affine_map(rng)

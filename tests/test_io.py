@@ -58,7 +58,7 @@ def test_scheme_and_map_round_trip():
                           names=("x", "y"))
     back = jio.scheme_from_json(jio.scheme_to_json(scheme))
     assert back.n == scheme.n
-    assert back.generators == scheme.generators
+    assert back.equations == scheme.equations
     amap = AffineMap(2, 3, [rand_poly(rng, 2, 2) for _ in range(3)])
     back = jio.affine_map_from_json(jio.affine_map_to_json(amap))
     assert back.components == amap.components

@@ -37,7 +37,7 @@ def circle_parametrization():
 class TestJetSpaceEquations:
     def test_circle_first_order(self):
         system = jet_space_equations(circle_scheme(), 1, 1)
-        assert list(system.variables) == ["a_x_0", "a_x_1", "a_y_0", "a_y_1"]
+        assert list(system.names) == ["a_x_0", "a_x_1", "a_y_0", "a_y_1"]
         expected = [
             P(4, {(2, 0, 0, 0): 1, (0, 0, 2, 0): 1, (0, 0, 0, 0): -1}),
             P(4, {(1, 1, 0, 0): 2, (0, 0, 1, 1): 2}),
@@ -63,7 +63,7 @@ class TestJetSpaceEquations:
         scheme = circle_scheme()
         system = jet_space_equations(scheme, 2, 0)
         assert len(system.equations) == 1
-        assert system.equations[0].terms == scheme.generators[0].terms
+        assert system.equations[0].terms == scheme.equations[0].terms
 
     def test_equation_count_is_monomials_times_generators(self):
         rng = random.Random(44)
@@ -74,8 +74,8 @@ class TestJetSpaceEquations:
             d, r = rng.randint(1, 2), rng.randint(0, 3)
             system = jet_space_equations(scheme, d, r)
             ell = math.comb(r + d, d)
-            assert len(system.equations) == ell * len(scheme.generators)
-            assert len(system.variables) == ell * scheme.n
+            assert len(system.equations) == ell * len(scheme.equations)
+            assert len(system.names) == ell * scheme.n
 
 
 class TestProlong:
