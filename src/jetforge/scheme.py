@@ -22,7 +22,6 @@ monomial (graded-lex) inside.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -351,36 +350,21 @@ def _prolong_parametrization(param, d, r, point):
     return JetPoint(series)
 
 
-def dimension_witness(scheme, point, d, r_max, parametrizations=(), rng=None,
-                      attempts=0):
+def dimension_witness(scheme, point, d, r_max, parametrizations=()):
     """Search for non-degenerate jets on the scheme above a point.
 
-    Deterministic-first: supplied parametrizations are prolonged exactly,
-    and tangent vectors from the Jacobian kernel are lifted order by order
-    through the linear top-degree conditions.  An optional seeded random
-    search perturbs the lift by kernel elements.  The report never claims a
+    Deterministic: supplied parametrizations are prolonged exactly, and
+    tangent vectors from the Jacobian kernel are lifted order by order
+    through the linear top-degree conditions.  The report never claims a
     negative certificate.
     """
     point = tuple(Fraction(v) for v in point)
     if not scheme.contains_point(point):
-        raise BasepointNotOnScheme(f"{point} does not satisfy the generators")
+        raise BasepointNotOnScheme(f"{point} does not satisfy the equations")
     kernel = linalg.kernel_basis(_jacobian_at(scheme, point)) if scheme.equations \
         else [[Fraction(1 if j == i else 0) for j in range(scheme.n)]
               for i in range(scheme.n)]
     report = WitnessReport(d=d, r_max=r_max, tangent_dim=len(kernel))
-    rng = rng or random.Random(0)
-
-    def tangent_candidates():
-        if len(kernel) < d:
-            return
-        yield kernel[:d]
-        for _ in range(attempts):
-            mix = [[sum((Fraction(rng.randint(-3, 3)) * kernel[b][i]
-                         for b in range(len(kernel))), Fraction(0))
-                    for i in range(scheme.n)]
-                   for _ in range(d)]
-            yield mix
-
     for r in range(1, r_max + 1):
         found = None
         for param in parametrizations:
@@ -389,21 +373,16 @@ def dimension_witness(scheme, point, d, r_max, parametrizations=(), rng=None,
                     and is_nondegenerate(jet):
                 found = jet
                 break
-        if found is None:
-            for vectors in tangent_candidates():
-                base = JetPoint([
-                    TruncatedSeries(d, 1, {
-                        (0,) * d: point[i],
-                        **{tuple(1 if b == a else 0 for b in range(d)):
-                           vectors[a][i] for a in range(d)},
-                    }) for i in range(scheme.n)])
-                if not is_nondegenerate(base):
-                    continue
-                jet = base
-                while jet is not None and jet.order < r:
-                    jet = _lift_once(scheme, jet)
-                if jet is not None:
-                    found = jet
-                    break
+        if found is None and len(kernel) >= d:
+            base = JetPoint([
+                TruncatedSeries(d, 1, {
+                    (0,) * d: point[i],
+                    **{tuple(1 if b == a else 0 for b in range(d)):
+                       kernel[a][i] for a in range(d)},
+                }) for i in range(scheme.n)])
+            if is_nondegenerate(base):
+                found = base
+                while found is not None and found.order < r:
+                    found = _lift_once(scheme, found)
         report.witnesses[r] = found
     return report
