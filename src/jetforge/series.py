@@ -90,15 +90,22 @@ class TruncatedSeries:
         """The read-only dict of nonzero coefficients by exponent, rationals
         as Fractions, shared by every reader of the series; for a rational
         series it is built from the integer form on first read and kept."""
-        den = self._den
-        if den is None:
+        if self._den is None:
             return self._table
         try:
             return self._coeffs
         except AttributeError:
-            coeffs = {p: Fraction(n, den) for p, n in self._table.items()}
+            coeffs = self._ring_table()
             _set_coeffs(self, coeffs)
             return coeffs
+
+    def _ring_table(self):
+        """The coefficients by exponent, rationals as Fractions made afresh
+        and not kept; for a mixed operation with a generic series."""
+        den = self._den
+        if den is None:
+            return self._table
+        return {p: Fraction(n, den) for p, n in self._table.items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -157,7 +164,7 @@ class TruncatedSeries:
         if self.dims != other.dims or self.order != other.order:
             return False
         if self._den is None or other._den is None:
-            return self.coeffs == other.coeffs
+            return self._ring_table() == other._ring_table()
         return self._den == other._den and self._table == other._table
 
     def __hash__(self):
@@ -178,8 +185,8 @@ class TruncatedSeries:
         self._check_compatible(other)
         da, db = self._den, other._den
         if da is None or db is None:
-            return TruncatedSeries._wrap(self.dims, self.order,
-                                         add_terms(self.coeffs, other.coeffs))
+            return TruncatedSeries._wrap(self.dims, self.order, add_terms(
+                self._ring_table(), other._ring_table()))
         return TruncatedSeries._new(self.dims, self.order, *add_fractions(
             self._table, da, other._table, db))
 
@@ -207,7 +214,7 @@ class TruncatedSeries:
             return self
         if self._den is None or other._den is None:
             return TruncatedSeries._wrap(self.dims, self.order, mul_terms(
-                self.coeffs, other.coeffs, self.order))
+                self._ring_table(), other._ring_table(), self.order))
         return TruncatedSeries._new(self.dims, self.order, *lowest_terms(
             mul_terms(self._table, other._table, self.order),
             self._den * other._den))
@@ -221,10 +228,8 @@ class TruncatedSeries:
         if self._den is not None and isinstance(scalar, (int, Fraction)):
             return TruncatedSeries._new(self.dims, self.order, *scale_fraction(
                 self._table, self._den, scalar))
-        den = self._den
         return TruncatedSeries._wrap(self.dims, self.order, {
-            p: (c if den is None else Fraction(c, den)) * scalar
-            for p, c in self._table.items()})
+            p: c * scalar for p, c in self._ring_table().items()})
 
     def __pow__(self, n):
         table = pow_terms(self._table, n, self.dims, self.order)

@@ -248,6 +248,24 @@ def test_scale_power_text_and_composition_read_the_integer_form():
                                       TruncatedSeries.one(1, 3))
 
 
+def test_mixed_rational_and_generic_arithmetic_keeps_no_fractions():
+    terms = {(0,): Fraction(1, 3), (1,): 2}
+    a = TruncatedSeries(1, 3, terms)
+    poly = Polynomial.variable(0, 2) + Fraction(1, 2)
+    g = TruncatedSeries(1, 3, {(0,): poly, (2,): Fraction(3, 4)})
+    fa = {p: Fraction(c) for p, c in terms.items()}
+    # the same coefficients as constant polynomials: a generic series
+    lifted = TruncatedSeries(1, 3, {p: Polynomial.const(c, 2)
+                                    for p, c in fa.items()})
+    left, right, total = a * g, g * a, a + g
+    unequal, equal = a == g, a == lifted
+    assert not hasattr(a, "_coeffs")
+    assert left == right
+    assert left.coeffs == mul_terms(fa, g.coeffs, 3)
+    assert total.coeffs == add_terms(fa, g.coeffs)
+    assert not unequal and equal
+
+
 def test_product_with_one_is_the_other_factor():
     one = TruncatedSeries.one(2, 3)
     rational = TruncatedSeries(2, 3, {(0, 1): Fraction(2, 3), (0, 0): 5})
