@@ -166,15 +166,16 @@ class ConnectionChart:
         if len(point) != self.n:
             raise ArityMismatch("point dimension does not match the chart")
         shown = "(" + ", ".join(str(x) for x in point) + ")"
+        # a constant denominator is kept equal to 1 and never vanishes
         for row in self.coeffs:
             for entry in row:
                 for rf in entry:
-                    if rf.den.evaluate(point) == 0:
+                    if rf.den.degree() > 0 and rf.den.evaluate(point) == 0:
                         raise SingularPoint(
                             f"connection coefficient has a pole at {shown}")
         for row in self.gram:
             for rf in row:
-                if rf.den.evaluate(point) == 0:
+                if rf.den.degree() > 0 and rf.den.evaluate(point) == 0:
                     raise SingularPoint(f"gram has a pole at {shown}")
 
     def gram_at(self, point):
@@ -464,18 +465,22 @@ def series_oracle(chart, sigma, initial, require_invertible=True):
     m = chart.m
     # pulled-back multipliers: dF/dt_a = G_a F with
     # G_a = sum_l (d sigma_l / d t_a) (A_l along sigma)
+    dsigma = [[s.derive(a) for a in range(d)] for s in sigma.series]
+    # A_l along sigma, expanded once if some t_a moves z_l
+    along = [[[rf.eval_on_jet(sigma) if rf else None for rf in row]
+              for row in chart.a_matrix(l)] if any(dsigma[l]) else None
+             for l in range(chart.n)]
     pulled = []
     for a in range(d):
         g = [[TruncatedSeries.zero(d, r) for _ in range(m)] for _ in range(m)]
         for l in range(chart.n):
-            ds = sigma.series[l].derive(a)
+            ds = dsigma[l][a]
             if ds.is_zero():
                 continue
-            amat = chart.a_matrix(l)
             for j in range(m):
                 for i in range(m):
-                    if amat[j][i]:
-                        g[j][i] = g[j][i] + amat[j][i].eval_on_jet(sigma) * ds
+                    if along[l][j][i] is not None:
+                        g[j][i] = g[j][i] + along[l][j][i] * ds
         pulled.append(g)
     parts = [[{(0,) * d: initial[j][k]} if initial[j][k] else {}
               for k in range(m)] for j in range(m)]
@@ -532,12 +537,13 @@ def check_flatness(chart, sigma, frame_jet):
               for l in range(chart.n)]
     for i in range(m):
         for j in range(m):
+            along = [rf.eval_on_jet(sigma) if rf else None
+                     for rf in chart.coeffs[i][j]]
             for a in range(d):
                 acc = TruncatedSeries.zero(d, r)
                 for l in range(chart.n):
-                    rf = chart.coeffs[i][j][l]
-                    if rf:
-                        acc = acc + rf.eval_on_jet(sigma) * dsigma[l][a]
+                    if along[l] is not None:
+                        acc = acc + along[l] * dsigma[l][a]
                 pullback[i][j][a] = acc
     for a in range(d):
         for j in range(m):
