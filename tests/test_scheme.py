@@ -14,8 +14,9 @@ from jetforge.scheme import (AffineMap, AffineScheme, apply_prolonged,
                              jet_space_equations_universal, jet_to_coords,
                              coords_to_jet, tangent_rows)
 from jetforge.series import JetPoint, TruncatedSeries, series_compose
-from jetforge.verify import (rand_poly, run_prolong_functoriality_suite,
-                             run_tower_suite, run_universal_route_suite)
+from jetforge.verify import (rand_fraction, rand_poly,
+                             run_prolong_functoriality_suite, run_tower_suite,
+                             run_universal_route_suite)
 
 
 def P(arity, terms):
@@ -59,6 +60,10 @@ class TestJetSpaceEquations:
         ]
         assert list(system.equations) == expected
 
+    def test_names_must_match_the_dimension(self):
+        with pytest.raises(ArityMismatch):
+            AffineScheme(2, [], names=("x",))
+
     def test_order_zero_recovers_generators(self):
         scheme = circle_scheme()
         system = jet_space_equations(scheme, 2, 0)
@@ -100,6 +105,10 @@ class TestProlong:
         image = apply_prolonged(pmap, jet, 1)
         assert image == JetPoint([TruncatedSeries(1, 2, {(0,): 1, (2,): -1})])
 
+    def test_apply_checks_the_number_of_coordinates(self):
+        with pytest.raises(ArityMismatch):
+            jet_prolong(AffineMap.identity(2), 1, 1).apply((1, 2))
+
     def test_functoriality_suite(self):
         report = run_prolong_functoriality_suite(seed=101, count=12)
         assert report.ok, [c.name for c in report.failures]
@@ -129,6 +138,15 @@ class TestUniversalRoutes:
         report = run_universal_route_suite(seed=55, count=16)
         assert report.ok, [c.name for c in report.failures]
 
+    def test_jet_space_of_a_jet_space(self):
+        # J_1(circle) is an affine scheme, so it has jets of its own
+        j1 = jet_space_equations(circle_scheme(), 1, 1)
+        direct = jet_space_equations(j1, 1, 1)
+        universal = jet_space_equations_universal(j1, 1, 1)
+        assert direct.normalized() == universal.normalized()
+        assert direct.n == 8 and len(direct.equations) == 4
+        assert direct.names[:2] == ("a_a_x_0_0", "a_a_x_0_1")
+
 
 class TestMembership:
     def test_trig_jet_on_circle(self):
@@ -148,6 +166,36 @@ class TestMembership:
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatch):
             jet_membership(circle_scheme(), JetPoint([TruncatedSeries.one(1, 1)]))
+
+    def test_jet_space_contains_exactly_the_member_jets(self):
+        # X is cut out by multiples h * (x_n - f(x_1, ..., x_{n-1})), so a
+        # jet whose last series is f of the others lies on X, and moving
+        # one coefficient of that series takes it off X
+        rng = random.Random(61)
+        seen = set()
+        for _ in range(16):
+            n, d, r = rng.randint(2, 3), rng.randint(1, 2), rng.randint(0, 3)
+            f = rand_poly(rng, n - 1, 2)
+            graph = P(n, {(0,) * (n - 1) + (1,): 1}) \
+                - f.rename_into(n, list(range(n - 1)))
+            scheme = AffineScheme(n, [rand_poly(rng, n, 1) * graph
+                                      for _ in range(rng.randint(1, 2))])
+            free = [TruncatedSeries(d, r, {
+                p: rand_fraction(rng, 3, 2) for p in graded_monomials(d, r)
+                if rng.random() < 0.7}) for _ in range(n - 1)]
+            last = series_compose(f, JetPoint(free))
+            if rng.random() < 0.5:
+                p = rng.choice(graded_monomials(d, r))
+                last = last + TruncatedSeries(d, r, {p: 1})
+            jet = JetPoint(free + [last])
+            member = jet_membership(scheme, jet)
+            seen.add(member)
+            coords = jet_to_coords(jet)
+            assert jet_space_equations(scheme, d, r).contains_point(
+                coords) == member
+            assert jet_space_equations_universal(scheme, d, r).contains_point(
+                coords) == member
+        assert seen == {True, False}
 
 
 class TestNondegeneracy:
