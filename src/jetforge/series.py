@@ -100,8 +100,8 @@ class TruncatedSeries:
             return coeffs
 
     def _ring_table(self):
-        """The coefficients by exponent, rationals as Fractions made afresh
-        and not kept; for a mixed operation with a generic series."""
+        """The coefficients by exponent, rationals as Fractions made afresh;
+        `coeffs` keeps them, mixed operations with a generic series do not."""
         den = self._den
         if den is None:
             return self._table
