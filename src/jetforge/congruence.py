@@ -17,6 +17,9 @@ from itertools import product
 
 from . import linalg
 
+# the largest |entry| of the integer directions the symmetric search tries
+SEARCH_BOUND = 6
+
 
 def is_square(x):
     """Whether a rational is a square of a rational."""
@@ -152,10 +155,10 @@ def _match_diag_2x2(a, b):
     return [[v[0], s * w[0]], [v[1], s * w[1]]]
 
 
-def _bounded_represent(diag, target, bound):
+def _bounded_represent(diag, target):
     """Integer-direction search for v with sum diag[i] v_i^2 = target."""
     m = len(diag)
-    for vec in product(range(-bound, bound + 1), repeat=m):
+    for vec in product(range(-SEARCH_BOUND, SEARCH_BOUND + 1), repeat=m):
         if not any(vec):
             continue
         val = sum(d * Fraction(c) ** 2 for d, c in zip(diag, vec))
@@ -168,7 +171,7 @@ def _bounded_represent(diag, target, bound):
     return None
 
 
-def _match_symmetric(g, targets, bound):
+def _match_symmetric(g, targets):
     """X with X^T g X = diag(targets); complete for size 2, bounded above."""
     m = len(g)
     p, diag = diagonalize_symmetric(g)
@@ -182,7 +185,7 @@ def _match_symmetric(g, targets, bound):
     if m == 2:
         x = _match_diag_2x2(diag, targets)
         return None if x is None else linalg.mat_mul(p, x)
-    v = _bounded_represent(diag, targets[0], bound)
+    v = _bounded_represent(diag, targets[0])
     if v is None:
         return None
     # complement of v with respect to diag, then recurse
@@ -193,7 +196,7 @@ def _match_symmetric(g, targets, bound):
                                 linalg.mat_mul([[diag[i] if i == j else Fraction(0)
                                                  for j in range(m)]
                                                 for i in range(m)], w))
-    rest = _match_symmetric(restricted, targets[1:], bound)
+    rest = _match_symmetric(restricted, targets[1:])
     if rest is None:
         return None
     tail = linalg.mat_mul(w, rest)
@@ -201,7 +204,7 @@ def _match_symmetric(g, targets, bound):
     return linalg.mat_mul(p, cols)
 
 
-def solve_congruence(g, q, weight, bound=6):
+def solve_congruence(g, q, weight):
     """A rational matrix M with M^T g M = q, or None.
 
     `g` is a rational matrix, `q` an integer matrix, both with the symmetry
@@ -224,7 +227,7 @@ def solve_congruence(g, q, weight, bound=6):
         if not is_square(detg / detq):
             return None
         r, b = diagonalize_symmetric(qfr)
-        x = _match_symmetric(gfr, b, bound)
+        x = _match_symmetric(gfr, b)
         if x is None:
             return None
         result = linalg.mat_mul(x, linalg.invert(r))

@@ -36,7 +36,7 @@ from . import linalg
 from .errors import (ArityMismatch, DimensionMismatch, NonIntegrable,
                      SingularInitial, SingularPoint)
 from .poly import graded_monomials, primitive_parts
-from .ratfunc import RationalFunction
+from .ratfunc import RationalFunction, _univ_divmod, _univ_gcd
 from .series import JetPoint, TruncatedSeries, taylor_weights
 
 
@@ -89,6 +89,12 @@ class HodgeData:
             return self.filtration_dims[p]
         return 0
 
+    def complementary_steps(self):
+        """(dim of level p, dim of level weight + 1 - p) for p = 1..weight,
+        the step pairs the first relation asks to be orthogonal."""
+        return [(self.dim_of_level(p), self.dim_of_level(self.weight + 1 - p))
+                for p in range(1, self.weight + 1)]
+
     def __eq__(self, other):
         if not isinstance(other, HodgeData):
             return NotImplemented
@@ -100,12 +106,11 @@ class ConnectionChart:
     """Connection data on one affine chart with coordinates z_1..z_n.
 
     The frame size, weight, filtration and lattice form are validated and
-    held as a HodgeData in `hodge`; `weight`, `filtration_dims` and
-    `polarization` repeat its fields.
+    held as a HodgeData in `hodge`.
     """
 
-    __slots__ = ("n", "m", "coeffs", "hodge", "weight", "filtration_dims",
-                 "gram", "polarization", "variables", "_a_matrices")
+    __slots__ = ("n", "m", "coeffs", "hodge", "gram", "variables",
+                 "_a_matrices")
 
     def __init__(self, n, m, coeffs, weight, filtration_dims, gram,
                  polarization, variables=None):
@@ -136,10 +141,7 @@ class ConnectionChart:
         object.__setattr__(self, "coeffs",
                            tuple(tuple(tuple(e) for e in row) for row in coeffs))
         object.__setattr__(self, "hodge", hodge)
-        object.__setattr__(self, "weight", hodge.weight)
-        object.__setattr__(self, "filtration_dims", hodge.filtration_dims)
         object.__setattr__(self, "gram", tuple(tuple(row) for row in gram))
-        object.__setattr__(self, "polarization", hodge.polarization)
         object.__setattr__(self, "variables", tuple(variables) if variables
                            else tuple(f"z{i + 1}" for i in range(n)))
         # the solver works with A_l = - C_l^T acting on the left of f
@@ -195,11 +197,11 @@ class ConnectionChart:
 
 
 class MatrixJet:
-    """A square matrix of truncated series with invertible constant term."""
+    """A square matrix of truncated series sharing (dims, order)."""
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries, require_invertible=True):
+    def __init__(self, entries):
         entries = tuple(tuple(row) for row in entries)
         m = len(entries)
         if any(len(row) != m for row in entries):
@@ -210,10 +212,6 @@ class MatrixJet:
                 if s.dims != d or s.order != r:
                     raise DimensionMismatch(
                         "matrix jet entries must share (dims, order)")
-        if require_invertible:
-            c = [[s.constant_term() for s in row] for row in entries]
-            if not linalg.det(c):
-                raise SingularInitial("constant term matrix is singular")
         object.__setattr__(self, "entries", entries)
 
     def __setattr__(self, name, value):
@@ -232,9 +230,9 @@ class MatrixJet:
         return self.entries[0][0].order
 
     @classmethod
-    def from_constant(cls, matrix, dims, order, require_invertible=True):
+    def from_constant(cls, matrix, dims, order):
         return cls([[TruncatedSeries.const(x, dims, order) for x in row]
-                    for row in matrix], require_invertible)
+                    for row in matrix])
 
     @classmethod
     def identity(cls, m, dims, order):
@@ -247,18 +245,17 @@ class MatrixJet:
         return [[s.constant_term() for s in row] for row in self.entries]
 
     def transpose(self):
-        return MatrixJet(tuple(zip(*self.entries)), require_invertible=False)
+        return MatrixJet(tuple(zip(*self.entries)))
 
     def restrict(self, new_order):
         return MatrixJet([[s.restrict(new_order) for s in row]
-                          for row in self.entries], require_invertible=False)
+                          for row in self.entries])
 
     def __mul__(self, other):
         """Product with another matrix jet or a constant matrix on the right."""
         if isinstance(other, MatrixJet):
             other = other.entries
-        return MatrixJet(linalg.mat_mul(self.entries, other),
-                         require_invertible=False)
+        return MatrixJet(linalg.mat_mul(self.entries, other))
 
     def __eq__(self, other):
         if not isinstance(other, MatrixJet):
@@ -444,21 +441,18 @@ def beta(chart, sigma, initial, table=None):
     return MatrixJet(acc)
 
 
-def series_oracle(chart, sigma, initial, require_invertible=True):
+def series_oracle(chart, sigma, initial):
     """Same contract as `beta`, computed by pulling the system back along
     sigma and solving the truncated equations degree by degree.
 
     Shares with the xi-table route only the series ring and
-    `RationalFunction.eval_on_jet`.  With
-    `require_invertible=False` the recursion extends linearly to singular
-    initial matrices.
+    `RationalFunction.eval_on_jet`.  The recursion is linear in `initial`,
+    so any square initial matrix is accepted, singular ones included.
     """
     if sigma.n != chart.n:
         raise ArityMismatch("jet does not live on the chart")
     if len(initial) != chart.m or any(len(row) != chart.m for row in initial):
         raise ArityMismatch("initial matrix has the wrong size")
-    if require_invertible and not linalg.det(initial):
-        raise SingularInitial("initial matrix is singular")
     s = sigma.basepoint()
     chart.assert_regular(s)
     d, r = sigma.dims, sigma.order
@@ -505,7 +499,7 @@ def series_oracle(chart, sigma, initial, require_invertible=True):
                             else val
     entries = [[TruncatedSeries(d, r, parts[j][k]) for k in range(m)]
                for j in range(m)]
-    return MatrixJet(entries, require_invertible=require_invertible)
+    return MatrixJet(entries)
 
 
 def check_right_equivariance(chart, sigma, initial, action, table=None):
@@ -570,28 +564,23 @@ def period_system(chart):
     coeffs = [[[-chart.coeffs[j][i][l] for l in range(n)]
                for j in range(m)] for i in range(m)]
     gram_inv_t = linalg.transpose(linalg.invert(chart.gram))
-    adj = _integer_adjugate(chart.polarization)
-    return ConnectionChart(n, m, coeffs, chart.weight, chart.filtration_dims,
+    hodge = chart.hodge
+    adj = _integer_adjugate(hodge.polarization)
+    return ConnectionChart(n, m, coeffs, hodge.weight, hodge.filtration_dims,
                            gram_inv_t, adj, chart.variables)
 
 
 def _integer_adjugate(q):
-    m = len(q)
+    """The adjugate of an integer matrix over the gcd of its entries:
+    sign(det q) times the primitive integer form of q^-1."""
     fr = [[Fraction(x) for x in row] for row in q]
-    adj = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            minor = [r[:i] + r[i + 1:] for k, r in enumerate(fr) if k != j]
-            cof = linalg.det(minor) if minor else Fraction(1)
-            row.append(cof if (i + j) % 2 == 0 else -cof)
-        adj.append(row)
-    g = 0
-    for row in adj:
-        for x in row:
-            g = math.gcd(g, int(x))
-    g = g or 1
-    return [[int(x) // g for x in row] for row in adj]
+    inv = linalg.invert(fr)
+    den = math.lcm(*(x.denominator for row in inv for x in row))
+    nums = [[x.numerator * (den // x.denominator) for x in row] for row in inv]
+    g = math.gcd(*(x for row in nums for x in row))
+    if linalg.det(fr) < 0:
+        g = -g
+    return [[x // g for x in row] for row in nums]
 
 
 def scalar_ode(chart):
@@ -621,8 +610,6 @@ def normalize_poly_triple(p2, p1, p0):
     """Clear denominators of three rational functions in one variable and
     return primitive integer polynomials with p2's leading coefficient
     positive."""
-    from .ratfunc import _univ_divmod, _univ_gcd
-
     dens = [p.den for p in (p2, p1, p0)]
     lcm = dens[0]
     for dpoly in dens[1:]:

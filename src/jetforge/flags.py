@@ -167,7 +167,7 @@ def select_chart(hodge, constant_matrix):
     return FlagChart(pivot_sets)
 
 
-def flag_of_matrix(hodge, matrix, chart=None):
+def flag_of_matrix(hodge, matrix):
     """The flag jet spanned by the leading columns of a matrix jet.
 
     Step k of the flag is spanned by the first (dim of step k) columns; the
@@ -181,8 +181,7 @@ def flag_of_matrix(hodge, matrix, chart=None):
     sizes = hodge.step_sizes()
     if not sizes:
         return FlagJet(hodge, FlagChart([]), {}, jet.dims, jet.order)
-    if chart is None:
-        chart = select_chart(hodge, jet.constant_matrix())
+    chart = select_chart(hodge, jet.constant_matrix())
     columns = chart.columns()
     coords = {}
     done = 0
@@ -209,11 +208,7 @@ def check_hr1(hodge, flag):
         return True
     d, r = flag.dims, flag.order
     q = hodge.polarization
-    for p in range(1, hodge.weight + 1):
-        left = hodge.dim_of_level(p)
-        right = hodge.dim_of_level(hodge.weight + 1 - p)
-        if left == 0 or right == 0:
-            continue
+    for left, right in hodge.complementary_steps():
         for a in range(left):
             for b in range(right):
                 acc = TruncatedSeries.zero(d, r)
@@ -230,10 +225,7 @@ def gram_obeys_first_relation(chart):
     """Whether the chart's Gram matrix vanishes identically on complementary
     filtration blocks (the pattern that makes the containment of period-map
     jets in the first-relation locus a theorem for this chart)."""
-    hodge = chart.hodge
-    for p in range(1, hodge.weight + 1):
-        left = hodge.dim_of_level(p)
-        right = hodge.dim_of_level(hodge.weight + 1 - p)
+    for left, right in chart.hodge.complementary_steps():
         for i in range(left):
             for k in range(right):
                 if chart.gram[i][k]:
@@ -246,7 +238,7 @@ def check_fv(chart, point, matrix):
     gram = chart.gram_at(point)
     lhs = linalg.mat_mul(linalg.transpose(matrix),
                          linalg.mat_mul(gram, matrix))
-    target = [[Fraction(x) for x in row] for row in chart.polarization]
+    target = [[Fraction(x) for x in row] for row in chart.hodge.polarization]
     return linalg.mat_eq(lhs, target)
 
 
@@ -295,7 +287,7 @@ def alpha(chart, sigma, matrix, table=None):
     return flag_of_matrix(chart.hodge, inverse)
 
 
-def eta_chartlocal(chart, sigma, bound=6, table=None):
+def eta_chartlocal(chart, sigma, table=None):
     """Canonical orbit witness above a base jet.
 
     Picks a rational matrix M* with M*^T Gram(s) M* = Q by exact congruence
@@ -309,8 +301,8 @@ def eta_chartlocal(chart, sigma, bound=6, table=None):
     s = sigma.basepoint()
     chart.assert_regular(s)
     gram = chart.gram_at(s)
-    target = [[int(x) for x in row] for row in chart.polarization]
-    mstar = solve_congruence(gram, target, chart.weight, bound=bound)
+    hodge = chart.hodge
+    mstar = solve_congruence(gram, hodge.polarization, hodge.weight)
     if mstar is None:
         raise NoRationalFvPoint(
             f"Gram at {s} is not rationally congruent to the lattice form "
@@ -319,11 +311,11 @@ def eta_chartlocal(chart, sigma, bound=6, table=None):
     return EtaWitness(point, alpha(chart, sigma, mstar, table=table))
 
 
-def weight1_positivity(polarization, column, tol=1e-9):
+def weight1_positivity(polarization, column):
     """Floating-point positivity probe at a base point, weight one only.
 
     Takes a complex column spanning the deepest step and checks that
-    i * Q(w, conj(w)) is positive within tolerance.  This is the only
+    i * Q(w, conj(w)) exceeds 1e-9.  This is the only
     non-exact routine in the package and is segregated from the exact suite.
     """
     w = [complex(x) for x in column]
@@ -332,4 +324,4 @@ def weight1_positivity(polarization, column, tol=1e-9):
         for j, wj in enumerate(w):
             if polarization[i][j]:
                 value += wi * polarization[i][j] * wj.conjugate()
-    return (1j * value).real > tol
+    return (1j * value).real > 1e-9

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .connection import ConnectionChart, MatrixJet
 from .errors import InputError
 from .flags import FlagChart, FlagJet, HodgeData
-from .poly import Polynomial
+from .poly import Polynomial, default_names
 from .ratfunc import RationalFunction
 from .scheme import AffineMap, AffineScheme
 from .series import JetPoint, TruncatedSeries
@@ -125,7 +125,7 @@ def matrixjet_to_json(jet):
             "entries": [[s.to_string() for s in row] for row in jet.entries]}
 
 
-def matrixjet_from_json(data, require_invertible=True):
+def matrixjet_from_json(data):
     try:
         d, r = _int(data["d"]), _int(data["r"])
         rows = data["entries"]
@@ -136,7 +136,7 @@ def matrixjet_from_json(data, require_invertible=True):
         raise InputError("matrix jet entries must be a non-empty list of rows")
     entries = [[TruncatedSeries.from_string(s, d, r) for s in row]
                for row in rows]
-    return MatrixJet(entries, require_invertible=require_invertible)
+    return MatrixJet(entries)
 
 
 # -- schemes and maps, ambient and in jet coordinates ---------------------------
@@ -150,8 +150,8 @@ def scheme_to_json(scheme):
 def scheme_from_json(data):
     try:
         n = _int(data["n"])
-        names = _names(data.get("variables")
-                       or [f"x{i + 1}" for i in range(n)], "variables")
+        names = _names(data.get("variables") or default_names(n),
+                       "variables")
         gens = _strings(data.get("generators", []), "generators")
     except (KeyError, TypeError, ValueError):
         raise InputError("a scheme needs n and generators") from None
@@ -162,7 +162,7 @@ def scheme_from_json(data):
 
 
 def affine_map_to_json(amap, names=None):
-    names = names or [f"x{i + 1}" for i in range(amap.n)]
+    names = names or default_names(amap.n)
     return {"n": amap.n, "m": amap.m, "variables": list(names),
             "components": [c.to_string(names) for c in amap.components]}
 
@@ -170,8 +170,8 @@ def affine_map_to_json(amap, names=None):
 def affine_map_from_json(data):
     try:
         n, m = _int(data["n"]), _int(data["m"])
-        names = _names(data.get("variables")
-                       or [f"x{i + 1}" for i in range(n)], "variables")
+        names = _names(data.get("variables") or default_names(n),
+                       "variables")
         comps = _strings(data["components"], "components")
     except (KeyError, TypeError, ValueError):
         raise InputError("a map needs n, m and components") from None
@@ -238,10 +238,8 @@ def _rf_from_json(data, names):
 def chart_to_json(chart, examples=None):
     names = list(chart.variables)
     data = {
+        **hodge_to_json(chart.hodge),
         "n": chart.n,
-        "m": chart.m,
-        "weight": chart.weight,
-        "filtration_dims": list(chart.filtration_dims),
         "variables": names,
         "connection": [[[_rf_to_json(chart.coeffs[i][j][l], names)
                          for l in range(chart.n)]
@@ -250,7 +248,6 @@ def chart_to_json(chart, examples=None):
         "gram": [[_rf_to_json(chart.gram[i][k], names)
                   for k in range(chart.m)]
                  for i in range(chart.m)],
-        "polarization": [list(row) for row in chart.polarization],
     }
     if examples:
         data["examples"] = {name: point_to_json(pt)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import (ArityMismatch, BasepointNotOnScheme, OrderMismatch,
                      OrderTooLow)
-from .poly import Polynomial, graded_monomials
+from .poly import Polynomial, default_names, graded_monomials
 from .series import JetPoint, TruncatedSeries, series_compose, taylor_weights
 
 
@@ -40,7 +40,7 @@ class AffineScheme:
 
     def __init__(self, n, equations, names=None):
         equations = tuple(equations)
-        names = tuple(names) if names else tuple(f"x{i + 1}" for i in range(n))
+        names = tuple(names or default_names(n))
         if len(names) != n:
             raise ArityMismatch(f"{len(names)} variable names, ambient "
                                 f"dimension {n}")
@@ -122,7 +122,7 @@ class AffineMap:
 def jet_variable_names(n, d, r, names=None):
     """Names of the n*ell jet coordinates, component outside, monomial inside."""
     mons = graded_monomials(d, r)
-    names = names or [f"x{i + 1}" for i in range(n)]
+    names = names or default_names(n)
     out = []
     for i in range(n):
         for p in mons:
@@ -192,11 +192,17 @@ def _taylor_compose(f, sigma):
     base_index = [i * ell for i in range(n)]
     weight = taylor_weights(sigma.offsets())
     result = TruncatedSeries.zero(sigma.dims, r)
+    # d_q f is one derivative of d_p f, p = q - e_l with l the lowest index
+    # where q_l > 0; graded order reaches p first
+    partials = {}
     for q in graded_monomials(n, r):
-        part = f
-        for i, e in enumerate(q):
-            for _ in range(e):
-                part = part.derivative(i)
+        if any(q):
+            l = next(i for i, e in enumerate(q) if e)
+            prev = q[:l] + (q[l] - 1,) + q[l + 1:]
+            part = partials[prev].derivative(l)
+        else:
+            part = f
+        partials[q] = part
         if part.is_zero():
             continue
         result = result + weight(q).scale(part.rename_into(n * ell, base_index))
@@ -365,24 +371,31 @@ def dimension_witness(scheme, point, d, r_max, parametrizations=()):
         else [[Fraction(1 if j == i else 0) for j in range(scheme.n)]
               for i in range(scheme.n)]
     report = WitnessReport(d=d, r_max=r_max, tangent_dim=len(kernel))
+    # each parametrization is prolonged once, at r_max, and restricted to r
+    prolonged = [_prolong_parametrization(param, d, r_max, point)
+                 for param in parametrizations if r_max >= 1]
+    prolonged = [jet for jet in prolonged if jet is not None]
+    # the kernel jet is lifted once per order, as far as some r needs it
+    lifted = None
+    if len(kernel) >= d:
+        lifted = JetPoint([
+            TruncatedSeries(d, 1, {
+                (0,) * d: point[i],
+                **{tuple(1 if b == a else 0 for b in range(d)):
+                   kernel[a][i] for a in range(d)},
+            }) for i in range(scheme.n)])
+        if not is_nondegenerate(lifted):
+            lifted = None
     for r in range(1, r_max + 1):
         found = None
-        for param in parametrizations:
-            jet = _prolong_parametrization(param, d, r, point)
-            if jet is not None and jet_membership(scheme, jet) \
-                    and is_nondegenerate(jet):
+        for full in prolonged:
+            jet = full.restrict(r)
+            if jet_membership(scheme, jet) and is_nondegenerate(jet):
                 found = jet
                 break
-        if found is None and len(kernel) >= d:
-            base = JetPoint([
-                TruncatedSeries(d, 1, {
-                    (0,) * d: point[i],
-                    **{tuple(1 if b == a else 0 for b in range(d)):
-                       kernel[a][i] for a in range(d)},
-                }) for i in range(scheme.n)])
-            if is_nondegenerate(base):
-                found = base
-                while found is not None and found.order < r:
-                    found = _lift_once(scheme, found)
+        if found is None:
+            while lifted is not None and lifted.order < r:
+                lifted = _lift_once(scheme, lifted)
+            found = lifted
         report.witnesses[r] = found
     return report

@@ -18,12 +18,15 @@ from fractions import Fraction
 from . import linalg
 from .connection import (ConnectionChart, beta, build_xi, check_flatness,
                          check_right_equivariance, series_oracle)
-from .flags import alpha, check_fv, check_hr1
+from .errors import NoRationalFvPoint
+from .flags import (alpha, check_fv, check_hr1, eta_chartlocal,
+                    gram_obeys_first_relation)
 from .poly import Polynomial, graded_monomials
 from .ratfunc import RationalFunction
 from .scheme import (AffineMap, AffineScheme, apply_prolonged, is_compatible,
-                     jet_membership, jet_prolong, jet_prolong_universal,
-                     jet_space_equations, jet_space_equations_universal)
+                     is_nondegenerate, jet_membership, jet_prolong,
+                     jet_prolong_universal, jet_space_equations,
+                     jet_space_equations_universal)
 from .series import JetPoint, TruncatedSeries, series_compose
 
 
@@ -63,18 +66,15 @@ class SuiteReport:
 
 # -- random generators -------------------------------------------------------
 
-def rand_fraction(rng, num=4, den=3, allow_zero=True):
-    value = Fraction(rng.randint(-num, num), rng.randint(1, den))
-    if not allow_zero and value == 0:
-        value = Fraction(1)
-    return value
+def rand_fraction(rng, num=4, den=3):
+    return Fraction(rng.randint(-num, num), rng.randint(1, den))
 
 
-def rand_poly(rng, arity, degree, density=0.6, num=3, den=2):
+def rand_poly(rng, arity, degree, density=0.6):
     terms = {}
     for mono in graded_monomials(arity, degree):
         if rng.random() < density:
-            c = rand_fraction(rng, num, den)
+            c = rand_fraction(rng, 3, 2)
             if c:
                 terms[mono] = c
     return Polynomial(arity, terms)
@@ -177,8 +177,8 @@ def random_n1_chart(rng, m):
                                for i in range(m)], "free")
 
 
-def random_point(rng, chart, tries=60):
-    for _ in range(tries):
+def random_point(rng, chart):
+    for _ in range(60):
         point = tuple(rand_fraction(rng, 3, 2) for _ in range(chart.n))
         try:
             chart.assert_regular(point)
@@ -188,15 +188,15 @@ def random_point(rng, chart, tries=60):
     raise RuntimeError("could not find a regular base point")
 
 
-def random_jet(rng, chart, d, r, basepoint=None, density=0.7):
-    basepoint = basepoint if basepoint is not None else random_point(rng, chart)
+def random_jet(rng, chart, d, r):
+    basepoint = random_point(rng, chart)
     series = []
     for l in range(chart.n):
         coeffs = {(0,) * d: basepoint[l]}
         for mono in graded_monomials(d, r):
             if sum(mono) == 0:
                 continue
-            if rng.random() < density:
+            if rng.random() < 0.7:
                 coeffs[mono] = rand_fraction(rng, 3, 2)
         series.append(TruncatedSeries(d, r, coeffs))
     return JetPoint(series)
@@ -345,7 +345,6 @@ def run_tower_suite(seed, count=40):
             report.add(f"membership{case}[d={d},r={r}]", ok)
         else:
             # constructed tangent ranks
-            from .scheme import is_nondegenerate
             n = rng.randint(d, 3)
             rows = [[Fraction(1 if i == a else 0) for i in range(n)]
                     for a in range(d)]
@@ -403,8 +402,6 @@ def verify_connection(chart, max_order=4, seed=0, cases=12):
     the chart does not satisfy that hypothesis the suite is reported as
     skipped rather than failed.
     """
-    from .congruence import solve_congruence
-    from .flags import gram_obeys_first_relation
     rng = random.Random(seed)
     suites = _frame_suites()
     hr1 = SuiteReport("hr1_containment")
@@ -416,15 +413,12 @@ def verify_connection(chart, max_order=4, seed=0, cases=12):
         sigma, table = _check_frame_case(rng, chart, d, r, name, suites)
         if not hr1_applicable:
             continue
-        point = sigma.basepoint()
-        gram = chart.gram_at(point)
-        target = [[int(x) for x in row] for row in chart.polarization]
-        mstar = solve_congruence(gram, target, chart.weight)
-        if mstar is None:
+        try:
+            witness = eta_chartlocal(chart, sigma, table=table)
+        except NoRationalFvPoint:
             hr1.add(name, True, "no rational torsor point above this base")
             continue
-        flag = alpha(chart, sigma, mstar, table=table)
-        hr1.add(name, check_hr1(chart.hodge, flag))
+        hr1.add(name, check_hr1(chart.hodge, witness.flag))
     reports = [*suites.values(), hr1]
     report = {
         "seed": seed,

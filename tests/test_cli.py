@@ -262,6 +262,16 @@ class TestFrameCommands:
                     flag.strip(), "--expect", "true"]) == 0
         assert out_json(capsys) == {"hr1": True}
 
+    def test_singular_initial_exit_three(self, legendre_file, capsys):
+        # beta checks the initial matrix, for alpha too
+        jet = json.dumps({"d": 1, "r": 2, "series": ["1/2 + 1 * t1^1"]})
+        for command in ("beta", "alpha"):
+            assert run([command, "--connection", legendre_file, "--jet", jet,
+                        "--init", "[[1, 1], [1, 1]]"]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "singular" in captured.err
+
     def test_singular_point_exit_three(self, legendre_file, capsys):
         jet = json.dumps({"d": 1, "r": 2, "series": ["1 * t1^1"]})
         assert run(["beta", "--connection", legendre_file, "--jet", jet]) == 3

@@ -263,8 +263,7 @@ class TestOracleAgreement:
         frame = beta(chart, sigma, m)
         base = beta(chart, sigma, la.identity(2))
         assert frame == base * m
-        assert frame != MatrixJet(la.mat_mul(m, base.entries),
-                                  require_invertible=False)
+        assert frame != MatrixJet(la.mat_mul(m, base.entries))
 
     def test_oracle_is_linear_in_the_initial_matrix(self):
         rng = random.Random(14)
@@ -277,8 +276,7 @@ class TestOracleAgreement:
             a, b = Fraction(3, 2), Fraction(-2)
             mixed = [[a * m1[i][j] + b * m2[i][j] for j in range(2)]
                      for i in range(2)]
-            left = series_oracle(rc.chart, sigma, mixed,
-                                 require_invertible=False)
+            left = series_oracle(rc.chart, sigma, mixed)
             f1 = series_oracle(rc.chart, sigma, m1)
             f2 = series_oracle(rc.chart, sigma, m2)
             for j in range(2):
@@ -371,10 +369,14 @@ class TestMatrixJetInversion:
         assert matrixjet_invert(matrixjet_invert(jet)) == jet
 
     def test_singular_initial(self):
-        jet = MatrixJet([[TruncatedSeries(1, 1, {(1,): 1})]],
-                        require_invertible=False)
+        # a matrix jet may have a singular constant term; its inverse may not
+        jet = MatrixJet([[TruncatedSeries(1, 1, {(1,): 1})]])
         with pytest.raises(SingularInitial):
             matrixjet_invert(jet)
+        ones = MatrixJet.from_constant([[1, 1], [1, 1]], 2, 1)
+        assert ones.constant_matrix() == [[1, 1], [1, 1]]
+        with pytest.raises(SingularInitial):
+            matrixjet_invert(ones)
 
 
 class TestScalarElimination:

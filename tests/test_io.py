@@ -85,7 +85,7 @@ def test_chart_round_trip_is_bit_exact():
             for j in range(chart.m):
                 for l in range(chart.n):
                     assert again.coeffs[i][j][l] == chart.coeffs[i][j][l]
-        assert again.polarization == chart.polarization
+        assert again.hodge == chart.hodge
 
 
 def test_random_two_variable_chart_round_trip():

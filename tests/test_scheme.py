@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import jetforge.scheme as scheme_module
 from jetforge.errors import (ArityMismatch, BasepointNotOnScheme,
                              OrderMismatch, OrderTooLow)
 from jetforge.poly import Polynomial, graded_monomials
@@ -137,6 +138,22 @@ class TestUniversalRoutes:
     def test_randomized_suite(self):
         report = run_universal_route_suite(seed=55, count=16)
         assert report.ok, [c.name for c in report.failures]
+
+    def test_each_taylor_partial_is_one_derivative_of_its_parent(
+            self, monkeypatch):
+        # 34 monomials q with 0 < |q| <= 4 in 3 variables, one derivative
+        # each
+        calls = []
+        derivative = Polynomial.derivative
+
+        def counted(self, index):
+            calls.append(index)
+            return derivative(self, index)
+
+        cubic = Polynomial(3, {q: 1 for q in graded_monomials(3, 3)})
+        monkeypatch.setattr(Polynomial, "derivative", counted)
+        jet_prolong_universal(AffineMap(3, 1, [cubic]), 2, 4)
+        assert len(calls) == 34
 
     def test_jet_space_of_a_jet_space(self):
         # J_1(circle) is an affine scheme, so it has jets of its own
@@ -297,10 +314,28 @@ class TestDimensionWitness:
             jet = report.witnesses[r]
             assert jet_membership(circle_scheme(), jet)
             assert is_nondegenerate(jet)
+            assert jet == report.witnesses[8].restrict(r)
 
     def test_circle_lifting_route(self):
         report = dimension_witness(circle_scheme(), (1, 0), 1, 8)
         assert report.found_through() == 8
+
+    def test_lifted_witness_lifts_once_per_order(self, monkeypatch):
+        # orders 1..12 from one order-1 kernel jet: one lift per order
+        calls = []
+        lift_once = scheme_module._lift_once
+
+        def counted(scheme, jet):
+            calls.append(jet.order)
+            return lift_once(scheme, jet)
+
+        monkeypatch.setattr(scheme_module, "_lift_once", counted)
+        report = dimension_witness(circle_scheme(),
+                                   (Fraction(3, 5), Fraction(4, 5)), 1, 12)
+        assert calls == list(range(1, 12))
+        assert report.found_through() == 12
+        for r in range(1, 12):
+            assert report.witnesses[r + 1].restrict(r) == report.witnesses[r]
 
     def test_no_surface_in_a_curve(self):
         report = dimension_witness(circle_scheme(), (1, 0), 2, 1)
