@@ -367,19 +367,12 @@ def _local_gammas(chart, order, point):
                  for row in chart.a_matrix(l)] for l in range(n)]
 
     def step(gamma, l, k):
-        """d_l gamma + gamma A_l at order k, skipping zero products."""
-        a_low = [[(i, s.restrict(k)) for i, s in enumerate(row)
-                  if not s.is_zero()] for row in a_series[l]]
-        out = []
-        for row in gamma:
-            new = [s.derive(l).restrict(k) for s in row]
-            for g, a_row in zip(row, a_low):
-                if not g.is_zero():
-                    g = g.restrict(k)
-                    for i, a in a_row:
-                        new[i] = new[i] + g * a
-            out.append(new)
-        return out
+        """d_l gamma + gamma A_l at order k."""
+        return linalg.mat_add(
+            [[s.derive(l).restrict(k) for s in row] for row in gamma],
+            linalg.mat_mul([[s.restrict(k) for s in row] for row in gamma],
+                           [[s.restrict(k) for s in row]
+                            for row in a_series[l]]))
 
     one = TruncatedSeries.one(n, order)
     gammas = {(0,) * n: [[one if i == j else zero for i in range(m)]
@@ -525,28 +518,19 @@ def check_flatness(chart, sigma, frame_jet):
     d, r = sigma.dims, sigma.order
     if r == 0:
         return True
-    m = chart.m
-    pullback = [[[None] * d for _ in range(m)] for _ in range(m)]
-    dsigma = [[sigma.series[l].derive(a) for a in range(d)]
-              for l in range(chart.n)]
-    for i in range(m):
-        for j in range(m):
-            along = [rf.eval_on_jet(sigma) if rf else None
-                     for rf in chart.coeffs[i][j]]
-            for a in range(d):
-                acc = TruncatedSeries.zero(d, r)
-                for l in range(chart.n):
-                    if along[l] is not None:
-                        acc = acc + along[l] * dsigma[l][a]
-                pullback[i][j][a] = acc
+    zero = TruncatedSeries.zero(d, r)
+    jacobian = [[s.derive(a) for a in range(d)] for s in sigma.series]
+    # forms[i][j][a]: the dt_a component of the pullback of c_ij along sigma
+    forms = [[linalg.mat_mul([[rf.eval_on_jet(sigma) if rf else zero
+                               for rf in entry]], jacobian)[0]
+              for entry in row] for row in chart.coeffs]
+    frame = frame_jet.entries
     for a in range(d):
-        for j in range(m):
-            for k in range(m):
-                lhs = frame_jet.entry(j, k).derive(a)
-                for i in range(m):
-                    lhs = lhs + frame_jet.entry(i, k) * pullback[i][j][a]
-                if not lhs.restrict(r - 1).is_zero():
-                    return False
+        pulled_t = [[row[j][a] for row in forms] for j in range(chart.m)]
+        lhs = linalg.mat_add([[s.derive(a) for s in row] for row in frame],
+                             linalg.mat_mul(pulled_t, frame))
+        if any(s.restrict(r - 1) for row in lhs for s in row):
+            return False
     return True
 
 

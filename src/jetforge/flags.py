@@ -206,19 +206,10 @@ def check_hr1(hodge, flag):
     rep = flag.representative()
     if not rep or not rep[0]:
         return True
-    d, r = flag.dims, flag.order
-    q = hodge.polarization
-    for left, right in hodge.complementary_steps():
-        for a in range(left):
-            for b in range(right):
-                acc = TruncatedSeries.zero(d, r)
-                for i in range(hodge.m):
-                    for j in range(hodge.m):
-                        if q[i][j]:
-                            acc = acc + rep[i][a] * rep[j][b] * Fraction(q[i][j])
-                if not acc.is_zero():
-                    return False
-    return True
+    pairing = linalg.mat_mul(linalg.transpose(rep),
+                             linalg.mat_mul(hodge.polarization, rep))
+    return not any(pairing[a][b] for left, right in hodge.complementary_steps()
+                   for a in range(left) for b in range(right))
 
 
 def gram_obeys_first_relation(chart):

@@ -2,7 +2,11 @@
 
 Over any commutative ring (Fractions, polynomials, truncated series):
 `transpose`, `mat_mul`, `mat_add`, `mat_eq`, `det` (cofactor expansion,
-division-free) and `unipotent_inverse`, the one Neumann sum.
+division-free) and `unipotent_inverse`, the one Neumann sum.  `mat_mul` is
+the one matrix product: it skips every term with a falsy factor, and an
+entry whose terms are all skipped is the product of its first pair, so it
+is a zero of the right ring and shape without the caller passing one in.
+Entries may not be None.
 
 Over any field whose elements support +, -, *, truth testing and `1 / x`
 (Fractions, rational functions): `invert` and the Gauss-Jordan elimination
@@ -29,16 +33,23 @@ def transpose(a):
 
 
 def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
+    """The product a b, forming no term with a falsy factor.
+
+    An entry whose terms are all skipped is the product of its first pair,
+    a zero of the operands' ring and shape.
+    """
+    cols = range(len(b[0]))
     out = []
-    for i in range(rows):
-        arow = a[i]
+    for arow in a:
+        terms = [(x, brow) for x, brow in zip(arow, b) if x]
         row = []
-        for j in range(cols):
-            acc = arow[0] * b[0][j]
-            for k in range(1, inner):
-                acc = acc + arow[k] * b[k][j]
-            row.append(acc)
+        for j in cols:
+            acc = None
+            for x, brow in terms:
+                y = brow[j]
+                if y:
+                    acc = x * y if acc is None else acc + x * y
+            row.append(arow[0] * b[0][j] if acc is None else acc)
         out.append(row)
     return out
 
