@@ -219,8 +219,11 @@ def _cmd_verify(args):
     _emit(report)
     for suite in report["suites"]:
         status = "ok" if not suite["failed"] else "FAILED"
+        unchecked = suite.get("unchecked")
+        extra = f", {len(unchecked)} unchecked ({', '.join(unchecked)})" \
+            if unchecked else ""
         print(f"{suite['suite']}: {suite['cases']} cases, "
-              f"{suite['failed']} failed [{status}]", file=sys.stderr)
+              f"{suite['failed']} failed{extra} [{status}]", file=sys.stderr)
     return EXIT_OK if report["ok"] else EXIT_FALSE
 
 

@@ -204,6 +204,21 @@ def _match_symmetric(g, targets):
     return linalg.mat_mul(p, cols)
 
 
+def _same_det_class(g, q):
+    """Whether det g / det q is a rational square, as congruence requires."""
+    return is_square(Fraction(linalg.det(g)) / linalg.det(q))
+
+
+def miss_is_proof(g, q, weight):
+    """Whether a None from `solve_congruence` proves g and q non-congruent.
+
+    It does for alternating forms, for forms of size two or less and when
+    the determinant classes differ; otherwise the bounded search only ran
+    out of directions.
+    """
+    return bool(weight % 2) or len(g) <= 2 or not _same_det_class(g, q)
+
+
 def solve_congruence(g, q, weight):
     """A rational matrix M with M^T g M = q, or None.
 
@@ -222,9 +237,7 @@ def solve_congruence(g, q, weight):
         pq = darboux_basis(qfr)
         result = linalg.mat_mul(pg, linalg.invert(pq))
     else:
-        detg = linalg.det(gfr)
-        detq = linalg.det(qfr)
-        if not is_square(detg / detq):
+        if not _same_det_class(gfr, qfr):
             return None
         r, b = diagonalize_symmetric(qfr)
         x = _match_symmetric(gfr, b)

@@ -35,7 +35,7 @@ from itertools import combinations
 from . import linalg
 from .errors import (ArityMismatch, DimensionMismatch, NonIntegrable,
                      SingularInitial, SingularPoint)
-from .poly import graded_monomials, primitive_parts
+from .poly import default_names, graded_monomials, primitive_parts
 from .ratfunc import RationalFunction, _univ_divmod, _univ_gcd
 from .series import JetPoint, TruncatedSeries, taylor_weights
 
@@ -142,8 +142,8 @@ class ConnectionChart:
                            tuple(tuple(tuple(e) for e in row) for row in coeffs))
         object.__setattr__(self, "hodge", hodge)
         object.__setattr__(self, "gram", tuple(tuple(row) for row in gram))
-        object.__setattr__(self, "variables", tuple(variables) if variables
-                           else tuple(f"z{i + 1}" for i in range(n)))
+        object.__setattr__(self, "variables",
+                           tuple(variables or default_names(n, "z")))
         # the solver works with A_l = - C_l^T acting on the left of f
         a_mats = []
         for l in range(n):

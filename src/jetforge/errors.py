@@ -53,6 +53,11 @@ class NoRationalFvPoint(JetforgeError):
     """The Gram matrix at this point is not rationally congruent to the lattice form."""
 
 
+class CongruenceSearchExhausted(NoRationalFvPoint):
+    """The bounded congruence search found no torsor point; unlike its base
+    class, this proves nothing about congruence."""
+
+
 class BasepointNotOnScheme(JetforgeError):
     """The supplied base point does not satisfy the scheme's equations."""
 

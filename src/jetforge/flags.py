@@ -21,11 +21,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .congruence import solve_congruence
+from .congruence import miss_is_proof, solve_congruence
 # HodgeData lives with the charts that hold it; it stays importable here
 from .connection import (HodgeData, MatrixJet, beta, invert_series_matrix,
                          matrixjet_invert)
-from .errors import ArityMismatch, NoRationalFvPoint, NoValidChart
+from .errors import (ArityMismatch, CongruenceSearchExhausted,
+                     NoRationalFvPoint, NoValidChart)
 from .series import TruncatedSeries
 
 
@@ -284,10 +285,11 @@ def eta_chartlocal(chart, sigma, table=None):
     Picks a rational matrix M* with M*^T Gram(s) M* = Q by exact congruence
     solving (closed form for alternating pairings, descent for symmetric
     pairs of size two, bounded search above) and returns the torsor point
-    together with alpha at M*.  Raises NoRationalFvPoint when the search
-    certifies failure or exhausts its bound.  Two jets map to the same orbit
-    exactly when their witnesses differ by a symmetry of the lattice form;
-    deciding that relation is out of scope here.
+    together with alpha at M*.  Raises NoRationalFvPoint when no rational
+    torsor point exists, and its subclass CongruenceSearchExhausted when the
+    bounded search found none without proving that.  Two jets map to the
+    same orbit exactly when their witnesses differ by a symmetry of the
+    lattice form; deciding that relation is out of scope here.
     """
     s = sigma.basepoint()
     chart.assert_regular(s)
@@ -295,9 +297,11 @@ def eta_chartlocal(chart, sigma, table=None):
     hodge = chart.hodge
     mstar = solve_congruence(gram, hodge.polarization, hodge.weight)
     if mstar is None:
+        if not miss_is_proof(gram, hodge.polarization, hodge.weight):
+            raise CongruenceSearchExhausted(
+                f"the bounded search found no torsor point above {s}")
         raise NoRationalFvPoint(
-            f"Gram at {s} is not rationally congruent to the lattice form "
-            "(or the bounded search failed)")
+            f"Gram at {s} is not rationally congruent to the lattice form")
     point = TorsorPoint(sigma, mstar)
     return EtaWitness(point, alpha(chart, sigma, mstar, table=table))
 

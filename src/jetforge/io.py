@@ -45,10 +45,6 @@ def point_from_json(data):
     return tuple(fraction_from_str(x) for x in data)
 
 
-def matrix_to_json(matrix):
-    return [[fraction_to_str(x) for x in row] for row in matrix]
-
-
 def _is_rows(data):
     return isinstance(data, list) and bool(data) \
         and all(isinstance(row, list) for row in data)
@@ -150,7 +146,7 @@ def scheme_to_json(scheme):
 def scheme_from_json(data):
     try:
         n = _int(data["n"])
-        names = _names(data.get("variables") or default_names(n),
+        names = _names(data.get("variables") or default_names(n, "x"),
                        "variables")
         gens = _strings(data.get("generators", []), "generators")
     except (KeyError, TypeError, ValueError):
@@ -162,7 +158,7 @@ def scheme_from_json(data):
 
 
 def affine_map_to_json(amap, names=None):
-    names = names or default_names(amap.n)
+    names = names or default_names(amap.n, "x")
     return {"n": amap.n, "m": amap.m, "variables": list(names),
             "components": [c.to_string(names) for c in amap.components]}
 
@@ -170,7 +166,7 @@ def affine_map_to_json(amap, names=None):
 def affine_map_from_json(data):
     try:
         n, m = _int(data["n"]), _int(data["m"])
-        names = _names(data.get("variables") or default_names(n),
+        names = _names(data.get("variables") or default_names(n, "x"),
                        "variables")
         comps = _strings(data["components"], "components")
     except (KeyError, TypeError, ValueError):
@@ -200,7 +196,7 @@ def polysystem_from_json(data):
 def polymap_to_json(pmap, source_names=None):
     """The jet-space form of a map: source variables, target arity and
     components."""
-    names = source_names or [f"u{i + 1}" for i in range(pmap.n)]
+    names = source_names or default_names(pmap.n, "u")
     return {"source_variables": list(names),
             "target_arity": pmap.m,
             "components": [c.to_string(names) for c in pmap.components]}
@@ -263,8 +259,8 @@ def chart_from_json(data):
         conn = data["connection"]
         gram = data["gram"]
         pol = data["polarization"]
-        names = _names(data.get("variables")
-                       or [f"z{i + 1}" for i in range(n)], "variables")
+        names = _names(data.get("variables") or default_names(n, "z"),
+                       "variables")
     except (KeyError, TypeError, ValueError):
         raise InputError("malformed connection chart") from None
     if n < 1 or m < 1:

@@ -411,7 +411,7 @@ class Polynomial:
 
     def to_string(self, names=None):
         """Canonical text: graded-lex sorted terms joined by ' + '."""
-        names = names or default_names(self.arity)
+        names = names or default_names(self.arity, "x")
         if len(names) != self.arity:
             raise ArityMismatch("wrong number of variable names")
         return terms_to_string(self._table, names, "*", self._den)
@@ -524,8 +524,9 @@ def terms_to_string(terms, names, times, den=1):
     return " + ".join(parts) or "0"
 
 
-def default_names(arity):
-    return [f"x{i + 1}" for i in range(arity)]
+def default_names(arity, letter):
+    """The coordinate names letter1, ..., letter<arity>."""
+    return [f"{letter}{i + 1}" for i in range(arity)]
 
 
 def evaluate_terms(terms, values, one, den=1):

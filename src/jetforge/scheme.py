@@ -40,7 +40,7 @@ class AffineScheme:
 
     def __init__(self, n, equations, names=None):
         equations = tuple(equations)
-        names = tuple(names or default_names(n))
+        names = tuple(names or default_names(n, "x"))
         if len(names) != n:
             raise ArityMismatch(f"{len(names)} variable names, ambient "
                                 f"dimension {n}")
@@ -122,7 +122,7 @@ class AffineMap:
 def jet_variable_names(n, d, r, names=None):
     """Names of the n*ell jet coordinates, component outside, monomial inside."""
     mons = graded_monomials(d, r)
-    names = names or default_names(n)
+    names = names or default_names(n, "x")
     out = []
     for i in range(n):
         for p in mons:

@@ -28,8 +28,9 @@ from .errors import (ArityMismatch, DimensionMismatch, InputError, NotAUnit,
                      OrderIncrease)
 from .linalg import unipotent_inverse
 from .poly import (Polynomial, add_fractions, add_terms, clean_terms,
-                   derive_terms, evaluate_terms, integer_table, lowest_terms,
-                   mul_terms, pow_terms, scale_fraction, terms_to_string)
+                   default_names, derive_terms, evaluate_terms, integer_table,
+                   lowest_terms, mul_terms, pow_terms, scale_fraction,
+                   terms_to_string)
 
 
 def _ring_element(c):
@@ -295,15 +296,13 @@ class TruncatedSeries:
 
     def to_string(self):
         """Canonical text: graded-lex terms 'c * t1^e1*...' joined by ' + '."""
-        return terms_to_string(
-            self._table, [f"t{i + 1}" for i in range(self.dims)], " * ",
-            self._den or 1)
+        return terms_to_string(self._table, default_names(self.dims, "t"),
+                               " * ", self._den or 1)
 
     @classmethod
     def from_string(cls, text, dims, order):
         """Parse the canonical text (rational coefficients only)."""
-        names = [f"t{i + 1}" for i in range(dims)]
-        poly = Polynomial.from_string(text, names)
+        poly = Polynomial.from_string(text, default_names(dims, "t"))
         for p in poly._table:
             if sum(p) > order:
                 raise InputError(

@@ -12,7 +12,7 @@ from jetforge.connection import (ConnectionChart, MatrixJet, beta,
 from jetforge.errors import InputError, NonIntegrable
 from jetforge.examples import legendre_chart
 from jetforge.flags import HodgeData, alpha, flag_of_matrix
-from jetforge.linalg import identity
+from jetforge.linalg import identity, mat_mul, transpose
 from jetforge.poly import Polynomial
 from jetforge.ratfunc import RationalFunction
 from jetforge.series import JetPoint, TruncatedSeries
@@ -40,6 +40,24 @@ def rank_one_chart_file(path, a1):
     coeffs = [[[RationalFunction(-a1), zero]]]
     chart = ConnectionChart(2, 1, coeffs, 0, (1,),
                             [[RationalFunction.one(2)]], [[1]])
+    path.write_text(jio.canonical_dumps(jio.chart_to_json(chart)))
+    return str(path)
+
+
+@pytest.fixture
+def search_miss_file(tmp_path):
+    """A constant weight-2 chart, filtration (4, 3, 1), whose Gram
+    g = P^T q P is congruent to the lattice form q (a hyperbolic pair plus
+    <1, 1>) but out of reach of the bounded congruence search.  P is
+    block-triangular, so g obeys the first relation."""
+    q = [[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0]]
+    p = [[2, 0, 2, -1], [0, -1, 2, 1], [0, 2, 0, 1], [0, 0, 0, 1]]
+    gram = mat_mul(transpose(p), mat_mul(q, p))
+    zero = RationalFunction.zero(1)
+    chart = ConnectionChart(
+        1, 4, [[[zero]] * 4 for _ in range(4)], 2, (4, 3, 1),
+        [[RationalFunction.const(x, 1) for x in row] for row in gram], q)
+    path = tmp_path / "search_miss.json"
     path.write_text(jio.canonical_dumps(jio.chart_to_json(chart)))
     return str(path)
 
@@ -378,6 +396,17 @@ class TestVerify:
             assert run(["verify", "--connection", str(path), "--cases", "4",
                         "--max-order", "3"]) == 0
             assert out_json(capsys)["ok"] is True
+
+    def test_search_miss_is_unchecked_not_passed(self, search_miss_file,
+                                                 capsys):
+        assert run(["verify", "--connection", search_miss_file, "--cases",
+                    "1", "--max-order", "1"]) == 0
+        captured = capsys.readouterr()
+        hr1 = json.loads(captured.out)["suites"][-1]
+        assert hr1 == {"suite": "hr1_containment", "cases": 0, "failed": 0,
+                       "failures": [], "unchecked": ["case0[d=2,r=1]"]}
+        assert "hr1_containment: 0 cases, 0 failed, 1 unchecked " \
+            "(case0[d=2,r=1])" in captured.err
 
     def test_env_seed_override(self, legendre_file, capsys, monkeypatch):
         monkeypatch.setenv("JETFORGE_SEED", "5")

@@ -309,6 +309,19 @@ class TestOracleAgreement:
         frame = series_oracle(rc.chart, sigma, initial)
         assert check_flatness(rc.chart, sigma, frame)
 
+    def test_changed_coefficient_breaks_flatness(self):
+        rng = random.Random(16)
+        rc = random_flat_chart(rng, 2, 2)
+        sigma = random_jet(rng, rc.chart, 2, 3)
+        frame = beta(rc.chart, sigma, random_invertible(rng, 2))
+        assert check_flatness(rc.chart, sigma, frame)
+        # one degree-1 coefficient moves the t1-derivative in degree 0
+        coeffs = dict(frame.entry(1, 0).coeffs)
+        coeffs[(1, 0)] = coeffs.get((1, 0), 0) + 1
+        entries = [list(row) for row in frame.entries]
+        entries[1][0] = TruncatedSeries(2, 3, coeffs)
+        assert not check_flatness(rc.chart, sigma, MatrixJet(entries))
+
 
 class TestEquivariance:
     def test_identity_action(self):

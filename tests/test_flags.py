@@ -6,7 +6,7 @@ import pytest
 import jetforge.linalg as la
 from jetforge.connection import (MatrixJet, beta, matrixjet_invert,
                                  series_oracle)
-from jetforge.errors import NoRationalFvPoint
+from jetforge.errors import CongruenceSearchExhausted, NoRationalFvPoint
 from jetforge.examples import legendre_chart, nilpotent_chart
 from jetforge.flags import (FlagChart, FlagJet, HodgeData, TorsorPoint,
                             alpha, check_fv, check_hr1, eta_chartlocal,
@@ -171,6 +171,16 @@ class TestHr1:
         violating = flag_of_matrix(hodge, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
         assert not check_hr1(hodge, violating)
 
+    def test_pairing_that_fails_first_at_degree_one(self):
+        # the line e0 + t e1 pairs with the plane <e0 + t e1, e1> to t
+        hodge = weight2_data()
+        chart = FlagChart([(0,), (0, 1)])
+        slope = TruncatedSeries(1, 1, {(1,): 1})
+        assert check_hr1(hodge, FlagJet(hodge, chart,
+                                        {(1, 0): slope.restrict(0)}, 1, 0))
+        assert not check_hr1(hodge, FlagJet(hodge, chart, {(1, 0): slope},
+                                            1, 1))
+
     def test_alpha_lands_in_hr1_locus(self):
         rng = random.Random(9)
         for _ in range(6):
@@ -288,8 +298,10 @@ class TestEta:
             filtration_dims=(2, 1), gram=[[three, zero], [zero, three]],
             polarization=[[1, 0], [0, 1]])
         sigma = JetPoint([TruncatedSeries(1, 1, {(1,): 1})])
-        with pytest.raises(NoRationalFvPoint):
+        with pytest.raises(NoRationalFvPoint) as raised:
             eta_chartlocal(chart, sigma)
+        # the size-two decision is complete, so the miss is a proof
+        assert not isinstance(raised.value, CongruenceSearchExhausted)
 
     def test_torsor_point_validation(self):
         chart = nilpotent_chart()

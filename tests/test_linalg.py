@@ -106,3 +106,63 @@ def test_invert_reads_ints_as_fractions():
     assert all(type(x) is Fraction for row in inverse for x in row)
     with pytest.raises(ValueError, match="singular"):
         la.invert([[1, 2], [2, 4]])
+
+
+class Counted:
+    """An integer that logs each product it forms as (left, right)."""
+
+    def __init__(self, value, log):
+        self.value, self.log = value, log
+
+    def __bool__(self):
+        return bool(self.value)
+
+    def __add__(self, other):
+        return Counted(self.value + other.value, self.log)
+
+    def __mul__(self, other):
+        self.log.append((self.value, other.value))
+        return Counted(self.value * other.value, self.log)
+
+
+def integer_matrices(rows, cols):
+    entry = st.sampled_from([0, 0, 0, 1, -2, 3])
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@SETTINGS
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(
+    integer_matrices(2, k), integer_matrices(k, 3))))
+def test_mat_mul_forms_no_product_with_a_zero_factor(case):
+    a, b = case
+    log = []
+    product = la.mat_mul([[Counted(x, log) for x in row] for row in a],
+                         [[Counted(x, log) for x in row] for row in b])
+    expected = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+                for row in a]
+    assert [[x.value for x in row] for row in product] == expected
+    # only an entry with no nonzero term forms a product, its first pair
+    empty = [(row[0], col[0]) for row in a for col in zip(*b)
+             if not any(x and y for x, y in zip(row, col))]
+    nonzero = sum(bool(x and y) for row in a for col in zip(*b)
+                  for x, y in zip(row, col))
+    assert [pair for pair in log if 0 in pair] == empty
+    assert len(log) == nonzero + len(empty)
+
+
+@pytest.mark.parametrize("one,zero", [
+    (Fraction(1), Fraction(0)),
+    (Polynomial.variable(0, 2), Polynomial.zero(2)),
+    (TruncatedSeries.variable(1, 2, 3), TruncatedSeries.zero(2, 3)),
+    (TruncatedSeries.one(1, 2), Fraction(0)),
+])
+def test_an_entry_with_no_nonzero_term_is_a_zero_of_the_operands_kind(
+        one, zero):
+    [[entry]] = la.mat_mul([[one, zero]], [[zero], [one]])
+    assert not entry
+    assert type(entry) is type(one)
+    if isinstance(one, TruncatedSeries):
+        assert (entry.dims, entry.order) == (one.dims, one.order)
+    if isinstance(one, Polynomial):
+        assert entry.arity == one.arity
