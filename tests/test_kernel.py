@@ -422,7 +422,8 @@ def test_equal_polynomials_share_one_stored_form(operands):
         ((a * b).derivative(index),
          a.derivative(index) * b + a * b.derivative(index)),
         (Polynomial(a.arity, a.terms), a),
-        (Polynomial.from_string(a.to_string(), default_names(a.arity, "x")), a),
+        (Polynomial.from_string(a.to_string(), default_names(a.arity, "x")),
+         a),
     ]
     for left, right in routes:
         assert left == right

@@ -1,5 +1,5 @@
-"""The shared inverses of `linalg`: the Neumann sum over commutative rings
-and Gauss-Jordan elimination over fields."""
+"""The shared inverses of `linalg`, the Neumann sum over commutative rings
+and Gauss-Jordan elimination over fields, and its one matrix product."""
 
 from fractions import Fraction
 
