@@ -15,6 +15,7 @@ answer what library `beta` answers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -218,8 +219,13 @@ def _cmd_verify(args):
                                seed=args.seed, cases=args.cases)
     _emit(report)
     for suite in report["suites"]:
-        status = "ok" if not suite["failed"] else "FAILED"
         unchecked = suite.get("unchecked")
+        if suite["failed"]:
+            status = "FAILED"
+        elif unchecked and not suite["cases"]:
+            status = "unchecked"
+        else:
+            status = "ok"
         extra = f", {len(unchecked)} unchecked ({', '.join(unchecked)})" \
             if unchecked else ""
         print(f"{suite['suite']}: {suite['cases']} cases, "
@@ -243,7 +249,10 @@ def _cmd_example(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process; each parse still
+    returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="jetforge",
         description="exact jet spaces and jets of flat frames and local "

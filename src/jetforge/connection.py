@@ -24,13 +24,19 @@ They share the series ring and `RationalFunction.eval_on_jet`, which
 expands the coefficients (along the identity jet at the base point for
 `beta`, along sigma for the oracle), and nothing else, so their exact
 agreement is a genuine cross-check.
+
+A chart keeps one record for each of its last `_POINT_RECORDS` base points
+(see `_PointRecord`): whether `assert_regular` passed there, and the xi
+values `beta` reads there.  Many jets above one base point share that work.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from . import linalg
 from .errors import (ArityMismatch, DimensionMismatch, NonIntegrable,
@@ -102,15 +108,38 @@ class HodgeData:
             == (other.m, other.weight, other.filtration_dims, other.polarization)
 
 
+# The most base points a chart keeps a record for; the oldest goes first.
+_POINT_RECORDS = 32
+
+
+class _PointRecord(NamedTuple):
+    """What a chart knows about one base point s.
+
+    `regular` is set by `assert_regular` once every chart denominator has
+    been checked at s; `gammas` is {q: G_q(s)} for every |q| <= `order`,
+    set by `XiTable.gamma_at`.  Each field is a function of (chart, s,
+    order) alone, and a record is replaced whole, never changed in place.
+    """
+
+    regular: bool = False
+    order: int = -1
+    gammas: dict = None
+
+
+_NO_RECORD = _PointRecord()
+
+
 class ConnectionChart:
     """Connection data on one affine chart with coordinates z_1..z_n.
 
     The frame size, weight, filtration and lattice form are validated and
-    held as a HodgeData in `hodge`.
+    held as a HodgeData in `hodge`.  `_points` maps base points to their
+    `_PointRecord`, in the order they were first recorded; reads take no
+    lock, and `_lock` serializes the writes.
     """
 
     __slots__ = ("n", "m", "coeffs", "hodge", "gram", "variables",
-                 "_a_matrices")
+                 "_a_matrices", "_points", "_lock")
 
     def __init__(self, n, m, coeffs, weight, filtration_dims, gram,
                  polarization, variables=None):
@@ -150,6 +179,8 @@ class ConnectionChart:
             a_mats.append(tuple(tuple(-self.coeffs[i][j][l]
                                       for i in range(m)) for j in range(m)))
         object.__setattr__(self, "_a_matrices", tuple(a_mats))
+        object.__setattr__(self, "_points", {})
+        object.__setattr__(self, "_lock", threading.Lock())
 
     def __setattr__(self, name, value):
         raise AttributeError("ConnectionChart is immutable")
@@ -162,11 +193,25 @@ class ConnectionChart:
         return [[self.coeffs[i][j][l] for j in range(self.m)]
                 for i in range(self.m)]
 
+    def _keep(self, point, record):
+        """Store a point's record, dropping the oldest point when full."""
+        points = self._points
+        with self._lock:
+            if point not in points and len(points) >= _POINT_RECORDS:
+                del points[next(iter(points))]
+            points[point] = record
+
     def assert_regular(self, point):
-        """Raise SingularPoint if any chart denominator vanishes at the point."""
+        """Raise SingularPoint if any chart denominator vanishes at the point.
+
+        A point that passes is recorded, and returns at once next time.
+        """
         point = tuple(point)
         if len(point) != self.n:
             raise ArityMismatch("point dimension does not match the chart")
+        record = self._points.get(point, _NO_RECORD)
+        if record.regular:
+            return
         shown = "(" + ", ".join(str(x) for x in point) + ")"
         # a constant denominator is kept equal to 1 and never vanishes
         for row in self.coeffs:
@@ -179,6 +224,7 @@ class ConnectionChart:
             for rf in row:
                 if rf.den.degree() > 0 and rf.den.evaluate(point) == 0:
                     raise SingularPoint(f"gram has a pole at {shown}")
+        self._keep(point, record._replace(regular=True))
 
     def gram_at(self, point):
         return [[rf.evaluate(point) for rf in row] for row in self.gram]
@@ -308,20 +354,21 @@ class XiTable:
     by their multi-degree; the word-order independence this assumes is
     checked at each base point, through the order the jet reads.
 
-    `gamma_at(q, s)` is the value of G_q at a regular point s.  The first
-    call at s builds the values of every G_q there (see `_local_gammas`)
-    and keeps them on the table, so later calls at s, from any number of
-    `beta` calls sharing the table, reuse them.
+    `gamma_at(q, s)` is the value of G_q at a regular point s.  The values
+    of every G_q at s are built once (see `_local_gammas`) and kept in the
+    chart's record for s, so later calls at s, from this table or any
+    other table of the chart whose order is not higher, reuse them.  A
+    table of higher order rebuilds them at its own order, which also
+    decides integrability through that order minus two.
     """
 
-    __slots__ = ("chart", "order", "table", "_local")
+    __slots__ = ("chart", "order", "table")
 
     def __init__(self, chart, order):
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "order", order)
         # always empty: the benchmark's den_degree_max counter still reads it
         object.__setattr__(self, "table", {})
-        object.__setattr__(self, "_local", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("XiTable is immutable")
@@ -329,18 +376,22 @@ class XiTable:
     def gamma_at(self, q, point):
         """The matrix G_q at a regular point, as rationals."""
         point = tuple(point)
-        local = self._local.get(point)
-        if local is None:
-            local = self._local[point] = _local_gammas(self.chart, self.order,
-                                                       point)
-        return [list(row) for row in local[tuple(q)]]
+        chart = self.chart
+        record = chart._points.get(point, _NO_RECORD)
+        if record.order < self.order:
+            # a build that raises NonIntegrable leaves the old record
+            record = record._replace(
+                order=self.order,
+                gammas=_local_gammas(chart, self.order, point))
+            chart._keep(point, record)
+        return [list(row) for row in record.gammas[tuple(q)]]
 
 
 def build_xi(chart, order):
     """The table of derivative forms for all multi-degrees up to order.
 
-    Does no algebra: the values at a base point are built by the table's
-    first `gamma_at` call there.
+    Does no algebra: the values at a base point are built by the first
+    `gamma_at` call there that needs this order.
     """
     return XiTable(chart, order)
 

@@ -117,7 +117,11 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        # the negation of a reduced pair is reduced: no gcd to take again
+        neg = object.__new__(RationalFunction)
+        object.__setattr__(neg, "num", -self.num)
+        object.__setattr__(neg, "den", self.den)
+        return neg
 
     def __sub__(self, other):
         other = self._coerce(other)

@@ -1,5 +1,10 @@
+import argparse
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -405,8 +410,11 @@ class TestVerify:
         hr1 = json.loads(captured.out)["suites"][-1]
         assert hr1 == {"suite": "hr1_containment", "cases": 0, "failed": 0,
                        "failures": [], "unchecked": ["case0[d=2,r=1]"]}
-        assert "hr1_containment: 0 cases, 0 failed, 1 unchecked " \
-            "(case0[d=2,r=1])" in captured.err
+        hr1_line = next(line for line in captured.err.splitlines()
+                        if line.startswith("hr1_containment"))
+        assert hr1_line == "hr1_containment: 0 cases, 0 failed, 1 " \
+            "unchecked (case0[d=2,r=1]) [unchecked]"
+        assert "[ok]" not in hr1_line
 
     def test_env_seed_override(self, legendre_file, capsys, monkeypatch):
         monkeypatch.setenv("JETFORGE_SEED", "5")
@@ -419,6 +427,46 @@ class TestVerify:
         plain = capsys.readouterr().out
         assert env_run == plain
 
+
+    def test_consecutive_runs_share_one_parser(self, legendre_file, capsys,
+                                               monkeypatch):
+        jet = json.dumps({"d": 1, "r": 3, "series": ["1/3 + 1 * t1^1"]})
+        calls = [
+            ["beta", "--connection", legendre_file, "--jet", jet],
+            ["beta", "--connection", legendre_file],
+            ["alpha", "--connection", legendre_file, "--jet", jet],
+            ["verify", "--connection", legendre_file, "--cases", "2",
+             "--max-order", "2", "--seed", "3"],
+        ]
+        monkeypatch.delenv("JETFORGE_SEED", raising=False)
+        builds = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            if kwargs.get("prog") == "jetforge":
+                builds.append(kwargs)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli.build_parser.cache_clear()
+        in_process = []
+        for argv in calls:
+            code = run(argv)
+            in_process.append((code, capsys.readouterr().out))
+        cli.build_parser.cache_clear()
+        assert len(builds) == 1
+        assert [code for code, _ in in_process] == [0, 2, 0, 0]
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        env = {key: value for key, value in os.environ.items()
+               if key != "JETFORGE_SEED"}
+        env["PYTHONPATH"] = src
+        fresh = []
+        for argv in calls:
+            done = subprocess.run([sys.executable, "-m", "jetforge.cli",
+                                   *argv], env=env, capture_output=True,
+                                  text=True)
+            fresh.append((done.returncode, done.stdout))
+        assert in_process == fresh
 
     @pytest.mark.parametrize("flag,value", [("--cases", "-1"),
                                             ("--cases", "0"),
@@ -450,7 +498,6 @@ class TestExampleExport:
         assert run(["example", "--name", "nope"]) == 2
 
     def test_export_is_byte_stable(self, capsys):
-        import pathlib
         golden = pathlib.Path(__file__).parent / "golden" / "legendre.json"
         assert run(["example", "--name", "legendre"]) == 0
         assert capsys.readouterr().out == golden.read_text()

@@ -1,6 +1,8 @@
 import json
 import pathlib
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from jetforge.connection import (ConnectionChart, MatrixJet, beta, build_xi,
 from jetforge.errors import NonIntegrable, SingularInitial, SingularPoint
 from jetforge.examples import exponential_chart, legendre_chart, \
     nilpotent_chart
+from jetforge.flags import eta_chartlocal
 from jetforge.poly import Polynomial, graded_monomials
 from jetforge.ratfunc import RationalFunction
 from jetforge.series import JetPoint, TruncatedSeries, series_compose
@@ -47,6 +50,34 @@ def line_jet(base, r, d=1):
     coeffs = {(0,) * d: Fraction(base)}
     coeffs[tuple(1 if i == 0 else 0 for i in range(d))] = Fraction(1)
     return JetPoint([TruncatedSeries(d, r, coeffs)])
+
+
+def count_builds(monkeypatch):
+    """Record the (order, point) of every `_local_gammas` call."""
+    builds = []
+    original = connection._local_gammas
+
+    def counting(chart, order, point):
+        builds.append((order, point))
+        return original(chart, order, point)
+
+    monkeypatch.setattr(connection, "_local_gammas", counting)
+    return builds
+
+
+def count_evaluations(monkeypatch, polys):
+    """Count `Polynomial.evaluate` calls on the given polynomials."""
+    calls = []
+    watched = {id(p) for p in polys}
+    original = Polynomial.evaluate
+
+    def counting(self, point):
+        if id(self) in watched:
+            calls.append(tuple(point))
+        return original(self, point)
+
+    monkeypatch.setattr(Polynomial, "evaluate", counting)
+    return calls
 
 
 class TestXiTable:
@@ -127,14 +158,7 @@ class TestXiTable:
             check(table, (x,))
 
     def test_shared_table_builds_each_point_once(self, monkeypatch):
-        builds = []
-        original = connection._local_gammas
-
-        def counting(chart, order, point):
-            builds.append(point)
-            return original(chart, order, point)
-
-        monkeypatch.setattr(connection, "_local_gammas", counting)
+        builds = count_builds(monkeypatch)
         rng = random.Random(8)
         rc = random_flat_chart(rng, 2, 2)
         table = build_xi(rc.chart, 3)
@@ -145,9 +169,132 @@ class TestXiTable:
             assert check_right_equivariance(
                 rc.chart, sigma, initial, random_invertible(rng, 2),
                 table=table)
-            assert builds.count(sigma.basepoint()) == 1
+            assert builds.count((3, sigma.basepoint())) == 1
         assert len(builds) == len(set(builds)) == 2
 
+
+
+class TestPointRecords:
+    def test_repeated_calls_at_one_point_build_and_check_once(self,
+                                                              monkeypatch):
+        chart = legendre_chart()
+        dens = [rf.den for row in chart.coeffs for entry in row
+                for rf in entry if rf.den.degree() > 0]
+        dens += [rf.den for row in chart.gram for rf in row
+                 if rf.den.degree() > 0]
+        assert len(dens) == 4
+        builds = count_builds(monkeypatch)
+        evaluations = count_evaluations(monkeypatch, dens)
+        rng = random.Random(12)
+        point = (Fraction(1, 3),)
+        for r in (4, 2, 4, 3, 0, 4):
+            coeffs = {(k,): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                      for k in range(1, r + 1)}
+            sigma = JetPoint([TruncatedSeries(1, r, {(0,): point[0],
+                                                     **coeffs})])
+            initial = random_invertible(rng, 2)
+            assert beta(chart, sigma, initial) == series_oracle(
+                chart, sigma, initial)
+            eta_chartlocal(chart, sigma)
+        assert builds == [(4, point)]
+        assert evaluations == [point] * 4
+
+    def test_higher_order_rebuilds_and_matches_a_fresh_chart(self,
+                                                             monkeypatch):
+        chart = legendre_chart()
+        builds = count_builds(monkeypatch)
+        point = Fraction(2, 7)
+        initial = [[Fraction(1), Fraction(2)], [Fraction(-1), Fraction(3)]]
+        beta(chart, line_jet(point, 2), initial)
+        assert builds == [(2, (point,))]
+        fresh = beta(legendre_chart(), line_jet(point, 5), initial)
+        del builds[:]
+        assert beta(chart, line_jet(point, 5), initial) == fresh
+        assert builds == [(5, (point,))]
+        for r in (3, 5, 0):
+            assert beta(chart, line_jet(point, r), initial) \
+                == fresh.restrict(r)
+        assert builds == [(5, (point,))]
+
+    def test_non_integrable_build_keeps_the_earlier_record(self,
+                                                          monkeypatch):
+        chart = non_integrable_chart()
+        builds = count_builds(monkeypatch)
+
+        def jet(r):
+            return JetPoint([TruncatedSeries.variable(0, 2, r),
+                             TruncatedSeries.variable(1, 2, r)])
+
+        one = [[Fraction(1)]]
+        assert beta(chart, jet(1), one) == MatrixJet.identity(1, 2, 1)
+        for _ in range(3):
+            with pytest.raises(NonIntegrable):
+                beta(chart, jet(2), one)
+            assert beta(chart, jet(1), one) == MatrixJet.identity(1, 2, 1)
+        assert builds == [(1, (0, 0))] + [(2, (0, 0))] * 3
+
+    def test_gram_pole_is_refused_every_time_and_never_recorded(
+            self, monkeypatch):
+        z = Polynomial.variable(0, 1)
+        gram = RationalFunction(Polynomial.const(1, 1), z - 1)
+        chart = ConnectionChart(1, 1, [[[RationalFunction(z)]]], 0, (1,),
+                                [[gram]], [[1]])
+        evaluations = count_evaluations(monkeypatch, [gram.den])
+        builds = count_builds(monkeypatch)
+        for r in range(3):
+            with pytest.raises(SingularPoint, match="gram"):
+                beta(chart, line_jet(1, r), [[Fraction(1)]])
+            with pytest.raises(SingularPoint, match="gram"):
+                series_oracle(chart, line_jet(1, r), [[Fraction(1)]])
+        assert evaluations == [(1,)] * 6
+        assert builds == []
+        assert chart._points == {}
+
+    def test_records_are_bounded_and_the_oldest_goes_first(self):
+        chart = legendre_chart()
+        bound = connection._POINT_RECORDS
+        points = [(Fraction(k, 97),) for k in range(2, bound + 12)]
+        for point in points:
+            beta(chart, line_jet(point[0], 1), la.identity(2))
+        assert list(chart._points) == points[-bound:]
+        for point in points[-bound:]:
+            record = chart._points[point]
+            assert record.regular and record.order == 1
+
+    def test_threads_sharing_a_chart_get_the_single_threaded_frames(self):
+        points = [Fraction(k, 101) for k in range(2, 50)]
+        initial = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(2)]]
+        reference = legendre_chart()
+        expected = {(x, r): beta(reference, line_jet(x, r), initial)
+                    for x in points for r in range(4)}
+        chart = legendre_chart()
+        results, errors = [], []
+
+        def work(offset):
+            try:
+                for i, x in enumerate(points[offset:] + points[:offset]):
+                    r = (i + offset) % 4
+                    results.append(((x, r), beta(chart, line_jet(x, r),
+                                                 initial)))
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(7 * k,))
+                       for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(results) == 4 * len(points)
+        assert all(frame == expected[key] for key, frame in results)
+        assert len(chart._points) <= connection._POINT_RECORDS
 
 class TestEvalOnJet:
     def test_polynomial_function_is_not_inverted(self, monkeypatch):

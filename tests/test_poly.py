@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+import jetforge.ratfunc as ratfunc
 from jetforge.errors import ArityMismatch, InputError
 from jetforge.poly import Polynomial, graded_monomials, monomial_key
+from jetforge.ratfunc import RationalFunction
 from jetforge.series import TruncatedSeries
 
 
@@ -152,3 +154,24 @@ def test_float_exponent_is_refused():
         Polynomial(1, {(1.5,): 1})
     with pytest.raises(TypeError):
         TruncatedSeries(1, 3, {(1.0,): 1})
+
+
+def test_negation_keeps_the_reduced_pair(monkeypatch):
+    rng = random.Random(17)
+    functions = []
+    for arity in (1, 1, 1, 2, 2, 3):
+        for _ in range(6):
+            den = rand_poly(rng, arity, 2)
+            if not den.is_zero():
+                functions.append(RationalFunction(rand_poly(rng, arity, 3),
+                                                  den))
+    assert any(f.arity == 1 and f.den.degree() > 0 for f in functions)
+
+    def refuse(a, b):
+        raise AssertionError("negation took a gcd")
+
+    expected = [RationalFunction(-f.num, f.den) for f in functions]
+    monkeypatch.setattr(ratfunc, "_univ_gcd", refuse)
+    for f, want in zip(functions, expected):
+        neg = -f
+        assert (neg.num, neg.den) == (want.num, want.den)
