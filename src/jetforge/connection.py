@@ -26,8 +26,9 @@ expands the coefficients (along the identity jet at the base point for
 agreement is a genuine cross-check.
 
 A chart keeps one record for each of its last `_POINT_RECORDS` base points
-(see `_PointRecord`): whether `assert_regular` passed there, and the xi
-values `beta` reads there.  Many jets above one base point share that work.
+(see `_PointRecord`): whether `assert_regular` passed there, the xi values
+`beta` reads there and the torsor point `eta_chartlocal` found there.  Many
+jets above one base point share that work.
 """
 
 from __future__ import annotations
@@ -117,13 +118,18 @@ class _PointRecord(NamedTuple):
 
     `regular` is set by `assert_regular` once every chart denominator has
     been checked at s; `gammas` is {q: G_q(s)} for every |q| <= `order`,
-    set by `XiTable.gamma_at`.  Each field is a function of (chart, s,
-    order) alone, and a record is replaced whole, never changed in place.
+    set by `XiTable.gamma_at`; `torsor`, set by `flags.eta_chartlocal`, is
+    the torsor point it found at s as a tuple of rows, or the class of the
+    error a miss raises: NoRationalFvPoint when the miss is a proof,
+    CongruenceSearchExhausted when the bounded search ran out.  Each field
+    is a function of (chart, s, order) alone, and a record is replaced
+    whole, never changed in place.
     """
 
     regular: bool = False
     order: int = -1
     gammas: dict = None
+    torsor: object = None
 
 
 _NO_RECORD = _PointRecord()

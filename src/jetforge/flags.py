@@ -23,8 +23,8 @@ from itertools import combinations
 from . import linalg
 from .congruence import miss_is_proof, solve_congruence
 # HodgeData lives with the charts that hold it; it stays importable here
-from .connection import (HodgeData, MatrixJet, beta, invert_series_matrix,
-                         matrixjet_invert)
+from .connection import (_NO_RECORD, HodgeData, MatrixJet, beta,
+                         invert_series_matrix, matrixjet_invert)
 from .errors import (ArityMismatch, CongruenceSearchExhausted,
                      NoRationalFvPoint, NoValidChart)
 from .series import TruncatedSeries
@@ -287,23 +287,41 @@ def eta_chartlocal(chart, sigma, table=None):
     pairs of size two, bounded search above) and returns the torsor point
     together with alpha at M*.  Raises NoRationalFvPoint when no rational
     torsor point exists, and its subclass CongruenceSearchExhausted when the
-    bounded search found none without proving that.  Two jets map to the
-    same orbit exactly when their witnesses differ by a symmetry of the
-    lattice form; deciding that relation is out of scope here.
+    bounded search found none without proving that.  The torsor point, or
+    the kind of miss, is found once per base point and kept in the chart's
+    record for it.  Two jets map to the same orbit exactly when their
+    witnesses differ by a symmetry of the lattice form; deciding that
+    relation is out of scope here.
     """
     s = sigma.basepoint()
     chart.assert_regular(s)
+    # the answer depends on the base point alone: kept in the chart's record
+    record = chart._points.get(s, _NO_RECORD)
+    found = record.torsor
+    if found is None:
+        found = _torsor_point(chart, s)
+        chart._keep(s, record._replace(torsor=found))
+    if found is CongruenceSearchExhausted:
+        raise found(f"the bounded search found no torsor point above {s}")
+    if found is NoRationalFvPoint:
+        raise found(
+            f"Gram at {s} is not rationally congruent to the lattice form")
+    mstar = [list(row) for row in found]
+    point = TorsorPoint(sigma, mstar)
+    return EtaWitness(point, alpha(chart, sigma, mstar, table=table))
+
+
+def _torsor_point(chart, s):
+    """The rows of a rational M* with M*^T Gram(s) M* = Q, or the class of
+    the error a miss raises (see `eta_chartlocal`)."""
     gram = chart.gram_at(s)
     hodge = chart.hodge
     mstar = solve_congruence(gram, hodge.polarization, hodge.weight)
-    if mstar is None:
-        if not miss_is_proof(gram, hodge.polarization, hodge.weight):
-            raise CongruenceSearchExhausted(
-                f"the bounded search found no torsor point above {s}")
-        raise NoRationalFvPoint(
-            f"Gram at {s} is not rationally congruent to the lattice form")
-    point = TorsorPoint(sigma, mstar)
-    return EtaWitness(point, alpha(chart, sigma, mstar, table=table))
+    if mstar is not None:
+        return tuple(map(tuple, mstar))
+    if miss_is_proof(gram, hodge.polarization, hodge.weight):
+        return NoRationalFvPoint
+    return CongruenceSearchExhausted
 
 
 def weight1_positivity(polarization, column):

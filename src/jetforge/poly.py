@@ -108,15 +108,21 @@ def add_terms(a, b):
     return out
 
 
-def mul_terms(a, b, max_degree=None):
-    """The product of two canonical tables, cut above `max_degree`."""
-    right = [(q, sum(q), d) for q, d in b.items()]
+def mul_terms(a, b, max_degree=None, prefix=None):
+    """The product of two canonical tables, cut above `max_degree` in the
+    total degree of the first `prefix` exponents (of all by default)."""
+    degree = sum if prefix is None else lambda p: sum(p[:prefix])
+    right = [(q, degree(q), d) for q, d in b.items()]
     out = {}
     for p, c in a.items():
-        room = math.inf if max_degree is None else max_degree - sum(p)
+        room = math.inf if max_degree is None else max_degree - degree(p)
         for q, dq, d in right:
             if dq <= room:
-                pq = tuple(map(add, p, q))
+                # built at its final length, so it can reuse a freed tuple
+                # of that length: tuple() of a map starts at ten slots and
+                # resizes, and the short tuples it frees (CPython keeps up
+                # to 2000 per length below 20) would never be taken back
+                pq = (*map(add, p, q),)
                 s = out.get(pq)
                 s = c * d if s is None else s + c * d
                 if s:
@@ -134,13 +140,13 @@ def derive_terms(terms, index, arity):
             for p, c in terms.items() if p[index]}
 
 
-def pow_terms(terms, n, arity, max_degree=None):
-    """A canonical table to the power n >= 0, cut above `max_degree`."""
+def pow_terms(terms, n, arity, max_degree=None, prefix=None):
+    """A canonical table to the power n >= 0, cut as `mul_terms` cuts."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("exponent must be a non-negative integer")
     result = {(0,) * arity: 1}
     for _ in range(n):
-        result = mul_terms(result, terms, max_degree)
+        result = mul_terms(result, terms, max_degree, prefix)
     return result
 
 

@@ -59,7 +59,8 @@ class RationalFunction:
             if g.degree() > 0:
                 num = _univ_divmod(num, g)[0]
                 den = _univ_divmod(den, g)[0]
-        if not den.is_zero():
+        # the constant denominator 1 is already in normal form
+        if den._den != 1 or den._table != {(0,) * den.arity: 1}:
             dnorm = den.normalized()
             scale = dnorm.leading()[1] / den.leading()[1]
             num = num * scale

@@ -175,9 +175,10 @@ def _expand_generic(polys, n, d, r, expand):
     sigma = generic_jet(n, d, r)
     out = []
     for f in polys:
-        expansion = expand(f, sigma)
+        # one pass over the expansion's table builds all its coefficients
+        coeffs = expand(f, sigma).coeffs
         for p in mons:
-            c = expansion.coefficient(p)
+            c = coeffs.get(p, 0)
             out.append(c if isinstance(c, Polynomial)
                        else Polynomial.const(c, total))
     return out

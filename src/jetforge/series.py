@@ -1,19 +1,23 @@
 """Exact arithmetic in the truncated multivariate power series ring.
 
-A series lives in Q[t_1..t_d]/(t_1..t_d)^(r+1): a sparse map from exponent
-tuples of total degree <= r to nonzero coefficients.
+A series lives in R[t_1..t_d]/(t_1..t_d)^(r+1), with R = Q or R =
+Q[a_1..a_k]: a sparse map from exponent tuples of total degree <= r to
+nonzero coefficients.  A generic jet, or symbolic initial data, has
+polynomial coefficients in the jet coordinates a_1..a_k.
 
-A series whose coefficients are all rational stores them as `Polynomial`
-does: a sparse table of nonzero integer numerators over one positive common
-denominator, kept in lowest terms.  Its arithmetic runs the term-table
-kernel of `poly` on the integers and keeps the denominator with the
-rational-table functions of `poly` that `Polynomial` uses too, which reduce
-each result once, with one gcd over the numerators and the denominator.  A
-series with any other coefficient (notably Polynomial, for generic jets)
-keeps a table of those ring elements, which need only support +, * and
-truth testing; an operation with such an operand runs the kernel on the
-coefficients themselves.  `coeffs` reads either form as a
-dict of ring elements, with Fractions for rationals.
+Either way a series is stored as `Polynomial` is: a sparse table of nonzero
+integer numerators over one positive common denominator, kept in lowest
+terms.  For R = Q the table is keyed by t-exponents.  For R = Q[a_1..a_k]
+it is keyed by the concatenated (t-exponent, a-exponent) tuple, the one
+table of a polynomial in d + k variables, and cut on the t-degree only.
+The arithmetic runs the term-table kernel of `poly` on the integers and
+keeps the denominator with the rational-table functions of `poly` that
+`Polynomial` uses too, which reduce each result once, with one gcd over the
+numerators and the denominator.  An operation on a rational and a
+polynomial-coefficient series pads the rational keys with k zero
+a-exponents; one on two rational series pads and slices nothing.
+`coeffs`, `coefficient` and `homogeneous` read the coefficients as
+Fractions, or as `Polynomial`s in the a-variables, built when read.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no synchronization.
@@ -27,10 +31,9 @@ from fractions import Fraction
 from .errors import (ArityMismatch, DimensionMismatch, InputError, NotAUnit,
                      OrderIncrease)
 from .linalg import unipotent_inverse
-from .poly import (Polynomial, add_fractions, add_terms, clean_terms,
-                   default_names, derive_terms, evaluate_terms, integer_table,
-                   lowest_terms, mul_terms, pow_terms, scale_fraction,
-                   terms_to_string)
+from .poly import (Polynomial, add_fractions, clean_terms, default_names,
+                   derive_terms, evaluate_terms, integer_table, lowest_terms,
+                   mul_terms, pow_terms, scale_fraction, terms_to_string)
 
 
 def _ring_element(c):
@@ -44,18 +47,38 @@ def _check_shape(dims, order):
         raise ValueError("truncation order must be non-negative")
 
 
+def _padded(table, arity):
+    """A table's keys followed by `arity` zeros."""
+    zeros = (0,) * arity
+    return {p + zeros: n for p, n in table.items()}
+
+
+def _common_tables(a, b):
+    """The tables of two series, not both rational, over one ring of
+    coefficients, and the number of its variables."""
+    ka, kb = a._arity, b._arity
+    if ka == kb:
+        return a._table, b._table, ka
+    if not kb:
+        return a._table, _padded(b._table, ka), ka
+    if not ka:
+        return _padded(a._table, kb), b._table, kb
+    raise ArityMismatch(f"series over {ka} and {kb} coefficient variables")
+
+
 class TruncatedSeries:
     """Element of the order-r truncated power series ring in d variables.
 
-    With all coefficients rational, `_table` maps exponents to integer
-    numerators and `_den` is their positive common denominator, with no
-    factor common to all of them; otherwise `_table` maps exponents to the
-    coefficients and `_den` is None.  Either way the table holds no zero.
-    `_coeffs` keeps the Fractions of a rational series once `coeffs` has
-    been read.
+    `_table` maps keys to nonzero integer numerators and `_den` is their
+    positive common denominator, with no factor common to all of them.
+    `_arity` is the number k of coefficient variables: 0 for rational
+    coefficients, whose keys are the t-exponents; otherwise a key is a
+    t-exponent followed by an a-exponent, and the coefficient of t^p is the
+    polynomial of the keys that start with p.  A zero series is rational.
+    `_coeffs` keeps the coefficients once `coeffs` has been read.
     """
 
-    __slots__ = ("dims", "order", "_table", "_den", "_coeffs")
+    __slots__ = ("dims", "order", "_table", "_den", "_arity", "_coeffs")
 
     def __new__(cls, dims, order, coeffs=None):
         _check_shape(dims, order)
@@ -64,49 +87,79 @@ class TruncatedSeries:
             DimensionMismatch))
 
     @classmethod
-    def _new(cls, dims, order, table, den):
+    def _new(cls, dims, order, table, den, arity=0):
         """The series of a stored form (see the class docstring), taken as is."""
         self = object.__new__(cls)
         _set_dims(self, dims)
         _set_order(self, order)
         _set_table(self, table)
         _set_den(self, den)
+        _set_arity(self, arity)
         return self
 
     @classmethod
+    def _generic(cls, dims, order, table, den, arity):
+        """`_new` for a form over Q[a_1..a_arity]; an empty one is rational."""
+        return cls._new(dims, order, table, den, arity if table else 0)
+
+    @classmethod
     def _wrap(cls, dims, order, table):
-        """The series of a canonical table of ring elements of degree <=
-        order, unchecked; in integer form if every coefficient is an int or
-        a Fraction."""
+        """The series of a canonical table of Fractions and `Polynomial`s of
+        one arity, of degree <= order, unchecked."""
+        arity = 0
         for c in table.values():
-            if type(c) is not Fraction and type(c) is not int:
-                return cls._new(dims, order, table, None)
-        return cls._new(dims, order, *integer_table(table))
+            if isinstance(c, Polynomial):
+                if arity and c.arity != arity:
+                    raise ArityMismatch(
+                        f"coefficients in {arity} and {c.arity} variables")
+                arity = c.arity
+            elif type(c) is not Fraction:
+                raise TypeError("series coefficients must be rationals or "
+                                f"Polynomials, got {type(c).__name__}")
+        if not arity:
+            return cls._new(dims, order, *integer_table(table))
+        polys = [c if isinstance(c, Polynomial) else Polynomial.const(c, arity)
+                 for c in table.values()]
+        den = math.lcm(*(f._den for f in polys))
+        flat = {}
+        for p, f in zip(table, polys):
+            scale = den // f._den
+            for a, n in f._table.items():
+                flat[p + a] = n * scale
+        return cls._new(dims, order, flat, den, arity)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
     @property
     def coeffs(self):
-        """The read-only dict of nonzero coefficients by exponent, rationals
-        as Fractions, shared by every reader of the series; for a rational
-        series it is built from the integer form on first read and kept."""
-        if self._den is None:
-            return self._table
+        """The read-only dict of nonzero coefficients by exponent, as
+        Fractions or `Polynomial`s, shared by every reader of the series;
+        built from the stored form on first read and kept."""
         try:
             return self._coeffs
         except AttributeError:
-            coeffs = self._ring_table()
+            den = self._den
+            coeffs = self._polynomials() if self._arity else {
+                p: Fraction(n, den) for p, n in self._table.items()}
             _set_coeffs(self, coeffs)
             return coeffs
 
-    def _ring_table(self):
-        """The coefficients by exponent, rationals as Fractions made afresh;
-        `coeffs` keeps them, mixed operations with a generic series do not."""
-        den = self._den
-        if den is None:
-            return self._table
-        return {p: Fraction(n, den) for p, n in self._table.items()}
+    def _polynomials(self, degree=None):
+        """The coefficients of a series over Q[a_1..a_k], of t-degree
+        `degree` if given, as `Polynomial`s; one pass over the table."""
+        d = self.dims
+        split = {}
+        for key, n in self._table.items():
+            p = key[:d]
+            if degree is None or sum(p) == degree:
+                part = split.get(p)
+                if part is None:
+                    split[p] = part = {}
+                part[key[d:]] = n
+        arity, den = self._arity, self._den
+        return {p: Polynomial._new(arity, *lowest_terms(part, den))
+                for p, part in split.items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -135,10 +188,17 @@ class TruncatedSeries:
     # -- inspection --------------------------------------------------------
 
     def coefficient(self, expo):
+        """The coefficient of t^expo; a Fraction, or a `Polynomial` for a
+        monomial of a series over Q[a_1..a_k] that has one."""
         expo = tuple(expo)
-        if self._den is None:
-            return self._table.get(expo, Fraction(0))
-        return Fraction(self._table.get(expo, 0), self._den)
+        if not self._arity:
+            return Fraction(self._table.get(expo, 0), self._den)
+        d = self.dims
+        part = {key[d:]: n for key, n in self._table.items()
+                if key[:d] == expo}
+        if not part:
+            return Fraction(0)
+        return Polynomial._new(self._arity, *lowest_terms(part, self._den))
 
     def constant_term(self):
         return self.coefficient((0,) * self.dims)
@@ -155,8 +215,10 @@ class TruncatedSeries:
 
     def homogeneous(self, degree):
         """The degree-s coefficients as a dict (may be empty)."""
+        if self._arity:
+            return self._polynomials(degree)
         den = self._den
-        return {p: c if den is None else Fraction(c, den)
+        return {p: Fraction(c, den)
                 for p, c in self._table.items() if sum(p) == degree}
 
     def __eq__(self, other):
@@ -164,13 +226,22 @@ class TruncatedSeries:
             return NotImplemented
         if self.dims != other.dims or self.order != other.order:
             return False
-        if self._den is None or other._den is None:
-            return self._ring_table() == other._ring_table()
+        if self._arity != other._arity:
+            # one rational series with constant coefficients can be equal
+            if self._arity and other._arity:
+                return False
+            a, b = (self, other) if self._arity else (other, self)
+            return a._den == b._den and a._table == _padded(b._table,
+                                                            a._arity)
         return self._den == other._den and self._table == other._table
 
     def __hash__(self):
-        # equal series share their exponents, whatever the coefficient type
-        return hash((self.dims, self.order, frozenset(self._table)))
+        # equal series share their t-exponents, whatever the coefficients
+        keys = self._table
+        if self._arity:
+            d = self.dims
+            keys = {key[:d] for key in keys}
+        return hash((self.dims, self.order, frozenset(keys)))
 
     def _check_compatible(self, other):
         if self.dims != other.dims or self.order != other.order:
@@ -184,19 +255,19 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return self + TruncatedSeries.const(other, self.dims, self.order)
         self._check_compatible(other)
-        da, db = self._den, other._den
-        if da is None or db is None:
-            return TruncatedSeries._wrap(self.dims, self.order, add_terms(
-                self._ring_table(), other._ring_table()))
+        if self._arity or other._arity:
+            a, b, arity = _common_tables(self, other)
+            return TruncatedSeries._generic(self.dims, self.order, *add_fractions(
+                a, self._den, b, other._den), arity)
         return TruncatedSeries._new(self.dims, self.order, *add_fractions(
-            self._table, da, other._table, db))
+            self._table, self._den, other._table, other._den))
 
     __radd__ = __add__
 
     def __neg__(self):
         return TruncatedSeries._new(self.dims, self.order,
                                     {p: -c for p, c in self._table.items()},
-                                    self._den)
+                                    self._den, self._arity)
 
     def __sub__(self, other):
         return self + (-other)
@@ -213,9 +284,11 @@ class TruncatedSeries:
             return other
         if other._is_one():
             return self
-        if self._den is None or other._den is None:
-            return TruncatedSeries._wrap(self.dims, self.order, mul_terms(
-                self._ring_table(), other._ring_table(), self.order))
+        if self._arity or other._arity:
+            a, b, arity = _common_tables(self, other)
+            return TruncatedSeries._generic(self.dims, self.order, *lowest_terms(
+                mul_terms(a, b, self.order, self.dims),
+                self._den * other._den), arity)
         return TruncatedSeries._new(self.dims, self.order, *lowest_terms(
             mul_terms(self._table, other._table, self.order),
             self._den * other._den))
@@ -223,21 +296,33 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def scale(self, scalar):
-        """Multiply every coefficient by a ring scalar."""
+        """Multiply every coefficient by a rational or a `Polynomial`."""
         if not scalar:
             return TruncatedSeries.zero(self.dims, self.order)
-        if self._den is not None and isinstance(scalar, (int, Fraction)):
+        if isinstance(scalar, (int, Fraction)):
             return TruncatedSeries._new(self.dims, self.order, *scale_fraction(
-                self._table, self._den, scalar))
-        return TruncatedSeries._wrap(self.dims, self.order, {
-            p: c * scalar for p, c in self._ring_table().items()})
+                self._table, self._den, scalar), self._arity)
+        if not isinstance(scalar, Polynomial):
+            raise TypeError("series scale by rationals or Polynomials, got "
+                            f"{type(scalar).__name__}")
+        # one flat product with the polynomial at t-exponent 0
+        arity, table = scalar.arity, self._table
+        if self._arity != arity:
+            if self._arity:
+                raise ArityMismatch(f"series over {self._arity} coefficient "
+                                    f"variables scaled in {arity}")
+            table = _padded(table, arity)
+        lifted = {(0,) * self.dims + a: n for a, n in scalar._table.items()}
+        return TruncatedSeries._generic(self.dims, self.order, *lowest_terms(
+            mul_terms(table, lifted), self._den * scalar._den), arity)
 
     def __pow__(self, n):
-        table = pow_terms(self._table, n, self.dims, self.order)
-        if self._den is None:
-            return TruncatedSeries._wrap(self.dims, self.order, table)
-        return TruncatedSeries._new(self.dims, self.order,
-                                    *lowest_terms(table, self._den ** n))
+        arity = self._arity
+        table = pow_terms(self._table, n, self.dims + arity, self.order,
+                          self.dims if arity else None)
+        return TruncatedSeries._generic(self.dims, self.order,
+                                        *lowest_terms(table, self._den ** n),
+                                        arity)
 
     # -- truncation structure ----------------------------------------------
 
@@ -248,9 +333,13 @@ class TruncatedSeries:
                 f"cannot restrict order {self.order} to {new_order}")
         if new_order < 0:
             raise ValueError("truncation order must be non-negative")
+        if self._arity:
+            d = self.dims
+            return TruncatedSeries._generic(
+                d, new_order, *lowest_terms(
+                    {p: c for p, c in self._table.items()
+                     if sum(p[:d]) <= new_order}, self._den), self._arity)
         table = {p: c for p, c in self._table.items() if sum(p) <= new_order}
-        if self._den is None:
-            return TruncatedSeries._wrap(self.dims, new_order, table)
         return TruncatedSeries._new(self.dims, new_order,
                                     *lowest_terms(table, self._den))
 
@@ -260,7 +349,7 @@ class TruncatedSeries:
             raise OrderIncrease(
                 f"zero_extended targets order >= {self.order}")
         return TruncatedSeries._new(self.dims, new_order, self._table,
-                                    self._den)
+                                    self._den, self._arity)
 
     def derive(self, index):
         """Formal d/dt_index.
@@ -270,10 +359,9 @@ class TruncatedSeries:
         must start from an order r+1 series.
         """
         table = derive_terms(self._table, index, self.dims)
-        if self._den is None:
-            return TruncatedSeries._wrap(self.dims, self.order, table)
         return TruncatedSeries._new(self.dims, self.order,
-                                    *lowest_terms(table, self._den))
+                                    *lowest_terms(table, self._den),
+                                    self._arity if table else 0)
 
     def invert_unit(self):
         """Multiplicative inverse; the constant term must be a nonzero rational."""
@@ -296,8 +384,10 @@ class TruncatedSeries:
 
     def to_string(self):
         """Canonical text: graded-lex terms 'c * t1^e1*...' joined by ' + '."""
-        return terms_to_string(self._table, default_names(self.dims, "t"),
-                               " * ", self._den or 1)
+        names = default_names(self.dims, "t")
+        if self._arity:
+            return terms_to_string(self._polynomials(), names, " * ")
+        return terms_to_string(self._table, names, " * ", self._den)
 
     @classmethod
     def from_string(cls, text, dims, order):
@@ -317,7 +407,7 @@ class TruncatedSeries:
 
 # Writers of the slots of a series, past the guard of its __setattr__; the
 # slot descriptors' own setters are the cheapest way in.
-_set_dims, _set_order, _set_table, _set_den, _set_coeffs = (
+_set_dims, _set_order, _set_table, _set_den, _set_arity, _set_coeffs = (
     getattr(TruncatedSeries, name).__set__
     for name in TruncatedSeries.__slots__)
 
@@ -433,5 +523,7 @@ def series_compose(f, jet):
                 f"series in {f.dims} variables applied to a jet with "
                 f"{jet.n} components")
         one = TruncatedSeries.one(jet.dims, jet.order)
-        return evaluate_terms(f._table, list(jet.offsets()), one, f._den or 1)
+        if f._arity:
+            return evaluate_terms(f.coeffs, list(jet.offsets()), one)
+        return evaluate_terms(f._table, list(jet.offsets()), one, f._den)
     raise TypeError("series_compose expects a Polynomial or TruncatedSeries")

@@ -10,7 +10,9 @@ from fractions import Fraction
 import pytest
 
 import jetforge.cli as cli
+import jetforge.flags as flags
 import jetforge.io as jio
+import jetforge.verify as verify
 from jetforge.cli import run
 from jetforge.connection import (ConnectionChart, MatrixJet, beta,
                                  series_oracle)
@@ -415,6 +417,28 @@ class TestVerify:
         assert hr1_line == "hr1_containment: 0 cases, 0 failed, 1 " \
             "unchecked (case0[d=2,r=1]) [unchecked]"
         assert "[ok]" not in hr1_line
+
+    def test_search_runs_once_per_base_point(self, search_miss_file,
+                                             capsys, monkeypatch):
+        searched, bases = [], []
+        search, eta = flags.solve_congruence, verify.eta_chartlocal
+
+        def counting_search(g, q, weight):
+            searched.append(g)
+            return search(g, q, weight)
+
+        def counting_eta(chart, sigma, table=None):
+            bases.append(sigma.basepoint())
+            return eta(chart, sigma, table=table)
+
+        monkeypatch.setattr(flags, "solve_congruence", counting_search)
+        monkeypatch.setattr(verify, "eta_chartlocal", counting_eta)
+        assert run(["verify", "--connection", search_miss_file, "--cases",
+                    "8", "--max-order", "1", "--seed", "0"]) == 0
+        hr1 = json.loads(capsys.readouterr().out)["suites"][-1]
+        assert hr1["cases"] == 0 and len(hr1["unchecked"]) == 8
+        assert len(bases) == 8 and len(set(bases)) < 8
+        assert len(searched) == len(set(bases))
 
     def test_env_seed_override(self, legendre_file, capsys, monkeypatch):
         monkeypatch.setenv("JETFORGE_SEED", "5")

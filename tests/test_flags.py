@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import jetforge.flags as flags
 import jetforge.linalg as la
 from jetforge.connection import (MatrixJet, beta, matrixjet_invert,
                                  series_oracle)
@@ -302,6 +303,46 @@ class TestEta:
             eta_chartlocal(chart, sigma)
         # the size-two decision is complete, so the miss is a proof
         assert not isinstance(raised.value, CongruenceSearchExhausted)
+
+    def test_torsor_point_is_found_once_per_base_point(self, monkeypatch):
+        chart = legendre_chart()
+        calls = []
+        original = flags.solve_congruence
+
+        def counting(g, q, weight):
+            calls.append(g)
+            return original(g, q, weight)
+
+        monkeypatch.setattr(flags, "solve_congruence", counting)
+        witnesses = [eta_chartlocal(chart, JetPoint([TruncatedSeries(
+            1, r, {(0,): Fraction(1, 3), (1,): 1})])) for r in range(6)]
+        assert len(calls) == 1
+        assert len({w.point.matrix for w in witnesses}) == 1
+        # a new base point runs the search again
+        eta_chartlocal(chart, JetPoint([TruncatedSeries(
+            1, 2, {(0,): Fraction(1, 4), (1,): 1})]))
+        assert len(calls) == 2
+
+    def test_a_recorded_miss_raises_the_same_error(self, monkeypatch):
+        zero = RationalFunction.zero(1)
+        three = RationalFunction.const(3, 1)
+        from jetforge.connection import ConnectionChart
+        chart = ConnectionChart(
+            1, 2, [[[zero], [zero]], [[zero], [zero]]], weight=2,
+            filtration_dims=(2, 1), gram=[[three, zero], [zero, three]],
+            polarization=[[1, 0], [0, 1]])
+        sigma = JetPoint([TruncatedSeries(1, 1, {(1,): 1})])
+        with pytest.raises(NoRationalFvPoint) as first:
+            eta_chartlocal(chart, sigma)
+
+        def refuse(g, q, weight):
+            raise AssertionError("the search ran again")
+
+        monkeypatch.setattr(flags, "solve_congruence", refuse)
+        with pytest.raises(NoRationalFvPoint) as again:
+            eta_chartlocal(chart, sigma)
+        assert type(again.value) is type(first.value)
+        assert str(again.value) == str(first.value)
 
     def test_torsor_point_validation(self):
         chart = nilpotent_chart()

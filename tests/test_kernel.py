@@ -13,13 +13,16 @@ coefficients, and stay in lowest terms.
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetforge.errors import ArityMismatch
 from jetforge.poly import (Polynomial, add_terms, default_names, derive_terms,
-                          evaluate_terms, monomial_key, mul_terms, pow_terms,
-                          primitive_parts, terms_to_string)
-from jetforge.scheme import AffineMap
+                          evaluate_terms, graded_monomials, monomial_key,
+                          mul_terms, pow_terms, primitive_parts,
+                          terms_to_string)
+from jetforge.scheme import AffineMap, generic_jet
 from jetforge.series import JetPoint, TruncatedSeries, series_compose
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
@@ -177,6 +180,18 @@ def test_integer_form_matches_the_fraction_kernel(operands):
     assert mul_terms(inverse.coeffs, unit.coeffs, r) == {zero: Fraction(1)}
 
 
+def assert_flat_form(s, arity):
+    """One integer table over Q[a_1..a_arity]: each key a t-exponent then
+    an a-exponent, cut on the t-degree, numerators over a positive
+    denominator in lowest terms."""
+    assert s._arity == arity
+    assert s._den > 0
+    assert all(type(n) is int and n for n in s._table.values())
+    assert math.gcd(s._den, *s._table.values()) == 1
+    assert all(len(key) == s.dims + arity and sum(key[:s.dims]) <= s.order
+               for key in s._table)
+
+
 @st.composite
 def mixed_operands(draw):
     dims = draw(st.integers(1, 2))
@@ -208,7 +223,149 @@ def test_mixed_operands_match_the_generic_kernel(operands):
         if all(type(c) is Fraction for c in terms.values()):
             assert_integer_form(result)
         else:
-            assert result._den is None
+            assert_flat_form(result, poly.arity)
+
+
+# -- series over Q[a_1..a_k]: one flat table ------------------------------------
+
+# The reference arithmetic works on dicts from t-exponents to Polynomial
+# coefficients and never sees the flat table.
+
+def as_polynomials(table, arity, order):
+    """The coefficient dict a series makes of a table: Polynomials of one
+    arity, nothing above the order, no zero."""
+    out = {}
+    for p, c in table.items():
+        if sum(p) <= order:
+            out[p] = out.get(p, 0) + c
+    return {p: c if isinstance(c, Polynomial) else Polynomial.const(c, arity)
+            for p, c in out.items() if c}
+
+
+def cut(table, order):
+    return {p: c for p, c in table.items() if sum(p) <= order and c}
+
+
+def ref_compose(f, components, dims, order):
+    """f(components) on coefficient dicts, truncated."""
+    total = {}
+    for e, c in f.terms.items():
+        term = {(0,) * dims: c}
+        for comp, k in zip(components, e):
+            term = cut(ref_mul(term, ref_pow(comp, k, dims)), order)
+        total = ref_add(total, term)
+    return total
+
+
+@st.composite
+def flat_operands(draw):
+    dims = draw(st.integers(1, 2))
+    order = draw(st.integers(0, 3))
+    arity = draw(st.integers(1, 3))
+    coeffs = st.one_of(rationals, polynomials(arity, top=1))
+    tables = [draw(st.dictionaries(exponents(dims, order), coeffs,
+                                   max_size=5)) for _ in range(2)]
+    tables.append(draw(st.dictionaries(exponents(dims, order), rationals,
+                                       max_size=5)))
+    return (dims, order, arity, tables, draw(rationals),
+            draw(polynomials(arity, top=1)), draw(st.integers(0, dims - 1)),
+            draw(st.integers(0, order)), draw(rationals.filter(bool)))
+
+
+@SETTINGS
+@given(flat_operands())
+def test_flat_form_matches_polynomial_coefficients(operands):
+    dims, order, arity, tables, scalar, poly, index, lower, c0 = operands
+    g, h, a = (TruncatedSeries(dims, order, t) for t in tables)
+    fg, fh, fa = (as_polynomials(t, arity, order) for t in tables)
+    zero = (0,) * dims
+    expected = [
+        (g + h, ref_add(fg, fh)),
+        (g + a, ref_add(fg, fa)),
+        (a + g, ref_add(fa, fg)),
+        (g - h, ref_add(fg, negated(fh))),
+        (a - g, ref_add(fa, negated(fg))),
+        (-g, negated(fg)),
+        (g * h, cut(ref_mul(fg, fh), order)),
+        (a * g, cut(ref_mul(fa, fg), order)),
+        (g * a, cut(ref_mul(fg, fa), order)),
+        (g.scale(scalar), {p: c * scalar for p, c in fg.items() if scalar}),
+        (g * scalar, {p: c * scalar for p, c in fg.items() if scalar}),
+        (g.scale(poly), {p: c * poly for p, c in fg.items() if poly}),
+        (a.scale(poly), {p: c * poly for p, c in fa.items() if poly}),
+        (poly * g, {p: c * poly for p, c in fg.items() if poly}),
+        (g ** 0, {zero: Polynomial.const(1, arity)}),
+        (g ** 3, cut(ref_pow(fg, 3, dims), order)),
+        (g.restrict(lower), cut(fg, lower)),
+        (g.derive(index), ref_derivative(fg, index)),
+        (g.zero_extended(order + 1), fg),
+        (series_compose(Polynomial(2, {(1, 1): 2, (2, 0): Fraction(-1, 3),
+                                       (0, 0): 5}), JetPoint([g, a])),
+         ref_compose(Polynomial(2, {(1, 1): 2, (2, 0): Fraction(-1, 3),
+                                    (0, 0): 5}), [fg, fa], dims, order)),
+    ]
+    for result, terms in expected:
+        assert result.coeffs == terms
+        if result._arity:
+            assert_flat_form(result, arity)
+        else:
+            assert_integer_form(result)
+            assert all(not isinstance(c, Polynomial) or c.degree() <= 0
+                       for c in terms.values())
+        assert_canonical_series(result)
+        for p, c in terms.items():
+            assert result.coefficient(p) == c
+        assert result.homogeneous(lower) == {
+            p: c for p, c in terms.items() if sum(p) == lower}
+    # a unit: rational constant term, any higher terms
+    unit_terms = {p: c for p, c in fg.items() if any(p)}
+    unit_terms[zero] = Polynomial.const(c0, arity)
+    unit = TruncatedSeries(dims, order, unit_terms)
+    inverse = unit.invert_unit()
+    assert cut(ref_mul(inverse.coeffs, unit_terms), order) == {
+        zero: Polynomial.const(1, arity)}
+    # equality and hashing do not depend on the stored form
+    # fa holds the rational coefficients as constant polynomials
+    lifted = TruncatedSeries(dims, order, fa)
+    assert lifted._arity == (arity if fa else 0)
+    for left, right in ((g + h, h + g), (g * h, h * g), (a, lifted),
+                        ((g + a) - g, a), (g - g, TruncatedSeries.zero(
+                            dims, order)),
+                        (TruncatedSeries(dims, order, fg), g)):
+        assert left == right and right == left
+        assert hash(left) == hash(right)
+    assert (g == a) == (fg == fa)
+
+
+def test_generic_operands_of_different_arities_do_not_mix():
+    x = TruncatedSeries(1, 2, {(1,): Polynomial.variable(0, 2)})
+    y = TruncatedSeries(1, 2, {(0,): Polynomial.variable(0, 3)})
+    for op in (lambda: x + y, lambda: x * y, lambda: x.scale(
+            Polynomial.variable(1, 3))):
+        with pytest.raises(ArityMismatch):
+            op()
+    with pytest.raises(ArityMismatch):
+        TruncatedSeries(1, 2, {(0,): Polynomial.variable(0, 2),
+                               (1,): Polynomial.variable(0, 3)})
+    assert x != y
+
+
+def test_direct_jet_expansion_makes_no_polynomial_product(monkeypatch):
+    cubic = Polynomial(3, {q: Fraction(len(q) + sum(q), 1 + q[0])
+                           for q in graded_monomials(3, 3)})
+    sigma = generic_jet(3, 2, 4)
+    products = []
+    for name in ("__mul__", "__rmul__"):
+        original = getattr(Polynomial, name)
+
+        def counting(self, other, original=original):
+            products.append(other)
+            return original(self, other)
+
+        monkeypatch.setattr(Polynomial, name, counting)
+    expansion = series_compose(cubic, sigma)
+    assert products == []
+    assert expansion._arity == 3 * 15
 
 
 def test_sparse_product_at_high_order():

@@ -175,3 +175,27 @@ def test_negation_keeps_the_reduced_pair(monkeypatch):
     for f, want in zip(functions, expected):
         neg = -f
         assert (neg.num, neg.den) == (want.num, want.den)
+
+
+def test_constant_one_denominator_is_not_normalized(monkeypatch):
+    rng = random.Random(23)
+    numerators = [rand_poly(rng, arity, 3) for arity in (1, 2, 3)
+                  for _ in range(8)]
+    # the pair the general normalization makes of (num, 1)
+    expected = []
+    for num in numerators:
+        one = Polynomial.const(1, num.arity)
+        dnorm = one.normalized()
+        expected.append((num * (dnorm.leading()[1] / one.leading()[1]),
+                         dnorm))
+
+    def refuse(self):
+        raise AssertionError("a constant-1 denominator was normalized")
+
+    monkeypatch.setattr(Polynomial, "normalized", refuse)
+    for num, want in zip(numerators, expected):
+        for f in (RationalFunction(num),
+                  RationalFunction(num, Polynomial.const(1, num.arity))):
+            assert (f.num, f.den) == want
+            assert f.num._table == want[0]._table
+            assert f.num._den == want[0]._den
