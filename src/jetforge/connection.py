@@ -118,12 +118,12 @@ class _PointRecord(NamedTuple):
 
     `regular` is set by `assert_regular` once every chart denominator has
     been checked at s; `gammas` is {q: G_q(s)} for every |q| <= `order`,
-    set by `XiTable.gamma_at`; `torsor`, set by `flags.eta_chartlocal`, is
-    the torsor point it found at s as a tuple of rows, or the class of the
-    error a miss raises: NoRationalFvPoint when the miss is a proof,
-    CongruenceSearchExhausted when the bounded search ran out.  Each field
-    is a function of (chart, s, order) alone, and a record is replaced
-    whole, never changed in place.
+    set by `XiTable.gamma_at`; `torsor`, set by `torsor_at` for
+    `flags.eta_chartlocal`, is the torsor point it found at s as a tuple of
+    rows, or the class of the error a miss raises: NoRationalFvPoint when
+    the miss is a proof, CongruenceSearchExhausted when the bounded search
+    ran out.  Each field is a function of (chart, s, order) alone, and a
+    record is replaced whole, never changed in place.
     """
 
     regular: bool = False
@@ -206,6 +206,16 @@ class ConnectionChart:
             if point not in points and len(points) >= _POINT_RECORDS:
                 del points[next(iter(points))]
             points[point] = record
+
+    def torsor_at(self, point, search):
+        """The `torsor` field of a point's record (see `_PointRecord`);
+        `search(self, point)` finds it the first time and it is kept."""
+        record = self._points.get(point, _NO_RECORD)
+        found = record.torsor
+        if found is None:
+            found = search(self, point)
+            self._keep(point, record._replace(torsor=found))
+        return found
 
     def assert_regular(self, point):
         """Raise SingularPoint if any chart denominator vanishes at the point.

@@ -23,8 +23,8 @@ from itertools import combinations
 from . import linalg
 from .congruence import miss_is_proof, solve_congruence
 # HodgeData lives with the charts that hold it; it stays importable here
-from .connection import (_NO_RECORD, HodgeData, MatrixJet, beta,
-                         invert_series_matrix, matrixjet_invert)
+from .connection import (HodgeData, MatrixJet, beta, invert_series_matrix,
+                         matrixjet_invert)
 from .errors import (ArityMismatch, CongruenceSearchExhausted,
                      NoRationalFvPoint, NoValidChart)
 from .series import TruncatedSeries
@@ -296,11 +296,7 @@ def eta_chartlocal(chart, sigma, table=None):
     s = sigma.basepoint()
     chart.assert_regular(s)
     # the answer depends on the base point alone: kept in the chart's record
-    record = chart._points.get(s, _NO_RECORD)
-    found = record.torsor
-    if found is None:
-        found = _torsor_point(chart, s)
-        chart._keep(s, record._replace(torsor=found))
+    found = chart.torsor_at(s, _torsor_point)
     if found is CongruenceSearchExhausted:
         raise found(f"the bounded search found no torsor point above {s}")
     if found is NoRationalFvPoint:

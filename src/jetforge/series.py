@@ -16,8 +16,9 @@ keeps the denominator with the rational-table functions of `poly` that
 numerators and the denominator.  An operation on a rational and a
 polynomial-coefficient series pads the rational keys with k zero
 a-exponents; one on two rational series pads and slices nothing.
-`coeffs`, `coefficient` and `homogeneous` read the coefficients as
-Fractions, or as `Polynomial`s in the a-variables, built when read.
+`coeffs`, `coefficient` and `homogeneous` read the coefficients, built
+when read: a constant one as a Fraction, any other as a `Polynomial` in the
+a-variables.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no synchronization.
@@ -145,20 +146,24 @@ class TruncatedSeries:
             _set_coeffs(self, coeffs)
             return coeffs
 
-    def _polynomials(self, degree=None):
-        """The coefficients of a series over Q[a_1..a_k], of t-degree
-        `degree` if given, as `Polynomial`s; one pass over the table."""
+    def _polynomials(self, keep=None):
+        """The coefficients of a series over Q[a_1..a_k] whose t-exponent
+        passes `keep` (all when None), in one pass over the table: a
+        Fraction for a constant coefficient, else a `Polynomial`."""
         d = self.dims
         split = {}
         for key, n in self._table.items():
             p = key[:d]
-            if degree is None or sum(p) == degree:
+            if keep is None or keep(p):
                 part = split.get(p)
                 if part is None:
                     split[p] = part = {}
                 part[key[d:]] = n
         arity, den = self._arity, self._den
-        return {p: Polynomial._new(arity, *lowest_terms(part, den))
+        zero = (0,) * arity
+        return {p: Fraction(part[zero], den)
+                if len(part) == 1 and zero in part
+                else Polynomial._new(arity, *lowest_terms(part, den))
                 for p, part in split.items()}
 
     # -- constructors ------------------------------------------------------
@@ -188,17 +193,12 @@ class TruncatedSeries:
     # -- inspection --------------------------------------------------------
 
     def coefficient(self, expo):
-        """The coefficient of t^expo; a Fraction, or a `Polynomial` for a
-        monomial of a series over Q[a_1..a_k] that has one."""
+        """The coefficient of t^expo: a Fraction, or a `Polynomial` when it
+        is not constant."""
         expo = tuple(expo)
         if not self._arity:
             return Fraction(self._table.get(expo, 0), self._den)
-        d = self.dims
-        part = {key[d:]: n for key, n in self._table.items()
-                if key[:d] == expo}
-        if not part:
-            return Fraction(0)
-        return Polynomial._new(self._arity, *lowest_terms(part, self._den))
+        return self._polynomials(lambda p: p == expo).get(expo, Fraction(0))
 
     def constant_term(self):
         return self.coefficient((0,) * self.dims)
@@ -216,7 +216,7 @@ class TruncatedSeries:
     def homogeneous(self, degree):
         """The degree-s coefficients as a dict (may be empty)."""
         if self._arity:
-            return self._polynomials(degree)
+            return self._polynomials(lambda p: sum(p) == degree)
         den = self._den
         return {p: Fraction(c, den)
                 for p, c in self._table.items() if sum(p) == degree}
@@ -367,10 +367,7 @@ class TruncatedSeries:
         """Multiplicative inverse; the constant term must be a nonzero rational."""
         c0 = self.constant_term()
         if isinstance(c0, Polynomial):
-            if c0.degree() <= 0:
-                c0 = c0.constant_term()
-            else:
-                raise NotAUnit("constant term is not a rational unit")
+            raise NotAUnit("constant term is not a rational unit")
         if not c0:
             raise NotAUnit("constant term is zero")
         # a = c0 (1 + n) with n of positive valuation, so n^(r+1) = 0

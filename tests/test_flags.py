@@ -12,7 +12,7 @@ from jetforge.examples import legendre_chart, nilpotent_chart
 from jetforge.flags import (FlagChart, FlagJet, HodgeData, TorsorPoint,
                             alpha, check_fv, check_hr1, eta_chartlocal,
                             flag_of_matrix, weight1_positivity)
-from jetforge.poly import graded_monomials
+from jetforge.poly import Polynomial, graded_monomials
 from jetforge.ratfunc import RationalFunction
 from jetforge.series import JetPoint, TruncatedSeries
 from jetforge.verify import random_flat_chart, random_invertible, random_jet
@@ -253,6 +253,25 @@ class TestAlpha:
             via_oracle = flag_of_matrix(
                 hodge, matrixjet_invert(series_oracle(chart, sigma, initial)))
             assert via_beta == via_oracle
+
+    def test_symbolic_higher_coefficients_at_a_rational_base_point(self):
+        # the base point of such a jet reads as rationals, so the chart's
+        # regularity check, both frame routes and alpha all run
+        chart = legendre_chart()
+        a = [Polynomial.variable(i, 3) for i in range(3)]
+        sigma = JetPoint([TruncatedSeries(1, 3, {
+            (0,): Fraction(1, 2), (1,): a[0], (2,): a[1] * 2 + 1,
+            (3,): a[2]})])
+        assert sigma.basepoint() == (Fraction(1, 2),)
+        assert type(sigma.basepoint()[0]) is Fraction
+        initial = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]
+        frame = beta(chart, sigma, initial)
+        assert frame == series_oracle(chart, sigma, initial)
+        hodge = HodgeData.of_chart(chart)
+        flag = alpha(chart, sigma, initial)
+        assert flag == flag_of_matrix(hodge, matrixjet_invert(frame))
+        witness = eta_chartlocal(chart, sigma)
+        assert check_hr1(hodge, witness.flag)
 
     def test_legendre_tau_slot_is_solution_ratio(self):
         chart = legendre_chart()

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetforge.errors import ArityMismatch
+from jetforge.errors import ArityMismatch, NotAUnit
 from jetforge.poly import (Polynomial, add_terms, default_names, derive_terms,
                           evaluate_terms, graded_monomials, monomial_key,
                           mul_terms, pow_terms, primitive_parts,
@@ -62,6 +62,8 @@ def assert_canonical_series(s):
     assert TruncatedSeries(s.dims, s.order, s.coeffs).coeffs == s.coeffs
     for c in s.coeffs.values():
         if isinstance(c, Polynomial):
+            # a constant coefficient reads as a Fraction
+            assert c.degree() > 0
             assert_canonical_poly(c)
 
 
@@ -376,6 +378,23 @@ def test_sparse_product_at_high_order():
                               (7, 0): Fraction(2, 3),
                               (7, 390): Fraction(-5, 6)}
     assert_integer_form(product)
+
+
+def test_constant_coefficients_read_as_fractions():
+    x = Polynomial.variable(0, 2)
+    s = TruncatedSeries(1, 2, {(0,): Fraction(1, 2), (1,): x,
+                               (2,): Polynomial.const(3, 2)})
+    assert s._arity == 2
+    for c in (s.constant_term(), s.coefficient((2,)), s.coeffs[(0,)],
+              s.homogeneous(2)[(2,)], (s * s).constant_term()):
+        assert type(c) is Fraction
+    assert s.coefficient((1,)) == x
+    assert JetPoint([s]).basepoint() == (Fraction(1, 2),)
+    assert s.to_string() == "1/2 + 1*x1^1 * t1^1 + 3 * t1^2"
+    assert s * s.invert_unit() == TruncatedSeries.one(1, 2)
+    assert isinstance((s + x).constant_term(), Polynomial)
+    with pytest.raises(NotAUnit):
+        (s + x).invert_unit()
 
 
 def test_fractions_are_made_only_when_coefficients_are_read():
