@@ -6,8 +6,9 @@ mismatch or a failed verification), 2 malformed input (including a jet of
 order r >= 2 given to beta, alpha or verify on a chart that fails the
 mixed-partial condition at its base point through order r - 2, a jet with
 more than MAX_JET_COEFFICIENTS coefficients for jetspace, prolong, beta,
-alpha or verify, a jet with d or r above it for membership or nondeg, and a
-flag given to hr1 with other filtration data than the chart's),
+alpha or verify (the last three count max(n, m^2) series, for the frame
+jet), a jet with d or r above it for membership or nondeg, and a flag given
+to hr1 with other filtration data than the chart's),
 3 singular-point or singular-initial data.  beta and alpha
 answer what library `beta` answers.
 """
@@ -39,9 +40,10 @@ EXIT_INPUT = 2
 EXIT_SINGULAR = 3
 
 # The most coefficients n * C(r + d, d) of a jet (n series in d variables at
-# order r) that jetspace, prolong, beta, alpha and verify accept; d and r are
-# each held to it as well, also by membership and nondeg, which read only the
-# terms they are given.  Larger inputs are refused with exit 2.
+# order r) that jetspace, prolong, beta, alpha and verify accept, the last
+# three with n = max(chart n, m^2) for the frame jet; d and r are each held
+# to it as well, also by membership and nondeg, which read only the terms
+# they are given.  Larger inputs are refused with exit 2.
 MAX_JET_COEFFICIENTS = 10_000
 
 
@@ -170,7 +172,8 @@ def _frame_inputs(args):
         raise InputError("-r must be non-negative")
 
     def check_size(n, d, r):
-        check_jet_size(n, d, r if args.r is None else min(r, args.r))
+        check_jet_size(max(n, chart.m ** 2), d,
+                       r if args.r is None else min(r, args.r))
 
     jet = jio.jet_from_json(_load_json_arg(args.jet), check_size)
     if args.r is not None:
@@ -213,8 +216,8 @@ def _cmd_verify(args):
     if args.max_order < 0:
         raise InputError("--max-order must be non-negative")
     chart = jio.chart_from_json(_load_json_arg("@" + args.connection))
-    # verify draws jets with d <= 2 and r <= --max-order
-    check_jet_size(chart.n, 2, args.max_order)
+    # verify draws jets with d <= 2 and r <= --max-order, and m^2 frame series
+    check_jet_size(max(chart.n, chart.m ** 2), 2, args.max_order)
     report = verify_connection(chart, max_order=args.max_order,
                                seed=args.seed, cases=args.cases)
     _emit(report)

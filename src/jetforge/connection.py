@@ -42,7 +42,7 @@ from typing import NamedTuple
 from . import linalg
 from .errors import (ArityMismatch, DimensionMismatch, NonIntegrable,
                      SingularInitial, SingularPoint)
-from .poly import default_names, graded_monomials, primitive_parts
+from .poly import Polynomial, default_names, graded_monomials, primitive_parts
 from .ratfunc import RationalFunction, _univ_divmod, _univ_gcd
 from .series import JetPoint, TruncatedSeries, taylor_weights
 
@@ -461,7 +461,8 @@ def _local_gammas(chart, order, point):
 def _check_initial(matrix, m):
     if len(matrix) != m or any(len(row) != m for row in matrix):
         raise ArityMismatch("initial matrix has the wrong size")
-    if not linalg.det(matrix):
+    if not linalg.det([[RationalFunction(x) if isinstance(x, Polynomial) else x
+                        for x in row] for row in matrix]):
         raise SingularInitial("initial matrix is singular")
 
 

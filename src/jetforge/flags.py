@@ -18,7 +18,6 @@ leading columns of each step.  On top of this sit:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 from . import linalg
 from .congruence import miss_is_proof, solve_congruence
@@ -147,24 +146,20 @@ def _as_matrixjet(matrix):
 def select_chart(hodge, constant_matrix):
     """Deterministic chart for a flag given by leading columns of a matrix:
     per step (deepest first) the lexicographically smallest nested pivot set
-    whose constant minor is invertible."""
-    m = hodge.m
+    whose constant minor is invertible: the rows one elimination of the
+    transposed leading columns keeps greedily, previous pivot rows first and
+    the rest ascending (a matroid's greedy basis is the least)."""
     pivot_sets = []
     prev = ()
     for size in hodge.step_sizes():
-        chosen = None
-        for cand in combinations(range(m), size):
-            if not set(prev) <= set(cand):
-                continue
-            minor = [[constant_matrix[row][col] for col in range(size)]
-                     for row in cand]
-            if linalg.det(minor):
-                chosen = cand
-                break
-        if chosen is None:
+        order = list(prev) + [row for row in range(hodge.m) if row not in prev]
+        columns = [[constant_matrix[row][col] for row in order]
+                   for col in range(size)]
+        pivots = linalg.eliminate(columns)[1]
+        if len(pivots) < size:
             raise NoValidChart("no pivot set has an invertible constant minor")
-        pivot_sets.append(chosen)
-        prev = chosen
+        prev = tuple(sorted(order[c] for c in pivots))
+        pivot_sets.append(prev)
     return FlagChart(pivot_sets)
 
 

@@ -6,20 +6,26 @@ outcomes.  All comparisons are exact (rational coefficient equality); there
 are no tolerances to calibrate.
 """
 
+import random
 import time
 from fractions import Fraction
 
 import pytest
 
 import jetforge.linalg as la
-from jetforge.connection import beta, matrixjet_invert, period_system
+import jetforge.verify as verify
+from jetforge.connection import (beta, build_xi, check_flatness,
+                                 check_right_equivariance, matrixjet_invert,
+                                 period_system, series_oracle)
 from jetforge.examples import hypergeometric_jet, legendre_chart
+from jetforge.flags import alpha, check_fv, check_hr1
 from jetforge.poly import Polynomial
 from jetforge.ratfunc import RationalFunction
 from jetforge.scheme import (AffineScheme, dimension_witness,
                              is_nondegenerate, jet_membership)
 from jetforge.series import JetPoint, TruncatedSeries
-from jetforge.verify import (run_frame_corpus, run_hr1_suite,
+from jetforge.verify import (random_flat_chart, random_invertible,
+                             random_jet, run_frame_corpus, run_hr1_suite,
                              run_prolong_functoriality_suite, run_tower_suite,
                              run_universal_route_suite)
 
@@ -135,3 +141,55 @@ def test_criterion_8_dimension_witness_on_the_circle():
     ok = ok and surface.witnesses[1] is None
     _report(8, "circle witnesses found through order 8 and none for d=2",
             ok, "parametrized and lifted searches")
+
+
+def k3_shape(m):
+    """Weight 2 with filtration (m, m - 1, 1), as for K3-type families: q
+    pairs e_1 with e_m and is <1, -1, 1, ...> on the rest, so the line F^2
+    is orthogonal to F^1."""
+    q = [[0] * m for _ in range(m)]
+    q[0][m - 1] = q[m - 1][0] = 1
+    for i in range(1, m - 1):
+        q[i][i] = 1 if i % 2 else -1
+    return 2, (m, m - 1, 1), q
+
+
+def calabi_yau_shape(m):
+    """Weight m - 1 with filtration (m, m - 1, ..., 1) and q alternating on
+    the antidiagonal (m even); at m = 4 the shape of the mirror quintic."""
+    q = [[0] * m for _ in range(m)]
+    for i in range(m // 2):
+        q[i][m - 1 - i], q[m - 1 - i][i] = 1, -1
+    return m - 1, tuple(range(m, 0, -1)), q
+
+
+def test_criterion_9_frame_sizes_of_real_families(monkeypatch):
+    # gauged n = 1 charts that keep the standard flag, built by the corpus
+    # generator with the lattice form of each shape
+    start = time.time()
+    ok = True
+    for shape, m in ((k3_shape, 22), (calabi_yau_shape, 4)):
+        monkeypatch.setattr(verify, "_hodge_shape", shape)
+        rng = random.Random(m)
+        rc = random_flat_chart(rng, m, 1, hodge_aligned=True)
+        chart = rc.chart
+        hodge = chart.hodge
+        ok = ok and (hodge.weight, hodge.filtration_dims) == shape(m)[:2] \
+            and chart.pairing_is_flat()
+        for r in (1, 2):
+            sigma = random_jet(rng, chart, 1, r)
+            point = sigma.basepoint()
+            gauge = rc.gauge_at(point)   # a torsor point: M^T Gram M = Q
+            table = build_xi(chart, r)
+            frame = beta(chart, sigma, gauge, table=table)
+            ok = ok and frame == series_oracle(chart, sigma, gauge) \
+                and check_flatness(chart, sigma, frame) \
+                and check_right_equivariance(chart, sigma, gauge,
+                                             random_invertible(rng, m),
+                                             table=table) \
+                and check_fv(chart, point, gauge) \
+                and check_hr1(hodge, alpha(chart, sigma, gauge, table=table))
+    elapsed = time.time() - start
+    _report(9, "Hodge-shaped frames of size 22 (weight 2) and 4 (weight 3)",
+            ok and elapsed < 30, f"orders 1 and 2 in {elapsed:.1f}s, "
+            "budget 30s")

@@ -248,6 +248,36 @@ class TestSizeGuard:
             jet = json.dumps({"d": d, "r": r, "series": series})
             self.refused(argv + ["--jet", jet], capsys)
 
+    @pytest.mark.parametrize("command", ["beta", "alpha"])
+    def test_frame_commands_count_the_frame(self, command, legendre_file,
+                                            capsys, monkeypatch):
+        # Legendre has n = 1 and m = 2: the frame jet has 4 * C(r + 1, 1)
+        # coefficients, 10,004 at r = 2500, and the jet is refused unparsed
+        def refuse(*args):
+            raise AssertionError("a series was parsed")
+
+        monkeypatch.setattr(jio.TruncatedSeries, "from_string", refuse)
+        jet = json.dumps({"d": 1, "r": 2500, "series": ["1/2 + 1 * t1^1"]})
+        self.refused([command, "--connection", legendre_file, "--jet", jet],
+                     capsys)
+
+    def test_verify_counts_the_frame(self, legendre_file, capsys,
+                                     monkeypatch):
+        # 4 * C(71, 2) = 9,940 passes and 4 * C(72, 2) = 10,224 does not
+        orders = []
+
+        def record(chart, max_order, seed, cases):
+            orders.append(max_order)
+            return {"ok": True, "suites": []}
+
+        monkeypatch.setattr(cli, "verify_connection", record)
+        argv = ["verify", "--connection", legendre_file, "--cases", "1",
+                "--max-order"]
+        assert run(argv + ["69"]) == 0
+        capsys.readouterr()
+        self.refused(argv + ["70"], capsys)
+        assert orders == [69]
+
     def test_restriction_order_is_what_counts(self, legendre_file, capsys):
         jet = json.dumps({"d": 1, "r": cli.MAX_JET_COEFFICIENTS + 1,
                           "series": ["1/2 + 1 * t1^1"]})

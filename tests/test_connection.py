@@ -349,6 +349,23 @@ class TestBeta:
             beta(legendre_chart(), line_jet(Fraction(1, 2), 2),
                  [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
 
+    def test_symbolic_initial_data_of_size_three(self):
+        # the determinant of Polynomial initial data is taken over rational
+        # functions: a zero pivot is swapped away, and a matrix of rank two
+        # over Q(x) is refused
+        rng = random.Random(12)
+        rc = random_flat_chart(rng, 3, 1)
+        sigma = random_jet(rng, rc.chart, 1, 2)
+        x = [Polynomial.variable(i, 5) for i in range(5)]
+        zero, one = Polynomial.zero(5), Polynomial.const(1, 5)
+        generic = [[zero, x[0], one], [x[1], one + one, x[2]],
+                   [one, x[3], x[4]]]
+        assert beta(rc.chart, sigma, generic) == \
+            series_oracle(rc.chart, sigma, generic)
+        rank_two = generic[:2] + [[a + x[4] * b for a, b in zip(*generic[:2])]]
+        with pytest.raises(SingularInitial):
+            beta(rc.chart, sigma, rank_two)
+
     def test_non_integrable_chart_is_refused(self):
         # beta used to return 1 here while series_oracle returns
         # 1 - 1/2 t1 t2

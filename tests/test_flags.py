@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -7,7 +8,8 @@ import jetforge.flags as flags
 import jetforge.linalg as la
 from jetforge.connection import (MatrixJet, beta, matrixjet_invert,
                                  series_oracle)
-from jetforge.errors import CongruenceSearchExhausted, NoRationalFvPoint
+from jetforge.errors import (CongruenceSearchExhausted, NoRationalFvPoint,
+                             NoValidChart)
 from jetforge.examples import legendre_chart, nilpotent_chart
 from jetforge.flags import (FlagChart, FlagJet, HodgeData, TorsorPoint,
                             alpha, check_fv, check_hr1, eta_chartlocal,
@@ -32,6 +34,28 @@ def rand_series(rng, d, r, include_const=None):
     if include_const is not None:
         coeffs[(0,) * d] = include_const
     return TruncatedSeries(d, r, coeffs)
+
+
+def subset_scan_chart(hodge, constant_matrix):
+    """The chart rule by scanning every pivot set in lexicographic order:
+    the reference for `flags.select_chart`."""
+    pivot_sets = []
+    prev = ()
+    for size in hodge.step_sizes():
+        chosen = None
+        for cand in combinations(range(hodge.m), size):
+            if not set(prev) <= set(cand):
+                continue
+            minor = [[constant_matrix[row][col] for col in range(size)]
+                     for row in cand]
+            if la.det(minor):
+                chosen = cand
+                break
+        if chosen is None:
+            raise NoValidChart("no pivot set has an invertible constant minor")
+        pivot_sets.append(chosen)
+        prev = chosen
+    return FlagChart(pivot_sets)
 
 
 class TestFlagOfMatrix:
@@ -85,6 +109,35 @@ class TestFlagOfMatrix:
         matrix = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
         flag = flag_of_matrix(hodge, matrix)
         assert flag.chart.pivot_sets == ((1,), (0, 1))
+
+    def test_select_chart_matches_the_subset_scan(self):
+        rng = random.Random(2026)
+        counts = {"chart": 0, "none": 0}
+        for _ in range(600):
+            m = rng.randint(1, 6)
+            levels = rng.sample(range(1, m), rng.randint(0, m - 1))
+            hodge = HodgeData(m, 0, (m, *sorted(levels, reverse=True)),
+                              [[int(i == j) for j in range(m)]
+                               for i in range(m)])
+            density = rng.choice([0.2, 0.5, 1.0])
+            matrix = [[Fraction(rng.randint(-2, 2))
+                       if rng.random() < density else Fraction(0)
+                       for _ in range(m)] for _ in range(m)]
+            if rng.random() < 0.25:   # dense and of rank below m
+                k = rng.randint(1, m)
+                matrix = la.mat_mul(
+                    [[rng.randint(-2, 2) for _ in range(k)] for _ in range(m)],
+                    [[rng.randint(-2, 2) for _ in range(m)] for _ in range(k)])
+            try:
+                expected = subset_scan_chart(hodge, matrix)
+            except NoValidChart:
+                with pytest.raises(NoValidChart):
+                    flags.select_chart(hodge, matrix)
+                counts["none"] += 1
+            else:
+                assert flags.select_chart(hodge, matrix) == expected
+                counts["chart"] += 1
+        assert min(counts.values()) > 100, counts
 
     def test_representative_prefix_spans(self):
         hodge = weight2_data()

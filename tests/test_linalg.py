@@ -1,7 +1,9 @@
 """The shared inverses of `linalg`, the Neumann sum over commutative rings
-and Gauss-Jordan elimination over fields, and its one matrix product."""
+and Gauss-Jordan elimination over fields, its determinant and its one
+matrix product."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -106,6 +108,73 @@ def test_invert_reads_ints_as_fractions():
     assert all(type(x) is Fraction for row in inverse for x in row)
     with pytest.raises(ValueError, match="singular"):
         la.invert([[1, 2], [2, 4]])
+
+
+def leibniz_det(a):
+    """The determinant as the signed sum over permutations: the reference
+    for `la.det`."""
+    m = len(a)
+    total = 0
+    for perm in permutations(range(m)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(m) for j in range(i + 1, m))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term = term * a[i][j]
+        total = total + term
+    return total
+
+
+@st.composite
+def fraction_matrices(draw):
+    """Square Fraction matrices of size up to 5, often sparse (so leading
+    pivots vanish and rows are swapped), and at times singular: the last
+    row a combination of the others."""
+    m = draw(st.integers(1, 5))
+    zero = st.just(Fraction(0))
+    entry = draw(st.sampled_from([rationals, st.one_of(zero, rationals),
+                                  st.one_of(zero, zero, zero, rationals)]))
+    a = square(draw, m, entry)
+    if m > 1 and draw(st.booleans()):
+        weights = [draw(rationals) for _ in range(m - 1)]
+        a[-1] = [sum(w * row[j] for w, row in zip(weights, a))
+                 for j in range(m)]
+    return a
+
+
+@SETTINGS
+@given(fraction_matrices())
+def test_det_matches_the_leibniz_formula(a):
+    value = la.det(a)
+    assert type(value) is Fraction
+    assert value == leibniz_det(a)
+
+
+def test_det_swaps_rows_to_a_nonzero_pivot():
+    # the permutation matrices take every sequence of row swaps
+    for perm in permutations(range(4)):
+        a = [[Fraction(i + 2) if j == perm[i] else Fraction(0)
+              for j in range(4)] for i in range(4)]
+        assert la.det(a) == leibniz_det(a)
+    assert la.det([[0, 1, 2], [0, 3, 4], [5, 6, 7]]) == -10
+    assert la.det([[0, 1, 2], [0, 3, 4], [0, 6, 7]]) == 0
+
+
+def test_det_reads_ints_as_fractions():
+    for a in ([[3]], [[2, 1], [1, 1]], [[1, 2], [2, 4]],
+              [[0, 1, 2], [3, 4, 5], [6, 7, 9]]):
+        value = la.det(a)
+        assert type(value) is Fraction
+        assert value == leibniz_det(a)
+
+
+@SETTINGS
+@given(rational_function_matrices())
+def test_det_over_rational_functions_matches_the_leibniz_formula(g):
+    assert la.det(g) == leibniz_det(g)
+    singular = [list(row) for row in g]
+    singular[-1] = [x * g[-1][0] for x in g[0]]
+    assert not la.det(singular)
 
 
 class Counted:
