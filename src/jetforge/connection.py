@@ -14,11 +14,19 @@ jet sigma with initial matrix M:
 * `beta` expresses every iterated partial of f at the base point as a
   linear form in the entries of f (the xi table), recursing over derivative
   multi-degrees in chart coordinates on the Taylor series of the
-  coefficients there, and assembles the Taylor composition.  The same
-  series decide integrability: an order-r jet exists exactly when the
-  mixed-partial condition holds at the base point through order r - 2;
+  coefficients there, and assembles the Taylor composition as F = W M,
+  where W[j][i] sums the Taylor weights w_q against the values G_q[j][i].
+  The same series decide integrability: an order-r jet exists exactly
+  when the mixed-partial condition holds at the base point through order
+  r - 2;
 * `series_oracle` pulls the system back along sigma and solves the truncated
-  equations degree by degree in jet coordinates.
+  equations degree by degree in jet coordinates, forming only the degree
+  it reads: degree k of f is a sum of products of homogeneous parts whose
+  degrees add up to k, the step of an online power-series solver (van der
+  Hoeven, "Relax, but don't be too lazy", J. Symbolic Comput. 34, 2002).
+
+Both build each entry with `TruncatedSeries.combination`, one sum over
+one common denominator.
 
 They share the series ring and `RationalFunction.eval_on_jet`, which
 expands the coefficients (along the identity jet at the base point for
@@ -487,24 +495,31 @@ def beta(chart, sigma, initial, table=None):
     if table is None or table.order < r or table.chart is not chart:
         table = build_xi(chart, r)
     weight = taylor_weights(sigma.offsets())
-    acc = [[TruncatedSeries.zero(d, r) for _ in range(chart.m)]
-           for _ in range(chart.m)]
+    gammas = []
     for q in graded_monomials(chart.n, r):
-        wq = weight(q)
-        if wq.is_zero():
-            continue
-        coeff = linalg.mat_mul(table.gamma_at(q, s), initial)
-        for j in range(chart.m):
-            for k in range(chart.m):
-                c = coeff[j][k]
-                if c:
-                    acc[j][k] = acc[j][k] + wq.scale(c)
-    return MatrixJet(acc)
+        w = weight(q)
+        if w:
+            gammas.append((table.gamma_at(q, s), w))
+    m = chart.m
+    combination = TruncatedSeries.combination
+    # F = W M with W[j][i] = sum_q G_q(s)[j][i] w_q
+    w_matrix = [[combination(d, r, [(g[j][i], w) for g, w in gammas])
+                 for i in range(m)] for j in range(m)]
+    return MatrixJet([[combination(d, r, [(initial[i][k], w_row[i])
+                                          for i in range(m)])
+                       for k in range(m)] for w_row in w_matrix])
 
 
 def series_oracle(chart, sigma, initial):
     """Same contract as `beta`, computed by pulling the system back along
     sigma and solving the truncated equations degree by degree.
+
+    The pulled-back system is dF/dt_a = G_a F, with G_a = sum_l (d sigma_l
+    / d t_a) (A_l along sigma).  The Euler operator E = sum_a t_a d/dt_a
+    turns it into E F = S F with S = sum_a t_a G_a, and E is k times the
+    degree-k part, so that part of F is (1/k) sum_e S_e F_(k-e) over the
+    homogeneous parts S_e of S, e >= 1.  Step k thus forms only products
+    of degree k, one combination per entry, and none at full order.
 
     Shares with the xi-table route only the series ring and
     `RationalFunction.eval_on_jet`.  The recursion is linear in `initial`,
@@ -518,49 +533,36 @@ def series_oracle(chart, sigma, initial):
     chart.assert_regular(s)
     d, r = sigma.dims, sigma.order
     m = chart.m
-    # pulled-back multipliers: dF/dt_a = G_a F with
-    # G_a = sum_l (d sigma_l / d t_a) (A_l along sigma)
-    dsigma = [[s.derive(a) for a in range(d)] for s in sigma.series]
-    # A_l along sigma, expanded once if some t_a moves z_l
-    along = [[[rf.eval_on_jet(sigma) if rf else None for rf in row]
-              for row in chart.a_matrix(l)] if any(dsigma[l]) else None
-             for l in range(chart.n)]
-    pulled = []
-    for a in range(d):
-        g = [[TruncatedSeries.zero(d, r) for _ in range(m)] for _ in range(m)]
-        for l in range(chart.n):
-            ds = dsigma[l][a]
-            if ds.is_zero():
-                continue
-            for j in range(m):
-                for i in range(m):
-                    if along[l][j][i] is not None:
-                        g[j][i] = g[j][i] + along[l][j][i] * ds
-        pulled.append(g)
-    parts = [[{(0,) * d: initial[j][k]} if initial[j][k] else {}
-              for k in range(m)] for j in range(m)]
-    for degree in range(1, r + 1):
-        # the new degree reads the products only in degree - 1, so both
-        # factors are cut there
-        low = degree - 1
-        current = [[TruncatedSeries(d, low, parts[j][k]) for k in range(m)]
-                   for j in range(m)]
-        inv_deg = Fraction(1, degree)
-        for a in range(d):
-            prod = linalg.mat_mul([[s.restrict(low) for s in row]
-                                   for row in pulled[a]], current)
-            for j in range(m):
-                for k in range(m):
-                    for p, c in prod[j][k].homogeneous(low).items():
-                        shifted = tuple(e + 1 if i == a else e
-                                        for i, e in enumerate(p))
-                        prev = parts[j][k].get(shifted)
-                        val = c * inv_deg
-                        parts[j][k][shifted] = prev + val if prev is not None \
-                            else val
-    entries = [[TruncatedSeries(d, r, parts[j][k]) for k in range(m)]
-               for j in range(m)]
-    return MatrixJet(entries)
+    combination = TruncatedSeries.combination
+    # S = sum_a t_a G_a = sum_l E(sigma_l) (A_l along sigma), and E is
+    # the degree times each homogeneous part
+    euler = [combination(d, r, enumerate(comp.graded_parts()))
+             for comp in sigma.series]
+    pulled = [[[] for _ in range(m)] for _ in range(m)]
+    for l, moved in enumerate(euler):
+        if moved:
+            for j, row in enumerate(chart.a_matrix(l)):
+                for i, rf in enumerate(row):
+                    if rf:
+                        pulled[j][i].append((moved, rf.eval_on_jet(sigma)))
+    # the nonzero parts S_e of S, with their degrees e >= 1
+    s_parts = [[[(e, part) for e, part in enumerate(
+        combination(d, r, pairs).graded_parts()) if part] for pairs in row]
+               for row in pulled]
+    # the degree-k part of F is (1/k) sum_e S_e F_(k-e): each product is of
+    # two homogeneous parts and has degree k
+    parts = [[[TruncatedSeries.const(x, d, r)] for x in row]
+             for row in initial]
+    for k in range(1, r + 1):
+        inv_k = Fraction(1, k)
+        for s_row, f_row in zip(s_parts, parts):
+            for c, f_parts in enumerate(f_row):
+                f_parts.append(combination(d, r, [
+                    (part, parts[i][c][k - e])
+                    for i, s_entry in enumerate(s_row)
+                    for e, part in s_entry if e <= k]).scale(inv_k))
+    return MatrixJet([[combination(d, r, [(1, p) for p in entry])
+                       for entry in row] for row in parts])
 
 
 def check_right_equivariance(chart, sigma, initial, action, table=None):

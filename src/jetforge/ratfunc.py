@@ -40,6 +40,15 @@ def _univ_gcd(a, b):
     return a.normalized()
 
 
+def _is_one(p):
+    return p._den == 1 and p._table == {(0,) * p.arity: 1}
+
+
+def _times(p, q):
+    """p * q, with no product when either is the constant 1."""
+    return p if _is_one(q) else q if _is_one(p) else p * q
+
+
 class RationalFunction:
     """Numerator over denominator, both polynomials in the same variables."""
 
@@ -60,7 +69,7 @@ class RationalFunction:
                 num = _univ_divmod(num, g)[0]
                 den = _univ_divmod(den, g)[0]
         # the constant denominator 1 is already in normal form
-        if den._den != 1 or den._table != {(0,) * den.arity: 1}:
+        if not _is_one(den):
             dnorm = den.normalized()
             scale = dnorm.leading()[1] / den.leading()[1]
             num = num * scale
@@ -112,8 +121,9 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
+        return RationalFunction(
+            _times(self.num, other.den) + _times(other.num, self.den),
+            _times(self.den, other.den))
 
     __radd__ = __add__
 
@@ -137,7 +147,8 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        return RationalFunction(self.num * other.num,
+                                _times(self.den, other.den))
 
     __rmul__ = __mul__
 

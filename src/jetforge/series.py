@@ -16,6 +16,15 @@ keeps the denominator with the rational-table functions of `poly` that
 numerators and the denominator.  An operation on a rational and a
 polynomial-coefficient series pads the rational keys with k zero
 a-exponents; one on two rational series pads and slices nothing.
+
+`TruncatedSeries.combination` forms a linear combination sum c * a, whose
+coefficients c are rationals, `Polynomial`s or series (then each term is
+a product, cut at the order).  It adds every term into one integer table
+over one common denominator and reduces the sum once
+(`poly.combine_fractions`), where a chain of `scale`, `*` and `+` would
+build and reduce a series per term.  `graded_parts` splits a series into
+its homogeneous parts.
+
 `coeffs`, `coefficient` and `homogeneous` read the coefficients, built
 when read: a constant one as a Fraction, any other as a `Polynomial` in the
 a-variables.
@@ -32,9 +41,10 @@ from fractions import Fraction
 from .errors import (ArityMismatch, DimensionMismatch, InputError, NotAUnit,
                      OrderIncrease)
 from .linalg import unipotent_inverse
-from .poly import (Polynomial, add_fractions, clean_terms, default_names,
-                   derive_terms, evaluate_terms, integer_table, lowest_terms,
-                   mul_terms, pow_terms, scale_fraction, terms_to_string)
+from .poly import (Polynomial, add_fractions, clean_terms, combine_fractions,
+                   default_names, derive_terms, evaluate_terms, integer_table,
+                   lowest_terms, mul_terms, pow_terms, scale_fraction,
+                   terms_to_string)
 
 
 def _ring_element(c):
@@ -221,6 +231,18 @@ class TruncatedSeries:
         return {p: Fraction(c, den)
                 for p, c in self._table.items() if sum(p) == degree}
 
+    def graded_parts(self):
+        """The homogeneous parts of degrees 0..order, as series of this
+        shape whose sum is the series."""
+        d, arity = self.dims, self._arity
+        tables = [{} for _ in range(self.order + 1)]
+        for key, n in self._table.items():
+            tables[sum(key[:d]) if arity else sum(key)][key] = n
+        return [TruncatedSeries._generic(d, self.order,
+                                         *lowest_terms(table, self._den),
+                                         arity)
+                for table in tables]
+
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -315,6 +337,56 @@ class TruncatedSeries:
         lifted = {(0,) * self.dims + a: n for a, n in scalar._table.items()}
         return TruncatedSeries._generic(self.dims, self.order, *lowest_terms(
             mul_terms(table, lifted), self._den * scalar._den), arity)
+
+    @classmethod
+    def combination(cls, dims, order, pairs):
+        """The linear combination sum c * a over the pairs (c, a).
+
+        Each a is a series of shape (dims, order) and each c a rational, a
+        `Polynomial` or a series of that shape, whose product with a is cut
+        at the order as `*` cuts it.  The terms are added into one integer
+        table over one common denominator and reduced once (see
+        `combine_fractions`); a pair with a zero member adds nothing, and
+        the empty sum is zero.  Rational tables are padded to the
+        coefficient variables of the others, as `+` pads them.
+        """
+        _check_shape(dims, order)
+        # (a's table, den, c's table or int numerator, den) and the arities
+        # of a and c
+        terms, arities = [], []
+        for c, a in pairs:
+            if not (c and a):
+                continue
+            if a.dims != dims or a.order != order:
+                raise DimensionMismatch(
+                    f"series in ({a.dims} vars, order {a.order}) in a "
+                    f"combination in ({dims} vars, order {order})")
+            kind = type(c)
+            if kind is Fraction or kind is int:
+                terms.append((a._table, a._den, c.numerator, c.denominator))
+                arities.append((a._arity, 0))
+            elif kind is TruncatedSeries:
+                a._check_compatible(c)
+                terms.append((a._table, a._den, c._table, c._den))
+                arities.append((a._arity, c._arity))
+            elif kind is Polynomial:
+                terms.append((a._table, a._den, {
+                    (0,) * dims + e: n for e, n in c._table.items()}, c._den))
+                arities.append((a._arity, c.arity))
+            else:
+                raise TypeError("series combine with rationals, Polynomials "
+                                f"or series, got {kind.__name__}")
+        arity = max(map(max, arities), default=0)
+        if arity:
+            if any(k and k != arity for pair in arities for k in pair):
+                raise ArityMismatch(
+                    "series combined over different coefficient variables")
+            terms = [(_padded(a, arity) if ka != arity else a, da,
+                      _padded(b, arity) if kb != arity and type(b) is not int
+                      else b, db)
+                     for (a, da, b, db), (ka, kb) in zip(terms, arities)]
+        return cls._generic(dims, order, *combine_fractions(
+            terms, order, dims if arity else None), arity)
 
     def __pow__(self, n):
         arity = self._arity

@@ -80,6 +80,56 @@ def count_evaluations(monkeypatch, polys):
     return calls
 
 
+def reference_oracle(chart, sigma, initial):
+    """The flat frame along sigma by the earlier oracle loop: full products
+    of the pulled-back multipliers G_a with the frame cut at order k - 1,
+    of which degree k reads only the degree k - 1 part, kept as dicts of
+    coefficients."""
+    d, r, m = sigma.dims, sigma.order, chart.m
+    dsigma = [[s.derive(a) for a in range(d)] for s in sigma.series]
+    along = [[[rf.eval_on_jet(sigma) if rf else None for rf in row]
+              for row in chart.a_matrix(l)] if any(dsigma[l]) else None
+             for l in range(chart.n)]
+    pulled = []
+    for a in range(d):
+        g = [[TruncatedSeries.zero(d, r) for _ in range(m)] for _ in range(m)]
+        for l in range(chart.n):
+            ds = dsigma[l][a]
+            if ds.is_zero():
+                continue
+            for j in range(m):
+                for i in range(m):
+                    if along[l][j][i] is not None:
+                        g[j][i] = g[j][i] + along[l][j][i] * ds
+        pulled.append(g)
+    parts = [[{(0,) * d: initial[j][k]} if initial[j][k] else {}
+              for k in range(m)] for j in range(m)]
+    for degree in range(1, r + 1):
+        low = degree - 1
+        current = [[TruncatedSeries(d, low, parts[j][k]) for k in range(m)]
+                   for j in range(m)]
+        for a in range(d):
+            prod = la.mat_mul([[s.restrict(low) for s in row]
+                               for row in pulled[a]], current)
+            for j in range(m):
+                for k in range(m):
+                    for p, c in prod[j][k].homogeneous(low).items():
+                        shifted = tuple(e + 1 if i == a else e
+                                        for i, e in enumerate(p))
+                        val = c * Fraction(1, degree)
+                        parts[j][k][shifted] = parts[j][k].get(shifted, 0) \
+                            + val
+    return MatrixJet([[TruncatedSeries(d, r, parts[j][k]) for k in range(m)]
+                      for j in range(m)])
+
+
+def symbolic_initial(rng, m, arity):
+    """An m x m matrix of Polynomials in `arity` variables, some constant."""
+    x = [Polynomial.variable(i, arity) for i in range(arity)]
+    return [[rng.choice(x) * rng.randint(-2, 2) + rng.randint(-2, 2)
+             for _ in range(m)] for _ in range(m)]
+
+
 class TestXiTable:
     def test_empty_word_is_the_symbol(self):
         chart = linear_coefficient_chart()
@@ -448,22 +498,101 @@ class TestOracleAgreement:
                     assert left.entry(j, k) == \
                         f1.entry(j, k).scale(a) + f2.entry(j, k).scale(b)
 
-    def test_oracle_cuts_products_at_the_degree_it_reads(self, monkeypatch):
-        orders = []
-        original = la.mat_mul
-
-        def recording(a, b):
-            orders.append((a[0][0].order, b[0][0].order))
-            return original(a, b)
-
+    def test_oracle_forms_only_the_degree_it_reads(self, monkeypatch):
+        # every product of series the oracle forms, through `*` or through
+        # the combination kernel, outside the expansion of the chart's
+        # coefficients: the pullback multiplies each Euler derivative
+        # sum_a t_a d sigma_l / d t_a by A_l along sigma once, and every
+        # other product is of two homogeneous parts whose degrees sum to the
+        # degree k <= r it makes
         rng = random.Random(16)
         rc = random_flat_chart(rng, 2, 2)
-        sigma = random_jet(rng, rc.chart, 2, 4)
+        chart, d, r = rc.chart, 2, 4
+        sigma = random_jet(rng, chart, d, r)
         initial = random_invertible(rng, 2)
-        expected = series_oracle(rc.chart, sigma, initial)
-        monkeypatch.setattr(la, "mat_mul", recording)
-        assert series_oracle(rc.chart, sigma, initial) == expected
-        assert orders == [(k, k) for k in range(4) for _ in range(2)]
+        expected = series_oracle(chart, sigma, initial)
+        euler = [sum((TruncatedSeries.variable(a, d, r) * s.derive(a)
+                      for a in range(d)), TruncatedSeries.zero(d, r))
+                 for s in sigma.series]
+        along = [rf.eval_on_jet(sigma) for l in range(chart.n)
+                 for row in chart.a_matrix(l) for rf in row if rf]
+        products, expanding = [], []
+        original_mul = TruncatedSeries.__mul__
+        original_combination = TruncatedSeries.combination
+        original_eval = RationalFunction.eval_on_jet
+
+        def mul(self, other):
+            if not expanding and isinstance(other, TruncatedSeries):
+                products.append((self, other))
+            return original_mul(self, other)
+
+        def combination(cls, dims, order, pairs):
+            pairs = list(pairs)
+            if not expanding:
+                products.extend((c, a) for c, a in pairs
+                                if isinstance(c, TruncatedSeries) and c and a)
+            return original_combination(dims, order, pairs)
+
+        def eval_on_jet(self, jet):
+            expanding.append(jet)
+            try:
+                return original_eval(self, jet)
+            finally:
+                expanding.pop()
+
+        monkeypatch.setattr(TruncatedSeries, "__mul__", mul)
+        monkeypatch.setattr(TruncatedSeries, "combination",
+                            classmethod(combination))
+        monkeypatch.setattr(RationalFunction, "eval_on_jet", eval_on_jet)
+        assert series_oracle(chart, sigma, initial) == expected
+        pullback = [(c, a) for c, a in products if c in euler]
+        assert pullback and len(pullback) <= chart.n * chart.m ** 2
+        assert all(a in along for _, a in pullback)
+        degrees = []
+        for c, a in products:
+            if c not in euler:
+                (e,) = {sum(p) for p in c.coeffs}
+                (f,) = {sum(p) for p in a.coeffs}
+                assert e >= 1
+                degrees.append(e + f)
+        assert set(degrees) == set(range(1, r + 1))
+
+    def test_oracle_matches_the_reference_loop(self):
+        rng = random.Random(31)
+        for case in range(30):
+            m, n, d = rng.randint(1, 3), rng.randint(1, 2), rng.randint(1, 2)
+            r = rng.randint(0, 5) if case % 3 else 5
+            rc = random_flat_chart(rng, m, n) if case % 2 else \
+                random_n1_chart(rng, m)
+            chart = rc.chart
+            sigma = random_jet(rng, chart, d, r)
+            initial = random_invertible(rng, m)
+            singular = [row[:] for row in initial]
+            singular[-1] = [x * 2 for x in singular[0]]
+            symbolic = symbolic_initial(rng, m, 3)
+            for matrix in (initial, singular, symbolic):
+                assert series_oracle(chart, sigma, matrix) == \
+                    reference_oracle(chart, sigma, matrix)
+            frame = beta(chart, sigma, symbolic) if la.det(
+                [[RationalFunction(x) for x in row] for row in symbolic]) \
+                else None
+            if frame is not None:
+                assert frame == reference_oracle(chart, sigma, symbolic)
+
+    def test_generic_legendre_jet_matches_the_reference_loop(self):
+        # the Legendre jet with Polynomial higher coefficients of
+        # TestAlpha, with rational and symbolic initial data
+        chart = legendre_chart()
+        a = [Polynomial.variable(i, 3) for i in range(3)]
+        sigma = JetPoint([TruncatedSeries(1, 3, {
+            (0,): Fraction(1, 2), (1,): a[0], (2,): a[1] * 2 + 1,
+            (3,): a[2]})])
+        initial = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]
+        symbolic = [[a[0], a[1] + 1], [Fraction(3), a[2]]]
+        for matrix in (initial, symbolic):
+            frame = series_oracle(chart, sigma, matrix)
+            assert frame == reference_oracle(chart, sigma, matrix)
+            assert frame == beta(chart, sigma, matrix)
 
     def test_flatness_of_oracle_output(self):
         rng = random.Random(15)

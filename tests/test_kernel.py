@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetforge.errors import ArityMismatch, NotAUnit
+from jetforge.errors import ArityMismatch, DimensionMismatch, NotAUnit
 from jetforge.poly import (Polynomial, add_terms, default_names, derive_terms,
                           evaluate_terms, graded_monomials, monomial_key,
                           mul_terms, pow_terms, primitive_parts,
@@ -337,6 +337,96 @@ def test_flat_form_matches_polynomial_coefficients(operands):
         assert left == right and right == left
         assert hash(left) == hash(right)
     assert (g == a) == (fg == fa)
+
+
+# -- linear combinations: one integer table, reduced once ---------------------
+
+def reference_combination(dims, order, pairs):
+    """sum c * a through `scale`, `*` and `+`, one term at a time."""
+    total = TruncatedSeries.zero(dims, order)
+    for c, a in pairs:
+        total = total + (c * a if isinstance(c, TruncatedSeries)
+                         else a.scale(c))
+    return total
+
+
+def assert_stored_form(s):
+    assert_canonical_series(s)
+    if s._arity:
+        assert_flat_form(s, s._arity)
+    else:
+        assert_integer_form(s)
+
+
+@st.composite
+def combination_operands(draw):
+    dims = draw(st.integers(1, 2))
+    order = draw(st.integers(0, 3))
+    # rational series only, or mixed with series over Q[a_1, a_2]
+    coeffs = st.one_of(rationals, polynomials(2, top=1)) \
+        if draw(st.booleans()) else rationals
+    operand = series(dims, order, coeffs)
+    coefficient = st.one_of(rationals, st.integers(-2, 2),
+                            polynomials(2, top=1), operand)
+    pairs = draw(st.lists(st.tuples(coefficient, operand), max_size=5))
+    return dims, order, pairs
+
+
+@SETTINGS
+@given(combination_operands())
+def test_combination_matches_scale_and_add(operands):
+    dims, order, pairs = operands
+    result = TruncatedSeries.combination(dims, order, pairs)
+    assert result == reference_combination(dims, order, pairs)
+    assert_stored_form(result)
+    # the same terms again, negated, cancel to zero
+    cancelled = TruncatedSeries.combination(
+        dims, order, pairs + [(-c, a) for c, a in pairs])
+    assert cancelled == TruncatedSeries.zero(dims, order)
+    assert cancelled._table == {} and cancelled._den == 1
+    assert cancelled._arity == 0
+    for _, a in pairs:
+        parts = a.graded_parts()
+        assert len(parts) == order + 1
+        for degree, part in enumerate(parts):
+            assert_stored_form(part)
+            assert all(sum(p) == degree for p in part.coeffs)
+        assert TruncatedSeries.combination(
+            dims, order, [(1, part) for part in parts]) == a
+
+
+def test_combination_of_nothing_and_of_zeros_is_zero():
+    zero = TruncatedSeries.zero(2, 3)
+    x = TruncatedSeries(2, 3, {(1, 0): Fraction(1, 2)})
+    g = TruncatedSeries(2, 3, {(0, 1): Polynomial.variable(0, 2)})
+    assert TruncatedSeries.combination(2, 3, []) == zero
+    for pairs in ([(0, x)], [(Fraction(0), g)], [(Polynomial.zero(2), x)],
+                  [(zero, g)], [(x, zero)], [(3, zero), (0, g)]):
+        result = TruncatedSeries.combination(2, 3, pairs)
+        assert result == zero
+        assert (result._table, result._den, result._arity) == ({}, 1, 0)
+
+
+def test_combination_cuts_products_at_the_order():
+    t = TruncatedSeries(1, 2, {(1,): Fraction(1, 3), (2,): 1})
+    result = TruncatedSeries.combination(1, 2, [(t, t), (Fraction(3), t)])
+    assert result.coeffs == {(1,): 1, (2,): Fraction(28, 9)}
+    assert_integer_form(result)
+
+
+def test_combination_refuses_what_it_cannot_combine():
+    x = TruncatedSeries(1, 2, {(1,): Polynomial.variable(0, 2)})
+    y = TruncatedSeries(1, 2, {(0,): Polynomial.variable(0, 3)})
+    other_order = TruncatedSeries(1, 3, {(1,): 1})
+    for pairs in ([(1, x), (1, y)], [(x, y)],
+                  [(Polynomial.variable(0, 3), x)]):
+        with pytest.raises(ArityMismatch):
+            TruncatedSeries.combination(1, 2, pairs)
+    for pairs in ([(1, other_order)], [(other_order, x)]):
+        with pytest.raises(DimensionMismatch):
+            TruncatedSeries.combination(1, 2, pairs)
+    with pytest.raises(TypeError):
+        TruncatedSeries.combination(1, 2, [(1.5, x)])
 
 
 def test_generic_operands_of_different_arities_do_not_mix():

@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jetforge.ratfunc as ratfunc
+from jetforge import linalg
 from jetforge.errors import ArityMismatch, InputError
 from jetforge.poly import Polynomial, graded_monomials, monomial_key
 from jetforge.ratfunc import RationalFunction
@@ -199,3 +202,70 @@ def test_constant_one_denominator_is_not_normalized(monkeypatch):
             assert (f.num, f.den) == want
             assert f.num._table == want[0]._table
             assert f.num._den == want[0]._den
+
+
+def count_products(monkeypatch):
+    """Count the calls of `Polynomial.__mul__` from now on."""
+    calls = []
+    original = Polynomial.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    return calls
+
+
+def test_constant_one_denominators_make_no_products(monkeypatch):
+    # the 2x2 determinant of symbolic initial data: over Polynomials it
+    # makes two products, and lifted to rational functions, whose
+    # denominators are all 1, it makes no more
+    x = [Polynomial.variable(i, 4) for i in range(4)]
+    lifted = [[RationalFunction(x[0]), RationalFunction(x[1])],
+              [RationalFunction(x[2]), RationalFunction(x[3])]]
+    calls = count_products(monkeypatch)
+    result = linalg.det(lifted)
+    assert len(calls) == 2
+    assert result.num == x[0] * x[3] - x[1] * x[2]
+    assert result.den == Polynomial.const(1, 4)
+
+
+rational_coefficients = st.builds(Fraction, st.integers(-4, 4),
+                                  st.integers(1, 3))
+
+
+@st.composite
+def rational_function_pairs(draw):
+    arity = draw(st.integers(1, 2))
+
+    def poly(top):
+        terms = draw(st.dictionaries(st.tuples(*[st.integers(0, top)] * arity),
+                                     rational_coefficients, max_size=4))
+        return Polynomial(arity, terms)
+
+    def function():
+        num = poly(2)
+        den = poly(1) if draw(st.booleans()) else Polynomial.const(1, arity)
+        return RationalFunction(num, den if den else
+                                Polynomial.const(1, arity))
+
+    return function(), function()
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(rational_function_pairs())
+def test_constant_one_denominators_give_the_general_result(pair):
+    # the general path multiplies by every denominator, 1 or not
+    a, b = pair
+
+    def general_sum(f, g):
+        return RationalFunction(f.num * g.den + g.num * f.den, f.den * g.den)
+
+    general_product = RationalFunction(a.num * b.num, a.den * b.den)
+    for result, want in ((a + b, general_sum(a, b)),
+                         (a - b, general_sum(a, -b)),
+                         (a * b, general_product)):
+        assert (result.num, result.den) == (want.num, want.den)
+        assert result.num._den == want.num._den
+        assert result.den._den == want.den._den
