@@ -567,8 +567,8 @@ class TestOracleAgreement:
             chart = rc.chart
             sigma = random_jet(rng, chart, d, r)
             initial = random_invertible(rng, m)
-            singular = [row[:] for row in initial]
-            singular[-1] = [x * 2 for x in singular[0]]
+            singular = initial[:-1] + [[2 * x for x in initial[0]]] \
+                if m > 1 else [[Fraction(0)]]
             symbolic = symbolic_initial(rng, m, 3)
             for matrix in (initial, singular, symbolic):
                 assert series_oracle(chart, sigma, matrix) == \
