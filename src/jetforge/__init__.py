@@ -24,8 +24,7 @@ from .connection import (ConnectionChart, MatrixJet, XiTable, beta, build_xi,
                          series_oracle)
 from .flags import (EtaWitness, FlagChart, FlagJet, HodgeData, TorsorPoint,
                     alpha, check_fv, check_hr1, eta_chartlocal,
-                    flag_of_matrix, gram_obeys_first_relation,
-                    weight1_positivity)
+                    flag_of_matrix, gram_obeys_first_relation)
 from .congruence import solve_congruence
 from .examples import (NamedExample, builtin_examples, exponential_chart,
                        gauss_series_coefficients, hypergeometric_jet,

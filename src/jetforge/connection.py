@@ -26,7 +26,8 @@ jet sigma with initial matrix M:
   Hoeven, "Relax, but don't be too lazy", J. Symbolic Comput. 34, 2002).
 
 Both build each entry with `TruncatedSeries.combination`, one sum over
-one common denominator.
+one common denominator, and so do the xi recursion and `check_flatness`,
+which works at order r - 1, the order it compares.
 
 They share the series ring and `RationalFunction.eval_on_jet`, which
 expands the coefficients (along the identity jet at the base point for
@@ -426,7 +427,8 @@ def _local_gammas(chart, order, point):
     The entries of each A_l are expanded to order `order` along the
     identity jet point + t, and the recursion of `XiTable` runs over those
     series, with G_q carried at order `order - |q|`: the parent is
-    differentiated before it is truncated, so no degree is lost.
+    differentiated before it is truncated, so no degree is lost.  Each
+    entry of d_l G + G A_l is one `TruncatedSeries.combination`.
 
     For a < b the recursion takes G at e_a + e_b to be d_a A_b + A_b A_a;
     integrability asks d_b A_a + A_a A_b to agree with it, through order
@@ -440,14 +442,16 @@ def _local_gammas(chart, order, point):
     zero = TruncatedSeries.zero(n, order)
     a_series = [[[rf.eval_on_jet(jet) if rf else zero for rf in row]
                  for row in chart.a_matrix(l)] for l in range(n)]
+    combination = TruncatedSeries.combination
 
     def step(gamma, l, k):
         """d_l gamma + gamma A_l at order k."""
-        return linalg.mat_add(
-            [[s.derive(l).restrict(k) for s in row] for row in gamma],
-            linalg.mat_mul([[s.restrict(k) for s in row] for row in gamma],
-                           [[s.restrict(k) for s in row]
-                            for row in a_series[l]]))
+        a_columns = list(zip(*[[s.restrict(k) for s in row]
+                               for row in a_series[l]]))
+        rows = [(row, [s.restrict(k) for s in row]) for row in gamma]
+        return [[combination(n, k, [(1, s.derive(l).restrict(k)),
+                                    *zip(low, column)])
+                 for s, column in zip(row, a_columns)] for row, low in rows]
 
     one = TruncatedSeries.one(n, order)
     gammas = {(0,) * n: [[one if i == j else zero for i in range(m)]
@@ -581,26 +585,37 @@ def check_right_equivariance(chart, sigma, initial, action, table=None):
 def check_flatness(chart, sigma, frame_jet):
     """Whether a frame jet satisfies the pulled-back system at order r - 1.
 
-    Checks, for every jet variable t_a, that the t_a-derivative of each entry
-    plus the pairing against the pulled-back connection forms vanishes one
-    order below the jet order (derivatives lose the top degree).
+    For every jet variable t_a, each entry's t_a-derivative plus its pairing
+    with the pulled-back connection forms must vanish through order r - 1,
+    and everything is formed at that order: each derivative is taken from
+    the order-r entry (derivatives lose the top degree) before it is cut,
+    the coefficients are expanded along sigma cut to order r - 1
+    (truncation commutes with evaluation), and each sum is one combination.
     """
     d, r = sigma.dims, sigma.order
+    if (frame_jet.dims, frame_jet.order) != (d, r):
+        raise DimensionMismatch("frame jet and base jet differ in shape")
     if r == 0:
         return True
-    zero = TruncatedSeries.zero(d, r)
-    jacobian = [[s.derive(a) for a in range(d)] for s in sigma.series]
-    # forms[i][j][a]: the dt_a component of the pullback of c_ij along sigma
-    forms = [[linalg.mat_mul([[rf.eval_on_jet(sigma) if rf else zero
-                               for rf in entry]], jacobian)[0]
-              for entry in row] for row in chart.coeffs]
+    low, combination, m = r - 1, TruncatedSeries.combination, chart.m
+    sigma_low = sigma.restrict(low)
+    jacobian = [[s.derive(a).restrict(low) for a in range(d)]
+                for s in sigma.series]
+    # at [j][i]: c_ij along sigma, each with the d sigma_l / dt_a it pairs with
+    along = [[[(rf.eval_on_jet(sigma_low), jacobian[l])
+               for l, rf in enumerate(chart.coeffs[i][j]) if rf]
+              for i in range(m)] for j in range(m)]
     frame = frame_jet.entries
+    columns = list(zip(*[[s.restrict(low) for s in row] for row in frame]))
     for a in range(d):
-        pulled_t = [[row[j][a] for row in forms] for j in range(chart.m)]
-        lhs = linalg.mat_add([[s.derive(a) for s in row] for row in frame],
-                             linalg.mat_mul(pulled_t, frame))
-        if any(s.restrict(r - 1) for row in lhs for s in row):
-            return False
+        for along_row, row in zip(along, frame):
+            # the dt_a components of the pulled-back forms c_ij, i = 0..m-1
+            forms = [combination(d, low, [(c, dl[a]) for c, dl in pairs])
+                     for pairs in along_row]
+            for s, column in zip(row, columns):
+                if combination(d, low, [(1, s.derive(a).restrict(low)),
+                                        *zip(forms, column)]):
+                    return False
     return True
 
 

@@ -83,6 +83,8 @@ class FlagJet:
         if len(chart.pivot_sets) != len(sizes) or any(
                 len(s) != size for s, size in zip(chart.pivot_sets, sizes)):
             raise ValueError("chart does not match the filtration dims")
+        if any(not 0 <= row < hodge.m for s in chart.pivot_sets for row in s):
+            raise ValueError("pivot row outside the frame")
         coords = dict(coords)
         columns = chart.columns()
         for (row, col), series in coords.items():
@@ -313,19 +315,3 @@ def _torsor_point(chart, s):
     if miss_is_proof(gram, hodge.polarization, hodge.weight):
         return NoRationalFvPoint
     return CongruenceSearchExhausted
-
-
-def weight1_positivity(polarization, column):
-    """Floating-point positivity probe at a base point, weight one only.
-
-    Takes a complex column spanning the deepest step and checks that
-    i * Q(w, conj(w)) exceeds 1e-9.  This is the only
-    non-exact routine in the package and is segregated from the exact suite.
-    """
-    w = [complex(x) for x in column]
-    value = 0j
-    for i, wi in enumerate(w):
-        for j, wj in enumerate(w):
-            if polarization[i][j]:
-                value += wi * polarization[i][j] * wj.conjugate()
-    return (1j * value).real > 1e-9

@@ -186,13 +186,15 @@ def _expand_generic(polys, n, d, r, expand):
 
 def _taylor_compose(f, sigma):
     """Order-r Taylor expansion of f at the symbolic base point of the
-    generic jet sigma, evaluated on its positive-valuation offsets."""
+    generic jet sigma, evaluated on its positive-valuation offsets: the sum
+    of d_q f (base point) w_q over the multi-degrees q, formed as one
+    `TruncatedSeries.combination`."""
     n, r = sigma.n, sigma.order
     ell = math.comb(sigma.dims + r, r)
     # the base-point symbols are the constant-monomial coordinates
     base_index = [i * ell for i in range(n)]
     weight = taylor_weights(sigma.offsets())
-    result = TruncatedSeries.zero(sigma.dims, r)
+    terms = []
     # d_q f is one derivative of d_p f, p = q - e_l with l the lowest index
     # where q_l > 0; graded order reaches p first
     partials = {}
@@ -204,10 +206,9 @@ def _taylor_compose(f, sigma):
         else:
             part = f
         partials[q] = part
-        if part.is_zero():
-            continue
-        result = result + weight(q).scale(part.rename_into(n * ell, base_index))
-    return result
+        if part:
+            terms.append((part.rename_into(n * ell, base_index), weight(q)))
+    return TruncatedSeries.combination(sigma.dims, r, terms)
 
 
 def jet_space_equations(scheme, d, r):

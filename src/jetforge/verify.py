@@ -149,11 +149,8 @@ def random_flat_chart(rng, m, n, hodge_aligned=False):
     ginv = linalg.unipotent_inverse(identity, n_mat, m - 1)
     if not hodge_aligned:
         p = random_invertible(rng, m, 2)
-        pinv = linalg.invert(p)
-        pconst = [[Polynomial.const(x, n) for x in row] for row in p]
-        pinvconst = [[Polynomial.const(x, n) for x in row] for row in pinv]
-        g = linalg.mat_mul(pconst, g)
-        ginv = linalg.mat_mul(ginv, pinvconst)
+        g = linalg.mat_mul(p, g)
+        ginv = linalg.mat_mul(ginv, linalg.invert(p))
     coeffs = [[[None] * n for _ in range(m)] for _ in range(m)]
     for l in range(n):
         dg = [[p.derivative(l) for p in row] for row in g]
@@ -161,9 +158,8 @@ def random_flat_chart(rng, m, n, hodge_aligned=False):
         for i in range(m):
             for j in range(m):
                 coeffs[i][j][l] = RationalFunction(-a_l[j][i])
-    qpoly = [[Polynomial.const(x, n) for x in row] for row in q]
     gram_poly = linalg.mat_mul(linalg.transpose(ginv),
-                               linalg.mat_mul(qpoly, ginv))
+                               linalg.mat_mul(q, ginv))
     gram = [[RationalFunction(p) for p in row] for row in gram_poly]
     chart = ConnectionChart(n, m, coeffs, weight, dims, gram, q)
     return RandomChart(chart, g, "aligned" if hodge_aligned else "gauged")

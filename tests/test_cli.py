@@ -592,6 +592,15 @@ class TestInputErrors:
                     "--flag", json.dumps(flag)]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("pivots", [[[5]], [[-1]]])
+    def test_flag_pivot_row_outside_the_frame(self, legendre_file, capsys,
+                                              pivots):
+        flag = self._legendre_flag(legendre_file, capsys)
+        flag["chart"] = pivots
+        assert run(["hr1", "--connection", legendre_file,
+                    "--flag", json.dumps(flag)]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_hr1_rejects_flag_of_other_filtration(self, legendre_file,
                                                    capsys):
         hodge = HodgeData(3, 2, (3, 2, 1), [[0, 0, 1], [0, 1, 0], [1, 0, 0]])

@@ -123,6 +123,41 @@ def reference_oracle(chart, sigma, initial):
                       for j in range(m)])
 
 
+def reference_flatness(chart, sigma, frame_jet):
+    """The flatness check at the full order r: the pulled-back forms and
+    every product of the system are formed at order r through `la.mat_mul`,
+    and only the sum is cut to order r - 1."""
+    d, r = sigma.dims, sigma.order
+    if r == 0:
+        return True
+    zero = TruncatedSeries.zero(d, r)
+    jacobian = [[s.derive(a) for a in range(d)] for s in sigma.series]
+    forms = [[la.mat_mul([[rf.eval_on_jet(sigma) if rf else zero
+                           for rf in entry]], jacobian)[0]
+              for entry in row] for row in chart.coeffs]
+    frame = frame_jet.entries
+    for a in range(d):
+        pulled_t = [[row[j][a] for row in forms] for j in range(chart.m)]
+        lhs = la.mat_add([[s.derive(a) for s in row] for row in frame],
+                         la.mat_mul(pulled_t, frame))
+        if any(s.restrict(r - 1) for row in lhs for s in row):
+            return False
+    return True
+
+
+def perturbed(frame, rng, degree):
+    """The frame with one coefficient of the given degree moved."""
+    d, r, m = frame.dims, frame.order, frame.m
+    j, k = rng.randrange(m), rng.randrange(m)
+    p = rng.choice([q for q in graded_monomials(d, r) if sum(q) == degree])
+    coeffs = dict(frame.entry(j, k).coeffs)
+    coeffs[p] = coeffs.get(p, 0) + Fraction(rng.randint(1, 3),
+                                            rng.randint(1, 3))
+    entries = [list(row) for row in frame.entries]
+    entries[j][k] = TruncatedSeries(d, r, coeffs)
+    return MatrixJet(entries)
+
+
 def symbolic_initial(rng, m, arity):
     """An m x m matrix of Polynomials in `arity` variables, some constant."""
     x = [Polynomial.variable(i, arity) for i in range(arity)]
@@ -614,6 +649,56 @@ class TestOracleAgreement:
         entries = [list(row) for row in frame.entries]
         entries[1][0] = TruncatedSeries(2, 3, coeffs)
         assert not check_flatness(rc.chart, sigma, MatrixJet(entries))
+
+
+    def test_flatness_matches_the_full_order_reference(self):
+        # a moved coefficient of degree r changes a derivative in degree
+        # r - 1, so a check that cut the frame before differentiating it
+        # would miss it
+        rng = random.Random(41)
+        verdicts = []
+        for case in range(24):
+            m, n, d = rng.randint(1, 3), rng.randint(1, 2), rng.randint(1, 2)
+            r = rng.randint(1, 4)
+            rc = random_flat_chart(rng, m, n) if case % 3 else \
+                random_n1_chart(rng, m)
+            chart = rc.chart
+            sigma = random_jet(rng, chart, d, r)
+            frame = beta(chart, sigma, random_invertible(rng, m))
+            assert check_flatness(chart, sigma, frame)
+            for degree in range(r + 1):
+                moved = perturbed(frame, rng, degree)
+                verdict = check_flatness(chart, sigma, moved)
+                assert verdict == reference_flatness(chart, sigma, moved)
+                verdicts.append(verdict)
+                if degree == r:
+                    assert not verdict
+        assert True in verdicts
+
+    def test_flatness_forms_nothing_above_order_r_minus_one(self,
+                                                            monkeypatch):
+        rng = random.Random(16)
+        rc = random_flat_chart(rng, 2, 2)
+        d, r = 2, 4
+        sigma = random_jet(rng, rc.chart, d, r)
+        frame = beta(rc.chart, sigma, random_invertible(rng, 2))
+        orders = []
+        original_mul = TruncatedSeries.__mul__
+        original_combination = TruncatedSeries.combination
+
+        def mul(self, other):
+            orders.append(self.order)
+            return original_mul(self, other)
+
+        def combination(cls, dims, order, pairs):
+            orders.append(order)
+            return original_combination(dims, order, pairs)
+
+        monkeypatch.setattr(TruncatedSeries, "__mul__", mul)
+        monkeypatch.setattr(TruncatedSeries, "combination",
+                            classmethod(combination))
+        assert check_flatness(rc.chart, sigma, frame)
+        assert orders and max(orders) == r - 1
 
 
 class TestEquivariance:

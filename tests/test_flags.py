@@ -13,7 +13,7 @@ from jetforge.errors import (CongruenceSearchExhausted, NoRationalFvPoint,
 from jetforge.examples import legendre_chart, nilpotent_chart
 from jetforge.flags import (FlagChart, FlagJet, HodgeData, TorsorPoint,
                             alpha, check_fv, check_hr1, eta_chartlocal,
-                            flag_of_matrix, weight1_positivity)
+                            flag_of_matrix)
 from jetforge.poly import Polynomial, graded_monomials
 from jetforge.ratfunc import RationalFunction
 from jetforge.series import JetPoint, TruncatedSeries
@@ -78,6 +78,14 @@ class TestFlagOfMatrix:
         FlagJet(weight1_data(), FlagChart([(0,)]), {(1, 0): one}, 1, 0)
         with pytest.raises(ValueError, match="echelon representative"):
             FlagJet(weight1_data(), FlagChart([(0,)]), {key: one}, 1, 0)
+
+    @pytest.mark.parametrize("pivot", [2, 5, -1])
+    def test_rejects_pivot_rows_outside_the_frame(self, pivot):
+        # with no pivot entry the representative is not a flag of the frame
+        one = TruncatedSeries.one(1, 0)
+        with pytest.raises(ValueError, match="pivot row outside"):
+            FlagJet(weight1_data(), FlagChart([(pivot,)]), {(1, 0): one},
+                    1, 0)
 
     def test_pivot_fallback(self):
         flag = flag_of_matrix(weight1_data(), [[0, 1], [1, 0]])
@@ -442,11 +450,3 @@ class TestGramPattern:
             filtration_dims=(3, 2, 1), gram=gram,
             polarization=[[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         assert not gram_obeys_first_relation(chart)
-
-
-class TestPositivityProbe:
-    def test_upper_half_plane(self):
-        q = [[0, 1], [-1, 0]]
-        assert weight1_positivity(q, [1, 1j])
-        assert not weight1_positivity(q, [1, -1j])
-        assert not weight1_positivity(q, [1, Fraction(1, 2)])

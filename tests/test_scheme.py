@@ -14,7 +14,8 @@ from jetforge.scheme import (AffineMap, AffineScheme, apply_prolonged,
                              jet_prolong_universal, jet_space_equations,
                              jet_space_equations_universal, jet_to_coords,
                              coords_to_jet, tangent_rows)
-from jetforge.series import JetPoint, TruncatedSeries, series_compose
+from jetforge.series import (JetPoint, TruncatedSeries, series_compose,
+                             taylor_weights)
 from jetforge.verify import (rand_fraction, rand_poly,
                              run_prolong_functoriality_suite, run_tower_suite,
                              run_universal_route_suite)
@@ -22,6 +23,25 @@ from jetforge.verify import (rand_fraction, rand_poly,
 
 def P(arity, terms):
     return Polynomial(arity, terms)
+
+
+def running_sum_taylor(f, sigma):
+    """The Taylor route as a running sum: w_q times d_q f at the symbolic
+    base point is scaled and added one multi-degree q at a time."""
+    n, r = sigma.n, sigma.order
+    ell = len(graded_monomials(sigma.dims, r))
+    base_index = [i * ell for i in range(n)]
+    weight = taylor_weights(sigma.offsets())
+    result = TruncatedSeries.zero(sigma.dims, r)
+    for q in graded_monomials(n, r):
+        part = f
+        for l, e in enumerate(q):
+            for _ in range(e):
+                part = part.derivative(l)
+        if not part.is_zero():
+            result = result + weight(q).scale(
+                part.rename_into(n * ell, base_index))
+    return result
 
 
 def circle_scheme():
@@ -154,6 +174,20 @@ class TestUniversalRoutes:
         monkeypatch.setattr(Polynomial, "derivative", counted)
         jet_prolong_universal(AffineMap(3, 1, [cubic]), 2, 4)
         assert len(calls) == 34
+
+    def test_taylor_route_matches_the_running_sum(self):
+        rng = random.Random(23)
+        for _ in range(12):
+            n, d, r = rng.randint(1, 3), rng.randint(1, 2), rng.randint(0, 3)
+            sigma = scheme_module.generic_jet(n, d, r)
+            polys = [rand_poly(rng, n, 3) for _ in range(2)]
+            for f in polys:
+                assert scheme_module._taylor_compose(f, sigma) == \
+                    running_sum_taylor(f, sigma)
+            amap = AffineMap(n, 2, polys)
+            assert list(jet_prolong_universal(amap, d, r).components) == \
+                scheme_module._expand_generic(polys, n, d, r,
+                                              running_sum_taylor)
 
     def test_jet_space_of_a_jet_space(self):
         # J_1(circle) is an affine scheme, so it has jets of its own
