@@ -12,22 +12,25 @@ and two independent evaluators compute the order-r jet of f along a base
 jet sigma with initial matrix M:
 
 * `beta` expresses every iterated partial of f at the base point as a
-  linear form in the entries of f (the xi table), recursing over derivative
-  multi-degrees in chart coordinates on the Taylor series of the
-  coefficients there, and assembles the Taylor composition as F = W M,
-  where W[j][i] sums the Taylor weights w_q against the values G_q[j][i].
-  The same series decide integrability: an order-r jet exists exactly
-  when the mixed-partial condition holds at the base point through order
-  r - 2;
+  linear form in the entries of f (the xi table), G_q with d_q f = G_q f.
+  Their values at the point come from the Leibniz rule on d_q f =
+  d_p (A_l f), a recursion over derivative multi-degrees on integer
+  matrices: the partials of the coefficients at the point, read off their
+  Taylor series there and cleared of denominators by one common factor.
+  `beta` then assembles the Taylor composition as F = W M, where W[j][i]
+  sums the Taylor weights w_q against the values G_q[j][i].  The same
+  partials decide integrability: an order-r jet exists exactly when the
+  curvature vanishes at the base point through order r - 2;
 * `series_oracle` pulls the system back along sigma and solves the truncated
   equations degree by degree in jet coordinates, forming only the degree
   it reads: degree k of f is a sum of products of homogeneous parts whose
   degrees add up to k, the step of an online power-series solver (van der
   Hoeven, "Relax, but don't be too lazy", J. Symbolic Comput. 34, 2002).
 
-Both build each entry with `TruncatedSeries.combination`, one sum over
-one common denominator, and so do the xi recursion and `check_flatness`,
-which works at order r - 1, the order it compares.
+Both build each entry of the frame with `TruncatedSeries.combination`,
+one sum over one common denominator, and so does `check_flatness`, which
+works at order r - 1, the order it compares.  The xi values form no series
+product: past the expansion of the coefficients they are integer matrices.
 
 They share the series ring and `RationalFunction.eval_on_jet`, which
 expands the coefficients (along the identity jet at the base point for
@@ -374,17 +377,18 @@ class XiTable:
     For every derivative multi-degree q with |q| <= order, G_q is the matrix
     with d_q f = G_q f for every solution f; since the system is linear, the
     coefficient of f_ik in the form for d_q f_jk is G_q[j][i], independent
-    of the column k.  G_0 is the identity and G_q = d_l G_p + G_p A_l with
-    p = q - e_l, l the lowest index with q_l > 0.  Mixed partials are keyed
-    by their multi-degree; the word-order independence this assumes is
-    checked at each base point, through the order the jet reads.
+    of the column k.  G_0 is the identity, and G_q(s) is the q-th partial
+    at s of the solution that is the identity at s.  Mixed partials are
+    keyed by their multi-degree; the word-order independence this assumes
+    is checked at each base point, through the order the jet reads.
 
     `gamma_at(q, s)` is the value of G_q at a regular point s.  The values
-    of every G_q at s are built once (see `_local_gammas`) and kept in the
-    chart's record for s, so later calls at s, from this table or any
-    other table of the chart whose order is not higher, reuse them.  A
-    table of higher order rebuilds them at its own order, which also
-    decides integrability through that order minus two.
+    of every G_q at s are built once, by a Leibniz recursion on integer
+    matrices at s (see `_local_gammas`), and kept in the chart's record
+    for s, so later calls at s, from this table or any other table of the
+    chart whose order is not higher, reuse them.  A table of higher order
+    rebuilds them at its own order, which also decides integrability
+    through that order minus two.
     """
 
     __slots__ = ("chart", "order", "table")
@@ -422,52 +426,102 @@ def build_xi(chart, order):
 
 
 def _local_gammas(chart, order, point):
-    """{q: G_q(point)} for every |q| <= order, from Taylor series at the point.
+    """{q: G_q(point)} for every |q| <= order, by a recursion on integer
+    matrices at the point.
 
-    The entries of each A_l are expanded to order `order` along the
-    identity jet point + t, and the recursion of `XiTable` runs over those
-    series, with G_q carried at order `order - |q|`: the parent is
-    differentiated before it is truncated, so no degree is lost.  Each
-    entry of d_l G + G A_l is one `TruncatedSeries.combination`.
+    G_q(s) is the q-th partial at s of the solution Phi with Phi(s) = I, so
+    with l the lowest index where q_l > 0 and p = q - e_l, the Leibniz rule
+    on d^p (A_l Phi) gives
 
-    For a < b the recursion takes G at e_a + e_b to be d_a A_b + A_b A_a;
-    integrability asks d_b A_a + A_a A_b to agree with it, through order
-    `order - 2`, the part the recursion reads.  Otherwise the values would
-    depend on the order of the partials, and NonIntegrable is raised.
+        G_q(s) = sum_{b <= p} C(p, b) d^b A_l(s) G_(p-b)(s).
+
+    It reads d^b A_l(s) only for |b| <= order - 1: each nonzero entry of
+    each A_l is expanded along the identity jet point + t at that order,
+    d^b A_l(s) is b! times its Taylor coefficient of t^b, and one D, the lcm
+    of the expansions' denominators, makes every D d^b A_l(s) an integer
+    matrix.  Then H_q = D^|q| G_q(s) is integral,
+
+        H_q = sum_{b <= p} C(p, b) D^|b| (D d^b A_l(s)) H_(p-b),
+
+    each sum one `linalg.mat_mul`, and Fractions are formed only for the
+    values returned.
+
+    For a < b the values take d_a d_b Phi = (d_a A_b + A_b A_a) Phi;
+    integrability asks the curvature d_a A_b + A_b A_a - d_b A_a - A_a A_b
+    to vanish at s through order `order - 2`, the part the recursion reads.
+    Each of its partials there, times D^2, is tested in integers; otherwise
+    the values would depend on the order of the partials, and NonIntegrable
+    is raised.
     """
     m, n = chart.m, chart.n
-    jet = JetPoint([TruncatedSeries.const(x, n, order)
-                    + TruncatedSeries.variable(i, n, order)
+    low = max(order - 1, 0)
+    jet = JetPoint([TruncatedSeries.const(x, n, low)
+                    + TruncatedSeries.variable(i, n, low)
                     for i, x in enumerate(point)])
-    zero = TruncatedSeries.zero(n, order)
-    a_series = [[[rf.eval_on_jet(jet) if rf else zero for rf in row]
-                 for row in chart.a_matrix(l)] for l in range(n)]
-    combination = TruncatedSeries.combination
+    expansions = [[[rf.eval_on_jet(jet).coeffs if rf else {} for rf in row]
+                   for row in chart.a_matrix(l)] for l in range(n)]
+    den = math.lcm(*(c.denominator for a in expansions for row in a
+                     for coeffs in row for c in coeffs.values()))
+    # derivs[l][b] = D d^b A_l(s), for the b where it is not zero
+    derivs = []
+    for a in expansions:
+        table = {}
+        for j, row in enumerate(a):
+            for i, coeffs in enumerate(row):
+                for b, c in coeffs.items():
+                    matrix = table.get(b)
+                    if matrix is None:
+                        table[b] = matrix = [[0] * m for _ in range(m)]
+                    matrix[j][i] = (c.numerator * (den // c.denominator)
+                                    * math.prod(map(math.factorial, b)))
+        derivs.append(table)
+    identity = [[int(i == j) for i in range(m)] for j in range(m)]
+    zero = [[0] * m for _ in range(m)]
 
-    def step(gamma, l, k):
-        """d_l gamma + gamma A_l at order k."""
-        a_columns = list(zip(*[[s.restrict(k) for s in row]
-                               for row in a_series[l]]))
-        rows = [(row, [s.restrict(k) for s in row]) for row in gamma]
-        return [[combination(n, k, [(1, s.derive(l).restrict(k)),
-                                    *zip(low, column)])
-                 for s, column in zip(row, a_columns)] for row, low in rows]
+    def split(k, table):
+        """The Leibniz terms of d^k: (C(k, g), table[g], k - g) for every g
+        <= k in the table."""
+        return [(math.prod(map(math.comb, k, g)), x,
+                 tuple(map(int.__sub__, k, g)))
+                for g, x in table.items() if all(map(int.__le__, g, k))]
 
-    one = TruncatedSeries.one(n, order)
-    gammas = {(0,) * n: [[one if i == j else zero for i in range(m)]
-                         for j in range(m)]}
+    def leibniz(terms):
+        """sum c X Y over the terms (c, X, Y), as one product of an m x km
+        block row by a km x m block column."""
+        if not terms:
+            return zero
+        return linalg.mat_mul(
+            [[c * x for c, left, _ in terms for x in left[j]]
+             for j in range(m)],
+            [row for _, _, right in terms for row in right])
+
+    def shift(k, i):
+        return k[:i] + (k[i] + 1,) + k[i + 1:]
+
+    powers = [den ** k for k in range(order + 1)]
+    scaled = {(0,) * n: identity}
     for q in graded_monomials(n, order)[1:]:
         l = next(i for i, e in enumerate(q) if e)
-        prev = q[:l] + (q[l] - 1,) + q[l + 1:]
-        gammas[q] = step(gammas[prev], l, order - sum(q))
+        p = q[:l] + (q[l] - 1,) + q[l + 1:]
+        # H_q = sum C(p, b) D^|b| (D d^b A_l) H_(p-b), with |b| = |p| - |p-b|
+        scaled[q] = leibniz([(c * powers[sum(p) - sum(rest)], x, scaled[rest])
+                             for c, x, rest in split(p, derivs[l])])
     for a, b in combinations(range(n), 2) if order >= 2 else ():
-        mixed = tuple(int(i in (a, b)) for i in range(n))
-        if not linalg.mat_eq(gammas[mixed], step(a_series[a], b, order - 2)):
-            shown = ", ".join(str(x) for x in point)
-            raise NonIntegrable("the chart's flat-frame system fails the "
-                                f"mixed-partial condition at ({shown})")
-    return {q: [[s.constant_term() for s in row] for row in gamma]
-            for q, gamma in gammas.items()}
+        for k in graded_monomials(n, order - 2):
+            # D^2 d^k (d_a A_b + A_b A_a - d_b A_a - A_a A_b) at s
+            terms = []
+            for x, y, sign in ((b, a, 1), (a, b, -1)):
+                terms.append((sign * den, derivs[x].get(shift(k, y), zero),
+                              identity))
+                terms += [(sign * c, left, derivs[y][rest])
+                          for c, left, rest in split(k, derivs[x])
+                          if rest in derivs[y]]
+            if any(map(any, leibniz(terms))):
+                shown = ", ".join(str(x) for x in point)
+                raise NonIntegrable("the chart's flat-frame system fails the "
+                                    f"mixed-partial condition at ({shown})")
+    return {q: [[Fraction(x, powers[sum(q)]) for x in row] for row in h]
+            for q, h in scaled.items()}
 
 
 def _check_initial(matrix, m):
@@ -493,6 +547,14 @@ def beta(chart, sigma, initial, table=None):
     if sigma.n != chart.n:
         raise ArityMismatch("jet does not live on the chart")
     _check_initial(initial, chart.m)
+    return _frame(_taylor_part(chart, sigma, table), initial, sigma)
+
+
+def _taylor_part(chart, sigma, table):
+    """The m x m series matrix W with W[j][i] = sum_q G_q(s)[j][i] w_q over
+    the Taylor weights w_q of sigma, so that the frame jet with initial
+    value M is W M; one combination per entry.  It depends on (chart,
+    sigma) alone: `table` only says where the values are read."""
     s = sigma.basepoint()
     chart.assert_regular(s)
     d, r = sigma.dims, sigma.order
@@ -505,13 +567,17 @@ def beta(chart, sigma, initial, table=None):
         if w:
             gammas.append((table.gamma_at(q, s), w))
     m = chart.m
-    combination = TruncatedSeries.combination
-    # F = W M with W[j][i] = sum_q G_q(s)[j][i] w_q
-    w_matrix = [[combination(d, r, [(g[j][i], w) for g, w in gammas])
-                 for i in range(m)] for j in range(m)]
-    return MatrixJet([[combination(d, r, [(initial[i][k], w_row[i])
-                                          for i in range(m)])
-                       for k in range(m)] for w_row in w_matrix])
+    return [[TruncatedSeries.combination(d, r, [(g[j][i], w)
+                                                for g, w in gammas])
+             for i in range(m)] for j in range(m)]
+
+
+def _frame(w_matrix, initial, sigma):
+    """The frame jet W M, one combination of m terms per entry."""
+    d, r = sigma.dims, sigma.order
+    return MatrixJet([[TruncatedSeries.combination(
+        d, r, [(row[k], w) for row, w in zip(initial, w_row)])
+                       for k in range(len(initial))] for w_row in w_matrix])
 
 
 def series_oracle(chart, sigma, initial):
@@ -571,15 +637,25 @@ def series_oracle(chart, sigma, initial):
 
 def check_right_equivariance(chart, sigma, initial, action, table=None):
     """Whether the frame jet of initial*A equals the frame jet of initial
-    times A, exactly at the jet order."""
+    times A, exactly at the jet order.
+
+    Both frames are W M for one Taylor part W (see `_taylor_part`), formed
+    once; `initial`, `initial * action` and `action` are validated as
+    `beta` validates an initial matrix.
+    """
+    m = chart.m
+    if len(action) != m or any(len(row) != m for row in action):
+        raise ArityMismatch("acting matrix has the wrong size")
     if not linalg.det(action):
         raise SingularInitial("the acting matrix is singular")
-    if table is None:
-        table = build_xi(chart, sigma.order)
+    if sigma.n != chart.n:
+        raise ArityMismatch("jet does not live on the chart")
+    _check_initial(initial, m)
     moved = linalg.mat_mul(initial, action)
-    left = beta(chart, sigma, moved, table=table)
-    right = beta(chart, sigma, initial, table=table) * action
-    return left == right
+    _check_initial(moved, m)
+    w_matrix = _taylor_part(chart, sigma, table)
+    return _frame(w_matrix, moved, sigma) \
+        == _frame(w_matrix, initial, sigma) * action
 
 
 def check_flatness(chart, sigma, frame_jet):

@@ -13,7 +13,8 @@ from jetforge.connection import (ConnectionChart, MatrixJet, beta, build_xi,
                                  check_flatness, check_right_equivariance,
                                  matrixjet_invert, period_system, scalar_ode,
                                  series_oracle)
-from jetforge.errors import NonIntegrable, SingularInitial, SingularPoint
+from jetforge.errors import (ArityMismatch, NonIntegrable, SingularInitial,
+                             SingularPoint)
 from jetforge.examples import exponential_chart, legendre_chart, \
     nilpotent_chart
 from jetforge.flags import eta_chartlocal
@@ -42,6 +43,15 @@ def non_integrable_chart():
     """m = 1, n = 2 with A_1 = z2 and A_2 = 0: d_2 A_1 != d_1 A_2."""
     zero = RationalFunction.zero(2)
     coeffs = [[[RationalFunction(-Polynomial.variable(1, 2)), zero]]]
+    return ConnectionChart(2, 1, coeffs, 0, (1,),
+                           [[RationalFunction.one(2)]], [[1]])
+
+
+def threshold_chart(k, c):
+    """m = 1, n = 2 with A_1 = -z2^k (z1 + c) and A_2 = 0: the curvature
+    d_1 A_2 - d_2 A_1 is k z2^(k - 1) (z1 + c)."""
+    z1, z2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    coeffs = [[[RationalFunction(z2 ** k * (z1 + c)), RationalFunction.zero(2)]]]
     return ConnectionChart(2, 1, coeffs, 0, (1,),
                            [[RationalFunction.one(2)]], [[1]])
 
@@ -223,24 +233,74 @@ class TestXiTable:
                             for row in gamma(table.chart, q)]
                 assert table.gamma_at(q, point) == symbolic, (q, point)
 
+        def regular_point(chart):
+            while True:
+                point = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                              for _ in range(chart.n))
+                try:
+                    chart.assert_regular(point)
+                    return point
+                except SingularPoint:
+                    continue
+
         rng = random.Random(31)
         for _ in range(6):
             rc = random_flat_chart(rng, rng.randint(1, 3), rng.randint(1, 2))
             table = build_xi(rc.chart, 4)
             for _ in range(2):
-                while True:
-                    point = tuple(Fraction(rng.randint(-5, 5),
-                                           rng.randint(1, 3))
-                                  for _ in range(rc.chart.n))
-                    try:
-                        rc.chart.assert_regular(point)
-                        break
-                    except SingularPoint:
-                        continue
-                check(table, point)
+                check(table, regular_point(rc.chart))
+        # three coordinates, and order 5
+        for m, n, order in [(m, 3, order) for m in (1, 2, 3)
+                            for order in (4, 5)] + [(2, 2, 5), (3, 2, 5)]:
+            rc = random_flat_chart(rng, m, n)
+            table = build_xi(rc.chart, order)
+            for _ in range(2):
+                check(table, regular_point(rc.chart))
         table = build_xi(legendre_chart(), 8)
         for x in (Fraction(1, 2), Fraction(1, 4), Fraction(2)):
             check(table, (x,))
+
+    def test_local_values_form_no_series_products(self, monkeypatch):
+        # the recursion runs on integer matrices at the point: every series
+        # product it forms, through `*` or the combination kernel, is inside
+        # the expansion of a chart coefficient
+        rng = random.Random(23)
+        cases = [(random_flat_chart(rng, 3, 2).chart, 4, (Fraction(1, 2), 2)),
+                 (random_flat_chart(rng, 2, 3).chart, 3, (1, Fraction(-1, 3), 0)),
+                 (legendre_chart(), 6, (Fraction(1, 3),))]
+        expected = [connection._local_gammas(*case) for case in cases]
+        products, expanding, expanded = [], [], []
+        original_mul = TruncatedSeries.__mul__
+        original_combination = TruncatedSeries.combination
+        original_eval = RationalFunction.eval_on_jet
+
+        def mul(self, other):
+            if not expanding:
+                products.append((self, other))
+            return original_mul(self, other)
+
+        def combination(cls, dims, order, pairs):
+            pairs = list(pairs)
+            if not expanding:
+                products.extend(pairs)
+            return original_combination(dims, order, pairs)
+
+        def eval_on_jet(self, jet):
+            expanding.append(jet)
+            expanded.append(jet)
+            try:
+                return original_eval(self, jet)
+            finally:
+                expanding.pop()
+
+        monkeypatch.setattr(TruncatedSeries, "__mul__", mul)
+        monkeypatch.setattr(TruncatedSeries, "combination",
+                            classmethod(combination))
+        monkeypatch.setattr(RationalFunction, "eval_on_jet", eval_on_jet)
+        assert [connection._local_gammas(*case) for case in cases] == expected
+        assert expanded and not products
+        # the expansions stop at order - 1, the highest partial read
+        assert {jet.order for jet in expanded} == {3, 2, 5}
 
     def test_shared_table_builds_each_point_once(self, monkeypatch):
         builds = count_builds(monkeypatch)
@@ -469,6 +529,34 @@ class TestBeta:
             frame = beta(chart, sigma, [[Fraction(1)]])
             assert frame == series_oracle(chart, sigma, [[Fraction(1)]])
             assert frame == MatrixJet.identity(1, 2, r)
+
+    def test_non_integrable_from_the_curvature_degree(self):
+        # on a threshold chart the curvature's first nonzero Taylor degree
+        # at s is e; an order-r jet reads it through degree r - 2, so beta
+        # refuses exactly the orders r >= e + 2 and agrees with the oracle
+        # below them
+        one = [[Fraction(1)]]
+        for k in (1, 2, 3):
+            for c in (0, 1):
+                for s1, s2 in ((0, 0), (Fraction(1, 2), 0),
+                               (0, Fraction(1, 3))):
+                    e = (k - 1 if s2 == 0 else 0) + (s1 + c == 0)
+                    chart = threshold_chart(k, c)
+                    full = JetPoint([
+                        TruncatedSeries(2, 6, {(0, 0): Fraction(s1),
+                                               (1, 0): Fraction(1),
+                                               (0, 1): Fraction(2)}),
+                        TruncatedSeries(2, 6, {(0, 0): Fraction(s2),
+                                               (0, 1): Fraction(1),
+                                               (1, 1): Fraction(-1)})])
+                    for r in range(e + 4):
+                        sigma = full.restrict(r)
+                        if r >= e + 2:
+                            with pytest.raises(NonIntegrable):
+                                beta(chart, sigma, one)
+                        else:
+                            assert beta(chart, sigma, one) \
+                                == series_oracle(chart, sigma, one), (k, c, r)
 
     def test_restriction_compatibility(self):
         rng = random.Random(6)
@@ -724,6 +812,32 @@ class TestEquivariance:
             assert check_right_equivariance(
                 rc.chart, sigma, random_invertible(rng, rc.chart.m),
                 random_invertible(rng, rc.chart.m))
+
+
+    def test_acting_matrix_of_the_wrong_size(self):
+        chart = legendre_chart()
+        sigma = line_jet(Fraction(1, 3), 2)
+        for action in ([[1, 2]], [[1]], la.identity(3)):
+            with pytest.raises(ArityMismatch,
+                               match="acting matrix has the wrong size"):
+                check_right_equivariance(chart, sigma, la.identity(2), action)
+
+    def test_taylor_part_is_formed_once(self, monkeypatch):
+        weights = []
+        original = connection.taylor_weights
+
+        def counting(offsets):
+            weights.append(offsets)
+            return original(offsets)
+
+        monkeypatch.setattr(connection, "taylor_weights", counting)
+        rng = random.Random(27)
+        rc = random_flat_chart(rng, 2, 2)
+        sigma = random_jet(rng, rc.chart, 2, 3)
+        assert check_right_equivariance(rc.chart, sigma,
+                                        random_invertible(rng, 2),
+                                        random_invertible(rng, 2))
+        assert len(weights) == 1
 
 
 class TestMatrixJetInversion:
