@@ -506,7 +506,8 @@ def _local_gammas(chart, order, point):
         # H_q = sum C(p, b) D^|b| (D d^b A_l) H_(p-b), with |b| = |p| - |p-b|
         scaled[q] = leibniz([(c * powers[sum(p) - sum(rest)], x, scaled[rest])
                              for c, x, rest in split(p, derivs[l])])
-    for a, b in combinations(range(n), 2) if order >= 2 else ():
+    for a, b in combinations(range(n), 2):
+        # empty below order 2
         for k in graded_monomials(n, order - 2):
             # D^2 d^k (d_a A_b + A_b A_a - d_b A_a - A_a A_b) at s
             terms = []

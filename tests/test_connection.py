@@ -56,6 +56,59 @@ def threshold_chart(k, c):
                            [[RationalFunction.one(2)]], [[1]])
 
 
+def with_monomial(chart, rng):
+    """The chart with c z^mu, |mu| = 2 or 3, added to one coefficient: it is
+    flat no longer, and the curvature's first nonzero Taylor degree
+    depends on the point."""
+    n, m = chart.n, chart.m
+    mu = [0] * n
+    for _ in range(rng.randint(2, 3)):
+        mu[rng.randrange(n)] += 1
+    coeffs = [[list(entry) for entry in row] for row in chart.coeffs]
+    i, j, l = rng.randrange(m), rng.randrange(m), rng.randrange(n)
+    coeffs[i][j][l] = coeffs[i][j][l] + RationalFunction(
+        Polynomial(n, {tuple(mu): Fraction(rng.choice((-2, -1, 1, 2)))}))
+    hodge = chart.hodge
+    return ConnectionChart(n, m, coeffs, hodge.weight, hodge.filtration_dims,
+                           chart.gram, hodge.polarization)
+
+
+def reference_local_gammas(chart, order, point):
+    """The xi values at a point by the recursion G_q = d_l G_p + G_p A_l
+    over Taylor series of the A_l at the point, with the mixed-partial
+    comparison through order `order - 2`: the values and verdicts the
+    integer recursion of `connection._local_gammas` must reproduce."""
+    m, n = chart.m, chart.n
+    jet = JetPoint([TruncatedSeries.const(x, n, order)
+                    + TruncatedSeries.variable(i, n, order)
+                    for i, x in enumerate(point)])
+    zero = TruncatedSeries.zero(n, order)
+    a_series = [[[rf.eval_on_jet(jet) if rf else zero for rf in row]
+                 for row in chart.a_matrix(l)] for l in range(n)]
+
+    def step(gamma, l, k):
+        """d_l gamma + gamma A_l at order k."""
+        a_low = [[s.restrict(k) for s in row] for row in a_series[l]]
+        derived = [[s.derive(l).restrict(k) for s in row] for row in gamma]
+        low = [[s.restrict(k) for s in row] for row in gamma]
+        return la.mat_add(derived, la.mat_mul(low, a_low))
+
+    one = TruncatedSeries.one(n, order)
+    gammas = {(0,) * n: [[one if i == j else zero for i in range(m)]
+                         for j in range(m)]}
+    for q in graded_monomials(n, order)[1:]:
+        l = next(i for i, e in enumerate(q) if e)
+        prev = q[:l] + (q[l] - 1,) + q[l + 1:]
+        gammas[q] = step(gammas[prev], l, order - sum(q))
+    for a in range(n):
+        for b in range(a + 1, n) if order >= 2 else ():
+            mixed = tuple(int(i in (a, b)) for i in range(n))
+            if not la.mat_eq(gammas[mixed], step(a_series[a], b, order - 2)):
+                raise NonIntegrable("mixed partials differ")
+    return {q: [[s.constant_term() for s in row] for row in gamma]
+            for q, gamma in gammas.items()}
+
+
 def line_jet(base, r, d=1):
     coeffs = {(0,) * d: Fraction(base)}
     coeffs[tuple(1 if i == 0 else 0 for i in range(d))] = Fraction(1)
@@ -259,6 +312,32 @@ class TestXiTable:
         table = build_xi(legendre_chart(), 8)
         for x in (Fraction(1, 2), Fraction(1, 4), Fraction(2)):
             check(table, (x,))
+
+    def test_local_values_match_the_series_recursion(self):
+        # values and NonIntegrable verdicts, on flat charts and on flat
+        # charts with one monomial added, at points with zero coordinates
+        # (where the curvature vanishes to higher degree) and without
+        rng = random.Random(41)
+        thresholds = []
+        for case in range(30):
+            m, n = rng.randint(1, 3), rng.randint(2, 3)
+            chart = random_flat_chart(rng, m, n).chart
+            if case % 3:
+                chart = with_monomial(chart, rng)
+            point = tuple(rng.choice((0, 0, Fraction(rng.randint(-3, 3),
+                                                     rng.randint(1, 2))))
+                          for _ in range(n))
+            for order in range(6):
+                try:
+                    expected = reference_local_gammas(chart, order, point)
+                except NonIntegrable:
+                    with pytest.raises(NonIntegrable):
+                        connection._local_gammas(chart, order, point)
+                    thresholds.append(order)
+                    break
+                assert connection._local_gammas(chart, order, point) \
+                    == expected, (case, order)
+        assert set(thresholds) == {2, 3, 4, 5}
 
     def test_local_values_form_no_series_products(self, monkeypatch):
         # the recursion runs on integer matrices at the point: every series
@@ -814,13 +893,19 @@ class TestEquivariance:
                 random_invertible(rng, rc.chart.m))
 
 
-    def test_acting_matrix_of_the_wrong_size(self):
+    def test_matrices_of_the_wrong_size(self):
         chart = legendre_chart()
         sigma = line_jet(Fraction(1, 3), 2)
         for action in ([[1, 2]], [[1]], la.identity(3)):
             with pytest.raises(ArityMismatch,
                                match="acting matrix has the wrong size"):
                 check_right_equivariance(chart, sigma, la.identity(2), action)
+        # the initial matrix is checked before it is multiplied
+        for initial in ([[]], [[1, 2]]):
+            with pytest.raises(ArityMismatch,
+                               match="initial matrix has the wrong size"):
+                check_right_equivariance(chart, sigma, initial,
+                                         la.identity(2))
 
     def test_taylor_part_is_formed_once(self, monkeypatch):
         weights = []
