@@ -12,15 +12,16 @@ and two independent evaluators compute the order-r jet of f along a base
 jet sigma with initial matrix M:
 
 * `beta` expresses every iterated partial of f at the base point as a
-  linear form in the entries of f (the xi table), G_q with d_q f = G_q f.
-  Their values at the point come from the Leibniz rule on d_q f =
-  d_p (A_l f), a recursion over derivative multi-degrees on integer
-  matrices: the partials of the coefficients at the point, read off their
-  Taylor series there and cleared of denominators by one common factor.
-  `beta` then assembles the Taylor composition as F = W M, where W[j][i]
-  sums the Taylor weights w_q against the values G_q[j][i].  The same
-  partials decide integrability: an order-r jet exists exactly when the
-  curvature vanishes at the base point through order r - 2;
+  linear form in the entries of f, G_q with d_q f = G_q f (see
+  `ConnectionChart.gammas_at`).  Their values at the point come from the
+  Leibniz rule on d_q f = d_p (A_l f), a recursion over derivative
+  multi-degrees on integer matrices: the partials of the coefficients at
+  the point, read off their Taylor series there and cleared of
+  denominators by one common factor.  `beta` then assembles the Taylor
+  composition as F = W M, where W[j][i] sums the Taylor weights w_q
+  against the values G_q[j][i].  The same partials decide integrability:
+  an order-r jet exists exactly when the curvature vanishes at the base
+  point through order r - 2;
 * `series_oracle` pulls the system back along sigma and solves the truncated
   equations degree by degree in jet coordinates, forming only the degree
   it reads: degree k of f is a sum of products of homogeneous parts whose
@@ -29,8 +30,11 @@ jet sigma with initial matrix M:
 
 Both build each entry of the frame with `TruncatedSeries.combination`,
 one sum over one common denominator, and so does `check_flatness`, which
-works at order r - 1, the order it compares.  The xi values form no series
-product: past the expansion of the coefficients they are integer matrices.
+works at order r - 1, the order it compares; `series_product` forms W M,
+`MatrixJet` products and the block product of `flags.flag_of_matrix` so
+(only `invert_series_matrix` keeps its Neumann sum).  The values G_q(s)
+form no series product: past the expansion of the coefficients they are
+integer matrices.
 
 They share the series ring and `RationalFunction.eval_on_jet`, which
 expands the coefficients (along the identity jet at the base point for
@@ -38,9 +42,9 @@ expands the coefficients (along the identity jet at the base point for
 agreement is a genuine cross-check.
 
 A chart keeps one record for each of its last `_POINT_RECORDS` base points
-(see `_PointRecord`): whether `assert_regular` passed there, the xi values
-`beta` reads there and the torsor point `eta_chartlocal` found there.  Many
-jets above one base point share that work.
+(see `_PointRecord`): whether `assert_regular` passed there, the values
+G_q(s) `beta` reads there and the torsor point `eta_chartlocal` found
+there.  Many jets above one base point share that work.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ import math
 import threading
 from fractions import Fraction
 from itertools import combinations
+from types import MappingProxyType
 from typing import NamedTuple
 
 from . import linalg
@@ -130,7 +135,7 @@ class _PointRecord(NamedTuple):
 
     `regular` is set by `assert_regular` once every chart denominator has
     been checked at s; `gammas` is {q: G_q(s)} for every |q| <= `order`,
-    set by `XiTable.gamma_at`; `torsor`, set by `torsor_at` for
+    set by `ConnectionChart.gammas_at`; `torsor`, set by `torsor_at` for
     `flags.eta_chartlocal`, is the torsor point it found at s as a tuple of
     rows, or the class of the error a miss raises: NoRationalFvPoint when
     the miss is a proof, CongruenceSearchExhausted when the bounded search
@@ -175,12 +180,14 @@ class ConnectionChart:
         hodge = HodgeData(m, weight, filtration_dims, polarization)
         if len(gram) != m or any(len(r) != m for r in gram):
             raise ArityMismatch("gram must be m x m")
-        sign = Fraction(-1 if weight % 2 else 1)
+        odd = weight % 2
         for i in range(m):
             for k in range(m):
                 if gram[i][k].arity != n:
                     raise ArityMismatch("gram arity does not match the chart")
-                if not (gram[i][k] == gram[k][i] * sign):
+                # each unordered pair once; an odd weight's diagonal vanishes
+                if k >= i + 1 - odd and not (
+                        gram[i][k] == (-gram[k][i] if odd else gram[k][i])):
                     raise ValueError(
                         "gram does not have the symmetry of the weight")
         object.__setattr__(self, "n", n)
@@ -228,6 +235,26 @@ class ConnectionChart:
             found = search(self, point)
             self._keep(point, record._replace(torsor=found))
         return found
+
+    def gammas_at(self, point, order):
+        """{q: G_q(point)} for every |q| <= order, at a regular point.
+
+        G_q is the matrix with d_q f = G_q f for every solution f: the system
+        is linear, so the coefficient of f_ik in the form for d_q f_jk is
+        G_q[j][i] for every column k.  G_0 is the identity, and G_q(s) is the
+        q-th partial at s of the solution that is the identity at s; mixed
+        partials are keyed by their multi-degree, which `_local_gammas`
+        checks through the order minus two.  The values are built once per
+        point, at the highest order asked there, and kept in its record: the
+        shared dict may reach past `order` and is not to be changed.  A build
+        that raises NonIntegrable leaves the record as it was.
+        """
+        record = self._points.get(point, _NO_RECORD)
+        if record.order < order:
+            record = record._replace(order=order,
+                                     gammas=_local_gammas(self, order, point))
+            self._keep(point, record)
+        return record.gammas
 
     def assert_regular(self, point):
         """Raise SingularPoint if any chart denominator vanishes at the point.
@@ -329,7 +356,7 @@ class MatrixJet:
         """Product with another matrix jet or a constant matrix on the right."""
         if isinstance(other, MatrixJet):
             other = other.entries
-        return MatrixJet(linalg.mat_mul(self.entries, other))
+        return MatrixJet(series_product(self.entries, other))
 
     def __eq__(self, other):
         if not isinstance(other, MatrixJet):
@@ -338,6 +365,19 @@ class MatrixJet:
 
     def __repr__(self):
         return f"MatrixJet({[[s.to_string() for s in row] for row in self.entries]})"
+
+
+def series_product(rows, other):
+    """rows x other, one `TruncatedSeries.combination` per entry.  The rows
+    of series may be rectangular; the entries of `other` may be series of
+    their shape, rationals or Polynomials."""
+    if any(len(row) != len(other) for row in rows) \
+            or any(len(row) != len(other[0]) for row in other):
+        raise DimensionMismatch("matrix shapes do not chain in the product")
+    d, r = rows[0][0].dims, rows[0][0].order
+    columns = list(zip(*other))
+    return [[TruncatedSeries.combination(d, r, zip(column, row))
+             for column in columns] for row in rows]
 
 
 def invert_series_matrix(entries):
@@ -371,56 +411,23 @@ def matrixjet_invert(jet):
     return MatrixJet(invert_series_matrix(jet.entries))
 
 
-class XiTable:
-    """The derivative forms of flat frames, at base points on demand.
-
-    For every derivative multi-degree q with |q| <= order, G_q is the matrix
-    with d_q f = G_q f for every solution f; since the system is linear, the
-    coefficient of f_ik in the form for d_q f_jk is G_q[j][i], independent
-    of the column k.  G_0 is the identity, and G_q(s) is the q-th partial
-    at s of the solution that is the identity at s.  Mixed partials are
-    keyed by their multi-degree; the word-order independence this assumes
-    is checked at each base point, through the order the jet reads.
-
-    `gamma_at(q, s)` is the value of G_q at a regular point s.  The values
-    of every G_q at s are built once, by a Leibniz recursion on integer
-    matrices at s (see `_local_gammas`), and kept in the chart's record
-    for s, so later calls at s, from this table or any other table of the
-    chart whose order is not higher, reuse them.  A table of higher order
-    rebuilds them at its own order, which also decides integrability
-    through that order minus two.
+class XiTable(NamedTuple):
+    """A (chart, order) pair that `beta` and `check_right_equivariance`
+    accept as `table`: the order at which the chart's records are to hold
+    the values G_q (see `ConnectionChart.gammas_at`).  It holds no values;
+    `table` is always empty, and the benchmark's den_degree_max reads it.
     """
 
-    __slots__ = ("chart", "order", "table")
-
-    def __init__(self, chart, order):
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "order", order)
-        # always empty: the benchmark's den_degree_max counter still reads it
-        object.__setattr__(self, "table", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("XiTable is immutable")
-
-    def gamma_at(self, q, point):
-        """The matrix G_q at a regular point, as rationals."""
-        point = tuple(point)
-        chart = self.chart
-        record = chart._points.get(point, _NO_RECORD)
-        if record.order < self.order:
-            # a build that raises NonIntegrable leaves the old record
-            record = record._replace(
-                order=self.order,
-                gammas=_local_gammas(chart, self.order, point))
-            chart._keep(point, record)
-        return [list(row) for row in record.gammas[tuple(q)]]
+    chart: object
+    order: int
+    table: object = MappingProxyType({})
 
 
 def build_xi(chart, order):
-    """The table of derivative forms for all multi-degrees up to order.
+    """The `XiTable` of the chart at order.
 
     Does no algebra: the values at a base point are built by the first
-    `gamma_at` call there that needs this order.
+    frame there that needs this order.
     """
     return XiTable(chart, order)
 
@@ -535,50 +542,41 @@ def _check_initial(matrix, m):
 
 def beta(chart, sigma, initial, table=None):
     """Order-r jet of the flat frame along sigma with value `initial` at the
-    base point, assembled from the xi table.
+    base point, assembled from the values G_q at the base point.
 
     The result equals the jet of the unique local solution of the flat-frame
     system through (base point, initial); its constant term is `initial`.
     Entries of `initial` may be polynomials (the map is linear in them), as
-    long as the determinant is not identically zero.  A table passed in is
-    reused when it belongs to the chart and reaches order r.  Raises
-    NonIntegrable when the chart fails the mixed-partial condition at the
-    base point below the table's order minus one (see `_local_gammas`).
+    long as the determinant is not identically zero.  The values are read
+    at order r from `ConnectionChart.gammas_at`, or at the order of `table`,
+    an `XiTable` of the chart reaching r.  Raises NonIntegrable when the
+    chart fails the mixed-partial condition at the base point below that
+    order minus one (see `_local_gammas`).
     """
     if sigma.n != chart.n:
         raise ArityMismatch("jet does not live on the chart")
     _check_initial(initial, chart.m)
-    return _frame(_taylor_part(chart, sigma, table), initial, sigma)
+    return MatrixJet(series_product(_taylor_part(chart, sigma, table),
+                                    initial))
 
 
 def _taylor_part(chart, sigma, table):
     """The m x m series matrix W with W[j][i] = sum_q G_q(s)[j][i] w_q over
     the Taylor weights w_q of sigma, so that the frame jet with initial
     value M is W M; one combination per entry.  It depends on (chart,
-    sigma) alone: `table` only says where the values are read."""
+    sigma) alone: `table` only sets the order the values are built at."""
     s = sigma.basepoint()
     chart.assert_regular(s)
     d, r = sigma.dims, sigma.order
-    if table is None or table.order < r or table.chart is not chart:
-        table = build_xi(chart, r)
+    order = table.order if table is not None and table.chart is chart else r
+    values = chart.gammas_at(s, max(order, r))
     weight = taylor_weights(sigma.offsets())
-    gammas = []
-    for q in graded_monomials(chart.n, r):
-        w = weight(q)
-        if w:
-            gammas.append((table.gamma_at(q, s), w))
+    # a zero weight adds nothing to a combination
+    gammas = [(values[q], weight(q)) for q in graded_monomials(chart.n, r)]
     m = chart.m
     return [[TruncatedSeries.combination(d, r, [(g[j][i], w)
                                                 for g, w in gammas])
              for i in range(m)] for j in range(m)]
-
-
-def _frame(w_matrix, initial, sigma):
-    """The frame jet W M, one combination of m terms per entry."""
-    d, r = sigma.dims, sigma.order
-    return MatrixJet([[TruncatedSeries.combination(
-        d, r, [(row[k], w) for row, w in zip(initial, w_row)])
-                       for k in range(len(initial))] for w_row in w_matrix])
 
 
 def series_oracle(chart, sigma, initial):
@@ -640,9 +638,9 @@ def check_right_equivariance(chart, sigma, initial, action, table=None):
     """Whether the frame jet of initial*A equals the frame jet of initial
     times A, exactly at the jet order.
 
-    Both frames are W M for one Taylor part W (see `_taylor_part`), formed
-    once; `initial`, `initial * action` and `action` are validated as
-    `beta` validates an initial matrix.
+    Both sides are products with one Taylor part W (see `_taylor_part`):
+    W (M A) against (W M) A.  `initial` and `action` are validated as `beta`
+    validates an initial matrix, which M A then passes too.
     """
     m = chart.m
     if len(action) != m or any(len(row) != m for row in action):
@@ -652,11 +650,9 @@ def check_right_equivariance(chart, sigma, initial, action, table=None):
     if sigma.n != chart.n:
         raise ArityMismatch("jet does not live on the chart")
     _check_initial(initial, m)
-    moved = linalg.mat_mul(initial, action)
-    _check_initial(moved, m)
     w_matrix = _taylor_part(chart, sigma, table)
-    return _frame(w_matrix, moved, sigma) \
-        == _frame(w_matrix, initial, sigma) * action
+    return series_product(w_matrix, linalg.mat_mul(initial, action)) \
+        == series_product(series_product(w_matrix, initial), action)
 
 
 def check_flatness(chart, sigma, frame_jet):

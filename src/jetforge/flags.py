@@ -23,7 +23,7 @@ from . import linalg
 from .congruence import miss_is_proof, solve_congruence
 # HodgeData lives with the charts that hold it; it stays importable here
 from .connection import (HodgeData, MatrixJet, beta, invert_series_matrix,
-                         matrixjet_invert)
+                         matrixjet_invert, series_product)
 from .errors import (ArityMismatch, CongruenceSearchExhausted,
                      NoRationalFvPoint, NoValidChart)
 from .series import TruncatedSeries
@@ -187,7 +187,7 @@ def flag_of_matrix(hodge, matrix):
         pivots = chart.pivot_sets[step]
         leading = [[jet.entry(row, c) for c in range(size)]
                    for row in range(hodge.m)]
-        block = linalg.mat_mul(leading, invert_series_matrix(
+        block = series_product(leading, invert_series_matrix(
             [leading[row] for row in pivots]))
         for col in range(done, size):   # the columns this step adds
             src_col = pivots.index(columns[col][1])
@@ -265,18 +265,18 @@ class EtaWitness:
         raise AttributeError("EtaWitness is immutable")
 
 
-def alpha(chart, sigma, matrix, table=None):
+def alpha(chart, sigma, matrix):
     """Jet of the local period map: the flag of the inverse flat-frame jet.
 
     No torsor condition is imposed; when check_fv holds at the base point the
     resulting flag jet satisfies check_hr1 at every order.
     """
-    frame = beta(chart, sigma, matrix, table=table)
+    frame = beta(chart, sigma, matrix)
     inverse = matrixjet_invert(frame)
     return flag_of_matrix(chart.hodge, inverse)
 
 
-def eta_chartlocal(chart, sigma, table=None):
+def eta_chartlocal(chart, sigma):
     """Canonical orbit witness above a base jet.
 
     Picks a rational matrix M* with M*^T Gram(s) M* = Q by exact congruence
@@ -286,9 +286,9 @@ def eta_chartlocal(chart, sigma, table=None):
     torsor point exists, and its subclass CongruenceSearchExhausted when the
     bounded search found none without proving that.  The torsor point, or
     the kind of miss, is found once per base point and kept in the chart's
-    record for it.  Two jets map to the same orbit exactly when their
-    witnesses differ by a symmetry of the lattice form; deciding that
-    relation is out of scope here.
+    record for it, as are the values G_q(s) alpha reads.  Two jets map to
+    the same orbit exactly when their witnesses differ by a symmetry of the
+    lattice form; deciding that relation is out of scope here.
     """
     s = sigma.basepoint()
     chart.assert_regular(s)
@@ -301,7 +301,7 @@ def eta_chartlocal(chart, sigma, table=None):
             f"Gram at {s} is not rationally congruent to the lattice form")
     mstar = [list(row) for row in found]
     point = TorsorPoint(sigma, mstar)
-    return EtaWitness(point, alpha(chart, sigma, mstar, table=table))
+    return EtaWitness(point, alpha(chart, sigma, mstar))
 
 
 def _torsor_point(chart, s):

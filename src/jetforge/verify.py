@@ -222,7 +222,7 @@ def _frame_suites():
 def _check_frame_case(rng, chart, d, r, name, suites):
     """Draw a jet, an initial matrix and an action on the chart, record the
     dual-route, equivariance and flatness checks under `name`, and return
-    the jet and the xi table."""
+    the jet."""
     sigma = random_jet(rng, chart, d, r)
     initial = random_invertible(rng, chart.m)
     table = build_xi(chart, r)
@@ -233,7 +233,7 @@ def _check_frame_case(rng, chart, d, r, name, suites):
     suites["right_equivariance"].add(name, check_right_equivariance(
         chart, sigma, initial, action, table=table))
     suites["flatness"].add(name, check_flatness(chart, sigma, frame))
-    return sigma, table
+    return sigma
 
 
 def run_frame_corpus(seed, count=200, m_max=3, n_max=2, d_max=2, r_max=5):
@@ -414,11 +414,11 @@ def verify_connection(chart, max_order=4, seed=0, cases=12):
         d = rng.randint(1, 2)
         r = rng.randint(0, max_order)
         name = f"case{case}[d={d},r={r}]"
-        sigma, table = _check_frame_case(rng, chart, d, r, name, suites)
+        sigma = _check_frame_case(rng, chart, d, r, name, suites)
         if not hr1_applicable:
             continue
         try:
-            witness = eta_chartlocal(chart, sigma, table=table)
+            witness = eta_chartlocal(chart, sigma)
         except CongruenceSearchExhausted:
             hr1.unchecked.append(name)
             continue

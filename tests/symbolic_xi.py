@@ -1,7 +1,7 @@
 """The universal rational forms of the xi table, as a reference for tests.
 
 The library builds the derivative forms G_q only as values at a base point
-(`XiTable.gamma_at`), and checks integrability there.  These helpers build
+(`ConnectionChart.gammas_at`), and checks integrability there.  These helpers build
 the same forms as matrices of rational functions on the whole chart, and
 the global mixed-partial condition, so tests can compare the local values
 with an independent symbolic computation.

@@ -188,7 +188,7 @@ def test_criterion_9_frame_sizes_of_real_families(monkeypatch):
                                              random_invertible(rng, m),
                                              table=table) \
                 and check_fv(chart, point, gauge) \
-                and check_hr1(hodge, alpha(chart, sigma, gauge, table=table))
+                and check_hr1(hodge, alpha(chart, sigma, gauge))
     elapsed = time.time() - start
     _report(9, "Hodge-shaped frames of size 22 (weight 2) and 4 (weight 3)",
             ok and elapsed < 30, f"orders 1 and 2 in {elapsed:.1f}s, "

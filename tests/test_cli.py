@@ -457,9 +457,9 @@ class TestVerify:
             searched.append(g)
             return search(g, q, weight)
 
-        def counting_eta(chart, sigma, table=None):
+        def counting_eta(chart, sigma):
             bases.append(sigma.basepoint())
-            return eta(chart, sigma, table=table)
+            return eta(chart, sigma)
 
         monkeypatch.setattr(flags, "solve_congruence", counting_search)
         monkeypatch.setattr(verify, "eta_chartlocal", counting_eta)
@@ -683,3 +683,58 @@ class TestInputErrors:
         assert run(["jetspace", "--scheme", str(path), "-d", "1",
                     "-r", "0"]) == 2
         assert capsys.readouterr().out == ""
+
+
+class TestGramRefusal:
+    """A Gram matrix without the symmetry of the weight (symmetric for an
+    even weight, alternating for an odd one) is refused by the library with
+    ValueError and by the CLI with exit code 2."""
+
+    # (weight, filtration dims, polarization, {(i, k): wrong Gram entry})
+    CASES = {
+        "odd_nonzero_diagonal": (
+            1, (2, 1), [[0, 1], [-1, 0]], {(1, 1): "z"}),
+        "odd_last_pair": (
+            1, (4, 2), [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1],
+                        [0, 0, -1, 0]], {(3, 2): "1"}),
+        "even_last_pair": (
+            0, (3,), [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            {(1, 2): "z", (2, 1): "-1*z^1"}),
+        "even_weight_two_last_pair": (
+            2, (3, 1), [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+            {(1, 2): "2", (2, 1): "3"}),
+    }
+
+    @staticmethod
+    def chart_args(weight, dims, pol, wrong):
+        m = len(pol)
+        zero = RationalFunction.zero(1)
+        gram = [[RationalFunction.const(x, 1) for x in row] for row in pol]
+        for (i, k), text in wrong.items():
+            gram[i][k] = RationalFunction(Polynomial.from_string(text, ["z"]))
+        return (1, m, [[[zero]] * m for _ in range(m)], weight, dims, gram,
+                pol, ["z"])
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_refused_in_the_library_and_the_cli(self, case, tmp_path,
+                                                capsys):
+        weight, dims, pol, wrong = self.CASES[case]
+        with pytest.raises(ValueError, match="symmetry of the weight"):
+            ConnectionChart(*self.chart_args(weight, dims, pol, wrong))
+        # the same chart with the polarization as Gram is accepted
+        valid = ConnectionChart(*self.chart_args(weight, dims, pol, {}))
+        path = tmp_path / "chart.json"
+        argv = ["beta", "--connection", str(path), "--jet",
+                json.dumps({"d": 1, "r": 1, "series": ["1 + 1 * t1^1"]}),
+                "--init", "identity"]
+        data = jio.chart_to_json(valid)
+        path.write_text(jio.canonical_dumps(data))
+        assert run(argv) == 0
+        capsys.readouterr()
+        for (i, k), text in wrong.items():
+            data["gram"][i][k] = {"num": text, "den": "1"}
+        path.write_text(jio.canonical_dumps(data))
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "symmetry of the weight" in captured.err

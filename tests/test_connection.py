@@ -13,8 +13,8 @@ from jetforge.connection import (ConnectionChart, MatrixJet, beta, build_xi,
                                  check_flatness, check_right_equivariance,
                                  matrixjet_invert, period_system, scalar_ode,
                                  series_oracle)
-from jetforge.errors import (ArityMismatch, NonIntegrable, SingularInitial,
-                             SingularPoint)
+from jetforge.errors import (ArityMismatch, DimensionMismatch, NonIntegrable,
+                             SingularInitial, SingularPoint)
 from jetforge.examples import exponential_chart, legendre_chart, \
     nilpotent_chart
 from jetforge.flags import eta_chartlocal
@@ -280,11 +280,12 @@ class TestXiTable:
                              gamma(rc.chart, degree))
 
     def test_local_values_match_the_symbolic_forms(self):
-        def check(table, point):
-            for q in graded_monomials(table.chart.n, table.order):
+        def check(chart, order, point):
+            values = chart.gammas_at(point, order)
+            for q in graded_monomials(chart.n, order):
                 symbolic = [[rf.evaluate(point) for rf in row]
-                            for row in gamma(table.chart, q)]
-                assert table.gamma_at(q, point) == symbolic, (q, point)
+                            for row in gamma(chart, q)]
+                assert values[q] == symbolic, (q, point)
 
         def regular_point(chart):
             while True:
@@ -299,19 +300,17 @@ class TestXiTable:
         rng = random.Random(31)
         for _ in range(6):
             rc = random_flat_chart(rng, rng.randint(1, 3), rng.randint(1, 2))
-            table = build_xi(rc.chart, 4)
             for _ in range(2):
-                check(table, regular_point(rc.chart))
+                check(rc.chart, 4, regular_point(rc.chart))
         # three coordinates, and order 5
         for m, n, order in [(m, 3, order) for m in (1, 2, 3)
                             for order in (4, 5)] + [(2, 2, 5), (3, 2, 5)]:
             rc = random_flat_chart(rng, m, n)
-            table = build_xi(rc.chart, order)
             for _ in range(2):
-                check(table, regular_point(rc.chart))
-        table = build_xi(legendre_chart(), 8)
+                check(rc.chart, order, regular_point(rc.chart))
+        chart = legendre_chart()
         for x in (Fraction(1, 2), Fraction(1, 4), Fraction(2)):
-            check(table, (x,))
+            check(chart, 8, (x,))
 
     def test_local_values_match_the_series_recursion(self):
         # values and NonIntegrable verdicts, on flat charts and on flat
@@ -395,6 +394,21 @@ class TestXiTable:
                 table=table)
             assert builds.count((3, sigma.basepoint())) == 1
         assert len(builds) == len(set(builds)) == 2
+        # a table of order r + 2 passed at order r builds once at r + 2, and
+        # later calls there without a table, up to r + 2, build nothing
+        del builds[:]
+        sigma = random_jet(rng, rc.chart, 2, 5)
+        point = sigma.basepoint()
+        initial = random_invertible(rng, 2)
+        beta(rc.chart, sigma.restrict(3), initial, table=build_xi(rc.chart, 5))
+        assert builds == [(5, point)]
+        for r in (5, 0, 4, 3):
+            jet = sigma.restrict(r)
+            assert beta(rc.chart, jet, initial) == series_oracle(
+                rc.chart, jet, initial)
+            assert check_right_equivariance(rc.chart, jet, initial,
+                                            random_invertible(rng, 2))
+        assert builds == [(5, point)]
 
 
 
@@ -923,6 +937,89 @@ class TestEquivariance:
                                         random_invertible(rng, 2),
                                         random_invertible(rng, 2))
         assert len(weights) == 1
+
+
+def random_series(rng, d, r, arity):
+    """A series of shape (d, r) with some zero coefficients; the others are
+    rational, or in Q[a_1..a_arity] when arity > 0."""
+    coeffs = {}
+    for mono in graded_monomials(d, r):
+        if rng.random() < 0.6:
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            if arity:
+                c = Polynomial.variable(rng.randrange(arity), arity) * c \
+                    + rng.randint(-1, 1)
+            coeffs[mono] = c
+    return TruncatedSeries(d, r, coeffs)
+
+
+def random_factor(rng, kind, rows, cols, d, r, arity):
+    """A rows x cols matrix of ints, Fractions, Polynomials or series."""
+    def draw():
+        if kind == "int":
+            return rng.randint(-2, 2)
+        if kind == "Fraction":
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        if kind == "Polynomial":
+            x = Polynomial.variable(rng.randrange(max(arity, 1)),
+                                    max(arity, 1))
+            return x * rng.randint(-2, 2) + rng.randint(-2, 2)
+        return random_series(rng, d, r, arity)
+    return [[draw() for _ in range(cols)] for _ in range(rows)]
+
+
+class TestSeriesProduct:
+    """`series_product` and `MatrixJet.__mul__` against the `la.mat_mul`
+    product they replace."""
+
+    KINDS = ("int", "Fraction", "Polynomial", "series")
+
+    def test_matches_the_matrix_product(self):
+        rng = random.Random(53)
+        checked = set()
+        for case in range(96):
+            kind = self.KINDS[case % 4]
+            # rows over Q, or over Q[a]; Polynomial factors bring in Q[a]
+            arity = (case // 4) % 3
+            d, r = rng.randint(1, 2), rng.randint(0, 3)
+            m, k = rng.randint(1, 3), rng.randint(1, 3)
+            cols = k if case % 2 else rng.randint(1, 3)
+            rows = [[random_series(rng, d, r, arity) for _ in range(k)]
+                    for _ in range(m)]
+            other = random_factor(rng, kind, k, cols, d, r, arity)
+            assert connection.series_product(rows, other) \
+                == la.mat_mul(rows, other), (case, kind)
+            if m == k == cols:
+                assert MatrixJet(rows) * other \
+                    == MatrixJet(la.mat_mul(rows, other))
+                if kind == "series":
+                    assert MatrixJet(rows) * MatrixJet(other) \
+                        == MatrixJet(la.mat_mul(rows, other))
+            checked.add((kind, bool(arity), m == k))
+        assert len(checked) == 16
+
+    def test_zero_and_identity_factors(self):
+        rng = random.Random(7)
+        for m, k in ((1, 1), (2, 2), (3, 3), (3, 2), (2, 1)):
+            rows = [[random_series(rng, 2, 3, 0) for _ in range(k)]
+                    for _ in range(m)]
+            assert connection.series_product(rows, la.identity(k)) == rows
+            zero = TruncatedSeries.zero(2, 3)
+            assert connection.series_product(rows, la.zeros(k, 2)) \
+                == [[zero, zero] for _ in range(m)]
+            zeros = [[zero] * k for _ in range(m)]
+            assert connection.series_product(zeros, la.identity(k)) == zeros
+
+    def test_shape_clashes(self):
+        one = TruncatedSeries.one(1, 2)
+        rows = [[one, one], [one, one]]
+        for other in (la.identity(3), [[1, 0]], [[1, 0], [0]],
+                      [[TruncatedSeries.one(1, 3)], [one]],
+                      [[TruncatedSeries.one(2, 2)], [one]]):
+            with pytest.raises(DimensionMismatch):
+                connection.series_product(rows, other)
+        with pytest.raises(DimensionMismatch):
+            connection.series_product([[one], [one, one]], la.identity(2))
 
 
 class TestMatrixJetInversion:
