@@ -43,8 +43,10 @@ agreement is a genuine cross-check.
 
 A chart keeps one record for each of its last `_POINT_RECORDS` base points
 (see `_PointRecord`): whether `assert_regular` passed there, the values
-G_q(s) `beta` reads there and the torsor point `eta_chartlocal` found
-there.  Many jets above one base point share that work.
+G_q(s) `beta` reads there, the torsor point `eta_chartlocal` found there,
+and the Taylor part W of the last jet above the point.  Many jets above one
+base point share the first three; `check_right_equivariance` after `beta`
+on the same jet, as a `verify` case runs them, reuses W.
 """
 
 from __future__ import annotations
@@ -139,14 +141,20 @@ class _PointRecord(NamedTuple):
     `flags.eta_chartlocal`, is the torsor point it found at s as a tuple of
     rows, or the class of the error a miss raises: NoRationalFvPoint when
     the miss is a proof, CongruenceSearchExhausted when the bounded search
-    ran out.  Each field is a function of (chart, s, order) alone, and a
-    record is replaced whole, never changed in place.
+    ran out.  Those fields are functions of (chart, s, order) alone.
+    `taylor`, set by `_taylor_part`, is (sigma, W) for the last jet sigma
+    above s whose Taylor part W was formed, W a tuple of rows; it is a
+    function of (chart, sigma), so `beta` and then
+    `check_right_equivariance` on one jet form W once.  A record is
+    replaced whole, never changed in place, so a race between threads
+    costs at most a recompute.
     """
 
     regular: bool = False
     order: int = -1
     gammas: dict = None
     torsor: object = None
+    taylor: tuple = None
 
 
 _NO_RECORD = _PointRecord()
@@ -563,9 +571,16 @@ def beta(chart, sigma, initial, table=None):
 def _taylor_part(chart, sigma, table):
     """The m x m series matrix W with W[j][i] = sum_q G_q(s)[j][i] w_q over
     the Taylor weights w_q of sigma, so that the frame jet with initial
-    value M is W M; one combination per entry.  It depends on (chart,
-    sigma) alone: `table` only sets the order the values are built at."""
+    value M is W M; one combination per entry, as a tuple of rows.
+
+    It depends on (chart, sigma) alone: `table` only sets the order the
+    values are built at.  The record of the base point keeps the W of the
+    last jet there, which is returned, before any value is read, for a jet
+    of the same stored form (see `_same_jet`)."""
     s = sigma.basepoint()
+    kept = chart._points.get(s, _NO_RECORD).taylor
+    if kept is not None and _same_jet(kept[0], sigma):
+        return kept[1]
     chart.assert_regular(s)
     d, r = sigma.dims, sigma.order
     order = table.order if table is not None and table.chart is chart else r
@@ -574,9 +589,23 @@ def _taylor_part(chart, sigma, table):
     # a zero weight adds nothing to a combination
     gammas = [(values[q], weight(q)) for q in graded_monomials(chart.n, r)]
     m = chart.m
-    return [[TruncatedSeries.combination(d, r, [(g[j][i], w)
-                                                for g, w in gammas])
-             for i in range(m)] for j in range(m)]
+    w_matrix = tuple(tuple(TruncatedSeries.combination(
+        d, r, [(g[j][i], w) for g, w in gammas]) for i in range(m))
+        for j in range(m))
+    chart._keep(s, chart._points.get(s, _NO_RECORD)._replace(
+        taylor=(sigma, w_matrix)))
+    return w_matrix
+
+
+def _same_jet(a, b):
+    """Whether two jets have one stored form: the same shape, and in each
+    component the same table and denominator.  The keys of a series over
+    Q[a_1..a_k] are k entries longer, so this also asks for the same ring
+    of coefficients, where `==` equates a rational jet with one over
+    Q[a_1..a_k] of equal value, whose W is over Q[a_1..a_k] too."""
+    return a is b or (a.dims == b.dims and a.order == b.order and all(
+        x._den == y._den and x._table == y._table
+        for x, y in zip(a.series, b.series)))
 
 
 def series_oracle(chart, sigma, initial):
@@ -638,7 +667,8 @@ def check_right_equivariance(chart, sigma, initial, action, table=None):
     """Whether the frame jet of initial*A equals the frame jet of initial
     times A, exactly at the jet order.
 
-    Both sides are products with one Taylor part W (see `_taylor_part`):
+    Both sides are products with one Taylor part W (see `_taylor_part`),
+    kept from `beta` when it ran last at the base point on the same jet:
     W (M A) against (W M) A.  `initial` and `action` are validated as `beta`
     validates an initial matrix, which M A then passes too.
     """

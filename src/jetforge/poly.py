@@ -108,13 +108,15 @@ def add_terms(a, b):
     return out
 
 
-def mul_terms(a, b, max_degree=None, prefix=None, out=None):
+def mul_terms(a, b, max_degree=None, prefix=None, out=None, factor=1):
     """The product of two canonical tables, cut above `max_degree` in the
     total degree of the first `prefix` exponents (of all by default).
     Given a canonical table `out`, the product is added into it instead,
-    and `out` is returned."""
+    and `out` is returned.  A `factor` other than 1 multiplies the product,
+    folded into the numerators of `b` as they are read."""
     degree = sum if prefix is None else lambda p: sum(p[:prefix])
-    right = [(q, degree(q), d) for q, d in b.items()]
+    right = [(q, degree(q), d) for q, d in b.items()] if factor == 1 else \
+        [(q, degree(q), d * factor) for q, d in b.items()]
     if out is None:
         out = {}
     for p, c in a.items():
@@ -191,35 +193,6 @@ def add_fractions(a, da, b, db):
             b = {p: n * (da // g) for p, n in b.items()}
         da = da // g * db
     return lowest_terms(add_terms(a, b), da)
-
-
-def combine_fractions(terms, max_degree=None, prefix=None):
-    """The sum of a/da * b/db over the terms (a, da, b, db), in lowest terms.
-
-    Each a is an integer table and each b an integer table or an int; a
-    product of tables is cut as `mul_terms` cuts it.  Every term is added
-    into one integer table over the lcm of the denominators, and the sum is
-    reduced once, with one gcd.
-    """
-    den = math.lcm(*(da * db for _, da, _, db in terms))
-    out = {}
-    for a, da, b, db in terms:
-        factor = den // (da * db)
-        if type(b) is int:
-            factor *= b
-            for p, n in a.items():
-                s = out.get(p, 0) + n * factor
-                if s:
-                    out[p] = s
-                else:
-                    del out[p]
-            continue
-        if factor != 1:
-            if len(b) < len(a):
-                a, b = b, a
-            a = {p: n * factor for p, n in a.items()}
-        mul_terms(a, b, max_degree, prefix, out)
-    return lowest_terms(out, den)
 
 
 def scale_fraction(num, den, scalar):

@@ -20,10 +20,9 @@ a-exponents; one on two rational series pads and slices nothing.
 `TruncatedSeries.combination` forms a linear combination sum c * a, whose
 coefficients c are rationals, `Polynomial`s or series (then each term is
 a product, cut at the order).  It adds every term into one integer table
-over one common denominator and reduces the sum once
-(`poly.combine_fractions`), where a chain of `scale`, `*` and `+` would
-build and reduce a series per term.  `graded_parts` splits a series into
-its homogeneous parts.
+over one common denominator and reduces the sum once, where a chain of
+`scale`, `*` and `+` would build and reduce a series per term.
+`graded_parts` splits a series into its homogeneous parts.
 
 `coeffs`, `coefficient` and `homogeneous` read the coefficients, built
 when read: a constant one as a Fraction, any other as a `Polynomial` in the
@@ -41,8 +40,8 @@ from fractions import Fraction
 from .errors import (ArityMismatch, DimensionMismatch, InputError, NotAUnit,
                      OrderIncrease)
 from .linalg import unipotent_inverse
-from .poly import (Polynomial, add_fractions, clean_terms, combine_fractions,
-                   default_names, derive_terms, evaluate_terms, integer_table,
+from .poly import (Polynomial, add_fractions, clean_terms, default_names,
+                   derive_terms, evaluate_terms, integer_table,
                    lowest_terms, mul_terms, pow_terms, scale_fraction,
                    terms_to_string)
 
@@ -344,49 +343,102 @@ class TruncatedSeries:
 
         Each a is a series of shape (dims, order) and each c a rational, a
         `Polynomial` or a series of that shape, whose product with a is cut
-        at the order as `*` cuts it.  The terms are added into one integer
-        table over one common denominator and reduced once (see
-        `combine_fractions`); a pair with a zero member adds nothing, and
-        the empty sum is zero.  Rational tables are padded to the
-        coefficient variables of the others, as `+` pads them.
+        at the order as `*` cuts it.  A pair with a zero member adds
+        nothing, and the empty sum is zero.  Rational tables are padded to
+        the coefficient variables of the others, as `+` pads them.
+
+        One pass over the pairs checks them and keeps each term's tables
+        and the product of its denominators, whose lcm is the common
+        denominator.  Each term is then added into one integer table over it,
+        a product of tables with the term's share of that denominator folded
+        into `mul_terms`, and the sum is reduced once, with one gcd.
         """
-        _check_shape(dims, order)
-        # (a's table, den, c's table or int numerator, den) and the arities
-        # of a and c
-        terms, arities = [], []
+        if dims < 1 or order < 0:
+            _check_shape(dims, order)
+        # (a's table, c's table or int numerator, both denominators'
+        # product) per term, the lcm of those products, and the arities of
+        # the terms that have one
+        terms, den, arities = [], 1, set()
         for c, a in pairs:
-            if not (c and a):
+            table = a._table
+            if not table:
+                continue
+            kind = type(c)
+            if kind is int:
+                if not c:
+                    continue
+                b, db, kb = c, 1, 0
+            elif kind is Fraction:
+                b = c.numerator
+                if not b:
+                    continue
+                db, kb = c.denominator, 0
+            elif kind is TruncatedSeries:
+                b = c._table
+                if not b:
+                    continue
+                db, kb = c._den, c._arity
+            elif kind is Polynomial:
+                if not c._table:
+                    continue
+                b = {(0,) * dims + e: n for e, n in c._table.items()}
+                db, kb = c._den, c.arity
+            elif c:
+                b = None
+            else:
                 continue
             if a.dims != dims or a.order != order:
                 raise DimensionMismatch(
                     f"series in ({a.dims} vars, order {a.order}) in a "
                     f"combination in ({dims} vars, order {order})")
-            kind = type(c)
-            if kind is Fraction or kind is int:
-                terms.append((a._table, a._den, c.numerator, c.denominator))
-                arities.append((a._arity, 0))
-            elif kind is TruncatedSeries:
-                a._check_compatible(c)
-                terms.append((a._table, a._den, c._table, c._den))
-                arities.append((a._arity, c._arity))
-            elif kind is Polynomial:
-                terms.append((a._table, a._den, {
-                    (0,) * dims + e: n for e, n in c._table.items()}, c._den))
-                arities.append((a._arity, c.arity))
-            else:
+            if b is None:
                 raise TypeError("series combine with rationals, Polynomials "
                                 f"or series, got {kind.__name__}")
-        arity = max(map(max, arities), default=0)
-        if arity:
-            if any(k and k != arity for pair in arities for k in pair):
+            if kind is TruncatedSeries and (c.dims != dims
+                                            or c.order != order):
+                a._check_compatible(c)
+            ka = a._arity
+            if ka or kb:
+                arities.add(ka)
+                arities.add(kb)
+            dd = a._den * db
+            if dd != 1 and dd != den:
+                den = math.lcm(den, dd)
+            terms.append((table, b, dd, ka, kb))
+        if not terms:
+            return cls._new(dims, order, {}, 1)
+        arity, prefix = 0, None
+        if arities:
+            arities.discard(0)
+            if len(arities) > 1:
                 raise ArityMismatch(
                     "series combined over different coefficient variables")
-            terms = [(_padded(a, arity) if ka != arity else a, da,
-                      _padded(b, arity) if kb != arity and type(b) is not int
-                      else b, db)
-                     for (a, da, b, db), (ka, kb) in zip(terms, arities)]
-        return cls._generic(dims, order, *combine_fractions(
-            terms, order, dims if arity else None), arity)
+            arity, = arities
+            prefix = dims
+        out = None
+        for a, b, dd, ka, kb in terms:
+            if arity:
+                if ka != arity:
+                    a = _padded(a, arity)
+                if kb != arity and type(b) is not int:
+                    b = _padded(b, arity)
+            factor = den // dd
+            if type(b) is not int:
+                if factor != 1 and len(b) < len(a):
+                    a, b = b, a
+                out = mul_terms(a, b, order, prefix, out, factor)
+                continue
+            factor *= b
+            if out is None:
+                out = {p: n * factor for p, n in a.items()}
+                continue
+            for p, n in a.items():
+                s = out.get(p, 0) + n * factor
+                if s:
+                    out[p] = s
+                else:
+                    del out[p]
+        return cls._generic(dims, order, *lowest_terms(out, den), arity)
 
     def __pow__(self, n):
         arity = self._arity

@@ -128,6 +128,20 @@ def count_builds(monkeypatch):
     return builds
 
 
+def count_weights(monkeypatch):
+    """Record the offsets of every `taylor_weights` call, one per Taylor
+    part formed."""
+    weights = []
+    original = connection.taylor_weights
+
+    def counting(offsets):
+        weights.append(offsets)
+        return original(offsets)
+
+    monkeypatch.setattr(connection, "taylor_weights", counting)
+    return weights
+
+
 def count_evaluations(monkeypatch, polys):
     """Count `Polynomial.evaluate` calls on the given polynomials."""
     calls = []
@@ -141,6 +155,23 @@ def count_evaluations(monkeypatch, polys):
 
     monkeypatch.setattr(Polynomial, "evaluate", counting)
     return calls
+
+
+def fresh_copy(chart):
+    """The same chart, with no point records."""
+    hodge = chart.hodge
+    return ConnectionChart(chart.n, chart.m, chart.coeffs, hodge.weight,
+                           hodge.filtration_dims, chart.gram,
+                           hodge.polarization, chart.variables)
+
+
+def stored_forms(matrix):
+    """The shape, table, denominator and arity of each entry of a series
+    matrix."""
+    if isinstance(matrix, MatrixJet):
+        matrix = matrix.entries
+    return [[(s.dims, s.order, s._table, s._den, s._arity) for s in row]
+            for row in matrix]
 
 
 def reference_oracle(chart, sigma, initial):
@@ -502,9 +533,17 @@ class TestPointRecords:
     def test_threads_sharing_a_chart_get_the_single_threaded_frames(self):
         points = [Fraction(k, 101) for k in range(2, 50)]
         initial = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(2)]]
+        action = [[Fraction(2), Fraction(-1)], [Fraction(1), Fraction(3)]]
+
+        def jets(x, r):
+            """Two jets above x, which share its record's Taylor part."""
+            return (line_jet(x, r), JetPoint([TruncatedSeries(1, r, {
+                (0,): x, (1,): Fraction(-2, 3), (2,): Fraction(5)})]))
+
         reference = legendre_chart()
-        expected = {(x, r): beta(reference, line_jet(x, r), initial)
-                    for x in points for r in range(4)}
+        expected = {(x, r, k): beta(reference, jet, initial)
+                    for x in points for r in range(4)
+                    for k, jet in enumerate(jets(x, r))}
         chart = legendre_chart()
         results, errors = [], []
 
@@ -512,8 +551,13 @@ class TestPointRecords:
             try:
                 for i, x in enumerate(points[offset:] + points[:offset]):
                     r = (i + offset) % 4
-                    results.append(((x, r), beta(chart, line_jet(x, r),
-                                                 initial)))
+                    # alternate the two jets, each through beta and the
+                    # equivariance check, which reads the kept W
+                    for k in (0, 1, 0, 1):
+                        jet = jets(x, r)[k]
+                        results.append(((x, r, k), beta(chart, jet, initial),
+                                        check_right_equivariance(
+                                            chart, jet, initial, action)))
             except Exception as exc:  # reported by the main thread
                 errors.append(exc)
 
@@ -530,9 +574,11 @@ class TestPointRecords:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert len(results) == 4 * len(points)
-        assert all(frame == expected[key] for key, frame in results)
+        assert len(results) == 4 * 4 * len(points)
+        assert all(frame == expected[key] and equivariant
+                   for key, frame, equivariant in results)
         assert len(chart._points) <= connection._POINT_RECORDS
+
 
 class TestEvalOnJet:
     def test_polynomial_function_is_not_inverted(self, monkeypatch):
@@ -922,14 +968,7 @@ class TestEquivariance:
                                          la.identity(2))
 
     def test_taylor_part_is_formed_once(self, monkeypatch):
-        weights = []
-        original = connection.taylor_weights
-
-        def counting(offsets):
-            weights.append(offsets)
-            return original(offsets)
-
-        monkeypatch.setattr(connection, "taylor_weights", counting)
+        weights = count_weights(monkeypatch)
         rng = random.Random(27)
         rc = random_flat_chart(rng, 2, 2)
         sigma = random_jet(rng, rc.chart, 2, 3)
@@ -937,6 +976,40 @@ class TestEquivariance:
                                         random_invertible(rng, 2),
                                         random_invertible(rng, 2))
         assert len(weights) == 1
+
+    def test_beta_and_the_check_share_one_taylor_part(self, monkeypatch):
+        weights = count_weights(monkeypatch)
+        rng = random.Random(31)
+        rc = random_flat_chart(rng, 2, 2)
+        chart = rc.chart
+        sigma = random_jet(rng, chart, 2, 3)
+        d, r = sigma.dims, sigma.order
+        # above the same base point: another jet, the same tables at another
+        # order, and a jet over Q[a_1] equal in value to sigma
+        other = JetPoint([s + TruncatedSeries.variable(d - 1, d, r)
+                          for s in sigma.series])
+        generic = JetPoint([TruncatedSeries(d, r, {
+            p: Polynomial.const(c, 1) for p, c in s.coeffs.items()})
+            for s in sigma.series])
+        assert generic == sigma and generic.series[0]._arity == 1
+        longer = sigma.zero_extended(r + 1)
+        jets = [sigma, longer, other, generic, sigma, generic]
+        assert len({j.basepoint() for j in jets}) == 1
+        initial = random_invertible(rng, 2)
+        action = random_invertible(rng, 2)
+        for jet in jets:
+            before = len(weights)
+            frame = beta(chart, jet, initial)
+            assert check_right_equivariance(chart, jet, initial, action)
+            w_matrix = connection._taylor_part(chart, jet, None)
+            # beta forms W; the check and the later read reuse it
+            assert len(weights) == before + 1
+            assert stored_forms(frame) == stored_forms(
+                beta(fresh_copy(chart), jet, initial))
+            assert check_right_equivariance(fresh_copy(chart), jet, initial,
+                                            action)
+            assert stored_forms(w_matrix) == stored_forms(
+                connection._taylor_part(fresh_copy(chart), jet, None))
 
 
 def random_series(rng, d, r, arity):

@@ -11,12 +11,14 @@ coefficients, and stay in lowest terms.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jetforge.series as series_module
 from jetforge.errors import ArityMismatch, DimensionMismatch, NotAUnit
 from jetforge.poly import (Polynomial, add_terms, default_names, derive_terms,
                           evaluate_terms, graded_monomials, monomial_key,
@@ -427,6 +429,135 @@ def test_combination_refuses_what_it_cannot_combine():
             TruncatedSeries.combination(1, 2, pairs)
     with pytest.raises(TypeError):
         TruncatedSeries.combination(1, 2, [(1.5, x)])
+
+
+def random_table(rng, arity, top, size):
+    """An integer table of at most `size` terms, exponents up to `top`."""
+    table = {}
+    for _ in range(size):
+        n = rng.randint(-4, 4)
+        if n:
+            table[tuple(rng.randint(0, top) for _ in range(arity))] = n
+    return table
+
+
+def test_mul_terms_factor_scales_the_product():
+    rng = random.Random(19)
+    for case in range(60):
+        arity = rng.randint(1, 3)
+        a = random_table(rng, arity, 3, rng.randint(0, 6))
+        b = random_table(rng, arity, 3, rng.randint(0, 6))
+        max_degree = (None, 0, 2, 4)[case % 4]
+        prefix = (None, 1)[case // 4 % 2]
+        for k in (1, -1, 3, -6):
+            product = mul_terms(a, b, max_degree, prefix)
+            scaled = mul_terms(a, b, max_degree, prefix, factor=k)
+            assert scaled == {p: k * n for p, n in product.items()}
+            # added into a shared table: k times the product cancels
+            # against -k times it, term by term
+            out = {p: -k * n for p, n in product.items()}
+            assert mul_terms(a, b, max_degree, prefix, out, k) is out
+            assert out == {}
+            base = random_table(rng, arity, 3, 4)
+            out = dict(base)
+            mul_terms(a, b, max_degree, prefix, out, k)
+            assert out == add_terms(base, scaled)
+            assert all(out.values())
+
+
+def random_member(rng, kind, dims, order, arity, unit=False):
+    """A coefficient of the kind, or a series of shape (dims, order) with
+    coefficients over Q[a_1..a_arity] (Q when arity is 0), with random
+    denominators and, one time in six, zero; a `unit` series has a nonzero
+    constant term."""
+    if rng.random() < 1 / 6:
+        return {"int": 0, "Fraction": Fraction(0),
+                "Polynomial": Polynomial.zero(max(arity, 1)),
+                "series": TruncatedSeries.zero(dims, order)}[kind]
+    if kind == "int":
+        return rng.choice((-3, -1, 1, 2, 5))
+    if kind == "Fraction":
+        return Fraction(rng.choice((-5, -1, 1, 3)), rng.choice((2, 3, 4, 9)))
+    if kind == "Polynomial":
+        x = Polynomial.variable(rng.randrange(max(arity, 1)), max(arity, 1))
+        return x * Fraction(rng.randint(1, 3), rng.randint(1, 4)) \
+            + rng.randint(-1, 1)
+    coeffs = {}
+    for mono in graded_monomials(dims, order):
+        if rng.random() < 0.5:
+            c = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 6)))
+            if arity and rng.random() < 0.5:
+                c = c + Polynomial.variable(rng.randrange(arity), arity)
+            coeffs[mono] = c
+    if unit:
+        coeffs[(0,) * dims] = Fraction(rng.choice((-2, 1, 3)), 2)
+    return TruncatedSeries(dims, order, coeffs)
+
+
+def stored(s):
+    return s._table, s._den, s._arity
+
+
+def test_combination_stored_form_matches_the_reference(monkeypatch):
+    products = []
+    original = series_module.mul_terms
+
+    def recording(a, b, max_degree=None, prefix=None, out=None, factor=1):
+        products.append((a, b, factor))
+        return original(a, b, max_degree, prefix, out, factor)
+
+    monkeypatch.setattr(series_module, "mul_terms", recording)
+    rng = random.Random(23)
+    kinds = ("int", "Fraction", "Polynomial", "series")
+    seen = set()
+    swapped = 0
+    for case in range(240):
+        dims, order = rng.randint(1, 2), rng.randint(0, 3)
+        # Polynomial coefficients bring in Q[a_1, a_2]
+        arity = 2 if case % 3 == 0 else 0
+        pairs = []
+        for _ in range(rng.randint(0, 4)):
+            kind = rng.choice(kinds if arity else kinds[:2] + kinds[3:])
+            # a product over Q[a_1, a_2] cut to nothing would still put the
+            # combination over that ring, where the reference's sum stays
+            # over Q; a unit coefficient keeps every product nonzero
+            pairs.append((random_member(rng, kind, dims, order, arity,
+                                        unit=bool(arity)),
+                          random_member(rng, "series", dims, order, arity)))
+            seen.add(kind)
+        # a one-term series coefficient on a longer series, next to a term
+        # of another denominator: the product's share of the common
+        # denominator is not 1 and the coefficient is the smaller table
+        if case % 5 == 0:
+            a = random_member(rng, "series", dims, order, 0)
+            if len(a._table) > 1:
+                c = TruncatedSeries(dims, order,
+                                    {(0,) * dims: Fraction(2, 7)})
+                pairs += [(c, a), (Fraction(1, 5), a)]
+        del products[:]
+        result = TruncatedSeries.combination(dims, order, pairs)
+        assert stored(result) == stored(
+            reference_combination(dims, order, pairs)), case
+        swapped += any(factor != 1 and any(
+            type(c) is TruncatedSeries and first is c._table
+            and len(c._table) < len(a._table) for c, a in pairs)
+            for first, _, factor in products)
+        # the same terms negated cancel to zero, over whatever denominator
+        cancelled = TruncatedSeries.combination(
+            dims, order, pairs + [(-c, a) for c, a in pairs])
+        assert stored(cancelled) == ({}, 1, 0)
+    assert seen == set(kinds) and swapped
+    assert stored(TruncatedSeries.combination(2, 1, [])) == ({}, 1, 0)
+    assert stored(TruncatedSeries.combination(2, 1, iter([]))) == ({}, 1, 0)
+    # a full cancellation over the denominator 6
+    x = TruncatedSeries(1, 2, {(1,): Fraction(1, 6), (2,): Fraction(5, 2)})
+    half = TruncatedSeries(1, 2, {(0,): Fraction(1, 2)})
+    assert x._den == 6
+    for pairs in ([(1, x), (Fraction(-1), x)],
+                  [(half, x), (Fraction(-1, 2), x)],
+                  [(2, x), (-1, x), (Fraction(-1, 1), x)]):
+        assert stored(TruncatedSeries.combination(1, 2, pairs)) \
+            == ({}, 1, 0)
 
 
 def test_generic_operands_of_different_arities_do_not_mix():
