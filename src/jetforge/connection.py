@@ -63,7 +63,7 @@ from .errors import (ArityMismatch, DimensionMismatch, NonIntegrable,
                      SingularInitial, SingularPoint)
 from .poly import Polynomial, default_names, graded_monomials, primitive_parts
 from .ratfunc import RationalFunction, _univ_divmod, _univ_gcd
-from .series import JetPoint, TruncatedSeries, taylor_weights
+from .series import JetPoint, TruncatedSeries, same_form, taylor_weights
 
 
 class HodgeData:
@@ -598,14 +598,11 @@ def _taylor_part(chart, sigma, table):
 
 
 def _same_jet(a, b):
-    """Whether two jets have one stored form: the same shape, and in each
-    component the same table and denominator.  The keys of a series over
-    Q[a_1..a_k] are k entries longer, so this also asks for the same ring
-    of coefficients, where `==` equates a rational jet with one over
-    Q[a_1..a_k] of equal value, whose W is over Q[a_1..a_k] too."""
-    return a is b or (a.dims == b.dims and a.order == b.order and all(
-        x._den == y._den and x._table == y._table
-        for x, y in zip(a.series, b.series)))
+    """Whether two jets have one stored form: in each component the same
+    shape, table, denominator and ring of coefficients, where `==` equates
+    a rational jet with one over Q[a_1..a_k] of equal value, whose W is over
+    Q[a_1..a_k] too."""
+    return a is b or all(map(same_form, a.series, b.series))
 
 
 def series_oracle(chart, sigma, initial):

@@ -1,47 +1,63 @@
 """Sparse multivariate polynomials over exact rationals.
 
-A polynomial is stored as a sparse table from exponent tuples to nonzero
-integer numerators over one positive common denominator, in lowest terms:
-no factor divides the denominator and every numerator.  The single term
-order used throughout the package is graded lexicographic: smaller total
-degree first, ties broken so that earlier variables dominate (so for two
-variables the monomials read 1, x1, x2, x1^2, x1*x2, x2^2, ...).
+A polynomial is stored as a sparse table from packed exponent keys to
+nonzero integer numerators over one positive common denominator, in lowest
+terms: no factor divides the denominator and every numerator.  The single
+term order used throughout the package is graded lexicographic: smaller
+total degree first, ties broken so that earlier variables dominate (so for
+two variables the monomials read 1, x1, x2, x1^2, x1*x2, x2^2, ...).
+
+Packed keys.  The key of an exponent (e_1, ..., e_k) is one int of k + 1
+fields of `BITS` bits each: the total degree in the most significant field,
+then e_1, ..., e_k, first variable most significant,
+
+    key = deg << BITS*k | e_1 << BITS*(k-1) | ... | e_k.
+
+So the key of a product of monomials is the sum of their keys, the
+constant monomial has key 0 in every arity, the total degree is
+key >> BITS*k, and keys compare by total degree first, then
+lexicographically.  Every total degree, and so every exponent, stays below
+`BOUND` = 2^(BITS - 1): two fields below it add to less than 2^BITS, so a
+product never carries from one field into the next, and input or a
+product that reaches the bound raises `InputError` instead of being read
+wrong.  With 20-bit fields the bound is 2^19 = 524288, which keeps
+exponents such as x1^200000 exact while a key of the 45 jet coordinates of
+a generic jet stays under 1000 bits.  Public reads (`terms`, `leading`,
+the text form) give exponent tuples.
 
 The module functions `*_terms` are the arithmetic of sparse tables for
-`Polynomial` and `series.TruncatedSeries`.  Only `clean_terms` checks its
-input; the others map canonical tables to canonical tables, since over the
-integral domains Z, Q and Q[x] only a sum can cancel to zero.  Rational
-tables of either class run them on the integer numerators and keep the
-denominator with the functions under "rational tables": one lcm to clear
-Fractions, one gcd to reduce a result (the content and primitive part of
-Knuth, TAOCP vol. 2, 4.6.1).
+`Polynomial` and `series.TruncatedSeries`.  Only `pack` and
+`rational_table` check their input; the others map canonical tables to
+canonical tables, since over the integral domains Z, Q and Q[x] only a sum
+can cancel to zero.  Rational tables of either class run them on the
+integer numerators and keep the denominator with the functions under
+"rational tables": one lcm to clear Fractions, one gcd to reduce a result
+(the content and primitive part of Knuth, TAOCP vol. 2, 4.6.1).
 """
 
 from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from fractions import Fraction
-from operator import add, index as exact_int
+from operator import index as exact_int
 
 from .errors import ArityMismatch, IndexOutOfRange, InputError
 
 # exponent tuples double as multi-indices everywhere in the package
 MultiIndex = tuple
 
+# the width of one field of a packed key, the bound below which every total
+# degree and exponent stays, and the mask of one field
+BITS = 20
+BOUND = 1 << (BITS - 1)
+FIELD = (1 << BITS) - 1
+
 
 def monomial_key(exponents):
     """Sort key realizing the graded lexicographic order (ascending)."""
     return (sum(exponents), tuple(-e for e in exponents))
-
-
-def graded_sorted(exponents):
-    """Exponent tuples of one length in ascending graded-lex order, the
-    order of `monomial_key`: lex descending, then a stable sort by total
-    degree, both with the builtin comparisons."""
-    out = sorted(exponents, reverse=True)
-    out.sort(key=sum)
-    return out
 
 
 def graded_monomials(arity, max_degree):
@@ -54,7 +70,10 @@ def graded_monomials(arity, max_degree):
     mons = [()]
     for _ in range(arity):
         mons = [p + (e,) for p in mons for e in range(max_degree + 1 - sum(p))]
-    return graded_sorted(mons)
+    # lex descending, then a stable sort by total degree
+    mons.sort(reverse=True)
+    mons.sort(key=sum)
+    return mons
 
 
 def _fr(x):
@@ -65,34 +84,87 @@ def _fr(x):
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+# -- packed keys ---------------------------------------------------------------
+
+def past_bound(what):
+    """The error for a total degree or exponent that reaches `BOUND`."""
+    return InputError(f"{what} reaches the exponent bound 2^{BITS - 1}")
+
+
+def pack(expo, arity, mismatch=ArityMismatch):
+    """The key of an exponent given by a caller: `arity` int entries (else
+    `mismatch`), none negative (else ValueError), of total degree below
+    `BOUND` (else InputError)."""
+    expo = tuple(map(exact_int, expo))
+    if len(expo) != arity:
+        raise mismatch(
+            f"exponent {expo} has length {len(expo)}, expected {arity}")
+    if any(e < 0 for e in expo):
+        raise ValueError(f"negative exponent in {expo}")
+    key = sum(expo)
+    if key >= BOUND:
+        raise past_bound(f"the total degree of {expo}")
+    for e in expo:
+        key = key << BITS | e
+    return key
+
+
+def unpack(key, arity):
+    """The exponent tuple of a key in `arity` variables."""
+    return tuple(key >> shift & FIELD
+                 for shift in range(BITS * (arity - 1), -1, -BITS))
+
+
+def graded_sorted(keys, arity):
+    """Keys in `arity` variables in ascending graded-lex order: total degree
+    ascending, then lexicographically descending, which is ascending order
+    once every field below the degree is complemented."""
+    return sorted(keys, key=((1 << BITS * arity) - 1).__xor__)
+
+
+def leading_exponent(table, arity):
+    """The graded-lex greatest key of a nonempty table: the lexicographically
+    least one of top total degree."""
+    return max(table, key=((1 << BITS * arity) - 1).__xor__)
+
+
 # -- the term-table kernel ---------------------------------------------------
 
-def clean_terms(pairs, arity, coerce, max_degree=None,
-                mismatch=ArityMismatch):
-    """The canonical table of caller input, given as (exponent, coefficient)
-    pairs: int exponent tuples of length `arity` (else `mismatch`) with no
-    negative entry (else ValueError), none of total degree above
-    `max_degree`, coefficients through `coerce`, repeats summed, zeros
-    dropped."""
-    out = {}
+def rational_table(pairs, arity, limit=None, mismatch=ArityMismatch):
+    """(numerators, denominator) of caller input in lowest terms, given as
+    (exponent, coefficient) pairs: exponents checked by `pack`, those whose
+    key reaches `limit` dropped, coefficients ints or Fractions (else
+    TypeError), repeats summed and zeros dropped.  One pass reads the
+    pairs; the lcm of their denominators scales the numerators."""
+    keys, nums, dens = [], [], []
     for expo, c in pairs:
-        expo = tuple(map(exact_int, expo))
-        if len(expo) != arity:
-            raise mismatch(
-                f"exponent {expo} has length {len(expo)}, expected {arity}")
-        if any(e < 0 for e in expo):
-            raise ValueError(f"negative exponent in {expo}")
-        if max_degree is not None and sum(expo) > max_degree:
+        key = pack(expo, arity, mismatch)
+        if limit is not None and key >= limit:
             continue
-        c = coerce(c)
-        if c:
-            s = out.get(expo)
-            s = c if s is None else s + c
-            if s:
-                out[expo] = s
-            else:
-                del out[expo]
-    return out
+        if isinstance(c, int):
+            n, d = c, 1
+        elif isinstance(c, Fraction):
+            n, d = c.numerator, c.denominator
+        else:
+            raise TypeError(
+                f"expected an exact rational, got {type(c).__name__}")
+        if n:
+            keys.append(key)
+            nums.append(n)
+            dens.append(d)
+    den = math.lcm(*dens)
+    table = {}
+    for key, n, d in zip(keys, nums, dens):
+        if d != den:
+            n *= den // d
+        s = table.get(key)
+        if s is None:
+            table[key] = n
+        elif s + n:
+            table[key] = s + n
+        else:
+            del table[key]
+    return lowest_terms(table, den)
 
 
 def add_terms(a, b):
@@ -108,28 +180,33 @@ def add_terms(a, b):
     return out
 
 
-def mul_terms(a, b, max_degree=None, prefix=None, out=None, factor=1):
-    """The product of two canonical tables, cut above `max_degree` in the
-    total degree of the first `prefix` exponents (of all by default).
+def mul_terms(a, b, limit=None, out=None, factor=1):
+    """The product of two canonical tables, without its keys at or above
+    `limit`.  A series cuts at order r with the limit (r + 1) << s, s the
+    shift of its t-degree field, so the cut is one comparison per pair.
     Given a canonical table `out`, the product is added into it instead,
     and `out` is returned.  A `factor` other than 1 multiplies the product,
-    folded into the numerators of `b` as they are read."""
-    degree = sum if prefix is None else lambda p: sum(p[:prefix])
-    right = [(q, degree(q), d) for q, d in b.items()] if factor == 1 else \
-        [(q, degree(q), d * factor) for q, d in b.items()]
+    folded into the numerators of `b` as they are read.
+
+    `b` is read in ascending key order, so for each key p of `a` the keys q
+    with p + q below the limit are a prefix of it, found by bisection."""
+    right = sorted(b.items())
+    if factor != 1:
+        right = [(q, d * factor) for q, d in right]
+    if limit is not None:
+        keys = [q for q, _ in right]
     if out is None:
         out = {}
+    get = out.get
     for p, c in a.items():
-        room = math.inf if max_degree is None else max_degree - degree(p)
-        for q, dq, d in right:
-            if dq <= room:
-                # built at its final length, so it can reuse a freed tuple
-                # of that length: tuple() of a map starts at ten slots and
-                # resizes, and the short tuples it frees (CPython keeps up
-                # to 2000 per length below 20) would never be taken back
-                pq = (*map(add, p, q),)
-                s = out.get(pq)
-                s = c * d if s is None else s + c * d
+        for q, d in right if limit is None else \
+                right[:bisect_left(keys, limit - p)]:
+            pq = p + q
+            s = get(pq)
+            if s is None:
+                out[pq] = c * d
+            else:
+                s += c * d
                 if s:
                     out[pq] = s
                 else:
@@ -137,40 +214,43 @@ def mul_terms(a, b, max_degree=None, prefix=None, out=None, factor=1):
     return out
 
 
-def derive_terms(terms, index, arity):
-    """The partial derivative of a canonical table along variable `index`."""
+def derive_terms(table, index, arity, low=0):
+    """The partial derivative of a canonical table along variable `index` of
+    `arity`, whose fields (total degree first) sit above the `low` bits of
+    each key."""
     if not 0 <= index < arity:
         raise IndexOutOfRange(f"variable {index} not in 0..{arity - 1}")
-    return {p[:index] + (p[index] - 1,) + p[index + 1:]: c * p[index]
-            for p, c in terms.items() if p[index]}
+    shift = low + BITS * (arity - 1 - index)
+    # one off the exponent and one off the total degree
+    step = (1 << shift) + (1 << low + BITS * arity)
+    out = {}
+    for p, n in table.items():
+        e = p >> shift & FIELD
+        if e:
+            out[p - step] = n * e
+    return out
 
 
-def pow_terms(terms, n, arity, max_degree=None, prefix=None):
-    """A canonical table to the power n >= 0, cut as `mul_terms` cuts."""
+def check_power(n):
+    """n, refused unless it is a non-negative integer exponent."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("exponent must be a non-negative integer")
-    result = {(0,) * arity: 1}
-    for _ in range(n):
-        result = mul_terms(result, terms, max_degree, prefix)
+    return n
+
+
+def pow_terms(table, n, limit=None, guard=0):
+    """A canonical table to the power n >= 0, cut as `mul_terms` cuts.  A
+    nonzero `guard` is the top bit of a degree field that no product may
+    reach."""
+    result = {0: 1}
+    for _ in range(check_power(n)):
+        result = mul_terms(result, table, limit)
+        if guard and any(map(guard.__and__, result)):
+            raise past_bound("a degree of a power")
     return result
 
 
-def leading_exponent(terms):
-    """The graded-lex greatest exponent of a nonempty table: the
-    lexicographically least one of top total degree."""
-    top = max(map(sum, terms))
-    return min(p for p in terms if sum(p) == top)
-
-
 # -- rational tables: integer numerators over one common denominator ----------
-
-def integer_table(terms):
-    """(numerators, denominator) of a canonical table of rationals; the
-    denominator is the lcm of theirs, so the pair is in lowest terms."""
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return ({p: c.numerator * (den // c.denominator)
-             for p, c in terms.items()}, den)
-
 
 def lowest_terms(num, den):
     """(num, den), integer numerators over a positive denominator, divided
@@ -213,7 +293,7 @@ def primitive_parts(polys):
               for f in polys]
     g = math.gcd(*(n for table in tables for n in table.values()))
     first = tables[0]
-    if first and first[leading_exponent(first)] < 0:
+    if first and first[leading_exponent(first, polys[0].arity)] < 0:
         g = -g
     return [Polynomial._new(f.arity, table if g in (0, 1) else
                             {p: n // g for p, n in table.items()}, 1)
@@ -223,16 +303,16 @@ def primitive_parts(polys):
 class Polynomial:
     """Immutable sparse polynomial with rational coefficients.
 
-    `_table` maps exponents to nonzero integer numerators and `_den` is their
-    positive common denominator, with no factor common to all of them.
-    `_terms` keeps the Fractions once `terms` has been read.
+    `_table` maps packed exponent keys (see the module docstring) to nonzero
+    integer numerators and `_den` is their positive common denominator,
+    with no factor common to all of them.  `_terms` keeps the Fractions by
+    exponent tuple once `terms` has been read.
     """
 
     __slots__ = ("arity", "_table", "_den", "_terms")
 
     def __new__(cls, arity, terms=None):
-        return cls._new(arity, *integer_table(
-            clean_terms((terms or {}).items(), arity, _fr)))
+        return cls._new(arity, *rational_table((terms or {}).items(), arity))
 
     @classmethod
     def _new(cls, arity, table, den):
@@ -254,8 +334,9 @@ class Polynomial:
         try:
             return self._terms
         except AttributeError:
-            den = self._den
-            terms = {p: Fraction(n, den) for p, n in self._table.items()}
+            arity, den = self.arity, self._den
+            terms = {unpack(p, arity): Fraction(n, den)
+                     for p, n in self._table.items()}
             _set_terms(self, terms)
             return terms
 
@@ -268,15 +349,15 @@ class Polynomial:
     @classmethod
     def const(cls, value, arity):
         value = _fr(value)
-        return cls._new(arity, {(0,) * arity: value.numerator} if value
-                        else {}, value.denominator)
+        return cls._new(arity, {0: value.numerator} if value else {},
+                        value.denominator)
 
     @classmethod
     def variable(cls, index, arity):
         if not 0 <= index < arity:
             raise IndexOutOfRange(f"variable {index} not in 0..{arity - 1}")
-        expo = tuple(1 if i == index else 0 for i in range(arity))
-        return cls._new(arity, {expo: 1}, 1)
+        return cls._new(arity, {1 << BITS * arity
+                                | 1 << BITS * (arity - 1 - index): 1}, 1)
 
     # -- basic structure ---------------------------------------------------
 
@@ -286,21 +367,25 @@ class Polynomial:
     def __bool__(self):
         return bool(self._table)
 
+    def _is_one(self):
+        return (self._den == 1 and len(self._table) == 1
+                and self._table.get(0) == 1)
+
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
         if not self._table:
             return -1
-        return max(map(sum, self._table))
+        return max(self._table) >> BITS * self.arity
 
     def leading(self):
         """(exponent, coefficient) of the graded-lex greatest monomial."""
         if not self._table:
             raise ValueError("zero polynomial has no leading term")
-        expo = leading_exponent(self._table)
-        return expo, Fraction(self._table[expo], self._den)
+        key = leading_exponent(self._table, self.arity)
+        return unpack(key, self.arity), Fraction(self._table[key], self._den)
 
     def constant_term(self):
-        return Fraction(self._table.get((0,) * self.arity, 0), self._den)
+        return Fraction(self._table.get(0, 0), self._den)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -357,14 +442,20 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        a, b = self._table, other._table
+        # the top keys add to the key of the product's top degree
+        if a and b and max(a) + max(b) >= BOUND << BITS * self.arity:
+            raise past_bound("the degree of a product")
         return Polynomial._new(self.arity, *lowest_terms(
-            mul_terms(self._table, other._table), self._den * other._den))
+            mul_terms(a, b), self._den * other._den))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        if self._table and self.degree() * check_power(n) >= BOUND:
+            raise past_bound("the degree of a power")
         return Polynomial._new(self.arity, *lowest_terms(
-            pow_terms(self._table, n, self.arity), self._den ** n))
+            pow_terms(self._table, n), self._den ** n))
 
     # -- calculus and evaluation -------------------------------------------
 
@@ -379,7 +470,8 @@ class Polynomial:
             raise ArityMismatch(
                 f"expected {self.arity} values, got {len(point)}")
         point = [_fr(v) for v in point]
-        return evaluate_terms(self._table, point, Fraction(1)) / self._den
+        return evaluate_terms(self._table, self.arity, point,
+                              Fraction(1)) / self._den
 
     def evaluate_in(self, values, one):
         """Evaluate on elements of any commutative ring.
@@ -390,16 +482,23 @@ class Polynomial:
         if len(values) != self.arity:
             raise ArityMismatch(
                 f"expected {self.arity} values, got {len(values)}")
-        return evaluate_terms(self._table, list(values), one, self._den)
+        return evaluate_terms(self._table, self.arity, list(values), one,
+                              self._den)
 
     def rename_into(self, target_arity, index_map):
-        """Reinterpret inside a larger ring, sending variable i to index_map[i]."""
+        """Reinterpret inside a larger ring, sending variable i to index_map[i].
+
+        The total degree is kept, so exponents sent to one variable add up
+        below the bound."""
+        top, target_top = BITS * self.arity, BITS * target_arity
+        # (shift of variable i's field, one in the field of its image)
+        fields = [(BITS * (self.arity - 1 - i), 1 << BITS * (
+            target_arity - 1 - j)) for i, j in enumerate(index_map)]
         out = {}
         for p, n in self._table.items():
-            q = [0] * target_arity
-            for i, e in enumerate(p):
-                q[index_map[i]] += e
-            q = tuple(q)
+            q = p >> top << target_top
+            for shift, unit in fields:
+                q += (p >> shift & FIELD) * unit
             s = out.get(q, 0) + n
             if s:
                 out[q] = s
@@ -425,7 +524,7 @@ class Polynomial:
         names = names or default_names(self.arity, "x")
         if len(names) != self.arity:
             raise ArityMismatch("wrong number of variable names")
-        return terms_to_string(self._table, names, "*", self._den)
+        return terms_to_string(self._table, self.arity, names, "*", self._den)
 
     @classmethod
     def from_string(cls, text, names):
@@ -464,7 +563,7 @@ class Polynomial:
                     raise InputError("bad factor " + repr(
                         "".join(v for _, v in factor)))
             pairs.append((expo, coeff))
-        return cls._new(arity, *integer_table(clean_terms(pairs, arity, _fr)))
+        return cls._new(arity, *rational_table(pairs, arity))
 
     def __repr__(self):
         return f"Polynomial({self.to_string()!r})"
@@ -522,15 +621,16 @@ def _split_terms(text):
     return out
 
 
-def terms_to_string(terms, names, times, den=1):
-    """Canonical text of a table with coefficients c / den: graded-lex terms
-    'c<times>x^e*y^f...' joined by ' + ', or '0'."""
+def terms_to_string(terms, arity, names, times, den=1):
+    """Canonical text of a table in `arity` variables with coefficients
+    c / den: graded-lex terms 'c<times>x^e*y^f...' joined by ' + ', or '0'."""
     parts = []
-    for p in graded_sorted(terms):
+    for p in graded_sorted(terms, arity):
         c = terms[p]
         text = c.to_string() if isinstance(c, Polynomial) else str(
             c if den == 1 else Fraction(c, den))
-        factors = "*".join(f"{names[i]}^{e}" for i, e in enumerate(p) if e)
+        factors = "*".join(f"{names[i]}^{e}"
+                           for i, e in enumerate(unpack(p, arity)) if e)
         parts.append(text + times + factors if factors else text)
     return " + ".join(parts) or "0"
 
@@ -540,14 +640,16 @@ def default_names(arity, letter):
     return [f"{letter}{i + 1}" for i in range(arity)]
 
 
-def evaluate_terms(terms, values, one, den=1):
-    """Sum of c / den * prod(values[i] ** e) over a sparse term table.
+def evaluate_terms(terms, arity, values, one, den=1):
+    """Sum of c / den * prod(values[i] ** e) over a sparse term table in
+    `arity` variables.
 
     Works over any commutative ring containing the rational coefficients;
     powers of each value are computed once and cached.
     """
     if not terms:
         return one * Fraction(0)
+    terms = {unpack(p, arity): c for p, c in terms.items()}
     maxexp = {}
     for p in terms:
         for i, e in enumerate(p):

@@ -40,13 +40,9 @@ def _univ_gcd(a, b):
     return a.normalized()
 
 
-def _is_one(p):
-    return p._den == 1 and p._table == {(0,) * p.arity: 1}
-
-
 def _times(p, q):
     """p * q, with no product when either is the constant 1."""
-    return p if _is_one(q) else q if _is_one(p) else p * q
+    return p if q._is_one() else q if p._is_one() else p * q
 
 
 class RationalFunction:
@@ -69,7 +65,7 @@ class RationalFunction:
                 num = _univ_divmod(num, g)[0]
                 den = _univ_divmod(den, g)[0]
         # the constant denominator 1 is already in normal form
-        if not _is_one(den):
+        if not den._is_one():
             dnorm = den.normalized()
             scale = dnorm.leading()[1] / den.leading()[1]
             num = num * scale

@@ -7,15 +7,24 @@ polynomial coefficients in the jet coordinates a_1..a_k.
 
 Either way a series is stored as `Polynomial` is: a sparse table of nonzero
 integer numerators over one positive common denominator, kept in lowest
-terms.  For R = Q the table is keyed by t-exponents.  For R = Q[a_1..a_k]
-it is keyed by the concatenated (t-exponent, a-exponent) tuple, the one
-table of a polynomial in d + k variables, and cut on the t-degree only.
+terms, keyed by packed exponent keys (see `poly`).  For R = Q the key of
+t^p is the key of p as a polynomial in d variables: the t-degree in the
+most significant field, then p_1..p_d.  For R = Q[a_1..a_k] the key of
+t^p a^e is the key of p followed by the key of e, a-degree first,
+
+    key = key(p) << BITS*(k+1) | key(e),
+
+so its low part is the coefficient polynomial's own key, and a rational
+table is padded by one shift and split by one shift and one mask.  Either
+way the t-degree is the most significant field, so a product cut at order
+r keeps exactly the keys below (r + 1) << s, s the shift of that field: one
+comparison.  The a-degree of a product over Q[a_1..a_k] is not cut, so a
+product that takes it to the exponent bound of `poly` raises `InputError`.
+
 The arithmetic runs the term-table kernel of `poly` on the integers and
 keeps the denominator with the rational-table functions of `poly` that
 `Polynomial` uses too, which reduce each result once, with one gcd over the
-numerators and the denominator.  An operation on a rational and a
-polynomial-coefficient series pads the rational keys with k zero
-a-exponents; one on two rational series pads and slices nothing.
+numerators and the denominator.
 
 `TruncatedSeries.combination` forms a linear combination sum c * a, whose
 coefficients c are rationals, `Polynomial`s or series (then each term is
@@ -24,9 +33,9 @@ over one common denominator and reduces the sum once, where a chain of
 `scale`, `*` and `+` would build and reduce a series per term.
 `graded_parts` splits a series into its homogeneous parts.
 
-`coeffs`, `coefficient` and `homogeneous` read the coefficients, built
-when read: a constant one as a Fraction, any other as a `Polynomial` in the
-a-variables.
+`coeffs`, `coefficient` and `homogeneous` read the coefficients by exponent
+tuple, built when read: a constant one as a Fraction, any other as a
+`Polynomial` in the a-variables.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no synchronization.
@@ -40,14 +49,10 @@ from fractions import Fraction
 from .errors import (ArityMismatch, DimensionMismatch, InputError, NotAUnit,
                      OrderIncrease)
 from .linalg import unipotent_inverse
-from .poly import (Polynomial, add_fractions, clean_terms, default_names,
-                   derive_terms, evaluate_terms, integer_table,
-                   lowest_terms, mul_terms, pow_terms, scale_fraction,
-                   terms_to_string)
-
-
-def _ring_element(c):
-    return Fraction(c) if isinstance(c, int) else c
+from .poly import (BITS, Polynomial, add_fractions, default_names,
+                   derive_terms, evaluate_terms, lowest_terms, mul_terms,
+                   pack, past_bound, pow_terms, rational_table,
+                   scale_fraction, terms_to_string, unpack)
 
 
 def _check_shape(dims, order):
@@ -57,10 +62,21 @@ def _check_shape(dims, order):
         raise ValueError("truncation order must be non-negative")
 
 
+def _low(arity):
+    """The bits below the t-part of a key over Q[a_1..a_arity]."""
+    return BITS * (arity + 1) if arity else 0
+
+
+def _shift(dims, arity):
+    """The shift of the t-degree field of a key."""
+    return BITS * dims + _low(arity)
+
+
 def _padded(table, arity):
-    """A table's keys followed by `arity` zeros."""
-    zeros = (0,) * arity
-    return {p + zeros: n for p, n in table.items()}
+    """A rational table over Q[a_1..a_arity]: each key followed by the key
+    of the constant monomial, 0."""
+    low = _low(arity)
+    return {p << low: n for p, n in table.items()}
 
 
 def _common_tables(a, b):
@@ -76,25 +92,76 @@ def _common_tables(a, b):
     raise ArityMismatch(f"series over {ka} and {kb} coefficient variables")
 
 
+def _checked(table, arity):
+    """A product's table over Q[a_1..a_arity], refused when the top bit of
+    an a-degree field is set: that degree reached the exponent bound."""
+    if any(map((1 << _low(arity) - 1).__and__, table)):
+        raise past_bound("the degree in the coefficient variables")
+    return table
+
+
+def same_form(x, y):
+    """Whether two series have one stored form: the same shape, table,
+    denominator and ring of coefficients."""
+    return (x.dims == y.dims and x.order == y.order and x._den == y._den
+            and x._arity == y._arity and x._table == y._table)
+
+
 class TruncatedSeries:
     """Element of the order-r truncated power series ring in d variables.
 
-    `_table` maps keys to nonzero integer numerators and `_den` is their
-    positive common denominator, with no factor common to all of them.
-    `_arity` is the number k of coefficient variables: 0 for rational
-    coefficients, whose keys are the t-exponents; otherwise a key is a
-    t-exponent followed by an a-exponent, and the coefficient of t^p is the
-    polynomial of the keys that start with p.  A zero series is rational.
-    `_coeffs` keeps the coefficients once `coeffs` has been read.
+    `_table` maps packed keys (see the module docstring) to nonzero integer
+    numerators and `_den` is their positive common denominator, with no
+    factor common to all of them.  `_arity` is the number k of coefficient
+    variables: 0 for rational coefficients, whose keys are the keys of the
+    t-exponents; otherwise a key is a t-key followed by an a-key, and the
+    coefficient of t^p is the polynomial of the keys whose t-part is p's.
+    A zero series is rational.  `_coeffs` keeps the coefficients once
+    `coeffs` has been read.
     """
 
     __slots__ = ("dims", "order", "_table", "_den", "_arity", "_coeffs")
 
     def __new__(cls, dims, order, coeffs=None):
         _check_shape(dims, order)
-        return cls._wrap(dims, order, clean_terms(
-            (coeffs or {}).items(), dims, _ring_element, order,
-            DimensionMismatch))
+        items = list((coeffs or {}).items())
+        arity = 0
+        for i, (p, c) in enumerate(items):
+            if isinstance(c, Polynomial):
+                if not c:
+                    items[i] = (p, 0)
+                elif arity and c.arity != arity:
+                    raise ArityMismatch(
+                        f"coefficients in {arity} and {c.arity} variables")
+                else:
+                    arity = c.arity
+            elif not isinstance(c, (int, Fraction)):
+                raise TypeError("series coefficients must be rationals or "
+                                f"Polynomials, got {type(c).__name__}")
+        limit = (order + 1) << BITS * dims
+        if not arity:
+            return cls._new(dims, order, *rational_table(
+                items, dims, limit, DimensionMismatch))
+        # keys and each coefficient's table over the lcm of the denominators
+        terms = []
+        for p, c in items:
+            key = pack(p, dims, DimensionMismatch)
+            if key < limit and c:
+                terms.append((key, c if isinstance(c, Polynomial)
+                              else Polynomial.const(c, arity)))
+        den = math.lcm(*(f._den for _, f in terms))
+        low = _low(arity)
+        flat = {}
+        for key, f in terms:
+            scale = den // f._den
+            key <<= low
+            for a, n in f._table.items():
+                s = flat.get(key | a, 0) + n * scale
+                if s:
+                    flat[key | a] = s
+                else:
+                    del flat[key | a]
+        return cls._generic(dims, order, *lowest_terms(flat, den), arity)
 
     @classmethod
     def _new(cls, dims, order, table, den, arity=0):
@@ -112,66 +179,41 @@ class TruncatedSeries:
         """`_new` for a form over Q[a_1..a_arity]; an empty one is rational."""
         return cls._new(dims, order, table, den, arity if table else 0)
 
-    @classmethod
-    def _wrap(cls, dims, order, table):
-        """The series of a canonical table of Fractions and `Polynomial`s of
-        one arity, of degree <= order, unchecked."""
-        arity = 0
-        for c in table.values():
-            if isinstance(c, Polynomial):
-                if arity and c.arity != arity:
-                    raise ArityMismatch(
-                        f"coefficients in {arity} and {c.arity} variables")
-                arity = c.arity
-            elif type(c) is not Fraction:
-                raise TypeError("series coefficients must be rationals or "
-                                f"Polynomials, got {type(c).__name__}")
-        if not arity:
-            return cls._new(dims, order, *integer_table(table))
-        polys = [c if isinstance(c, Polynomial) else Polynomial.const(c, arity)
-                 for c in table.values()]
-        den = math.lcm(*(f._den for f in polys))
-        flat = {}
-        for p, f in zip(table, polys):
-            scale = den // f._den
-            for a, n in f._table.items():
-                flat[p + a] = n * scale
-        return cls._new(dims, order, flat, den, arity)
-
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
     @property
     def coeffs(self):
-        """The read-only dict of nonzero coefficients by exponent, as
+        """The read-only dict of nonzero coefficients by exponent tuple, as
         Fractions or `Polynomial`s, shared by every reader of the series;
         built from the stored form on first read and kept."""
         try:
             return self._coeffs
         except AttributeError:
-            den = self._den
-            coeffs = self._polynomials() if self._arity else {
-                p: Fraction(n, den) for p, n in self._table.items()}
+            d, den = self.dims, self._den
+            coeffs = {unpack(p, d): c
+                      for p, c in self._polynomials().items()} \
+                if self._arity else {unpack(p, d): Fraction(n, den)
+                                     for p, n in self._table.items()}
             _set_coeffs(self, coeffs)
             return coeffs
 
     def _polynomials(self, keep=None):
-        """The coefficients of a series over Q[a_1..a_k] whose t-exponent
-        passes `keep` (all when None), in one pass over the table: a
-        Fraction for a constant coefficient, else a `Polynomial`."""
-        d = self.dims
+        """The coefficients of a series over Q[a_1..a_k] by t-key, for the
+        t-keys that pass `keep` (all when None), in one pass over the table:
+        a Fraction for a constant coefficient, else a `Polynomial`."""
+        arity, den = self._arity, self._den
+        low = _low(arity)
+        mask = (1 << low) - 1
         split = {}
         for key, n in self._table.items():
-            p = key[:d]
+            p = key >> low
             if keep is None or keep(p):
                 part = split.get(p)
                 if part is None:
                     split[p] = part = {}
-                part[key[d:]] = n
-        arity, den = self._arity, self._den
-        zero = (0,) * arity
-        return {p: Fraction(part[zero], den)
-                if len(part) == 1 and zero in part
+                part[key & mask] = n
+        return {p: Fraction(part[0], den) if len(part) == 1 and 0 in part
                 else Polynomial._new(arity, *lowest_terms(part, den))
                 for p, part in split.items()}
 
@@ -187,9 +229,8 @@ class TruncatedSeries:
         if not isinstance(value, (int, Fraction)):
             return cls(dims, order, {(0,) * dims: value})
         _check_shape(dims, order)
-        return cls._new(
-            dims, order, {(0,) * dims: value.numerator} if value else {},
-            value.denominator)
+        return cls._new(dims, order, {0: value.numerator} if value else {},
+                        value.denominator)
 
     @classmethod
     def one(cls, dims, order):
@@ -197,20 +238,26 @@ class TruncatedSeries:
 
     @classmethod
     def variable(cls, index, dims, order):
-        return cls(dims, order, Polynomial.variable(index, dims)._table)
+        _check_shape(dims, order)
+        # a rational series stores what a polynomial stores
+        return cls._new(dims, order,
+                        Polynomial.variable(index, dims)._table if order
+                        else {}, 1)
 
     # -- inspection --------------------------------------------------------
 
     def coefficient(self, expo):
         """The coefficient of t^expo: a Fraction, or a `Polynomial` when it
         is not constant."""
-        expo = tuple(expo)
+        return self._coefficient(pack(expo, self.dims, DimensionMismatch))
+
+    def _coefficient(self, key):
         if not self._arity:
-            return Fraction(self._table.get(expo, 0), self._den)
-        return self._polynomials(lambda p: p == expo).get(expo, Fraction(0))
+            return Fraction(self._table.get(key, 0), self._den)
+        return self._polynomials(key.__eq__).get(key, Fraction(0))
 
     def constant_term(self):
-        return self.coefficient((0,) * self.dims)
+        return self._coefficient(0)
 
     def is_zero(self):
         return not self._table
@@ -220,23 +267,26 @@ class TruncatedSeries:
 
     def _is_one(self):
         return (self._den == 1 and len(self._table) == 1
-                and self._table.get((0,) * self.dims) == 1)
+                and self._table.get(0) == 1)
 
     def homogeneous(self, degree):
-        """The degree-s coefficients as a dict (may be empty)."""
+        """The degree-s coefficients by exponent tuple (may be empty)."""
+        d = self.dims
         if self._arity:
-            return self._polynomials(lambda p: sum(p) == degree)
-        den = self._den
-        return {p: Fraction(c, den)
-                for p, c in self._table.items() if sum(p) == degree}
+            return {unpack(p, d): c for p, c in self._polynomials(
+                lambda p: p >> BITS * d == degree).items()}
+        shift, den = BITS * d, self._den
+        return {unpack(p, d): Fraction(c, den)
+                for p, c in self._table.items() if p >> shift == degree}
 
     def graded_parts(self):
         """The homogeneous parts of degrees 0..order, as series of this
         shape whose sum is the series."""
         d, arity = self.dims, self._arity
+        shift = _shift(d, arity)
         tables = [{} for _ in range(self.order + 1)]
         for key, n in self._table.items():
-            tables[sum(key[:d]) if arity else sum(key)][key] = n
+            tables[key >> shift][key] = n
         return [TruncatedSeries._generic(d, self.order,
                                          *lowest_terms(table, self._den),
                                          arity)
@@ -257,11 +307,11 @@ class TruncatedSeries:
         return self._den == other._den and self._table == other._table
 
     def __hash__(self):
-        # equal series share their t-exponents, whatever the coefficients
+        # equal series share their t-keys, whatever the coefficients
         keys = self._table
         if self._arity:
-            d = self.dims
-            keys = {key[:d] for key in keys}
+            low = _low(self._arity)
+            keys = {key >> low for key in keys}
         return hash((self.dims, self.order, frozenset(keys)))
 
     def _check_compatible(self, other):
@@ -305,13 +355,14 @@ class TruncatedSeries:
             return other
         if other._is_one():
             return self
+        d, r = self.dims, self.order
         if self._arity or other._arity:
             a, b, arity = _common_tables(self, other)
-            return TruncatedSeries._generic(self.dims, self.order, *lowest_terms(
-                mul_terms(a, b, self.order, self.dims),
+            return TruncatedSeries._generic(d, r, *lowest_terms(
+                _checked(mul_terms(a, b, r + 1 << _shift(d, arity)), arity),
                 self._den * other._den), arity)
-        return TruncatedSeries._new(self.dims, self.order, *lowest_terms(
-            mul_terms(self._table, other._table, self.order),
+        return TruncatedSeries._new(d, r, *lowest_terms(
+            mul_terms(self._table, other._table, r + 1 << BITS * d),
             self._den * other._den))
 
     __rmul__ = __mul__
@@ -326,16 +377,17 @@ class TruncatedSeries:
         if not isinstance(scalar, Polynomial):
             raise TypeError("series scale by rationals or Polynomials, got "
                             f"{type(scalar).__name__}")
-        # one flat product with the polynomial at t-exponent 0
+        # one flat product with the polynomial, whose keys are its keys at
+        # t-exponent 0
         arity, table = scalar.arity, self._table
         if self._arity != arity:
             if self._arity:
                 raise ArityMismatch(f"series over {self._arity} coefficient "
                                     f"variables scaled in {arity}")
             table = _padded(table, arity)
-        lifted = {(0,) * self.dims + a: n for a, n in scalar._table.items()}
         return TruncatedSeries._generic(self.dims, self.order, *lowest_terms(
-            mul_terms(table, lifted), self._den * scalar._den), arity)
+            _checked(mul_terms(table, scalar._table), arity),
+            self._den * scalar._den), arity)
 
     @classmethod
     def combination(cls, dims, order, pairs):
@@ -344,8 +396,9 @@ class TruncatedSeries:
         Each a is a series of shape (dims, order) and each c a rational, a
         `Polynomial` or a series of that shape, whose product with a is cut
         at the order as `*` cuts it.  A pair with a zero member adds
-        nothing, and the empty sum is zero.  Rational tables are padded to
-        the coefficient variables of the others, as `+` pads them.
+        nothing, nor does a product cut to nothing, and the empty sum is
+        zero.  Rational tables are padded to the coefficient variables of
+        the other terms, as `+` pads them.
 
         One pass over the pairs checks them and keeps each term's tables
         and the product of its denominators, whose lcm is the common
@@ -379,9 +432,10 @@ class TruncatedSeries:
                     continue
                 db, kb = c._den, c._arity
             elif kind is Polynomial:
-                if not c._table:
+                # its keys are its keys at t-exponent 0
+                b = c._table
+                if not b:
                     continue
-                b = {(0,) * dims + e: n for e, n in c._table.items()}
                 db, kb = c._den, c.arity
             elif c:
                 b = None
@@ -399,6 +453,11 @@ class TruncatedSeries:
                 a._check_compatible(c)
             ka = a._arity
             if ka or kb:
+                # the lowest t-degrees of a product of series add; past the
+                # order it is cut to nothing and brings no ring in
+                if kind is TruncatedSeries and (min(b) >> _shift(dims, kb)) \
+                        + (min(table) >> _shift(dims, ka)) > order:
+                    continue
                 arities.add(ka)
                 arities.add(kb)
             dd = a._den * db
@@ -407,14 +466,14 @@ class TruncatedSeries:
             terms.append((table, b, dd, ka, kb))
         if not terms:
             return cls._new(dims, order, {}, 1)
-        arity, prefix = 0, None
+        arity = 0
         if arities:
             arities.discard(0)
             if len(arities) > 1:
                 raise ArityMismatch(
                     "series combined over different coefficient variables")
             arity, = arities
-            prefix = dims
+        limit = order + 1 << _shift(dims, arity)
         out = None
         for a, b, dd, ka, kb in terms:
             if arity:
@@ -426,7 +485,7 @@ class TruncatedSeries:
             if type(b) is not int:
                 if factor != 1 and len(b) < len(a):
                     a, b = b, a
-                out = mul_terms(a, b, order, prefix, out, factor)
+                out = mul_terms(a, b, limit, out, factor)
                 continue
             factor *= b
             if out is None:
@@ -438,12 +497,14 @@ class TruncatedSeries:
                     out[p] = s
                 else:
                     del out[p]
+        if arity:
+            _checked(out, arity)
         return cls._generic(dims, order, *lowest_terms(out, den), arity)
 
     def __pow__(self, n):
         arity = self._arity
-        table = pow_terms(self._table, n, self.dims + arity, self.order,
-                          self.dims if arity else None)
+        table = pow_terms(self._table, n, self.order + 1 << _shift(
+            self.dims, arity), arity and 1 << _low(arity) - 1)
         return TruncatedSeries._generic(self.dims, self.order,
                                         *lowest_terms(table, self._den ** n),
                                         arity)
@@ -457,15 +518,11 @@ class TruncatedSeries:
                 f"cannot restrict order {self.order} to {new_order}")
         if new_order < 0:
             raise ValueError("truncation order must be non-negative")
-        if self._arity:
-            d = self.dims
-            return TruncatedSeries._generic(
-                d, new_order, *lowest_terms(
-                    {p: c for p, c in self._table.items()
-                     if sum(p[:d]) <= new_order}, self._den), self._arity)
-        table = {p: c for p, c in self._table.items() if sum(p) <= new_order}
-        return TruncatedSeries._new(self.dims, new_order,
-                                    *lowest_terms(table, self._den))
+        limit = new_order + 1 << _shift(self.dims, self._arity)
+        table = {p: c for p, c in self._table.items() if p < limit}
+        return TruncatedSeries._generic(self.dims, new_order,
+                                        *lowest_terms(table, self._den),
+                                        self._arity)
 
     def zero_extended(self, new_order):
         """The zero-fill preimage at a higher order (a section of restrict)."""
@@ -482,10 +539,10 @@ class TruncatedSeries:
         information: a caller that needs the derivative faithful at order r
         must start from an order r+1 series.
         """
-        table = derive_terms(self._table, index, self.dims)
-        return TruncatedSeries._new(self.dims, self.order,
-                                    *lowest_terms(table, self._den),
-                                    self._arity if table else 0)
+        table = derive_terms(self._table, index, self.dims, _low(self._arity))
+        return TruncatedSeries._generic(self.dims, self.order,
+                                        *lowest_terms(table, self._den),
+                                        self._arity)
 
     def invert_unit(self):
         """Multiplicative inverse; the constant term must be a nonzero rational."""
@@ -505,19 +562,19 @@ class TruncatedSeries:
 
     def to_string(self):
         """Canonical text: graded-lex terms 'c * t1^e1*...' joined by ' + '."""
-        names = default_names(self.dims, "t")
+        d = self.dims
+        names = default_names(d, "t")
         if self._arity:
-            return terms_to_string(self._polynomials(), names, " * ")
-        return terms_to_string(self._table, names, " * ", self._den)
+            return terms_to_string(self._polynomials(), d, names, " * ")
+        return terms_to_string(self._table, d, names, " * ", self._den)
 
     @classmethod
     def from_string(cls, text, dims, order):
         """Parse the canonical text (rational coefficients only)."""
         poly = Polynomial.from_string(text, default_names(dims, "t"))
-        for p in poly._table:
-            if sum(p) > order:
-                raise InputError(
-                    f"term of degree {sum(p)} exceeds order {order}")
+        degree = poly.degree()
+        if degree > order:
+            raise InputError(f"term of degree {degree} exceeds order {order}")
         _check_shape(dims, order)
         # a rational series stores what a polynomial stores
         return cls._new(dims, order, poly._table, poly._den)
@@ -637,7 +694,8 @@ def series_compose(f, jet):
                 f"polynomial in {f.arity} variables applied to a jet with "
                 f"{jet.n} components")
         one = TruncatedSeries.one(jet.dims, jet.order)
-        return evaluate_terms(f._table, list(jet.series), one, f._den)
+        return evaluate_terms(f._table, f.arity, list(jet.series), one,
+                              f._den)
     if isinstance(f, TruncatedSeries):
         if f.dims != jet.n:
             raise ArityMismatch(
@@ -645,6 +703,8 @@ def series_compose(f, jet):
                 f"{jet.n} components")
         one = TruncatedSeries.one(jet.dims, jet.order)
         if f._arity:
-            return evaluate_terms(f.coeffs, list(jet.offsets()), one)
-        return evaluate_terms(f._table, list(jet.offsets()), one, f._den)
+            return evaluate_terms(f._polynomials(), f.dims,
+                                  list(jet.offsets()), one)
+        return evaluate_terms(f._table, f.dims, list(jet.offsets()), one,
+                              f._den)
     raise TypeError("series_compose expects a Polynomial or TruncatedSeries")

@@ -20,7 +20,7 @@ from jetforge.errors import InputError, NonIntegrable
 from jetforge.examples import legendre_chart
 from jetforge.flags import HodgeData, alpha, flag_of_matrix
 from jetforge.linalg import identity, mat_mul, transpose
-from jetforge.poly import Polynomial
+from jetforge.poly import BOUND, Polynomial
 from jetforge.ratfunc import RationalFunction
 from jetforge.series import JetPoint, TruncatedSeries
 
@@ -670,6 +670,21 @@ class TestInputErrors:
         jet = json.dumps({"d": 1, "r": 2, "series": ["1/2 + 1 * t1^1"]})
         assert run(["beta", "--connection", str(path), "--jet", jet]) == 2
         assert capsys.readouterr().out == ""
+
+    def test_exponent_at_the_bound(self, tmp_path, capsys):
+        # exponents below the bound are exact and one at it is refused,
+        # with no traceback, where it would overflow a field of a packed key
+        path = tmp_path / "scheme.json"
+        for exponent, code in ((BOUND, 2), (200000, 0)):
+            path.write_text(json.dumps({
+                "n": 1, "variables": ["x1"],
+                "generators": [f"x1^{exponent} - 1"]}))
+            assert run(["jetspace", "--scheme", str(path), "-d", "1",
+                        "-r", "1"]) == code
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err
+            assert (captured.out == "") == (code == 2)
+            assert ("exponent bound" in captured.err) == (code == 2)
 
     def test_repeated_variable_names(self, tmp_path, capsys):
         # the generator used to be read in the second variable only, so

@@ -8,6 +8,11 @@ above the order.
 Polynomials and rational series run the kernel on integer numerators over
 a common denominator; their results must equal arithmetic on the Fraction
 coefficients, and stay in lowest terms.
+
+Tables are keyed by packed exponent keys.  The helpers `encode` and
+`decode` below pack and unpack them from the documented layout, apart from
+the library, and the reference arithmetic (`ref_*`) works on exponent
+tuples only.
 """
 
 import math
@@ -20,10 +25,9 @@ from hypothesis import strategies as st
 
 import jetforge.series as series_module
 from jetforge.errors import ArityMismatch, DimensionMismatch, NotAUnit
-from jetforge.poly import (Polynomial, add_terms, default_names, derive_terms,
-                          evaluate_terms, graded_monomials, monomial_key,
-                          mul_terms, pow_terms, primitive_parts,
-                          terms_to_string)
+from jetforge.poly import (BITS, BOUND, Polynomial, default_names,
+                          derive_terms, graded_monomials, monomial_key,
+                          mul_terms, pow_terms, primitive_parts)
 from jetforge.scheme import AffineMap, generic_jet
 from jetforge.series import JetPoint, TruncatedSeries, series_compose
 
@@ -46,13 +50,52 @@ def series(dims, order, coeffs):
         lambda table: TruncatedSeries(dims, order, table))
 
 
+# -- packed keys, read apart from the library ----------------------------------
+
+def encode(expo):
+    """The packed key of an exponent tuple: the total degree, then the
+    exponents, one BITS-wide field each, the degree most significant."""
+    key = sum(expo)
+    for e in expo:
+        key = key << BITS | e
+    return key
+
+
+def decode(key, arity):
+    """The exponent tuple of a key in `arity` variables, checking that the
+    key has no bits above its arity + 1 fields and that its degree field
+    holds the total degree, below the bound."""
+    assert 0 <= key < 1 << BITS * (arity + 1)
+    fields = [key >> BITS * i & ((1 << BITS) - 1)
+              for i in range(arity, -1, -1)]
+    assert fields[0] == sum(fields[1:]) < BOUND
+    return tuple(fields[1:])
+
+
+def decode_series(key, dims, arity):
+    """(t-exponent, a-exponent) of a series key over Q[a_1..a_arity]: the
+    t-key above the a-key, or the t-key alone when arity is 0."""
+    if not arity:
+        return decode(key, dims), ()
+    low = BITS * (arity + 1)
+    return decode(key >> low, dims), decode(key & ((1 << low) - 1), arity)
+
+
+def assert_lowest_terms(table, den):
+    """Nonzero int numerators over a positive denominator, no factor common
+    to all of them."""
+    assert type(den) is int and den > 0
+    assert all(type(n) is int and n for n in table.values())
+    assert math.gcd(den, *table.values()) == 1
+
+
 def assert_canonical_poly(p):
-    """Integer numerators over a positive denominator, in lowest terms, and
-    the same polynomial as the constructor makes of its Fractions."""
-    assert type(p._den) is int and p._den > 0
-    assert all(type(n) is int and n for n in p._table.values())
-    assert math.gcd(p._den, *p._table.values()) == 1
-    assert all(len(e) == p.arity for e in p._table)
+    """Integer numerators over a positive denominator, in lowest terms,
+    keys of the polynomial's arity, and the same polynomial as the
+    constructor makes of its Fractions."""
+    assert_lowest_terms(p._table, p._den)
+    assert p.terms == {decode(k, p.arity): Fraction(n, p._den)
+                       for k, n in p._table.items()}
     assert all(p.terms.values())
     rebuilt = Polynomial(p.arity, p.terms)
     assert rebuilt._table == p._table and rebuilt._den == p._den
@@ -124,11 +167,11 @@ def rational_series(dims, order, coeffs=big_rationals):
 
 
 def assert_integer_form(s):
-    """Integer numerators over a positive denominator, in lowest terms."""
-    assert s._den > 0
-    assert all(type(n) is int and n for n in s._table.values())
-    assert math.gcd(s._den, *s._table.values()) == 1
-    assert all(sum(p) <= s.order for p in s._table)
+    """Integer numerators over a positive denominator, in lowest terms, keyed
+    by t-exponents of degree <= order."""
+    assert_lowest_terms(s._table, s._den)
+    assert all(sum(decode_series(p, s.dims, s._arity)[0]) <= s.order
+               for p in s._table)
 
 
 @st.composite
@@ -154,17 +197,17 @@ def test_integer_form_matches_the_fraction_kernel(operands):
     fa, fb = a.coeffs, b.coeffs
     assert all(type(c) is Fraction for c in fa.values())
     expected = [
-        (a + b, add_terms(fa, fb)),
-        (a - b, add_terms(fa, negated(fb))),
+        (a + b, ref_add(fa, fb)),
+        (a - b, ref_add(fa, negated(fb))),
         (-a, negated(fa)),
-        (a * b, mul_terms(fa, fb, r)),
+        (a * b, cut(ref_mul(fa, fb), r)),
         (a.scale(scalar), {p: c * scalar for p, c in fa.items()}
          if scalar else {}),
         (a * scalar, {p: c * scalar for p, c in fa.items()} if scalar else {}),
-        (a.derive(index), derive_terms(fa, index, d)),
+        (a.derive(index), ref_derivative(fa, index)),
         (a.restrict(lower), {p: c for p, c in fa.items() if sum(p) <= lower}),
         (a.zero_extended(r + 2), fa),
-        (a ** 3, pow_terms(fa, 3, d, r)),
+        (a ** 3, cut(ref_pow(fa, 3, d), r)),
     ]
     for result, terms in expected:
         assert result.coeffs == terms
@@ -181,7 +224,7 @@ def test_integer_form_matches_the_fraction_kernel(operands):
     unit = a.restrict(r) + TruncatedSeries.const(c0 - a.constant_term(), d, r)
     inverse = unit.invert_unit()
     assert_integer_form(inverse)
-    assert mul_terms(inverse.coeffs, unit.coeffs, r) == {zero: Fraction(1)}
+    assert cut(ref_mul(inverse.coeffs, unit.coeffs), r) == {zero: 1}
 
 
 def assert_flat_form(s, arity):
@@ -189,10 +232,8 @@ def assert_flat_form(s, arity):
     an a-exponent, cut on the t-degree, numerators over a positive
     denominator in lowest terms."""
     assert s._arity == arity
-    assert s._den > 0
-    assert all(type(n) is int and n for n in s._table.values())
-    assert math.gcd(s._den, *s._table.values()) == 1
-    assert all(len(key) == s.dims + arity and sum(key[:s.dims]) <= s.order
+    assert_lowest_terms(s._table, s._den)
+    assert all(sum(decode_series(key, s.dims, arity)[0]) <= s.order
                for key in s._table)
 
 
@@ -212,11 +253,11 @@ def test_mixed_operands_match_the_generic_kernel(operands):
     fa, fg = a.coeffs, g.coeffs
     r = a.order
     expected = [
-        (a + g, add_terms(fa, fg)),
-        (g + a, add_terms(fg, fa)),
-        (a - g, add_terms(fa, negated(fg))),
-        (a * g, mul_terms(fa, fg, r)),
-        (g * a, mul_terms(fg, fa, r)),
+        (a + g, ref_add(fa, fg)),
+        (g + a, ref_add(fg, fa)),
+        (a - g, ref_add(fa, negated(fg))),
+        (a * g, cut(ref_mul(fa, fg), r)),
+        (g * a, cut(ref_mul(fg, fa), r)),
         (g.scale(scalar), {p: c * scalar for p, c in fg.items()}
          if scalar else {}),
         (a.scale(poly), {p: c * poly for p, c in fa.items()} if poly else {}),
@@ -431,37 +472,48 @@ def test_combination_refuses_what_it_cannot_combine():
         TruncatedSeries.combination(1, 2, [(1.5, x)])
 
 
-def random_table(rng, arity, top, size):
-    """An integer table of at most `size` terms, exponents up to `top`."""
+def random_table(rng, dims, arity, top, size):
+    """A packed integer table of at most `size` terms, exponents up to
+    `top`: series keys over Q[a_1..a_arity] in `dims` t-variables."""
     table = {}
     for _ in range(size):
         n = rng.randint(-4, 4)
         if n:
-            table[tuple(rng.randint(0, top) for _ in range(arity))] = n
+            t = encode([rng.randint(0, top) for _ in range(dims)])
+            a = encode([rng.randint(0, top) for _ in range(arity)])
+            table[t << BITS * (arity + 1) | a if arity else t] = n
     return table
+
+
+def series_limit(max_degree, dims, arity):
+    """The key limit of a cut at t-degree `max_degree`, None for no cut."""
+    if max_degree is None:
+        return None
+    return max_degree + 1 << BITS * (dims + (arity + 1 if arity else 0))
 
 
 def test_mul_terms_factor_scales_the_product():
     rng = random.Random(19)
     for case in range(60):
-        arity = rng.randint(1, 3)
-        a = random_table(rng, arity, 3, rng.randint(0, 6))
-        b = random_table(rng, arity, 3, rng.randint(0, 6))
-        max_degree = (None, 0, 2, 4)[case % 4]
-        prefix = (None, 1)[case // 4 % 2]
+        dims = rng.randint(1, 3)
+        # cut on the whole key (a rational series) or on its t-part
+        arity = (0, 2)[case // 4 % 2]
+        a = random_table(rng, dims, arity, 3, rng.randint(0, 6))
+        b = random_table(rng, dims, arity, 3, rng.randint(0, 6))
+        limit = series_limit((None, 0, 2, 4)[case % 4], dims, arity)
         for k in (1, -1, 3, -6):
-            product = mul_terms(a, b, max_degree, prefix)
-            scaled = mul_terms(a, b, max_degree, prefix, factor=k)
+            product = mul_terms(a, b, limit)
+            scaled = mul_terms(a, b, limit, factor=k)
             assert scaled == {p: k * n for p, n in product.items()}
             # added into a shared table: k times the product cancels
             # against -k times it, term by term
             out = {p: -k * n for p, n in product.items()}
-            assert mul_terms(a, b, max_degree, prefix, out, k) is out
+            assert mul_terms(a, b, limit, out, k) is out
             assert out == {}
-            base = random_table(rng, arity, 3, 4)
+            base = random_table(rng, dims, arity, 3, 4)
             out = dict(base)
-            mul_terms(a, b, max_degree, prefix, out, k)
-            assert out == add_terms(base, scaled)
+            mul_terms(a, b, limit, out, k)
+            assert out == ref_add(base, scaled)
             assert all(out.values())
 
 
@@ -502,9 +554,9 @@ def test_combination_stored_form_matches_the_reference(monkeypatch):
     products = []
     original = series_module.mul_terms
 
-    def recording(a, b, max_degree=None, prefix=None, out=None, factor=1):
+    def recording(a, b, limit=None, out=None, factor=1):
         products.append((a, b, factor))
-        return original(a, b, max_degree, prefix, out, factor)
+        return original(a, b, limit, out, factor)
 
     monkeypatch.setattr(series_module, "mul_terms", recording)
     rng = random.Random(23)
@@ -518,11 +570,7 @@ def test_combination_stored_form_matches_the_reference(monkeypatch):
         pairs = []
         for _ in range(rng.randint(0, 4)):
             kind = rng.choice(kinds if arity else kinds[:2] + kinds[3:])
-            # a product over Q[a_1, a_2] cut to nothing would still put the
-            # combination over that ring, where the reference's sum stays
-            # over Q; a unit coefficient keeps every product nonzero
-            pairs.append((random_member(rng, kind, dims, order, arity,
-                                        unit=bool(arity)),
+            pairs.append((random_member(rng, kind, dims, order, arity),
                           random_member(rng, "series", dims, order, arity)))
             seen.add(kind)
         # a one-term series coefficient on a longer series, next to a term
@@ -558,6 +606,27 @@ def test_combination_stored_form_matches_the_reference(monkeypatch):
                   [(2, x), (-1, x), (Fraction(-1, 1), x)]):
         assert stored(TruncatedSeries.combination(1, 2, pairs)) \
             == ({}, 1, 0)
+
+
+def test_a_product_cut_to_nothing_brings_no_ring():
+    """A term over Q[a_1, a_2] whose product is cut at the order adds
+    nothing, so the sum of the rational terms stays rational, as `*` then
+    `+` leaves it."""
+    a1 = Polynomial.variable(0, 2)
+    c = TruncatedSeries(1, 3, {(1,): Fraction(-1, 3), (2,): 2 + a1})
+    a = TruncatedSeries(1, 3, {(3,): Fraction(-1, 6)})
+    b = TruncatedSeries(1, 3, {(0,): Fraction(-3, 2), (2,): Fraction(-3, 2)})
+    pairs = [(c, a), (TruncatedSeries.const(Fraction(2, 7), 1, 3), b),
+             (Fraction(1, 5), b)]
+    result = TruncatedSeries.combination(1, 3, pairs)
+    decoded = {decode(p, 1): n for p, n in result._table.items()}
+    assert (decoded, result._den, result._arity) == (
+        {(0,): -51, (2,): -51}, 70, 0)
+    assert stored(result) == stored(reference_combination(1, 3, pairs))
+    # a product that survives keeps the ring
+    kept = TruncatedSeries.combination(1, 3, pairs + [(c, b)])
+    assert kept._arity == 2
+    assert kept == reference_combination(1, 3, pairs + [(c, b)])
 
 
 def test_generic_operands_of_different_arities_do_not_mix():
@@ -638,11 +707,11 @@ def test_scale_power_text_and_composition_read_the_integer_form():
     assert not hasattr(s, "_coeffs")
     fs = {p: Fraction(c) for p, c in terms.items()}
     assert scaled.coeffs == {p: c * poly for p, c in fs.items()}
-    assert squared.coeffs == pow_terms(fs, 2, 2, 3)
+    assert squared.coeffs == cut(ref_pow(fs, 2, 2), 3)
     assert_integer_form(squared)
-    assert text == terms_to_string(fs, ["t1", "t2"], " * ")
-    assert composed == evaluate_terms(fs, list(jet.offsets()),
-                                      TruncatedSeries.one(1, 3))
+    assert text == ref_text(fs, ["t1", "t2"], " * ")
+    assert composed == ref_evaluate_in(fs, list(jet.offsets()),
+                                       TruncatedSeries.one(1, 3))
 
 
 def test_mixed_rational_and_generic_arithmetic_keeps_no_fractions():
@@ -658,8 +727,8 @@ def test_mixed_rational_and_generic_arithmetic_keeps_no_fractions():
     unequal, equal = a == g, a == lifted
     assert not hasattr(a, "_coeffs")
     assert left == right
-    assert left.coeffs == mul_terms(fa, g.coeffs, 3)
-    assert total.coeffs == add_terms(fa, g.coeffs)
+    assert left.coeffs == cut(ref_mul(fa, g.coeffs), 3)
+    assert total.coeffs == ref_add(fa, g.coeffs)
     assert not unequal and equal
 
 
@@ -726,6 +795,29 @@ def ref_evaluate(a, point):
             c *= x ** e
         total += c
     return total
+
+
+def ref_evaluate_in(a, values, one):
+    """sum c * prod(values[i] ** e) over any ring with identity `one`."""
+    total = one * 0
+    for p, c in a.items():
+        term = one * c
+        for x, e in zip(values, p):
+            for _ in range(e):
+                term = term * x
+        total = total + term
+    return total
+
+
+def ref_text(a, names, times):
+    """Canonical text: terms by ascending `monomial_key`, 'c<times>x^e*...'
+    joined by ' + ', or '0'."""
+    parts = []
+    for p in sorted(a, key=monomial_key):
+        c = a[p].to_string() if isinstance(a[p], Polynomial) else str(a[p])
+        factors = "*".join(f"{n}^{e}" for n, e in zip(names, p) if e)
+        parts.append(f"{c}{times}{factors}" if factors else c)
+    return " + ".join(parts) or "0"
 
 
 def ref_primitive_parts(tables):
@@ -850,10 +942,136 @@ def test_fractions_of_a_polynomial_are_made_only_when_terms_are_read():
     assert all(type(c) is Fraction for c in p.terms.values())
 
 
+def decoded_poly(p):
+    return {decode(k, p.arity): n for k, n in p._table.items()}, p._den
+
+
 def test_product_with_a_scalar_scales_the_stored_form():
     p = Polynomial(2, {(1, 0): Fraction(2, 3), (0, 0): 4})
-    assert (p._table, p._den) == ({(1, 0): 2, (0, 0): 12}, 3)
-    assert ((p * 3)._table, (p * 3)._den) == ({(1, 0): 2, (0, 0): 12}, 1)
+    assert decoded_poly(p) == ({(1, 0): 2, (0, 0): 12}, 3)
+    assert decoded_poly(p * 3) == ({(1, 0): 2, (0, 0): 12}, 1)
     half = p * Fraction(1, 2)
-    assert (half._table, half._den) == ({(1, 0): 1, (0, 0): 6}, 3)
+    assert decoded_poly(half) == ({(1, 0): 1, (0, 0): 6}, 3)
     assert (p * 0).is_zero() and (p * 0)._den == 1
+
+
+# -- the packed kernel against a tuple-keyed reference ---------------------------
+
+def pack_entry(entry, arity):
+    """The series key of (t-exponent, a-exponent) over Q[a_1..a_arity]."""
+    t, a = entry
+    return encode(t) << BITS * (arity + 1) | encode(a) if arity else encode(t)
+
+
+def ref_entry_mul(a, b, order=None):
+    """The product of tables keyed by (t-exponent, a-exponent), without the
+    terms of t-degree above `order` (none cut when it is None)."""
+    out = {}
+    for (t, e), c in a.items():
+        for (u, f), d in b.items():
+            tu = tuple(x + y for x, y in zip(t, u))
+            if order is None or sum(tu) <= order:
+                key = (tu, tuple(x + y for x, y in zip(e, f)))
+                out[key] = out.get(key, 0) + c * d
+    return {k: n for k, n in out.items() if n}
+
+
+@st.composite
+def packed_operands(draw):
+    dims = draw(st.integers(1, 2))
+    arity = draw(st.integers(0, 2))
+    order = draw(st.integers(0, 3))
+    # t-exponents reach the order, so some products land exactly on it
+    entry = st.tuples(exponents(dims, order), exponents(arity, 2))
+    tables = [draw(st.dictionaries(entry, st.integers(-3, 3).filter(bool),
+                                   max_size=5)) for _ in range(3)]
+    target = draw(st.integers(1, 3))
+    index_map = draw(st.lists(st.integers(0, target - 1),
+                              min_size=dims + arity, max_size=dims + arity))
+    return (dims, arity, order, tables, draw(st.sampled_from((1, -1, 3))),
+            draw(st.integers(0, 3)), draw(st.integers(0, dims - 1)),
+            draw(st.integers(0, order)), target, index_map)
+
+
+@SETTINGS
+@given(packed_operands())
+def test_packed_kernel_matches_the_tuple_reference(operands):
+    (dims, arity, order, tables, factor, power, index, lower, target,
+     index_map) = operands
+    a, b, c = tables
+    pa, pb, pc = ({pack_entry(k, arity): n for k, n in t.items()}
+                  for t in tables)
+
+    def unpacked(table):
+        return {decode_series(k, dims, arity): n for k, n in table.items()}
+
+    # products cut on the whole key (arity 0) or on its t-part only
+    limit = series_limit(order, dims, arity)
+    assert unpacked(mul_terms(pa, pb, limit)) == ref_entry_mul(a, b, order)
+    assert unpacked(mul_terms(pa, pb)) == ref_entry_mul(a, b)
+    scaled = {k: factor * n for k, n in ref_entry_mul(a, b, order).items()}
+    out = dict(pc)
+    assert mul_terms(pa, pb, limit, out, factor) is out
+    assert unpacked(out) == ref_add(c, scaled)
+    expected = {((0,) * dims, (0,) * arity): 1}
+    for _ in range(power):
+        expected = ref_entry_mul(expected, a, order)
+    assert unpacked(pow_terms(pa, power, limit)) == expected
+    assert unpacked(derive_terms(pa, index, dims, BITS * (arity + 1)
+                                 if arity else 0)) == {
+        (t[:index] + (t[index] - 1,) + t[index + 1:], e): n * t[index]
+        for (t, e), n in a.items() if t[index]}
+
+    # the same table as a polynomial in dims + arity variables
+    terms = {t + e: Fraction(n, 2) for (t, e), n in a.items()}
+    poly = Polynomial(dims + arity, terms)
+    assert_canonical_poly(poly)
+    assert poly.terms == terms
+    assert poly.to_string() == ref_text(
+        terms, default_names(dims + arity, "x"), "*")
+    if terms:
+        top = max(terms, key=monomial_key)
+        assert poly.leading() == (top, terms[top])
+        assert poly.degree() == sum(top)
+    # every monomial up to degree 2: ties in the top degree
+    mons = graded_monomials(dims + arity, 2)
+    full = Polynomial(dims + arity, {q: i + 1 for i, q in enumerate(mons)})
+    assert full.leading() == (mons[-1], len(mons))
+    assert full.to_string() == ref_text(
+        full.terms, default_names(dims + arity, "x"), "*")
+    renamed = poly.rename_into(target, index_map)
+    assert_canonical_poly(renamed)
+    assert renamed.terms == ref_rename(terms, target, index_map)
+
+    # and as a series over Q[a_1..a_arity], cut at the order
+    coeffs = {}
+    for (t, e), n in a.items():
+        if sum(t) <= order:
+            coeffs[t] = coeffs.get(t, 0) + (
+                Polynomial(arity, {e: n}) if arity else Fraction(n))
+    s = TruncatedSeries(dims, order, coeffs)
+    assert_stored_form(s)
+    reference = as_polynomials(coeffs, arity, order) if arity else cut(
+        coeffs, order)
+    assert s.coeffs == reference
+    parts = s.graded_parts()
+    for degree, part in enumerate(parts):
+        assert_stored_form(part)
+        assert part.coeffs == {p: x for p, x in reference.items()
+                               if sum(p) == degree}
+    assert s.restrict(lower).coeffs == cut(reference, lower)
+    assert_stored_form(s.restrict(lower))
+    # a rational series padded to Q[a_1..a_arity] by the sum, and lifted
+    rational = TruncatedSeries(dims, order, {t: Fraction(n, 3)
+                                             for (t, _), n in b.items()})
+    total = rational + s
+    assert total.coeffs == ref_add(rational.coeffs, reference)
+    assert_stored_form(total)
+    if arity:
+        lifted = TruncatedSeries(dims, order, {
+            p: Polynomial.const(x, arity) for p, x in rational.coeffs.items()})
+        assert lifted == rational and hash(lifted) == hash(rational)
+        assert all(decode_series(k, dims, arity)[1] == (0,) * arity
+                   for k in lifted._table)
+    assert s.to_string() == ref_text(reference, default_names(dims, "t"),
+                                     " * ")

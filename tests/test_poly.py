@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import jetforge.ratfunc as ratfunc
 from jetforge import linalg
 from jetforge.errors import ArityMismatch, InputError
-from jetforge.poly import Polynomial, graded_monomials, monomial_key
+from jetforge.poly import (BITS, BOUND, Polynomial, graded_monomials,
+                          monomial_key)
 from jetforge.ratfunc import RationalFunction
 from jetforge.series import TruncatedSeries
 
@@ -269,3 +270,67 @@ def test_constant_one_denominators_give_the_general_result(pair):
         assert (result.num, result.den) == (want.num, want.den)
         assert result.num._den == want.num._den
         assert result.den._den == want.den._den
+
+
+class TestExponentBound:
+    """Every total degree, and so every exponent, stays below BOUND: below
+    it arithmetic is exact, and input or a result that reaches it raises
+    InputError rather than carrying into the next field of a packed key."""
+
+    HALF = BOUND // 2
+
+    def test_the_bound_leaves_a_field_room_for_a_sum(self):
+        assert BOUND == 2 ** 19 == 1 << BITS - 1
+        assert 200000 < BOUND
+
+    def test_products_just_below_the_bound_are_exact(self):
+        x = Polynomial(2, {(self.HALF, 0): 3, (0, 1): 1})
+        y = Polynomial(2, {(self.HALF - 1, 0): 2})
+        assert (x * y).terms == {(BOUND - 1, 0): 6, (self.HALF - 1, 1): 2}
+        assert Polynomial(1, {(self.HALF - 1,): 1}) ** 2 == Polynomial(
+            1, {(BOUND - 2,): 1})
+        # a full field next to another: no carry between them
+        z = Polynomial(2, {(BOUND - 2, 1): 1}).derivative(1)
+        assert z.terms == {(BOUND - 2, 0): 1}
+        assert Polynomial(2, {(BOUND - 1, 0): 1}).rename_into(
+            3, [2, 0]).terms == {(0, 0, BOUND - 1): 1}
+        series = TruncatedSeries(1, 2, {(1,): Polynomial(1, {(
+            self.HALF,): 1})})
+        other = TruncatedSeries(1, 2, {(1,): Polynomial(1, {(
+            self.HALF - 1,): 1})})
+        assert (series * other).coeffs == {
+            (2,): Polynomial(1, {(BOUND - 1,): 1})}
+        assert series.scale(Polynomial(1, {(self.HALF - 1,): 1})).coeffs \
+            == {(1,): Polynomial(1, {(BOUND - 1,): 1})}
+
+    def test_products_and_powers_at_the_bound_raise(self):
+        x = Polynomial(2, {(self.HALF, 0): 1, (0, 0): 1})
+        with pytest.raises(InputError):
+            x * x
+        with pytest.raises(InputError):
+            x ** 2
+        with pytest.raises(InputError):
+            x * Polynomial(2, {(0, self.HALF): 1})
+        a = Polynomial(1, {(self.HALF,): 1})
+        series = TruncatedSeries(1, 2, {(0,): a, (1,): 1})
+        for make in (lambda: series * series, lambda: series ** 2,
+                     lambda: series.scale(a), lambda: a * series,
+                     lambda: TruncatedSeries.combination(
+                         1, 2, [(series, series)]),
+                     lambda: TruncatedSeries.combination(1, 2, [(a, series)])):
+            with pytest.raises(InputError):
+                make()
+
+    def test_input_at_the_bound_raises(self):
+        for terms in ({(BOUND,): 1}, {(BOUND, 0): 1},
+                      {(self.HALF, self.HALF): 1}):
+            with pytest.raises(InputError):
+                Polynomial(len(next(iter(terms))), terms)
+        with pytest.raises(InputError):
+            Polynomial.from_string(f"x1^{BOUND} - 1", ["x1"])
+        with pytest.raises(InputError):
+            Polynomial.from_string(f"x1^{self.HALF}*x1^{self.HALF}", ["x1"])
+        with pytest.raises(InputError):
+            TruncatedSeries(1, 2, {(BOUND,): 1})
+        assert Polynomial.from_string(f"x1^{BOUND - 1}", ["x1"]).degree() \
+            == BOUND - 1
