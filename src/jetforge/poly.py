@@ -21,8 +21,9 @@ lexicographically.  Every total degree, and so every exponent, stays below
 product never carries from one field into the next, and input or a
 product that reaches the bound raises `InputError` instead of being read
 wrong.  With 20-bit fields the bound is 2^19 = 524288, which keeps
-exponents such as x1^200000 exact while a key of the 45 jet coordinates of
-a generic jet stays under 1000 bits.  Public reads (`terms`, `leading`,
+exponents such as x1^200000 exact while the 49-field key of a term of a
+generic series in two t's over 45 jet coordinates stays under 1000 bits
+(1568 with 32-bit fields and a bound of 2^31; the README weighs the two).  Public reads (`terms`, `leading`,
 the text form) give exponent tuples.
 
 The module functions `*_terms` are the arithmetic of sparse tables for
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left
 from fractions import Fraction
 from operator import index as exact_int
 
@@ -186,31 +186,26 @@ def mul_terms(a, b, limit=None, out=None, factor=1):
     shift of its t-degree field, so the cut is one comparison per pair.
     Given a canonical table `out`, the product is added into it instead,
     and `out` is returned.  A `factor` other than 1 multiplies the product,
-    folded into the numerators of `b` as they are read.
-
-    `b` is read in ascending key order, so for each key p of `a` the keys q
-    with p + q below the limit are a prefix of it, found by bisection."""
-    right = sorted(b.items())
+    folded into the numerators of `b` as they are read."""
     if factor != 1:
-        right = [(q, d * factor) for q, d in right]
-    if limit is not None:
-        keys = [q for q, _ in right]
+        b = {q: d * factor for q, d in b.items()}
     if out is None:
         out = {}
     get = out.get
+    right = b.items()
     for p, c in a.items():
-        for q, d in right if limit is None else \
-                right[:bisect_left(keys, limit - p)]:
+        for q, d in right:
             pq = p + q
-            s = get(pq)
-            if s is None:
-                out[pq] = c * d
-            else:
-                s += c * d
-                if s:
-                    out[pq] = s
+            if limit is None or pq < limit:
+                s = get(pq)
+                if s is None:
+                    out[pq] = c * d
                 else:
-                    del out[pq]
+                    s += c * d
+                    if s:
+                        out[pq] = s
+                    else:
+                        del out[pq]
     return out
 
 

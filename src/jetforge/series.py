@@ -18,8 +18,10 @@ so its low part is the coefficient polynomial's own key, and a rational
 table is padded by one shift and split by one shift and one mask.  Either
 way the t-degree is the most significant field, so a product cut at order
 r keeps exactly the keys below (r + 1) << s, s the shift of that field: one
-comparison.  The a-degree of a product over Q[a_1..a_k] is not cut, so a
-product that takes it to the exponent bound of `poly` raises `InputError`.
+comparison.  The order stays below the exponent bound of `poly` (else
+`InputError`), so the t-degrees of two factors add without carrying out of
+their field.  The a-degree of a product over Q[a_1..a_k] is not cut, so a
+product that takes it to the bound raises `InputError`.
 
 The arithmetic runs the term-table kernel of `poly` on the integers and
 keeps the denominator with the rational-table functions of `poly` that
@@ -49,7 +51,7 @@ from fractions import Fraction
 from .errors import (ArityMismatch, DimensionMismatch, InputError, NotAUnit,
                      OrderIncrease)
 from .linalg import unipotent_inverse
-from .poly import (BITS, Polynomial, add_fractions, default_names,
+from .poly import (BITS, BOUND, Polynomial, add_fractions, default_names,
                    derive_terms, evaluate_terms, lowest_terms, mul_terms,
                    pack, past_bound, pow_terms, rational_table,
                    scale_fraction, terms_to_string, unpack)
@@ -60,6 +62,10 @@ def _check_shape(dims, order):
         raise ValueError("series need at least one variable")
     if order < 0:
         raise ValueError("truncation order must be non-negative")
+    # every t-degree is at most the order, so below the bound no product
+    # carries out of the t-degree field
+    if order >= BOUND:
+        raise past_bound("the truncation order")
 
 
 def _low(arity):
@@ -406,7 +412,7 @@ class TruncatedSeries:
         a product of tables with the term's share of that denominator folded
         into `mul_terms`, and the sum is reduced once, with one gcd.
         """
-        if dims < 1 or order < 0:
+        if dims < 1 or not 0 <= order < BOUND:
             _check_shape(dims, order)
         # (a's table, c's table or int numerator, both denominators'
         # product) per term, the lcm of those products, and the arities of
@@ -529,6 +535,7 @@ class TruncatedSeries:
         if new_order < self.order:
             raise OrderIncrease(
                 f"zero_extended targets order >= {self.order}")
+        _check_shape(self.dims, new_order)
         return TruncatedSeries._new(self.dims, new_order, self._table,
                                     self._den, self._arity)
 

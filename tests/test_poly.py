@@ -334,3 +334,22 @@ class TestExponentBound:
             TruncatedSeries(1, 2, {(BOUND,): 1})
         assert Polynomial.from_string(f"x1^{BOUND - 1}", ["x1"]).degree() \
             == BOUND - 1
+
+    def test_series_orders_stay_below_the_bound(self):
+        # every t-degree is at most the order, so a product of two terms
+        # below it cannot carry out of the t-degree field
+        top = TruncatedSeries(1, BOUND - 1, {(self.HALF,): 1})
+        assert (top * top).coeffs == {}
+        low = TruncatedSeries(1, BOUND - 1, {(self.HALF - 1,): 1})
+        assert (low ** 2).coeffs == {(BOUND - 2,): 1}
+        assert (low ** 2).homogeneous(BOUND - 2) == {(BOUND - 2,): 1}
+        for make in (lambda: TruncatedSeries(1, BOUND, {(1,): 1}),
+                     lambda: TruncatedSeries.zero(1, BOUND),
+                     lambda: TruncatedSeries.const(1, 1, BOUND),
+                     lambda: TruncatedSeries.variable(0, 1, BOUND),
+                     lambda: TruncatedSeries.from_string("t1", 1, BOUND),
+                     lambda: TruncatedSeries.combination(1, BOUND, []),
+                     lambda: low.zero_extended(BOUND),
+                     lambda: TruncatedSeries(1, 2 ** 21, {(400000,): 1})):
+            with pytest.raises(InputError):
+                make()
