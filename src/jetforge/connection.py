@@ -36,10 +36,11 @@ works at order r - 1, the order it compares; `series_product` forms W M,
 form no series product: past the expansion of the coefficients they are
 integer matrices.
 
-They share the series ring and `RationalFunction.eval_on_jet`, which
-expands the coefficients (along the identity jet at the base point for
-`beta`, along sigma for the oracle), and nothing else, so their exact
-agreement is a genuine cross-check.
+They share the series ring and `RationalFunction.eval_all_on_jet`, which
+expands all the nonzero coefficients in one call (along the identity jet at
+the base point for `beta`, along sigma for the oracle), with one inverse per
+distinct denominator, and nothing else, so their exact agreement is a
+genuine cross-check.
 
 A chart keeps one record for each of its last `_POINT_RECORDS` base points
 (see `_PointRecord`): whether `assert_regular` passed there, the values
@@ -459,7 +460,8 @@ def _local_gammas(chart, order, point):
         H_q = sum_{b <= p} C(p, b) D^|b| (D d^b A_l(s)) H_(p-b),
 
     each sum one `linalg.mat_mul`, and Fractions are formed only for the
-    values returned.
+    values returned.  All the nonzero entries are expanded in one call of
+    `RationalFunction.eval_all_on_jet`.
 
     For a < b the values take d_a d_b Phi = (d_a A_b + A_b A_a) Phi;
     integrability asks the curvature d_a A_b + A_b A_a - d_b A_a - A_a A_b
@@ -473,23 +475,24 @@ def _local_gammas(chart, order, point):
     jet = JetPoint([TruncatedSeries.const(x, n, low)
                     + TruncatedSeries.variable(i, n, low)
                     for i, x in enumerate(point)])
-    expansions = [[[rf.eval_on_jet(jet).coeffs if rf else {} for rf in row]
-                   for row in chart.a_matrix(l)] for l in range(n)]
-    den = math.lcm(*(c.denominator for a in expansions for row in a
-                     for coeffs in row for c in coeffs.values()))
+    # the nonzero entries A_l[j][i] as (l, j, i, A_l[j][i]), and their
+    # coefficients along the jet
+    entries = [(l, j, i, rf) for l, a in enumerate(chart._a_matrices)
+               for j, row in enumerate(a) for i, rf in enumerate(row) if rf]
+    expansions = [s.coeffs for s in RationalFunction.eval_all_on_jet(
+        [rf for *_, rf in entries], jet)]
+    den = math.lcm(*(c.denominator for coeffs in expansions
+                     for c in coeffs.values()))
     # derivs[l][b] = D d^b A_l(s), for the b where it is not zero
-    derivs = []
-    for a in expansions:
-        table = {}
-        for j, row in enumerate(a):
-            for i, coeffs in enumerate(row):
-                for b, c in coeffs.items():
-                    matrix = table.get(b)
-                    if matrix is None:
-                        table[b] = matrix = [[0] * m for _ in range(m)]
-                    matrix[j][i] = (c.numerator * (den // c.denominator)
-                                    * math.prod(map(math.factorial, b)))
-        derivs.append(table)
+    derivs = [{} for _ in range(n)]
+    for (l, j, i, _), coeffs in zip(entries, expansions):
+        table = derivs[l]
+        for b, c in coeffs.items():
+            matrix = table.get(b)
+            if matrix is None:
+                table[b] = matrix = [[0] * m for _ in range(m)]
+            matrix[j][i] = (c.numerator * (den // c.denominator)
+                            * math.prod(map(math.factorial, b)))
     identity = [[int(i == j) for i in range(m)] for j in range(m)]
     zero = [[0] * m for _ in range(m)]
 
@@ -616,9 +619,11 @@ def series_oracle(chart, sigma, initial):
     homogeneous parts S_e of S, e >= 1.  Step k thus forms only products
     of degree k, one combination per entry, and none at full order.
 
-    Shares with the xi-table route only the series ring and
-    `RationalFunction.eval_on_jet`.  The recursion is linear in `initial`,
-    so any square initial matrix is accepted, singular ones included.
+    Shares with the xi-table route only the series ring and the batched
+    expansion of the coefficients, `RationalFunction.eval_all_on_jet`, one
+    call for every nonzero A_l[j][i] it reads.  The recursion is linear in
+    `initial`, so any square initial matrix is accepted, singular ones
+    included.
     """
     if sigma.n != chart.n:
         raise ArityMismatch("jet does not live on the chart")
@@ -633,13 +638,14 @@ def series_oracle(chart, sigma, initial):
     # the degree times each homogeneous part
     euler = [combination(d, r, enumerate(comp.graded_parts()))
              for comp in sigma.series]
+    # (l, j, i, A_l[j][i]) for the nonzero entries that meet a nonzero E
+    entries = [(l, j, i, rf) for l, a in enumerate(chart._a_matrices)
+               if euler[l] for j, row in enumerate(a)
+               for i, rf in enumerate(row) if rf]
     pulled = [[[] for _ in range(m)] for _ in range(m)]
-    for l, moved in enumerate(euler):
-        if moved:
-            for j, row in enumerate(chart.a_matrix(l)):
-                for i, rf in enumerate(row):
-                    if rf:
-                        pulled[j][i].append((moved, rf.eval_on_jet(sigma)))
+    for (l, j, i, _), along in zip(entries, RationalFunction.eval_all_on_jet(
+            [rf for *_, rf in entries], sigma)):
+        pulled[j][i].append((euler[l], along))
     # the nonzero parts S_e of S, with their degrees e >= 1
     s_parts = [[[(e, part) for e, part in enumerate(
         combination(d, r, pairs).graded_parts()) if part] for pairs in row]
@@ -702,9 +708,12 @@ def check_flatness(chart, sigma, frame_jet):
     jacobian = [[s.derive(a).restrict(low) for a in range(d)]
                 for s in sigma.series]
     # at [j][i]: c_ij along sigma, each with the d sigma_l / dt_a it pairs with
-    along = [[[(rf.eval_on_jet(sigma_low), jacobian[l])
+    entries = [(j, i, l, rf) for j in range(m) for i in range(m)
                for l, rf in enumerate(chart.coeffs[i][j]) if rf]
-              for i in range(m)] for j in range(m)]
+    along = [[[] for _ in range(m)] for _ in range(m)]
+    for (j, i, l, _), s in zip(entries, RationalFunction.eval_all_on_jet(
+            [rf for *_, rf in entries], sigma_low)):
+        along[j][i].append((s, jacobian[l]))
     frame = frame_jet.entries
     columns = list(zip(*[[s.restrict(low) for s in row] for row in frame]))
     for a in range(d):

@@ -640,7 +640,11 @@ def evaluate_terms(terms, arity, values, one, den=1):
     `arity` variables.
 
     Works over any commutative ring containing the rational coefficients;
-    powers of each value are computed once and cached.
+    powers of each value are computed once and cached, and the terms are
+    summed with `+`.  It serves `Polynomial.evaluate` at points and
+    `Polynomial.evaluate_in`; substitution into jets goes through
+    `series.series_compose_all`, which forms each polynomial as one
+    combination.
     """
     if not terms:
         return one * Fraction(0)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import ArityMismatch, NotAUnit, SingularPoint
 from .poly import Polynomial
-from .series import series_compose
+from .series import series_compose_all
 
 
 def _univ_divmod(a, b):
@@ -59,7 +59,8 @@ class RationalFunction:
             raise ZeroDivisionError("denominator is identically zero")
         if num.is_zero():
             den = Polynomial.const(1, num.arity)
-        elif num.arity == 1 and den.degree() > 0:
+        elif num.arity == 1 and den.degree() > 0 and num.degree() > 0:
+            # a constant numerator's gcd with the denominator is a unit
             g = _univ_gcd(num, den)
             if g.degree() > 0:
                 num = _univ_divmod(num, g)[0]
@@ -187,20 +188,40 @@ class RationalFunction:
 
     def eval_on_jet(self, jet):
         """Exact truncated series of the function along a jet."""
-        if jet.n != self.arity:
-            raise ArityMismatch(
-                f"function of {self.arity} variables on a jet with {jet.n} "
-                "components")
-        if self.den.degree() == 0:
-            # the constructor keeps a constant denominator equal to 1
-            return series_compose(self.num, jet)
-        den_series = series_compose(self.den, jet)
-        try:
-            inv = den_series.invert_unit()
-        except NotAUnit:
-            raise SingularPoint(
-                f"denominator vanishes at {jet.basepoint()}") from None
-        return series_compose(self.num, jet) * inv
+        return RationalFunction.eval_all_on_jet([self], jet)[0]
+
+    @staticmethod
+    def eval_all_on_jet(functions, jet):
+        """`f.eval_on_jet(jet)` for every f in functions, in one pass.
+
+        The numerators and the distinct non-constant denominators are
+        expanded in one call of `series_compose_all`, and each of those
+        denominators is inverted once, so functions that share one share
+        its inverse.  Raises SingularPoint when a denominator vanishes at
+        the base point.
+        """
+        functions = list(functions)
+        for f in functions:
+            if jet.n != f.arity:
+                raise ArityMismatch(
+                    f"function of {f.arity} variables on a jet with {jet.n} "
+                    "components")
+        # the constructor keeps a constant denominator equal to 1
+        dens = {}
+        for f in functions:
+            if not f.den._is_one():
+                dens.setdefault(f.den, len(dens))
+        series = series_compose_all([f.num for f in functions] + list(dens),
+                                    jet)
+        inverses = []
+        for den_series in series[len(functions):]:
+            try:
+                inverses.append(den_series.invert_unit())
+            except NotAUnit:
+                raise SingularPoint(
+                    f"denominator vanishes at {jet.basepoint()}") from None
+        return [num if f.den._is_one() else num * inverses[dens[f.den]]
+                for f, num in zip(functions, series)]
 
     def to_string(self, names=None):
         return f"({self.num.to_string(names)}) / ({self.den.to_string(names)})"

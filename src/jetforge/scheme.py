@@ -29,7 +29,9 @@ from . import linalg
 from .errors import (ArityMismatch, BasepointNotOnScheme, OrderMismatch,
                      OrderTooLow)
 from .poly import Polynomial, default_names, graded_monomials
-from .series import JetPoint, TruncatedSeries, series_compose, taylor_weights
+from .ratfunc import RationalFunction
+from .series import (JetPoint, TruncatedSeries, series_compose,
+                     series_compose_all, taylor_weights)
 
 
 class AffineScheme:
@@ -168,20 +170,28 @@ def generic_jet(n, d, r):
 # -- the two construction routes ---------------------------------------------
 
 def _expand_generic(polys, n, d, r, expand):
-    """The coefficients of expand(f, generic jet) for each f in polys, as
-    polynomials in the n*ell jet coordinates: f outside, monomial inside."""
+    """The coefficients of each series of expand(polys, generic jet), one
+    per f in polys, as polynomials in the n*ell jet coordinates: f outside,
+    monomial inside."""
     mons = graded_monomials(d, r)
     total = n * len(mons)
-    sigma = generic_jet(n, d, r)
+    expansions = expand(polys, generic_jet(n, d, r))
     out = []
-    for f in polys:
-        # one pass over the expansion's table builds all its coefficients
-        coeffs = expand(f, sigma).coeffs
+    for k in range(len(expansions)):
+        # one pass over the expansion's table builds all its coefficients;
+        # dropping it then keeps one expansion alive beside them, not all
+        coeffs = expansions[k].coeffs
+        expansions[k] = None
         for p in mons:
             c = coeffs.get(p, 0)
             out.append(c if isinstance(c, Polynomial)
                        else Polynomial.const(c, total))
     return out
+
+
+def _taylor_compose_all(polys, sigma):
+    """`_taylor_compose` of each f in polys."""
+    return [_taylor_compose(f, sigma) for f in polys]
 
 
 def _taylor_compose(f, sigma):
@@ -221,14 +231,14 @@ def jet_space_equations(scheme, d, r):
     """
     names = jet_variable_names(scheme.n, d, r, scheme.names)
     return AffineScheme(len(names), _expand_generic(
-        scheme.equations, scheme.n, d, r, series_compose), names)
+        scheme.equations, scheme.n, d, r, series_compose_all), names)
 
 
 def jet_space_equations_universal(scheme, d, r):
     """Same contract as jet_space_equations, via the Taylor-expansion route."""
     names = jet_variable_names(scheme.n, d, r, scheme.names)
     return AffineScheme(len(names), _expand_generic(
-        scheme.equations, scheme.n, d, r, _taylor_compose), names)
+        scheme.equations, scheme.n, d, r, _taylor_compose_all), names)
 
 
 def jet_prolong(g, d, r):
@@ -240,14 +250,16 @@ def jet_prolong(g, d, r):
     """
     ell = math.comb(d + r, r)
     return AffineMap(g.n * ell, g.m * ell,
-                     _expand_generic(g.components, g.n, d, r, series_compose))
+                     _expand_generic(g.components, g.n, d, r,
+                                     series_compose_all))
 
 
 def jet_prolong_universal(g, d, r):
     """Same contract as jet_prolong, via the Taylor-expansion route."""
     ell = math.comb(d + r, r)
     return AffineMap(g.n * ell, g.m * ell,
-                     _expand_generic(g.components, g.n, d, r, _taylor_compose))
+                     _expand_generic(g.components, g.n, d, r,
+                                     _taylor_compose_all))
 
 
 def apply_prolonged(pmap, jet, m):
@@ -328,7 +340,7 @@ def _lift_once(scheme, jet):
     lifted = jet.zero_extended(r + 1)
     jac = _jacobian_at(scheme, jet.basepoint())
     top_monomials = [p for p in graded_monomials(d, r + 1) if sum(p) == r + 1]
-    residuals = [series_compose(f, lifted) for f in scheme.equations]
+    residuals = series_compose_all(scheme.equations, lifted)
     corrections = [dict() for _ in range(scheme.n)]
     for mu in top_monomials:
         if not scheme.equations:
@@ -349,12 +361,9 @@ def _prolong_parametrization(param, d, r, point):
     """Jet of a rational parametrization (n rational functions of d formal
     variables, regular at 0 with value `point`)."""
     disk = JetPoint([TruncatedSeries.variable(a, d, r) for a in range(d)])
-    series = []
-    for i, rf in enumerate(param):
-        s = rf.eval_on_jet(disk)
-        if s.constant_term() != point[i]:
-            return None
-        series.append(s)
+    series = RationalFunction.eval_all_on_jet(param, disk)
+    if any(s.constant_term() != point[i] for i, s in enumerate(series)):
+        return None
     return JetPoint(series)
 
 

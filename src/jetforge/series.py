@@ -35,6 +35,12 @@ over one common denominator and reduces the sum once, where a chain of
 `scale`, `*` and `+` would build and reduce a series per term.
 `graded_parts` splits a series into its homogeneous parts.
 
+`series_compose_all` substitutes one jet into a list of polynomials (or of
+series, on the jet's offsets) in one call: every distinct monomial the list
+reads is one product, in a table that lives for the call alone, and each
+polynomial is one `combination` of those monomials.  `series_compose` is its
+one-element case.
+
 `coeffs`, `coefficient` and `homogeneous` read the coefficients by exponent
 tuple, built when read: a constant one as a Fraction, any other as a
 `Polynomial` in the a-variables.
@@ -51,8 +57,8 @@ from fractions import Fraction
 from .errors import (ArityMismatch, DimensionMismatch, InputError, NotAUnit,
                      OrderIncrease)
 from .linalg import unipotent_inverse
-from .poly import (BITS, BOUND, Polynomial, add_fractions, default_names,
-                   derive_terms, evaluate_terms, lowest_terms, mul_terms,
+from .poly import (BITS, BOUND, FIELD, Polynomial, add_fractions,
+                   default_names, derive_terms, lowest_terms, mul_terms,
                    pack, past_bound, pow_terms, rational_table,
                    scale_fraction, terms_to_string, unpack)
 
@@ -688,30 +694,90 @@ def taylor_weights(offsets):
     return weight
 
 
+def _monomials(keys, arity, values, one):
+    """{p: x^p} for the packed keys p of monomials in `arity` variables,
+    x = `values`, with the key 0 of the constant `one`.
+
+    Each monomial is one product, x^p = x^(p - e_l) * x_l with l the first
+    index where p_l > 0.  A key missing from the table walks down that way
+    to the first monomial already formed, and the products then run back
+    up: a loop, not a recursion, so that an exponent in the hundreds of
+    thousands needs no call stack.
+    """
+    # the key of x_l, one in the degree field and in its exponent field,
+    # by the shift of that field
+    units = {BITS * (arity - 1 - l): 1 << BITS * arity
+             | 1 << BITS * (arity - 1 - l) for l in range(arity)}
+    index = {unit: l for l, unit in enumerate(units.values())}
+    table = {0: one}
+    for p in keys:
+        chain = []
+        while p not in table:
+            chain.append(p)
+            for shift, unit in units.items():
+                if p >> shift & FIELD:
+                    break
+            p -= unit
+        for q in reversed(chain):
+            table[q] = table[p] * values[index[q - p]]
+            p = q
+    return table
+
+
+def series_compose_all(fs, jet):
+    """`series_compose(f, jet)` for every f in fs, in one pass.
+
+    All the polynomials share one table of the monomials they read, built
+    for this call alone (see `_monomials`), and so do all the series, on
+    the offsets of the jet.  Each f is then one
+    `TruncatedSeries.combination` of its coefficients with those monomials:
+    the substitution step of Brent and Kung ("Fast algorithms for
+    manipulating formal power series", J. ACM 25, 1978), done sparsely.
+    """
+    n = jet.n
+    # per f: its {key: coefficient} and whether it is evaluated on the
+    # offsets
+    jobs = []
+    for f in fs:
+        if isinstance(f, Polynomial):
+            if f.arity != n:
+                raise ArityMismatch(
+                    f"polynomial in {f.arity} variables applied to a jet with "
+                    f"{n} components")
+            jobs.append((_fractions(f._table, f._den), False))
+        elif isinstance(f, TruncatedSeries):
+            if f.dims != n:
+                raise ArityMismatch(
+                    f"series in {f.dims} variables applied to a jet with "
+                    f"{n} components")
+            jobs.append((f._polynomials() if f._arity
+                         else _fractions(f._table, f._den), True))
+        else:
+            raise TypeError(
+                "series_compose expects a Polynomial or TruncatedSeries")
+    d, r = jet.dims, jet.order
+    one = TruncatedSeries.one(d, r)
+    tables = {shifted: _monomials(
+        [p for terms, s in jobs if s == shifted for p in terms], n,
+        jet.offsets() if shifted else jet.series, one)
+        for shifted in {s for _, s in jobs}}
+    return [TruncatedSeries.combination(d, r, [
+        (c, tables[shifted][p]) for p, c in terms.items()])
+        for terms, shifted in jobs]
+
+
+def _fractions(table, den):
+    """A rational table's coefficients by key: ints when `den` is 1."""
+    return table if den == 1 else {p: Fraction(n, den)
+                                   for p, n in table.items()}
+
+
 def series_compose(f, jet):
     """Substitute the components of a jet into f and truncate.
 
     `f` may be a Polynomial in n variables (full substitution) or a
     TruncatedSeries in n variables, in which case it is evaluated on the
     positive-valuation offsets of the jet (a Taylor-style composition).
+    The one-element case of `series_compose_all`.
     """
-    if isinstance(f, Polynomial):
-        if f.arity != jet.n:
-            raise ArityMismatch(
-                f"polynomial in {f.arity} variables applied to a jet with "
-                f"{jet.n} components")
-        one = TruncatedSeries.one(jet.dims, jet.order)
-        return evaluate_terms(f._table, f.arity, list(jet.series), one,
-                              f._den)
-    if isinstance(f, TruncatedSeries):
-        if f.dims != jet.n:
-            raise ArityMismatch(
-                f"series in {f.dims} variables applied to a jet with "
-                f"{jet.n} components")
-        one = TruncatedSeries.one(jet.dims, jet.order)
-        if f._arity:
-            return evaluate_terms(f._polynomials(), f.dims,
-                                  list(jet.offsets()), one)
-        return evaluate_terms(f._table, f.dims, list(jet.offsets()), one,
-                              f._den)
-    raise TypeError("series_compose expects a Polynomial or TruncatedSeries")
+    return series_compose_all([f], jet)[0]

@@ -20,7 +20,8 @@ from jetforge.examples import exponential_chart, legendre_chart, \
 from jetforge.flags import eta_chartlocal
 from jetforge.poly import Polynomial, graded_monomials
 from jetforge.ratfunc import RationalFunction
-from jetforge.series import JetPoint, TruncatedSeries, series_compose
+from jetforge.series import (JetPoint, TruncatedSeries, same_form,
+                             series_compose)
 from jetforge.verify import (random_flat_chart, random_invertible, random_jet,
                              random_n1_chart, run_frame_corpus)
 from symbolic_xi import entry, gamma, is_integrable, word_gamma
@@ -381,7 +382,7 @@ class TestXiTable:
         products, expanding, expanded = [], [], []
         original_mul = TruncatedSeries.__mul__
         original_combination = TruncatedSeries.combination
-        original_eval = RationalFunction.eval_on_jet
+        original_eval = RationalFunction.eval_all_on_jet
 
         def mul(self, other):
             if not expanding:
@@ -394,18 +395,19 @@ class TestXiTable:
                 products.extend(pairs)
             return original_combination(dims, order, pairs)
 
-        def eval_on_jet(self, jet):
+        def eval_all_on_jet(functions, jet):
             expanding.append(jet)
             expanded.append(jet)
             try:
-                return original_eval(self, jet)
+                return original_eval(functions, jet)
             finally:
                 expanding.pop()
 
         monkeypatch.setattr(TruncatedSeries, "__mul__", mul)
         monkeypatch.setattr(TruncatedSeries, "combination",
                             classmethod(combination))
-        monkeypatch.setattr(RationalFunction, "eval_on_jet", eval_on_jet)
+        monkeypatch.setattr(RationalFunction, "eval_all_on_jet",
+                            staticmethod(eval_all_on_jet))
         assert [connection._local_gammas(*case) for case in cases] == expected
         assert expanded and not products
         # the expansions stop at order - 1, the highest partial read
@@ -602,6 +604,76 @@ class TestEvalOnJet:
         with pytest.raises(SingularPoint):
             f.eval_on_jet(line_jet(1, 3))
 
+    @staticmethod
+    def count_inversions(monkeypatch):
+        inversions = []
+        original = TruncatedSeries.invert_unit
+
+        def invert_unit(self):
+            inversions.append(self)
+            return original(self)
+
+        monkeypatch.setattr(TruncatedSeries, "invert_unit", invert_unit)
+        return inversions
+
+    def test_legendre_inverts_each_distinct_denominator_once(
+            self, monkeypatch):
+        # three of the four coefficients share lambda - 1, the fourth has
+        # lambda (lambda - 1)
+        chart = legendre_chart()
+        entries = [rf for row in chart.coeffs for entry in row
+                   for rf in entry]
+        assert len(entries) == 4 and len({rf.den for rf in entries}) == 2
+        sigma = line_jet(Fraction(1, 3), 5)
+        expected = [series_compose(rf.num, sigma)
+                    * series_compose(rf.den, sigma).invert_unit()
+                    for rf in entries]
+        inversions = self.count_inversions(monkeypatch)
+        batch = RationalFunction.eval_all_on_jet(entries, sigma)
+        assert len(inversions) == 2
+        assert all(map(same_form, batch, expected))
+        del inversions[:]
+        assert [rf.eval_on_jet(sigma) for rf in entries] == expected
+        assert len(inversions) == 4
+
+    def test_batch_matches_the_quotient_of_compositions(self):
+        rng = random.Random(59)
+        x = Polynomial.variable(0, 2)
+        y = Polynomial.variable(1, 2)
+        dens = [Polynomial.const(1, 2), 1 + x, 2 - x * y + y * y, 1 + x]
+        for case in range(20):
+            d, r = rng.randint(1, 2), rng.randint(0, 4)
+            sigma = JetPoint([TruncatedSeries(d, r, {
+                p: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                for p in graded_monomials(d, r)})
+                for _ in range(2)])
+            if any(den.evaluate(sigma.basepoint()) == 0 for den in dens):
+                continue
+            functions = [RationalFunction.zero(2)] + [
+                RationalFunction(Polynomial(2, {
+                    p: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                    for p in rng.sample(graded_monomials(2, 2), 3)}),
+                    rng.choice(dens)) for _ in range(5)]
+            batch = RationalFunction.eval_all_on_jet(functions, sigma)
+            for f, s in zip(functions, batch):
+                expected = series_compose(f.num, sigma)
+                if f.den.degree() > 0:
+                    expected *= series_compose(f.den, sigma).invert_unit()
+                assert s == expected and same_form(s, expected)
+
+    def test_pole_in_a_shared_denominator(self):
+        lam = Polynomial.variable(0, 1)
+        shared = lam - 1
+        functions = [RationalFunction(Polynomial.const(1, 1), shared),
+                     RationalFunction(lam, shared),
+                     RationalFunction(Polynomial.const(3, 1), lam * shared),
+                     RationalFunction(lam * lam)]
+        for base in (1, 0):
+            with pytest.raises(SingularPoint):
+                RationalFunction.eval_all_on_jet(functions, line_jet(base, 3))
+        assert len(RationalFunction.eval_all_on_jet(
+            functions, line_jet(2, 3))) == 4
+
 
 class TestBeta:
     def test_order_zero_is_the_initial_matrix(self):
@@ -781,7 +853,7 @@ class TestOracleAgreement:
         products, expanding = [], []
         original_mul = TruncatedSeries.__mul__
         original_combination = TruncatedSeries.combination
-        original_eval = RationalFunction.eval_on_jet
+        original_eval = RationalFunction.eval_all_on_jet
 
         def mul(self, other):
             if not expanding and isinstance(other, TruncatedSeries):
@@ -795,17 +867,18 @@ class TestOracleAgreement:
                                 if isinstance(c, TruncatedSeries) and c and a)
             return original_combination(dims, order, pairs)
 
-        def eval_on_jet(self, jet):
+        def eval_all_on_jet(functions, jet):
             expanding.append(jet)
             try:
-                return original_eval(self, jet)
+                return original_eval(functions, jet)
             finally:
                 expanding.pop()
 
         monkeypatch.setattr(TruncatedSeries, "__mul__", mul)
         monkeypatch.setattr(TruncatedSeries, "combination",
                             classmethod(combination))
-        monkeypatch.setattr(RationalFunction, "eval_on_jet", eval_on_jet)
+        monkeypatch.setattr(RationalFunction, "eval_all_on_jet",
+                            staticmethod(eval_all_on_jet))
         assert series_oracle(chart, sigma, initial) == expected
         pullback = [(c, a) for c, a in products if c in euler]
         assert pullback and len(pullback) <= chart.n * chart.m ** 2

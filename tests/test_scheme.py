@@ -186,8 +186,9 @@ class TestUniversalRoutes:
                     running_sum_taylor(f, sigma)
             amap = AffineMap(n, 2, polys)
             assert list(jet_prolong_universal(amap, d, r).components) == \
-                scheme_module._expand_generic(polys, n, d, r,
-                                              running_sum_taylor)
+                scheme_module._expand_generic(
+                    polys, n, d, r, lambda fs, sigma: [
+                        running_sum_taylor(f, sigma) for f in fs])
 
     def test_jet_space_of_a_jet_space(self):
         # J_1(circle) is an affine scheme, so it has jets of its own

@@ -7,7 +7,9 @@ import pytest
 from jetforge.errors import (ArityMismatch, DimensionMismatch,
                              IndexOutOfRange, NotAUnit, OrderIncrease)
 from jetforge.poly import Polynomial, graded_monomials
-from jetforge.series import JetPoint, TruncatedSeries, series_compose
+from jetforge.scheme import generic_jet
+from jetforge.series import (JetPoint, TruncatedSeries, same_form,
+                             series_compose, series_compose_all)
 
 
 def S(dims, order, coeffs):
@@ -137,6 +139,52 @@ class TestCompose:
         f = S(1, 2, {(0,): 5, (1,): 1, (2,): 1})
         j = JetPoint([S(1, 2, {(0,): 7, (1,): 1})])
         assert series_compose(f, j) == S(1, 2, {(0,): 5, (1,): 1, (2,): 1})
+
+    def test_batch_matches_the_power_products_and_single_calls(self):
+        # `evaluate_in` forms each term from cached powers and sums the
+        # terms with `+`; the batch forms each monomial once and each f as
+        # one combination, over rational and Q[a] jets alike
+        rng = random.Random(47)
+        for case in range(60):
+            n, d, r = rng.randint(1, 3), rng.randint(1, 2), rng.randint(0, 4)
+            jet = generic_jet(n, d, r // 2) if case % 2 else \
+                JetPoint([rand_series(rng, d, r) for _ in range(n)])
+            polys = [Polynomial.zero(n), Polynomial.const(
+                Fraction(rng.randint(-3, 3), rng.randint(1, 3)), n)]
+            polys += [Polynomial(n, {
+                p: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                for p in rng.sample(graded_monomials(n, 3), 4)})
+                for _ in range(3)]
+            rng.shuffle(polys)
+            one = TruncatedSeries.one(jet.dims, jet.order)
+            batch = series_compose_all(polys, jet)
+            assert len(batch) == len(polys)
+            for f, s in zip(polys, batch):
+                reference = f.evaluate_in(list(jet.series), one)
+                assert s == reference and same_form(s, reference)
+                assert same_form(s, series_compose(f, jet))
+
+    def test_batch_mixes_polynomials_and_series(self):
+        # a series is evaluated on the offsets, a polynomial on the jet
+        j = JetPoint([S(1, 2, {(0,): 7, (1,): 1})])
+        f = S(1, 2, {(0,): 5, (1,): 1, (2,): 1})
+        g = Polynomial(1, {(1,): 1})
+        assert series_compose_all([f, g, f], j) == [
+            series_compose(f, j), S(1, 2, {(0,): 7, (1,): 1}),
+            series_compose(f, j)]
+        assert series_compose_all([], j) == []
+
+    def test_exponent_in_the_thousands_needs_no_recursion(self):
+        # the monomial table is built by a loop: a chain of 5000 products
+        # would overflow the interpreter's stack as a recursion
+        f = Polynomial(1, {(5000,): 1, (0,): -1})
+        j = JetPoint([S(1, 1, {(0,): 2, (1,): 1})])
+        assert series_compose(f, j) == S(1, 1, {(0,): 2 ** 5000 - 1,
+                                                (1,): 5000 * 2 ** 4999})
+        x = Polynomial.variable(0, 2)
+        assert series_compose(x ** 3000, generic_jet(2, 1, 1)).coefficient(
+            (1,)) == 3000 * Polynomial.variable(0, 4) ** 2999 \
+            * Polynomial.variable(1, 4)
 
 
 class TestRestrict:
