@@ -183,16 +183,6 @@ def polysystem_to_json(scheme):
                           for eq in scheme.equations]}
 
 
-def polysystem_from_json(data):
-    try:
-        names = _names(data["variables"], "variables")
-        eqs = _strings(data["equations"], "equations")
-    except (KeyError, TypeError):
-        raise InputError("a system needs variables and equations") from None
-    return AffineScheme(len(names),
-                        [Polynomial.from_string(e, names) for e in eqs], names)
-
-
 def polymap_to_json(pmap, source_names=None):
     """The jet-space form of a map: source variables, target arity and
     components."""
@@ -200,19 +190,6 @@ def polymap_to_json(pmap, source_names=None):
     return {"source_variables": list(names),
             "target_arity": pmap.m,
             "components": [c.to_string(names) for c in pmap.components]}
-
-
-def polymap_from_json(data):
-    try:
-        names = _names(data["source_variables"], "source_variables")
-        target = _int(data["target_arity"])
-        comps = _strings(data["components"], "components")
-    except (KeyError, TypeError, ValueError):
-        raise InputError(
-            "a jet map needs source_variables, target_arity, components"
-        ) from None
-    return AffineMap(len(names), target,
-                     [Polynomial.from_string(c, names) for c in comps])
 
 
 # -- connection charts -----------------------------------------------------------

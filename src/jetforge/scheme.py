@@ -13,6 +13,12 @@ provided:
   polynomial at the symbolic base point and composes it with the
   positive-valuation offset of the generic jet.
 
+The generic jet and its Taylor weights w_q = offsets^q / q! depend on the
+shape (n, d, r) alone, so both are built once per shape and kept in a
+bounded table that every call of either route reads; the weights are
+formed lazily, only those of a nonzero partial of some polynomial.  The
+direct route's monomials stay per call.
+
 Both return the same `AffineScheme` or `AffineMap` after normalization;
 the equality is checked in the test suite.
 Jet coordinates are ordered with the ambient component outside and the
@@ -21,6 +27,7 @@ monomial (graded-lex) inside.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -169,13 +176,29 @@ def generic_jet(n, d, r):
 
 # -- the two construction routes ---------------------------------------------
 
+# more than the shapes a caller cycles through, such as the 30 of n <= 3,
+# d <= 2, r <= 4
+_SHAPES = 64
+
+
+@functools.lru_cache(maxsize=_SHAPES)
+def _generic(n, d, r):
+    """The generic jet of shape (n, d, r) and `taylor_weights` of its
+    offsets, built once per shape and shared by every call: the jet is
+    immutable and the weights are formed when first read, into a table
+    that only grows."""
+    sigma = generic_jet(n, d, r)
+    return sigma, taylor_weights(sigma.offsets())
+
+
 def _expand_generic(polys, n, d, r, expand):
-    """The coefficients of each series of expand(polys, generic jet), one
+    """The coefficients of each series of expand(polys, sigma, weight), one
     per f in polys, as polynomials in the n*ell jet coordinates: f outside,
-    monomial inside."""
+    monomial inside.  sigma is the generic jet of shape (n, d, r) and
+    weight its Taylor weights, both kept per shape (see `_generic`)."""
     mons = graded_monomials(d, r)
     total = n * len(mons)
-    expansions = expand(polys, generic_jet(n, d, r))
+    expansions = expand(polys, *_generic(n, d, r))
     out = []
     for k in range(len(expansions)):
         # one pass over the expansion's table builds all its coefficients;
@@ -189,21 +212,29 @@ def _expand_generic(polys, n, d, r, expand):
     return out
 
 
-def _taylor_compose_all(polys, sigma):
-    """`_taylor_compose` of each f in polys."""
-    return [_taylor_compose(f, sigma) for f in polys]
+def _compose_all(polys, sigma, weight):
+    """The direct route: `series_compose_all` on sigma, which reads no
+    weight and forms its monomials afresh for each call."""
+    return series_compose_all(polys, sigma)
 
 
-def _taylor_compose(f, sigma):
+def _taylor_compose_all(polys, sigma, weight):
+    """`_taylor_compose` of each f in polys, all reading the one weight map
+    of sigma, so that a weight is formed once per shape, not once per
+    polynomial."""
+    return [_taylor_compose(f, sigma, weight) for f in polys]
+
+
+def _taylor_compose(f, sigma, weight):
     """Order-r Taylor expansion of f at the symbolic base point of the
     generic jet sigma, evaluated on its positive-valuation offsets: the sum
     of d_q f (base point) w_q over the multi-degrees q, formed as one
-    `TruncatedSeries.combination`."""
+    `TruncatedSeries.combination`.  `weight` is `taylor_weights` of those
+    offsets; only the w_q of a nonzero d_q f are read."""
     n, r = sigma.n, sigma.order
     ell = math.comb(sigma.dims + r, r)
     # the base-point symbols are the constant-monomial coordinates
     base_index = [i * ell for i in range(n)]
-    weight = taylor_weights(sigma.offsets())
     terms = []
     # d_q f is one derivative of d_p f, p = q - e_l with l the lowest index
     # where q_l > 0; graded order reaches p first
@@ -231,7 +262,7 @@ def jet_space_equations(scheme, d, r):
     """
     names = jet_variable_names(scheme.n, d, r, scheme.names)
     return AffineScheme(len(names), _expand_generic(
-        scheme.equations, scheme.n, d, r, series_compose_all), names)
+        scheme.equations, scheme.n, d, r, _compose_all), names)
 
 
 def jet_space_equations_universal(scheme, d, r):
@@ -251,7 +282,7 @@ def jet_prolong(g, d, r):
     ell = math.comb(d + r, r)
     return AffineMap(g.n * ell, g.m * ell,
                      _expand_generic(g.components, g.n, d, r,
-                                     series_compose_all))
+                                     _compose_all))
 
 
 def jet_prolong_universal(g, d, r):

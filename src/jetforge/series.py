@@ -46,7 +46,9 @@ tuple, built when read: a constant one as a Fraction, any other as a
 `Polynomial` in the a-variables.
 
 All values are immutable after construction and every operation is a pure
-function, so concurrent use needs no synchronization.
+function, so concurrent use needs no synchronization.  The map that
+`taylor_weights` returns keeps the weights it has formed in a table that
+only grows, so threads may share it too.
 """
 
 from __future__ import annotations
@@ -675,22 +677,31 @@ def taylor_weights(offsets):
     """The map q -> prod_i offsets[i]^q[i] / q! over multi-degrees q.
 
     `offsets` are series of positive valuation sharing (dims, order), such as
-    the offsets of a jet; the powers of each are cached across calls.
+    the offsets of a jet.  Each weight is one product, formed when first
+    read: w_q = w_(q - e_l) * offsets[l] / q_l with l the first index where
+    q_l > 0, walking down to the first weight already formed.  The weights
+    go into a table that only grows, the map's `table`, so threads may
+    share one map: two of them at worst form one weight twice, and store
+    equal values.
     """
     one = TruncatedSeries.one(offsets[0].dims, offsets[0].order)
-    powers = [[one] for _ in offsets]
+    table = {(0,) * len(offsets): one}
 
     def weight(q):
-        w = one
-        qfact = 1
-        for cache, s, e in zip(powers, offsets, q):
-            while len(cache) <= e:
-                cache.append(cache[-1] * s)
-            if e:
-                w = w * cache[e]
-                qfact *= math.factorial(e)
-        return w if qfact == 1 else w.scale(Fraction(1, qfact))
+        chain = []
+        while q not in table:
+            l = next(i for i, e in enumerate(q) if e)
+            chain.append((q, l))
+            q = q[:l] + (q[l] - 1,) + q[l + 1:]
+        w = table[q]
+        for q, l in reversed(chain):
+            w = w * offsets[l]
+            if q[l] > 1:
+                w = w.scale(Fraction(1, q[l]))
+            table[q] = w
+        return w
 
+    weight.table = table
     return weight
 
 

@@ -10,8 +10,7 @@ from jetforge.errors import InputError
 from jetforge.examples import legendre_chart, nilpotent_chart
 from jetforge.flags import HodgeData, alpha, flag_of_matrix
 from jetforge.poly import Polynomial, graded_monomials
-from jetforge.scheme import (AffineMap, AffineScheme, dimension_witness,
-                             jet_prolong, jet_space_equations)
+from jetforge.scheme import AffineMap, AffineScheme, dimension_witness
 from jetforge.series import JetPoint, TruncatedSeries
 from jetforge.verify import rand_poly, random_flat_chart
 
@@ -62,17 +61,6 @@ def test_scheme_and_map_round_trip():
     amap = AffineMap(2, 3, [rand_poly(rng, 2, 2) for _ in range(3)])
     back = jio.affine_map_from_json(jio.affine_map_to_json(amap))
     assert back.components == amap.components
-
-
-def test_system_and_polymap_round_trip():
-    scheme = AffineScheme(2, [Polynomial(2, {(2, 0): 1, (0, 2): 1,
-                                             (0, 0): -1})])
-    system = jet_space_equations(scheme, 1, 2)
-    back = jio.polysystem_from_json(jio.polysystem_to_json(system))
-    assert back == system
-    pmap = jet_prolong(AffineMap(1, 1, [Polynomial(1, {(2,): 1})]), 1, 2)
-    back = jio.polymap_from_json(jio.polymap_to_json(pmap))
-    assert back == pmap
 
 
 def test_chart_round_trip_is_bit_exact():
@@ -187,8 +175,8 @@ def _edited(data, path, value):
     (jio.scheme_from_json, {"n": 1, "generators": ["x1"]}, ["n"], 1.0),
     (jio.affine_map_from_json, {"n": 1, "m": 1, "components": ["x1"]},
      ["m"], 1.5),
-    (jio.polymap_from_json, {"source_variables": ["u"], "target_arity": 1,
-                             "components": ["u"]}, ["target_arity"], 1.0),
+    (jio.affine_map_from_json, {"n": 1, "m": 1, "components": ["x1"]},
+     ["n"], True),
     (jio.chart_from_json, _legendre_data(), ["polarization"],
      [[0, 1.5], [-1.5, 0]]),
     (jio.chart_from_json, _legendre_data(), ["weight"], 1.0),
@@ -213,11 +201,6 @@ def test_integer_fields_must_be_integers(load, data, path, value):
                             "generators": ["x^2 - 1"]}, "variables"),
     (jio.affine_map_from_json, {"n": 2, "m": 1, "variables": ["x", "y"],
                                 "components": ["x"]}, "variables"),
-    (jio.polysystem_from_json, {"variables": ["x", "y"],
-                                "equations": ["x"]}, "variables"),
-    (jio.polymap_from_json, {"source_variables": ["u", "v"],
-                             "target_arity": 1, "components": ["u"]},
-     "source_variables"),
     (jio.chart_from_json, jio.chart_to_json(random_flat_chart(
         random.Random(5), 1, 2).chart), "variables"),
 ])

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -14,8 +16,8 @@ from jetforge.scheme import (AffineMap, AffineScheme, apply_prolonged,
                              jet_prolong_universal, jet_space_equations,
                              jet_space_equations_universal, jet_to_coords,
                              coords_to_jet, tangent_rows)
-from jetforge.series import (JetPoint, TruncatedSeries, series_compose,
-                             taylor_weights)
+from jetforge.series import (JetPoint, TruncatedSeries, same_form,
+                             series_compose, taylor_weights)
 from jetforge.verify import (rand_fraction, rand_poly,
                              run_prolong_functoriality_suite, run_tower_suite,
                              run_universal_route_suite)
@@ -182,12 +184,13 @@ class TestUniversalRoutes:
             sigma = scheme_module.generic_jet(n, d, r)
             polys = [rand_poly(rng, n, 3) for _ in range(2)]
             for f in polys:
-                assert scheme_module._taylor_compose(f, sigma) == \
+                assert scheme_module._taylor_compose(
+                    f, sigma, taylor_weights(sigma.offsets())) == \
                     running_sum_taylor(f, sigma)
             amap = AffineMap(n, 2, polys)
             assert list(jet_prolong_universal(amap, d, r).components) == \
                 scheme_module._expand_generic(
-                    polys, n, d, r, lambda fs, sigma: [
+                    polys, n, d, r, lambda fs, sigma, weight: [
                         running_sum_taylor(f, sigma) for f in fs])
 
     def test_jet_space_of_a_jet_space(self):
@@ -198,6 +201,152 @@ class TestUniversalRoutes:
         assert direct.normalized() == universal.normalized()
         assert direct.n == 8 and len(direct.equations) == 4
         assert direct.names[:2] == ("a_a_x_0_0", "a_a_x_0_1")
+
+
+def seeded_shape_cases(seed, count):
+    """(n, d, r, polys) with n <= 3, d <= 2, r <= 4 and 1-2 cubics."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        n, d, r = rng.randint(1, 3), rng.randint(1, 2), rng.randint(0, 4)
+        cases.append((n, d, r, [rand_poly(rng, n, 3)
+                                for _ in range(rng.randint(1, 2))]))
+    return cases
+
+
+def count_series_products(monkeypatch):
+    """Record every `TruncatedSeries` product; the Taylor route forms
+    them only in its weights."""
+    products = []
+    original = TruncatedSeries.__mul__
+
+    def counting(self, other):
+        products.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
+    monkeypatch.setattr(TruncatedSeries, "__rmul__", counting)
+    return products
+
+
+class TestSharedShapes:
+    """The generic jet and Taylor weights kept per shape (n, d, r)."""
+
+    def test_warm_and_cold_calls_give_the_same_stored_forms(self):
+        for n, d, r, polys in seeded_shape_cases(5, 14):
+            builds = [
+                lambda: scheme_module._taylor_compose_all(
+                    polys, *scheme_module._generic(n, d, r)),
+                lambda: jet_space_equations_universal(
+                    AffineScheme(n, polys), d, r).equations,
+                lambda: jet_prolong_universal(
+                    AffineMap(n, len(polys), polys), d, r).components]
+            cold = []
+            for build in builds:
+                scheme_module._generic.cache_clear()
+                cold.append(build())
+            warm = [build() for build in builds]
+            assert all(map(same_form, cold[0], warm[0]))
+            # Polynomial equality compares stored forms
+            assert cold[1:] == warm[1:]
+
+    def test_kept_weights_are_the_weights_of_a_fresh_generic_jet(self):
+        scheme_module._generic.cache_clear()
+        for n, d, r, polys in seeded_shape_cases(9, 8):
+            jet_prolong_universal(AffineMap(n, len(polys), polys), d, r)
+            kept = scheme_module._generic(n, d, r)[1]
+            fresh = taylor_weights(
+                scheme_module.generic_jet(n, d, r).offsets())
+            assert kept.table
+            for q, w in list(kept.table.items()):
+                assert same_form(w, fresh(q))
+
+    def test_a_repeated_shape_forms_no_weight(self, monkeypatch):
+        scheme_module._generic.cache_clear()
+        products = count_series_products(monkeypatch)
+        for n, d, r, polys in seeded_shape_cases(13, 6):
+            amap = AffineMap(n, len(polys), polys)
+            first = jet_prolong_universal(amap, d, r)
+            weights = len(scheme_module._generic(n, d, r)[1].table)
+            del products[:]
+            assert jet_prolong_universal(amap, d, r) == first
+            assert jet_space_equations_universal(
+                AffineScheme(n, polys), d, r).equations == first.components
+            assert products == []
+            assert len(scheme_module._generic(n, d, r)[1].table) == weights
+
+    def test_one_shape_call_forms_each_weight_once(self, monkeypatch):
+        # the four cubics in 2 variables read w_q for every |q| <= 3: each
+        # of the 9 with |q| > 0 is one `*` (by one, returned as is, when
+        # |q| = 1), whichever of the four equations reads it first
+        scheme_module._generic.cache_clear()
+        products = count_series_products(monkeypatch)
+        x, y = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+        jet_space_equations_universal(
+            AffineScheme(2, [x ** 3, x * x * y, x * y * y, y ** 3]), 1, 4)
+        assert len(products) == 9
+        assert len(scheme_module._generic(2, 1, 4)[1].table) == 10
+
+    def test_weights_stay_lazy_at_high_order(self):
+        scheme_module._generic.cache_clear()
+        cubic = AffineScheme(1, [P(1, {(3,): 1, (0,): -1})])
+        universal = jet_space_equations_universal(cubic, 1, 40)
+        assert len(scheme_module._generic(1, 1, 40)[1].table) <= 4
+        assert universal == jet_space_equations(cubic, 1, 40)
+
+    def test_the_table_is_bounded(self):
+        scheme_module._generic.cache_clear()
+        line = AffineScheme(1, [P(1, {(1,): 1})])
+        for r in range(scheme_module._SHAPES + 5):
+            jet_space_equations_universal(line, 1, r)
+        info = scheme_module._generic.cache_info()
+        assert info.currsize == info.maxsize == scheme_module._SHAPES
+
+    def test_threads_sharing_shapes_get_the_single_threaded_output(self):
+        # shapes whose squared offsets take milliseconds to form, so that
+        # threads meet while forming them
+        shapes = [(1, 2, 14), (2, 2, 8), (1, 1, 60)]
+        rng = random.Random(29)
+        cases = [(n, d, r, [rand_poly(rng, n, 3, density=1.0)])
+                 for n, d, r in shapes]
+        routes = [lambda n, d, r, polys: jet_space_equations_universal(
+                      AffineScheme(n, polys), d, r).equations,
+                  lambda n, d, r, polys: jet_prolong_universal(
+                      AffineMap(n, 1, polys), d, r).components]
+        expected = [routes[0](*case) for case in cases]
+        assert expected == [routes[1](*case) for case in cases]
+        start = threading.Barrier(4, timeout=60)
+        results, errors = [], []
+
+        def work():
+            try:
+                for route in routes:
+                    for k, (n, d, r, polys) in enumerate(cases):
+                        # one thread clears the table and makes the shape's
+                        # entry, with no weight formed; then all start on it
+                        if start.wait() == 0:
+                            scheme_module._generic.cache_clear()
+                            scheme_module._generic(n, d, r)
+                        start.wait()
+                        results.append((k, route(n, d, r, polys)))
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+                start.abort()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(results) == 4 * len(routes) * len(cases)
+        assert all(result == expected[k] for k, result in results)
 
 
 class TestMembership:

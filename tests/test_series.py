@@ -9,7 +9,8 @@ from jetforge.errors import (ArityMismatch, DimensionMismatch,
 from jetforge.poly import Polynomial, graded_monomials
 from jetforge.scheme import generic_jet
 from jetforge.series import (JetPoint, TruncatedSeries, same_form,
-                             series_compose, series_compose_all)
+                             series_compose, series_compose_all,
+                             taylor_weights)
 
 
 def S(dims, order, coeffs):
@@ -185,6 +186,36 @@ class TestCompose:
         assert series_compose(x ** 3000, generic_jet(2, 1, 1)).coefficient(
             (1,)) == 3000 * Polynomial.variable(0, 4) ** 2999 \
             * Polynomial.variable(1, 4)
+
+
+class TestTaylorWeights:
+    def test_weights_are_the_scaled_products_of_powers(self):
+        # read in reverse graded order, so that most weights walk down to
+        # a lower one first
+        rng = random.Random(41)
+        for case in range(8):
+            n, d, r = rng.randint(1, 3), rng.randint(1, 2), rng.randint(0, 4)
+            jet = generic_jet(n, d, r) if case % 2 else JetPoint(
+                [rand_series(rng, d, r) for _ in range(n)])
+            offsets = jet.offsets()
+            weight = taylor_weights(offsets)
+            for q in reversed(graded_monomials(n, r)):
+                expected = TruncatedSeries.one(d, r)
+                for s, e in zip(offsets, q):
+                    if e:
+                        expected = expected * s ** e
+                expected = expected.scale(Fraction(
+                    1, math.prod(map(math.factorial, q))))
+                assert same_form(weight(q), expected)
+            assert len(weight.table) == math.comb(n + r, r)
+
+    def test_only_the_weights_read_and_their_chain_are_formed(self):
+        weight = taylor_weights(generic_jet(2, 1, 6).offsets())
+        weight((0, 3))
+        assert sorted(weight.table) == [(0, 0), (0, 1), (0, 2), (0, 3)]
+        weight((2, 1))
+        assert sorted(weight.table) == [(0, 0), (0, 1), (0, 2), (0, 3),
+                                        (1, 1), (2, 1)]
 
 
 class TestRestrict:
