@@ -27,13 +27,15 @@ generic series in two t's over 45 jet coordinates stays under 1000 bits
 the text form) give exponent tuples.
 
 The module functions `*_terms` are the arithmetic of sparse tables for
-`Polynomial` and `series.TruncatedSeries`.  Only `pack` and
-`rational_table` check their input; the others map canonical tables to
+`Polynomial` and `series.TruncatedSeries`.  Only `pack`, `rational_table`
+and `parse_table` check their input; the others map canonical tables to
 canonical tables, since over the integral domains Z, Q and Q[x] only a sum
 can cancel to zero.  Rational tables of either class run them on the
 integer numerators and keep the denominator with the functions under
 "rational tables": one lcm to clear Fractions, one gcd to reduce a result
-(the content and primitive part of Knuth, TAOCP vol. 2, 4.6.1).
+(the content and primitive part of Knuth, TAOCP vol. 2, 4.6.1).  Univariate
+division and gcd read the numerators as dense integer lists, and text is
+read into a table in one pass over its tokens.
 """
 
 from __future__ import annotations
@@ -134,8 +136,7 @@ def rational_table(pairs, arity, limit=None, mismatch=ArityMismatch):
     """(numerators, denominator) of caller input in lowest terms, given as
     (exponent, coefficient) pairs: exponents checked by `pack`, those whose
     key reaches `limit` dropped, coefficients ints or Fractions (else
-    TypeError), repeats summed and zeros dropped.  One pass reads the
-    pairs; the lcm of their denominators scales the numerators."""
+    TypeError), repeats summed and zeros dropped."""
     keys, nums, dens = [], [], []
     for expo, c in pairs:
         key = pack(expo, arity, mismatch)
@@ -152,6 +153,14 @@ def rational_table(pairs, arity, limit=None, mismatch=ArityMismatch):
             keys.append(key)
             nums.append(n)
             dens.append(d)
+    return fraction_table(keys, nums, dens)
+
+
+def fraction_table(keys, nums, dens):
+    """(numerators, denominator) in lowest terms of the terms nums[i] /
+    dens[i] at keys[i], each numerator nonzero and each denominator
+    positive: the lcm of the denominators scales the numerators, repeats
+    are summed and zeros dropped."""
     den = math.lcm(*dens)
     table = {}
     for key, n, d in zip(keys, nums, dens):
@@ -293,6 +302,109 @@ def primitive_parts(polys):
     return [Polynomial._new(f.arity, table if g in (0, 1) else
                             {p: n // g for p, n in table.items()}, 1)
             for f, table in zip(polys, tables)]
+
+
+def over_primitive(num, den):
+    """num / den as num * c / (den * c), for the one rational c that makes
+    den primitive with integer coefficients and a positive leading
+    coefficient."""
+    table = den._table
+    g = math.gcd(*table.values())
+    if table[leading_exponent(table, den.arity)] < 0:
+        g = -g
+    # c = den._den / g
+    scale = den._den if g > 0 else -den._den
+    return (Polynomial._new(num.arity, *lowest_terms(
+                {p: n * scale for p, n in num._table.items()},
+                num._den * abs(g))),
+            Polynomial._new(den.arity, table if g == 1 else
+                            {p: n // g for p, n in table.items()}, 1))
+
+
+# -- univariate division and gcd on dense integer coefficient lists ----------
+
+def _dense(f):
+    """The numerators of a univariate polynomial as a list, constant term
+    first, and its denominator."""
+    if f.arity != 1:
+        raise ArityMismatch(f"expected one variable, got {f.arity}")
+    coeffs = [0] * (f.degree() + 1)
+    for p, n in f._table.items():
+        coeffs[p & FIELD] = n
+    return coeffs, f._den
+
+
+def _from_dense(coeffs, den):
+    """The univariate polynomial sum coeffs[e] x^e / den, den > 0."""
+    step = (1 << BITS) + 1  # the key of x
+    return Polynomial._new(1, *lowest_terms(
+        {e * step: c for e, c in enumerate(coeffs) if c}, den))
+
+
+def _divide(a, b):
+    """(q, r, s) with s * a = q * b + r, s > 0 and len(r) < len(b), for
+    dense integer lists a and b, b's last entry nonzero, r without zero
+    top entries.  The remainder is scaled at a step only by what makes
+    the next quotient entry an integer, |lc(b)| / gcd(top, lc(b))."""
+    r = list(a)
+    n = len(b) - 1
+    lead = b[-1]
+    s = 1
+    steps = []
+    for i in range(len(r) - 1 - n, -1, -1):
+        top = r.pop()
+        if top:
+            g = math.gcd(top, lead)
+            f = abs(lead) // g
+            if f != 1:
+                r = [c * f for c in r]
+                s *= f
+            c = top // g if lead > 0 else -(top // g)
+            for j in range(n):
+                r[i + j] -= c * b[j]
+            steps.append((i, c, s))
+    q = [0] * max(len(a) - n, 0)
+    for i, c, si in steps:
+        q[i] = c * (s // si)
+    while r and not r[-1]:
+        r.pop()
+    return q, r, s
+
+
+def _primitive(coeffs):
+    """A dense integer list over the gcd of its entries, with its last
+    entry positive."""
+    g = math.gcd(*coeffs)
+    if coeffs[-1] < 0:
+        g = -g
+    return coeffs if g == 1 else [c // g for c in coeffs]
+
+
+def univ_divmod(a, b):
+    """Quotient and remainder over Q of univariate polynomials, b nonzero:
+    one integer division of the numerators (see `_divide`)."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    (num, den), (bnum, bden) = _dense(a), _dense(b)
+    q, r, s = _divide(num, bnum)
+    return _from_dense([c * bden for c in q], s * den), _from_dense(r, s * den)
+
+
+def univ_gcd(a, b):
+    """The gcd of univariate polynomials in primitive integer form with a
+    positive leading coefficient, zero when both are zero: the primitive
+    remainder sequence of the numerators (Brown, JACM 1971; Knuth, TAOCP
+    vol. 2, 4.6.1)."""
+    a, b = _dense(a)[0], _dense(b)[0]
+    if not a:
+        a, b = b, a
+    if not a:
+        return Polynomial.zero(1)
+    a = _primitive(a)
+    while b:
+        b = _primitive(b)
+        a, b = b, _divide(a, b)[1]
+    return _from_dense(a, 1)
 
 
 class Polynomial:
@@ -524,41 +636,11 @@ class Polynomial:
     @classmethod
     def from_string(cls, text, names):
         """Parse the textual form; tolerates '-' separators, bare variables
-        and omitted '^1' exponents.
-
-        The text is read as tokens, so '+' and '-' separate terms everywhere
-        except inside the decimal exponent of a number such as 1e-3.
-        """
+        and omitted '^1' exponents (see `parse_table`)."""
         if not isinstance(text, str):
             raise InputError(
                 f"expected polynomial text, got {type(text).__name__}")
-        index = {n: i for i, n in enumerate(names)}
-        arity = len(names)
-        if len(index) != arity:
-            raise InputError("repeated variable name")
-        pairs = []
-        for sign, factors in _split_terms(text):
-            coeff = Fraction(sign)
-            expo = [0] * arity
-            for factor in factors:
-                kind, value = factor[0]
-                if kind == "number" and len(factor) == 1:
-                    try:
-                        coeff *= Fraction(value)
-                    except (ValueError, ZeroDivisionError):
-                        raise InputError(f"bad coefficient {value!r}") from None
-                elif kind == "name" and (len(factor) == 1 or (
-                        len(factor) == 3 and factor[1] == ("op", "^")
-                        and factor[2][1].isdecimal())):
-                    if value not in index:
-                        raise InputError(f"unknown variable {value!r}")
-                    expo[index[value]] += \
-                        int(factor[2][1]) if len(factor) == 3 else 1
-                else:
-                    raise InputError("bad factor " + repr(
-                        "".join(v for _, v in factor)))
-            pairs.append((expo, coeff))
-        return cls._new(arity, *rational_table(pairs, arity))
+        return cls._new(len(names), *parse_table(text, names))
 
     def __repr__(self):
         return f"Polynomial({self.to_string()!r})"
@@ -568,6 +650,8 @@ class Polynomial:
 _set_arity, _set_table, _set_den, _set_terms = (
     getattr(Polynomial, name).__set__ for name in Polynomial.__slots__)
 
+
+# -- polynomial text -------------------------------------------------------------
 
 # A number (digits, an optional '/q', decimal point or decimal exponent), a
 # name (a letter or '_', then anything but blanks and operators), an
@@ -579,41 +663,120 @@ _TOKEN = re.compile(r"""\s*(?:
   | (?P<other>\S)
 )""", re.VERBOSE)
 
+# a decimal number with an exponent, as `Fraction` reads it; group 1 holds
+# the exponent's digits
+_DECIMAL_EXPONENT = re.compile(
+    r"(?=\d|\.\d)(?:\d*|\d+(?:_\d+)*)(?:\.(?:\d*|\d+(?:_\d+)*))?"
+    r"[eE][-+]?(\d+(?:_\d+)*)")
 
-def _split_terms(text):
-    """The terms of polynomial text as (sign, factors), each factor a list
-    of (kind, value) tokens.
 
-    Empty terms are skipped after '+' and at the start, so '+ -x' reads as
-    '-x'; an empty term after '-' is an error.
+def parse_table(text, names):
+    """(numerators, denominator) of polynomial text in the variables
+    `names`, read in one pass over its tokens.
+
+    A term is a '*'-product of numbers and factors 'name' or 'name^k';
+    '+' and '-' separate terms everywhere except inside the decimal
+    exponent of a number such as 1e-3.  Empty terms are skipped after '+'
+    and at the start, so '+ -x' reads as '-x'; an empty term after '-' is
+    an error.  Each term's key is packed as its term ends.  Of several
+    errors the one raised is an unexpected character, else an empty term
+    or factor, else a bad factor, else a term of total degree at the
+    bound: the first of its rank in the text.
     """
-    terms = [(1, [])]
-    for match in _TOKEN.finditer(text.rstrip()):
-        kind = match.lastgroup
-        value = match.group(kind)
-        if kind == "other":
-            raise InputError(f"unexpected character {value!r}")
-        if kind == "op" and value in "+-":
-            terms.append((1 if value == "+" else -1, []))
-        else:
-            terms[-1][1].append((kind, value))
-    out = []
-    for sign, tokens in terms:
-        if not tokens:
-            if sign < 0:
-                raise InputError("a '-' is not followed by a term")
+    arity = len(names)
+    index = {name: i for i, name in enumerate(names)}
+    if len(index) != arity:
+        raise InputError("repeated variable name")
+    tokens = _TOKEN.findall(text.rstrip())
+    tokens.append(("", "", "+", ""))  # ends the last term
+    keys, nums, dens = [], [], []
+    # the first error of each rank below an unexpected character
+    shape = factor = degree = None
+    # the term's sign, its first token, the first token of its last factor
+    sign, start, first = 1, 0, 0
+    num, den, expo, hollow = 1, 1, [0] * arity, False
+    for i, (_, _, op, other) in enumerate(tokens):
+        if other:
+            raise InputError(f"unexpected character {other!r}")
+        if op in ("", "^"):
             continue
-        factors = [[]]
-        for token in tokens:
-            if token == ("op", "*"):
-                factors.append([])
+        if i == first:
+            hollow = hollow or op == "*" or i > start
+        elif not (shape or factor):
+            try:
+                n, d = _read_factor(tokens[first:i], index, expo)
+            except InputError as exc:
+                factor = exc
             else:
-                factors[-1].append(token)
-        if not all(factors):
-            raise InputError("empty factor in term " + repr(
-                "".join(v for _, v in tokens)))
-        out.append((sign, factors))
-    return out
+                num *= n
+                den *= d
+        first = i + 1
+        if op == "*":
+            continue
+        if i == start:
+            if sign < 0 and not shape:
+                shape = InputError("a '-' is not followed by a term")
+        elif hollow:
+            if not shape:
+                shape = InputError("empty factor in term " + repr(
+                    "".join(map("".join, tokens[start:i]))))
+        elif not (shape or factor or degree):
+            key = sum(expo)
+            if key >= BOUND:
+                degree = past_bound(f"the total degree of {tuple(expo)}")
+            elif num:
+                for e in expo:
+                    key = key << BITS | e
+                keys.append(key)
+                nums.append(sign * num)
+                dens.append(den)
+        sign, start = (1 if op == "+" else -1), first
+        num, den, expo, hollow = 1, 1, [0] * arity, False
+    for error in (shape, factor, degree):
+        if error:
+            raise error
+    return fraction_table(keys, nums, dens)
+
+
+def _read_factor(tokens, index, expo):
+    """The (numerator, denominator) a factor of a term multiplies its
+    coefficient by: a number's, or (1, 1) for a variable, whose exponent
+    is added into `expo`."""
+    number, name, _, _ = tokens[0]
+    if number and len(tokens) == 1:
+        return _read_number(number)
+    if name and (len(tokens) == 1 or len(tokens) == 3 and tokens[1][2] == "^"
+                 and tokens[2][0].isdecimal()):
+        if name not in index:
+            raise InputError(f"unknown variable {name!r}")
+        try:
+            expo[index[name]] += int(tokens[2][0]) if len(tokens) == 3 else 1
+        except ValueError:  # more digits than int() reads
+            raise past_bound(f"an exponent of {name!r}") from None
+        return 1, 1
+    raise InputError("bad factor " + repr("".join(map("".join, tokens))))
+
+
+def _read_number(text):
+    """(numerator, positive denominator) of a number token: digits and
+    digits/digits as ints, other forms through `Fraction` once a decimal
+    exponent is seen to stay below `BOUND`."""
+    try:
+        if text.isascii():
+            if text.isdigit():
+                return int(text), 1
+            p, slash, q = text.partition("/")
+            if slash and p.isdigit() and q.isdigit() and q.strip("0"):
+                return int(p), int(q)
+        exponent = _DECIMAL_EXPONENT.fullmatch(text)
+        if exponent:
+            digits = exponent[1].replace("_", "").lstrip("0")
+            if len(digits) > len(str(BOUND)) or int(digits or 0) >= BOUND:
+                raise past_bound(f"the decimal exponent of {text!r}")
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"bad coefficient {text!r}") from None
+    return value.numerator, value.denominator
 
 
 def terms_to_string(terms, arity, names, times, den=1):

@@ -3,7 +3,11 @@
 A rational function is a pair of polynomials in the chart coordinates.  The
 denominator is kept integer-primitive with positive leading coefficient, and
 univariate pairs are reduced by their gcd so that repeated differentiation
-(quotient rule) does not pile up spurious factors.
+(quotient rule) does not pile up spurious factors.  The gcd and the division
+by it run in `poly` on dense integer coefficient lists (a primitive
+remainder sequence, and a division that scales the remainder only as far as
+each quotient coefficient needs), and the denominator is made primitive by
+one integer gcd, so none of them forms a Fraction per step.
 """
 
 from __future__ import annotations
@@ -11,33 +15,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ArityMismatch, NotAUnit, SingularPoint
-from .poly import Polynomial
+from .poly import (Polynomial, over_primitive, univ_divmod as _univ_divmod,
+                   univ_gcd as _univ_gcd)
 from .series import series_compose_all
-
-
-def _univ_divmod(a, b):
-    """Quotient and remainder of univariate polynomials (b nonzero)."""
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    q = Polynomial.zero(1)
-    r = a
-    db = b.degree()
-    lb = b.leading()[1]
-    while not r.is_zero() and r.degree() >= db:
-        dr = r.degree()
-        c = r.leading()[1] / lb
-        mono = Polynomial(1, {(dr - db,): c})
-        q = q + mono
-        r = r - mono * b
-    return q, r
-
-
-def _univ_gcd(a, b):
-    while not b.is_zero():
-        a, b = b, _univ_divmod(a, b)[1]
-    if a.is_zero():
-        return a
-    return a.normalized()
 
 
 def _times(p, q):
@@ -67,10 +47,7 @@ class RationalFunction:
                 den = _univ_divmod(den, g)[0]
         # the constant denominator 1 is already in normal form
         if not den._is_one():
-            dnorm = den.normalized()
-            scale = dnorm.leading()[1] / den.leading()[1]
-            num = num * scale
-            den = dnorm
+            num, den = over_primitive(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

@@ -15,9 +15,10 @@ provided:
 
 The generic jet and its Taylor weights w_q = offsets^q / q! depend on the
 shape (n, d, r) alone, so both are built once per shape and kept in a
-bounded table that every call of either route reads; the weights are
-formed lazily, only those of a nonzero partial of some polynomial.  The
-direct route's monomials stay per call.
+bounded table that every call of either route reads, for shapes of a few
+dozen jet coordinates; the weights are formed lazily, only those of a
+nonzero partial of some polynomial.  The direct route's monomials stay per
+call.
 
 Both return the same `AffineScheme` or `AffineMap` after normalization;
 the equality is checked in the test suite.
@@ -178,7 +179,12 @@ def generic_jet(n, d, r):
 
 # more than the shapes a caller cycles through, such as the 30 of n <= 3,
 # d <= 2, r <= 4
-_SHAPES = 64
+_SHAPES = 45
+# the most jet coordinates n * C(d + r, d) of a kept shape: the 45 of the
+# largest of those 30, n = 3, d = 2, r = 4.  A larger shape builds its jet
+# and weights for the call alone; kept, its weights could hold megabytes
+# (10.8 MB for x1^3 - 1 at d = 1, r = 100).
+_COORDINATES = 45
 
 
 @functools.lru_cache(maxsize=_SHAPES)
@@ -195,10 +201,12 @@ def _expand_generic(polys, n, d, r, expand):
     """The coefficients of each series of expand(polys, sigma, weight), one
     per f in polys, as polynomials in the n*ell jet coordinates: f outside,
     monomial inside.  sigma is the generic jet of shape (n, d, r) and
-    weight its Taylor weights, both kept per shape (see `_generic`)."""
+    weight its Taylor weights, both kept per shape (see `_generic`) when
+    the shape has at most `_COORDINATES` jet coordinates."""
     mons = graded_monomials(d, r)
     total = n * len(mons)
-    expansions = expand(polys, *_generic(n, d, r))
+    build = _generic if total <= _COORDINATES else _generic.__wrapped__
+    expansions = expand(polys, *build(n, d, r))
     out = []
     for k in range(len(expansions)):
         # one pass over the expansion's table builds all its coefficients;

@@ -674,8 +674,9 @@ class TestInputErrors:
     def test_exponent_at_the_bound(self, tmp_path, capsys):
         # exponents below the bound are exact and one at it is refused,
         # with no traceback, where it would overflow a field of a packed key
+        # or have more digits than int() reads
         path = tmp_path / "scheme.json"
-        for exponent, code in ((BOUND, 2), (200000, 0)):
+        for exponent, code in ((BOUND, 2), (200000, 0), ("1" * 5000, 2)):
             path.write_text(json.dumps({
                 "n": 1, "variables": ["x1"],
                 "generators": [f"x1^{exponent} - 1"]}))
@@ -684,6 +685,18 @@ class TestInputErrors:
             captured = capsys.readouterr()
             assert "Traceback" not in captured.err
             assert (captured.out == "") == (code == 2)
+            assert ("exponent bound" in captured.err) == (code == 2)
+
+    def test_decimal_exponent_at_the_bound(self, capsys):
+        # a coefficient such as 1e1000000 is refused before its power of
+        # ten is formed; one just below the bound is read
+        for text, code in ((f"1e{BOUND} + 1 * t1^1", 2),
+                           ("1e-1000000 * t1^1", 2),
+                           ("1e-300 + 1 * t1^1", 0)):
+            jet = json.dumps({"d": 1, "r": 1, "series": [text, "1"]})
+            assert run(["nondeg", "--jet", jet]) == code
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err
             assert ("exponent bound" in captured.err) == (code == 2)
 
     def test_repeated_variable_names(self, tmp_path, capsys):

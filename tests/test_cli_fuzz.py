@@ -46,7 +46,9 @@ COMMANDS = {
 LEAVES = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 3),
     st.sampled_from(["", "0", "1", "-1/2", "1/0", "x", "z1", "t1", "t1^-1",
-                     "1e-3 * t1^1", "z1^2 - 1", "w_9_9", "xe-y", "abc"]),
+                     "1e-3 * t1^1", "z1^2 - 1", "w_9_9", "xe-y", "abc",
+                     "1e999999", "3/0", "\u0663", "x^\u0663", "1_0", "--x",
+                     "+-"]),
     st.text(alphabet="xyzt1209^*+-/. e_(", max_size=8),
     st.just([]), st.just({}), st.just([[1, 2]]),
     st.lists(st.integers(-1, 2), max_size=3))

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -353,3 +354,227 @@ class TestExponentBound:
                      lambda: TruncatedSeries(1, 2 ** 21, {(400000,): 1})):
             with pytest.raises(InputError):
                 make()
+
+
+# -- polynomial text ----------------------------------------------------------
+
+NAME_SETS = [["x", "y", "z"], ["xe", "ye", "e"], ["x1", "x2", "x3"],
+             ["lambda", "mu_e", "nu"]]
+BLANKS = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def number_text(draw, value):
+    """Text of the Fraction |value| >= 0 as one or two number factors:
+    p/q, a decimal point or a decimal exponent, times 10^k/q or 1/q where
+    that form needs it."""
+    p, q = abs(value.numerator), value.denominator
+    form = draw(st.sampled_from(["fraction", "decimal", "exponent"]))
+    k = draw(st.integers(1, 3))
+    if form == "fraction":
+        return str(p) if q == 1 and draw(st.booleans()) else f"{p}/{q}"
+    if form == "decimal":
+        whole, part = divmod(p, 10 ** k)
+        lead = "" if not whole and draw(st.booleans()) else str(whole)
+        return f"{lead}.{part:0{k}d}*{10 ** k}/{q}"
+    e = draw(st.sampled_from("eE"))
+    if draw(st.booleans()):
+        return f"{p}{e}{draw(st.sampled_from(['', '+']))}{k}*1/{q * 10 ** k}"
+    return f"{p}{e}-{k}*{10 ** k}/{q}"
+
+
+@st.composite
+def term_text(draw, expo, value, names):
+    """One term's factors in any order: its number (left out when it is 1
+    and a variable follows) and each variable as 'x^e', 'x' for x^1, or
+    split into repeated factors."""
+    factors = []
+    for name, e in zip(names, expo):
+        while e:
+            part = draw(st.integers(1, e))
+            factors.append(name if part == 1 and draw(st.booleans())
+                           else f"{name}^{part}")
+            e -= part
+    if abs(value) != 1 or not factors or draw(st.booleans()):
+        factors.append(draw(number_text(value)))
+    factors = draw(st.permutations(factors))
+    return "".join(f + draw(BLANKS) + "*" + draw(BLANKS)
+                   for f in factors[:-1]) + factors[-1]
+
+
+@st.composite
+def rendered_terms(draw):
+    """(names, terms, text): a term list in 1-3 variables, repeats and
+    zero coefficients allowed, and one rendering of it."""
+    arity = draw(st.integers(1, 3))
+    names = draw(st.sampled_from(NAME_SETS))[:arity]
+    terms = draw(st.lists(st.tuples(
+        st.tuples(*[st.integers(0, 3)] * arity),
+        st.builds(Fraction, st.integers(-6, 6), st.integers(1, 8))),
+        max_size=5))
+    if terms and draw(st.booleans()):
+        terms.append(terms[0])
+    text = draw(BLANKS)
+    for k, (expo, value) in enumerate(terms):
+        body = draw(term_text(expo, value, names))
+        if value < 0:
+            sep = draw(st.sampled_from(["-", "+ -", "+-"]))
+        else:
+            sep = "+" if k else draw(st.sampled_from(["", "+"]))
+        text += sep + draw(BLANKS) + body + draw(BLANKS)
+    return names, terms, text
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(rendered_terms())
+def test_every_rendering_parses_to_the_stored_form(case):
+    names, terms, text = case
+    summed = {}
+    for expo, value in terms:
+        summed[expo] = summed.get(expo, 0) + value
+    want = Polynomial(len(names), summed)
+    for source in (text, want.to_string(names)):
+        got = Polynomial.from_string(source, names)
+        assert (got.arity, got._table, got._den) == \
+            (want.arity, want._table, want._den)
+
+
+# the messages of refused text; the first of several errors is, in rank, an
+# unexpected character, an empty term or factor, a bad factor, a degree at
+# the bound
+REFUSED = [
+    ("x^2.5", "bad factor 'x^2.5'"),
+    ("x^", "bad factor 'x^'"),
+    ("x^-2", "bad factor 'x^'"),
+    ("x -", "a '-' is not followed by a term"),
+    ("2x", "bad coefficient '2x'"),
+    ("x y", "bad factor 'xy'"),
+    ("(x)", "unexpected character '('"),
+    ("x**2", "empty factor in term 'x**2'"),
+    (5, "expected polynomial text, got int"),
+    ("1/0", "bad coefficient '1/0'"),
+    ("w + 1", "unknown variable 'w'"),
+    ("+ -", "a '-' is not followed by a term"),
+    ("x*", "empty factor in term 'x*'"),
+    ("x^3/4", "bad factor 'x^3/4'"),
+    (f"x^{BOUND}", f"the total degree of ({BOUND}, 0) reaches the exponent "
+                   "bound 2^19"),
+    (f"x^{BOUND // 2}*y^{BOUND // 2}", f"the total degree of ({BOUND // 2}, "
+                                       f"{BOUND // 2}) reaches the exponent "
+                                       "bound 2^19"),
+    ("1e1000000 * x", "the decimal exponent of '1e1000000' reaches the "
+                      "exponent bound 2^19"),
+    ("2x + y**2 + @", "unexpected character '@'"),
+    ("x^2.5 + y**2", "empty factor in term 'y**2'"),
+    (f"x^{BOUND} + 2x", "bad coefficient '2x'"),
+    # more digits than int() reads: a traceback before
+    ("x^" + "1" * 5000, "an exponent of 'x' reaches the exponent bound 2^19"),
+]
+
+
+@pytest.mark.parametrize("text, message", REFUSED)
+def test_refused_text_keeps_its_message(text, message):
+    with pytest.raises(InputError) as info:
+        Polynomial.from_string(text, ["x", "y"])
+    assert str(info.value) == message
+
+
+def test_decimal_exponents_stay_below_the_bound():
+    # the exponent is refused before Fraction forms 10^exponent
+    for text in (f"1e{BOUND}", f"1E-{BOUND}", "2.5e+1_000_000",
+                 "3.e" + "9" * 5000):
+        with pytest.raises(InputError, match="exponent bound"):
+            Polynomial.from_string(text, ["x"])
+    assert Polynomial.from_string(f"1e{BOUND - 1}*x", ["x"]) == \
+        Polynomial(1, {(1,): 10 ** (BOUND - 1)})
+    assert Polynomial.from_string("1e-3 + 2.5E+1*x + .5e1_0", ["x"]) == \
+        Polynomial(1, {(0,): Fraction(1, 1000) + 5 * 10 ** 9, (1,): 25})
+
+
+# -- univariate division and gcd ----------------------------------------------
+
+X = sympy.Symbol("x")
+
+
+def to_sympy(p):
+    return sympy.Poly(p.to_string(["x"]).replace("^", "**"), X, domain="QQ")
+
+
+def from_sympy(p):
+    return Polynomial(1, {(e,): Fraction(int(c.p), int(c.q)) for (e,), c in
+                          p.as_dict().items()})
+
+
+def univariate(coeffs):
+    return Polynomial(1, {(e,): c for e, c in enumerate(coeffs)})
+
+
+fractions_q = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+dense = st.lists(fractions_q, max_size=5)
+
+
+@st.composite
+def univariate_pairs(draw):
+    """(a, b) in Q[x] with a planted common factor, at times zero or
+    constant operands and negative leading coefficients."""
+    common = univariate(draw(dense))
+    pair = []
+    for _ in range(2):
+        kind = draw(st.sampled_from(["product", "product", "zero",
+                                     "constant", "negated"]))
+        f = univariate(draw(dense)) * common
+        if kind == "zero":
+            f = Polynomial.zero(1)
+        elif kind == "constant":
+            f = Polynomial.const(draw(fractions_q), 1)
+        elif kind == "negated" and f:
+            f = -f.normalized() * Fraction(draw(st.integers(1, 9)), 4)
+        pair.append(f)
+    return tuple(pair)
+
+
+def is_stored_form(p):
+    return p._den > 0 and math.gcd(p._den, *p._table.values()) == 1
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(univariate_pairs())
+def test_univariate_gcd_is_the_primitive_form_of_sympys(pair):
+    a, b = pair
+    g = sympy.gcd(to_sympy(a), to_sympy(b))
+    if g.is_zero:
+        want = Polynomial.zero(1)
+    else:
+        want = from_sympy(g).normalized()
+    got = ratfunc._univ_gcd(a, b)
+    assert (got._table, got._den) == (want._table, want._den)
+    assert not got or got.leading()[1] > 0
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(univariate_pairs())
+def test_univariate_divmod_is_division_over_q(pair):
+    a, b = pair
+    if not b:
+        with pytest.raises(ZeroDivisionError):
+            ratfunc._univ_divmod(a, b)
+        return
+    q, r = ratfunc._univ_divmod(a, b)
+    assert q * b + r == a
+    assert r.degree() < b.degree() or (r.is_zero() and b.degree() == 0)
+    assert is_stored_form(q) and is_stored_form(r)
+    sq, sr = sympy.div(to_sympy(a), to_sympy(b))
+    assert (q, r) == (from_sympy(sq), from_sympy(sr))
+
+
+def test_division_by_a_negative_leading_coefficient():
+    # each quotient step divides by lc(b) < 0: no sign is left in the
+    # scale of the remainder
+    x = Polynomial.variable(0, 1)
+    a = 3 * x ** 4 - x ** 3 + Fraction(1, 2)
+    for b in (-2 * x + 1, Fraction(-3, 5) * x ** 2 + x, -x ** 3 - 7):
+        q, r = ratfunc._univ_divmod(a, b)
+        assert q * b + r == a and r.degree() < b.degree()
+        assert is_stored_form(q) and is_stored_form(r)
+    g = ratfunc._univ_gcd(-(x - 1) * (x + 2), Fraction(-1, 3) * (x - 1))
+    assert g == x - 1

@@ -1,6 +1,9 @@
+import gc
+import math
 import random
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -293,6 +296,27 @@ class TestSharedShapes:
         universal = jet_space_equations_universal(cubic, 1, 40)
         assert len(scheme_module._generic(1, 1, 40)[1].table) <= 4
         assert universal == jet_space_equations(cubic, 1, 40)
+
+    def test_a_shape_of_many_coordinates_is_not_kept(self):
+        # the 30 shapes of n <= 3, d <= 2, r <= 4 are kept; x1^3 - 1 at
+        # d = 1, r = 100 (101 coordinates) reads weights of about 10 MB,
+        # which are let go with its result
+        assert max(n * math.comb(d + r, d) for n in range(1, 4)
+                   for d in range(1, 3) for r in range(5)) \
+            == scheme_module._COORDINATES
+        scheme_module._generic.cache_clear()
+        cubic = AffineScheme(1, [P(1, {(3,): 1, (0,): -1})])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            jet_space_equations_universal(cubic, 1, 100)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 100_000
+        assert scheme_module._generic.cache_info().currsize == 0
 
     def test_the_table_is_bounded(self):
         scheme_module._generic.cache_clear()
