@@ -23,11 +23,10 @@ import os
 import sys
 
 from . import io as jio
-from .connection import beta
 from .errors import (InputError, JetforgeError, NoRationalFvPoint,
                      SingularInitial, SingularPoint)
 from .examples import builtin_examples
-from .flags import alpha, check_fv, check_hr1
+from .flags import alpha, beta, check_fv, check_hr1
 from .linalg import identity
 from .scheme import (is_nondegenerate, jet_membership, jet_prolong,
                      jet_prolong_universal, jet_space_equations,

@@ -31,10 +31,19 @@ jet sigma with initial matrix M:
 Both build each entry of the frame with `TruncatedSeries.combination`,
 one sum over one common denominator, and so does `check_flatness`, which
 works at order r - 1, the order it compares; `series_product` forms W M,
-`MatrixJet` products and the block product of `flags.flag_of_matrix` so
-(only `invert_series_matrix` keeps its Neumann sum).  The values G_q(s)
-form no series product: past the expansion of the coefficients they are
-integer matrices.
+`MatrixJet` products and the block product of `flags.flag_of_matrix` so.
+The values G_q(s) form no series product: past the expansion of the
+coefficients they are integer matrices.
+
+The inverse of the frame needs no series inverse either.  The inverse
+Phi^-1 of the solution with Phi(s) = I solves the adjoint system
+d_l Psi = -Psi A_l, and the mirror of the recursion for G_q gives its
+partials K_q(s) on the same cleared partials of the A_l (see
+`ConnectionChart.inverses_at`).  So the inverse of the frame with initial
+value M is M^-1 sum_q K_q(s) w_q, a polynomial in the jet coordinates, which
+`flags.alpha` assembles with one combination per entry.
+`invert_series_matrix`, a Neumann sum, is left to the pivot minors of
+`flags.flag_of_matrix` and to `matrixjet_invert`.
 
 They share the series ring and `RationalFunction.eval_all_on_jet`, which
 expands all the nonzero coefficients in one call (along the identity jet at
@@ -44,10 +53,11 @@ genuine cross-check.
 
 A chart keeps one record for each of its last `_POINT_RECORDS` base points
 (see `_PointRecord`): whether `assert_regular` passed there, the values
-G_q(s) `beta` reads there, the torsor point `eta_chartlocal` found there,
-and the Taylor part W of the last jet above the point.  Many jets above one
-base point share the first three; `check_right_equivariance` after `beta`
-on the same jet, as a `verify` case runs them, reuses W.
+G_q(s) `beta` reads there, the values K_q(s) `flags.alpha` reads there, the
+torsor point `eta_chartlocal` found there, and the Taylor part W of the
+last jet above the point.  Many jets above one base point share the first
+four; `check_right_equivariance` after `beta` on the same jet, as a
+`verify` case runs them, reuses W.
 """
 
 from __future__ import annotations
@@ -138,11 +148,15 @@ class _PointRecord(NamedTuple):
 
     `regular` is set by `assert_regular` once every chart denominator has
     been checked at s; `gammas` is {q: G_q(s)} for every |q| <= `order`,
-    set by `ConnectionChart.gammas_at`; `torsor`, set by `torsor_at` for
+    set by `ConnectionChart.gammas_at` for `beta`; `inverses` is {q:
+    K_q(s)}, the partials of the inverse frame, for every |q| <=
+    `inverse_order`, set by `ConnectionChart.inverses_at` for `flags.alpha`,
+    which reads no G_q; `torsor`, set by `torsor_at` for
     `flags.eta_chartlocal`, is the torsor point it found at s as a tuple of
     rows, or the class of the error a miss raises: NoRationalFvPoint when
     the miss is a proof, CongruenceSearchExhausted when the bounded search
-    ran out.  Those fields are functions of (chart, s, order) alone.
+    ran out.  Those fields are functions of (chart, s, order) alone, and
+    each of `gammas` and `inverses` is built only when first asked for.
     `taylor`, set by `_taylor_part`, is (sigma, W) for the last jet sigma
     above s whose Taylor part W was formed, W a tuple of rows; it is a
     function of (chart, sigma), so `beta` and then
@@ -154,6 +168,8 @@ class _PointRecord(NamedTuple):
     regular: bool = False
     order: int = -1
     gammas: dict = None
+    inverse_order: int = -1
+    inverses: dict = None
     torsor: object = None
     taylor: tuple = None
 
@@ -264,6 +280,19 @@ class ConnectionChart:
                                      gammas=_local_gammas(self, order, point))
             self._keep(point, record)
         return record.gammas
+
+    def inverses_at(self, point, order):
+        """{q: K_q(point)} for every |q| <= order, at a regular point: the
+        partials there of the inverse of the solution that is the identity
+        at the point (see `_local_inverses`).  Built and kept as
+        `gammas_at` builds and keeps G_q, in a field of its own."""
+        record = self._points.get(point, _NO_RECORD)
+        if record.inverse_order < order:
+            record = record._replace(
+                inverse_order=order,
+                inverses=_local_inverses(self, order, point))
+            self._keep(point, record)
+        return record.inverses
 
     def assert_regular(self, point):
         """Raise SingularPoint if any chart denominator vanishes at the point.
@@ -441,34 +470,39 @@ def build_xi(chart, order):
     return XiTable(chart, order)
 
 
-def _local_gammas(chart, order, point):
-    """{q: G_q(point)} for every |q| <= order, by a recursion on integer
-    matrices at the point.
+def _leibniz_terms(k, table):
+    """The Leibniz terms of d^k: (C(k, g), table[g], k - g) for every g <= k
+    in the table."""
+    return [(math.prod(map(math.comb, k, g)), x, tuple(map(int.__sub__, k, g)))
+            for g, x in table.items() if all(map(int.__le__, g, k))]
 
-    G_q(s) is the q-th partial at s of the solution Phi with Phi(s) = I, so
-    with l the lowest index where q_l > 0 and p = q - e_l, the Leibniz rule
-    on d^p (A_l Phi) gives
 
-        G_q(s) = sum_{b <= p} C(p, b) d^b A_l(s) G_(p-b)(s).
+def _block_product(terms, m):
+    """sum c X Y over the terms (c, X, Y) of m x m integer matrices, as one
+    product of an m x km block row by a km x m block column."""
+    if not terms:
+        return [[0] * m for _ in range(m)]
+    return linalg.mat_mul(
+        [[c * x for c, left, _ in terms for x in left[j]] for j in range(m)],
+        [row for _, _, right in terms for row in right])
 
-    It reads d^b A_l(s) only for |b| <= order - 1: each nonzero entry of
-    each A_l is expanded along the identity jet point + t at that order,
-    d^b A_l(s) is b! times its Taylor coefficient of t^b, and one D, the lcm
-    of the expansions' denominators, makes every D d^b A_l(s) an integer
-    matrix.  Then H_q = D^|q| G_q(s) is integral,
 
-        H_q = sum_{b <= p} C(p, b) D^|b| (D d^b A_l(s)) H_(p-b),
+def _cleared_partials(chart, order, point):
+    """(D, partials), partials[l][b] = D d^b A_l(s) an integer matrix for
+    every |b| <= order - 1 where it is not zero: what the recursions of
+    `_local_gammas` and `_local_inverses` read.
 
-    each sum one `linalg.mat_mul`, and Fractions are formed only for the
-    values returned.  All the nonzero entries are expanded in one call of
-    `RationalFunction.eval_all_on_jet`.
+    Each nonzero entry of each A_l is expanded along the identity jet
+    point + t at order - 1, all in one call of
+    `RationalFunction.eval_all_on_jet`; d^b A_l(s) is b! times the Taylor
+    coefficient of t^b, and D is the lcm of the expansions' denominators.
 
-    For a < b the values take d_a d_b Phi = (d_a A_b + A_b A_a) Phi;
-    integrability asks the curvature d_a A_b + A_b A_a - d_b A_a - A_a A_b
-    to vanish at s through order `order - 2`, the part the recursion reads.
-    Each of its partials there, times D^2, is tested in integers; otherwise
-    the values would depend on the order of the partials, and NonIntegrable
-    is raised.
+    For a < b the partials of the frame take d_a d_b Phi = (d_a A_b + A_b
+    A_a) Phi; integrability asks the curvature d_a A_b + A_b A_a - d_b A_a
+    - A_a A_b to vanish at s through order `order - 2`, the part the
+    recursions read.  Each of its partials there, times D^2, is tested in
+    integers; otherwise the values would depend on the order of the
+    partials, and NonIntegrable is raised.
     """
     m, n = chart.m, chart.n
     low = max(order - 1, 0)
@@ -483,7 +517,6 @@ def _local_gammas(chart, order, point):
         [rf for *_, rf in entries], jet)]
     den = math.lcm(*(c.denominator for coeffs in expansions
                      for c in coeffs.values()))
-    # derivs[l][b] = D d^b A_l(s), for the b where it is not zero
     derivs = [{} for _ in range(n)]
     for (l, j, i, _), coeffs in zip(entries, expansions):
         table = derivs[l]
@@ -495,50 +528,80 @@ def _local_gammas(chart, order, point):
                             * math.prod(map(math.factorial, b)))
     identity = [[int(i == j) for i in range(m)] for j in range(m)]
     zero = [[0] * m for _ in range(m)]
-
-    def split(k, table):
-        """The Leibniz terms of d^k: (C(k, g), table[g], k - g) for every g
-        <= k in the table."""
-        return [(math.prod(map(math.comb, k, g)), x,
-                 tuple(map(int.__sub__, k, g)))
-                for g, x in table.items() if all(map(int.__le__, g, k))]
-
-    def leibniz(terms):
-        """sum c X Y over the terms (c, X, Y), as one product of an m x km
-        block row by a km x m block column."""
-        if not terms:
-            return zero
-        return linalg.mat_mul(
-            [[c * x for c, left, _ in terms for x in left[j]]
-             for j in range(m)],
-            [row for _, _, right in terms for row in right])
-
-    def shift(k, i):
-        return k[:i] + (k[i] + 1,) + k[i + 1:]
-
-    powers = [den ** k for k in range(order + 1)]
-    scaled = {(0,) * n: identity}
-    for q in graded_monomials(n, order)[1:]:
-        l = next(i for i, e in enumerate(q) if e)
-        p = q[:l] + (q[l] - 1,) + q[l + 1:]
-        # H_q = sum C(p, b) D^|b| (D d^b A_l) H_(p-b), with |b| = |p| - |p-b|
-        scaled[q] = leibniz([(c * powers[sum(p) - sum(rest)], x, scaled[rest])
-                             for c, x, rest in split(p, derivs[l])])
     for a, b in combinations(range(n), 2):
         # empty below order 2
         for k in graded_monomials(n, order - 2):
             # D^2 d^k (d_a A_b + A_b A_a - d_b A_a - A_a A_b) at s
             terms = []
             for x, y, sign in ((b, a, 1), (a, b, -1)):
-                terms.append((sign * den, derivs[x].get(shift(k, y), zero),
+                raised = k[:y] + (k[y] + 1,) + k[y + 1:]
+                terms.append((sign * den, derivs[x].get(raised, zero),
                               identity))
                 terms += [(sign * c, left, derivs[y][rest])
-                          for c, left, rest in split(k, derivs[x])
+                          for c, left, rest in _leibniz_terms(k, derivs[x])
                           if rest in derivs[y]]
-            if any(map(any, leibniz(terms))):
+            if any(map(any, _block_product(terms, m))):
                 shown = ", ".join(str(x) for x in point)
                 raise NonIntegrable("the chart's flat-frame system fails the "
                                     f"mixed-partial condition at ({shown})")
+    return den, derivs
+
+
+def _local_gammas(chart, order, point):
+    """{q: G_q(point)} for every |q| <= order, by a recursion on integer
+    matrices at the point.
+
+    G_q(s) is the q-th partial at s of the solution Phi with Phi(s) = I, so
+    with l the lowest index where q_l > 0 and p = q - e_l, the Leibniz rule
+    on d^p (A_l Phi) gives
+
+        G_q(s) = sum_{b <= p} C(p, b) d^b A_l(s) G_(p-b)(s).
+
+    It reads D d^b A_l(s) for |b| <= order - 1 from `_cleared_partials`,
+    which raises NonIntegrable when the chart fails the mixed-partial
+    condition at s below order - 1.  Then H_q = D^|q| G_q(s) is integral,
+
+        H_q = sum_{b <= p} C(p, b) D^|b| (D d^b A_l(s)) H_(p-b),
+
+    each sum one `linalg.mat_mul`, and Fractions are formed only for the
+    values returned.
+    """
+    return _local_values(chart, order, point, adjoint=False)
+
+
+def _local_inverses(chart, order, point):
+    """{q: K_q(point)} for every |q| <= order: the partials at s of the
+    inverse Psi = Phi^-1 of the solution with Phi(s) = I.
+
+    Psi solves the adjoint system d_l Psi = -Psi A_l (Coddington and
+    Levinson, Theory of Ordinary Differential Equations, 1955), so the
+    mirror of the recursion of `_local_gammas`, on the same partials and
+    with the same integrability test, gives
+
+        K_q(s) = -sum_{b <= p} C(p, b) K_(p-b)(s) d^b A_l(s),
+
+    in integers as L_q = D^|q| K_q(s) = -sum C(p, b) D^|b| L_(p-b)
+    (D d^b A_l(s)).  No series is inverted, and no G_q is formed.
+    """
+    return _local_values(chart, order, point, adjoint=True)
+
+
+def _local_values(chart, order, point, adjoint):
+    """The integer recursion of `_local_gammas`, or with `adjoint` the one
+    of `_local_inverses`, over the partials of `_cleared_partials`."""
+    den, derivs = _cleared_partials(chart, order, point)
+    m, n = chart.m, chart.n
+    powers = [den ** k for k in range(order + 1)]
+    scaled = {(0,) * n: [[int(i == j) for i in range(m)] for j in range(m)]}
+    for q in graded_monomials(n, order)[1:]:
+        l = next(i for i, e in enumerate(q) if e)
+        p = q[:l] + (q[l] - 1,) + q[l + 1:]
+        # C(p, b) D^|b| (D d^b A_l) and H_(p-b), with |b| = |p| - |p-b|
+        terms = [(c * powers[sum(p) - sum(rest)], x, scaled[rest])
+                 for c, x, rest in _leibniz_terms(p, derivs[l])]
+        if adjoint:
+            terms = [(-c, rest, x) for c, x, rest in terms]
+        scaled[q] = _block_product(terms, m)
     return {q: [[Fraction(x, powers[sum(q)]) for x in row] for row in h]
             for q, h in scaled.items()}
 

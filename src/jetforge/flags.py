@@ -21,12 +21,14 @@ from fractions import Fraction
 
 from . import linalg
 from .congruence import miss_is_proof, solve_congruence
-# HodgeData lives with the charts that hold it; it stays importable here
-from .connection import (HodgeData, MatrixJet, beta, invert_series_matrix,
-                         matrixjet_invert, series_product)
+# HodgeData lives with the charts that hold it, and beta with the frames;
+# both stay importable here
+from .connection import (HodgeData, MatrixJet, _check_initial, beta,
+                         invert_series_matrix, series_product)
 from .errors import (ArityMismatch, CongruenceSearchExhausted,
-                     NoRationalFvPoint, NoValidChart)
-from .series import TruncatedSeries
+                     NoRationalFvPoint, NoValidChart, SingularInitial)
+from .poly import Polynomial, graded_monomials
+from .series import TruncatedSeries, taylor_weights
 
 
 class FlagChart:
@@ -268,12 +270,42 @@ class EtaWitness:
 def alpha(chart, sigma, matrix):
     """Jet of the local period map: the flag of the inverse flat-frame jet.
 
-    No torsor condition is imposed; when check_fv holds at the base point the
-    resulting flag jet satisfies check_hr1 at every order.
+    The frame with initial value M is Phi M along sigma, Phi the solution
+    that is the identity at the base point s, so its inverse is M^-1 Psi
+    with Psi = Phi^-1.  That is M^-1 sum_q K_q(s) w_q over the Taylor
+    weights w_q of sigma, K_q(s) the partials of Psi at s kept in the
+    chart's record (`ConnectionChart.inverses_at`): one combination per
+    entry, with no frame jet formed and no series inverted.  Its flag is
+    `flag_of_matrix` of it, equal to the flag of `matrixjet_invert` of the
+    frame `beta` gives.
+
+    Validates as `beta` does, then raises what inverting the frame would:
+    SingularInitial for an entry of M that is a non-constant polynomial (a
+    constant one is read as its rational).  No torsor condition is imposed;
+    when check_fv holds at the base point the resulting flag jet satisfies
+    check_hr1 at every order.
     """
-    frame = beta(chart, sigma, matrix)
-    inverse = matrixjet_invert(frame)
-    return flag_of_matrix(chart.hodge, inverse)
+    if sigma.n != chart.n:
+        raise ArityMismatch("jet does not live on the chart")
+    m = chart.m
+    _check_initial(matrix, m)
+    s = sigma.basepoint()
+    chart.assert_regular(s)
+    d, r = sigma.dims, sigma.order
+    values = chart.inverses_at(s, r)
+    if any(isinstance(x, Polynomial) and x.degree() > 0
+           for row in matrix for x in row):
+        raise SingularInitial(
+            "series matrix inversion needs rational constant terms")
+    inverse = linalg.invert([[x.constant_term() if isinstance(x, Polynomial)
+                              else x for x in row] for row in matrix])
+    weight = taylor_weights(sigma.offsets())
+    # (M^-1 K_q(s), w_q) for every |q| <= r; a zero weight adds nothing
+    terms = [(linalg.mat_mul(inverse, values[q]), weight(q))
+             for q in graded_monomials(chart.n, r)]
+    return flag_of_matrix(chart.hodge, MatrixJet(
+        [[TruncatedSeries.combination(d, r, [(c[j][i], w) for c, w in terms])
+          for i in range(m)] for j in range(m)]))
 
 
 def eta_chartlocal(chart, sigma):

@@ -680,8 +680,9 @@ def parse_table(text, names):
     and at the start, so '+ -x' reads as '-x'; an empty term after '-' is
     an error.  Each term's key is packed as its term ends.  Of several
     errors the one raised is an unexpected character, else an empty term
-    or factor, else a bad factor, else a term of total degree at the
-    bound: the first of its rank in the text.
+    or factor, else a bad factor or an exponent of more than `BITS` bits,
+    else a term of total degree at the bound: the first of its rank in the
+    text.
     """
     arity = len(names)
     index = {name: i for i, name in enumerate(names)}
@@ -750,9 +751,15 @@ def _read_factor(tokens, index, expo):
         if name not in index:
             raise InputError(f"unknown variable {name!r}")
         try:
-            expo[index[name]] += int(tokens[2][0]) if len(tokens) == 3 else 1
+            e = int(tokens[2][0]) if len(tokens) == 3 else 1
         except ValueError:  # more digits than int() reads
             raise past_bound(f"an exponent of {name!r}") from None
+        # wider than a key's field: refused as read, since a term of such
+        # exponents could sum to more digits than str() writes in the
+        # message of its total degree
+        if e >> BITS:
+            raise past_bound(f"an exponent of {name!r}")
+        expo[index[name]] += e
         return 1, 1
     raise InputError("bad factor " + repr("".join(map("".join, tokens))))
 

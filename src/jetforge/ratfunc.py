@@ -144,6 +144,8 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.den == other.den:  # one stored form: no products needed
+            return self.num == other.num
         return self.num * other.den == other.num * self.den
 
     def __hash__(self):

@@ -57,7 +57,8 @@ def test_connection_expands_no_entry_on_its_own():
 
 
 def test_connection_expands_in_batches():
-    # _local_gammas, series_oracle and check_flatness
+    # _cleared_partials, which the recursions of _local_gammas and
+    # _local_inverses share, series_oracle and check_flatness
     tree = ast.parse(CONNECTION.read_text())
     batches = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
                and isinstance(node.func, ast.Attribute)

@@ -674,9 +674,11 @@ class TestInputErrors:
     def test_exponent_at_the_bound(self, tmp_path, capsys):
         # exponents below the bound are exact and one at it is refused,
         # with no traceback, where it would overflow a field of a packed key
-        # or have more digits than int() reads
+        # or have more digits than int() reads, or where two add up to more
+        # digits than str() writes
         path = tmp_path / "scheme.json"
-        for exponent, code in ((BOUND, 2), (200000, 0), ("1" * 5000, 2)):
+        for exponent, code in ((BOUND, 2), (200000, 0), ("1" * 5000, 2),
+                               ("9" * 4300 + "*x1^" + "9" * 4300, 2)):
             path.write_text(json.dumps({
                 "n": 1, "variables": ["x1"],
                 "generators": [f"x1^{exponent} - 1"]}))

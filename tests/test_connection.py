@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import random
 import sys
@@ -371,14 +372,16 @@ class TestXiTable:
         assert set(thresholds) == {2, 3, 4, 5}
 
     def test_local_values_form_no_series_products(self, monkeypatch):
-        # the recursion runs on integer matrices at the point: every series
-        # product it forms, through `*` or the combination kernel, is inside
-        # the expansion of a chart coefficient
+        # the recursions for G_q and for the inverse frame's K_q run on
+        # integer matrices at the point: every series product they form,
+        # through `*` or the combination kernel, is inside the expansion of
+        # a chart coefficient
         rng = random.Random(23)
         cases = [(random_flat_chart(rng, 3, 2).chart, 4, (Fraction(1, 2), 2)),
                  (random_flat_chart(rng, 2, 3).chart, 3, (1, Fraction(-1, 3), 0)),
                  (legendre_chart(), 6, (Fraction(1, 3),))]
-        expected = [connection._local_gammas(*case) for case in cases]
+        builds = (connection._local_gammas, connection._local_inverses)
+        expected = [build(*case) for build in builds for case in cases]
         products, expanding, expanded = [], [], []
         original_mul = TruncatedSeries.__mul__
         original_combination = TruncatedSeries.combination
@@ -408,7 +411,8 @@ class TestXiTable:
                             classmethod(combination))
         monkeypatch.setattr(RationalFunction, "eval_all_on_jet",
                             staticmethod(eval_all_on_jet))
-        assert [connection._local_gammas(*case) for case in cases] == expected
+        assert [build(*case) for build in builds for case in cases] \
+            == expected
         assert expanded and not products
         # the expansions stop at order - 1, the highest partial read
         assert {jet.order for jet in expanded} == {3, 2, 5}
@@ -443,6 +447,88 @@ class TestXiTable:
                                             random_invertible(rng, 2))
         assert builds == [(5, point)]
 
+
+
+class TestInverseFrame:
+    """K_q(s), the partials at s of the inverse of the frame that is the
+    identity at s, from `_local_inverses` and `ConnectionChart.inverses_at`."""
+
+    @staticmethod
+    def assert_leibniz(chart, order, point):
+        # Phi Phi^-1 = I: sum_{b <= q} C(q, b) G_b K_(q-b) = 0 for q != 0
+        gammas = connection._local_gammas(chart, order, point)
+        inverses = chart.inverses_at(point, order)
+        m = chart.m
+        for q in graded_monomials(chart.n, order):
+            total = [[Fraction(0)] * m for _ in range(m)]
+            for b in graded_monomials(chart.n, sum(q)):
+                if all(x <= y for x, y in zip(b, q)):
+                    rest = tuple(y - x for x, y in zip(b, q))
+                    c = math.prod(map(math.comb, q, b))
+                    total = la.mat_add(total, [[c * x for x in row] for row in
+                                               la.mat_mul(gammas[b],
+                                                          inverses[rest])])
+            assert total == (la.identity(m) if not any(q) else
+                             [[0] * m for _ in range(m)]), (q, point)
+
+    def test_the_partials_of_the_identity(self):
+        rng = random.Random(61)
+        for case in range(24):
+            m, n = rng.randint(1, 3), rng.randint(1, 3)
+            rc = random_flat_chart(rng, m, n)
+            order = rng.randint(0, 5 if n < 3 else 4)
+            point = random_jet(rng, rc.chart, 1, 0).basepoint()
+            self.assert_leibniz(rc.chart, order, point)
+        chart = legendre_chart()
+        for x in (Fraction(1, 2), Fraction(-3), Fraction(5, 7)):
+            for order in (0, 3, 8):
+                self.assert_leibniz(chart, order, (x,))
+
+    def test_non_integrable_at_the_thresholds_of_the_frame(self):
+        # the charts, points and orders of the G_q check above: K_q is
+        # refused exactly where G_q is
+        rng = random.Random(41)
+        thresholds = []
+        for case in range(30):
+            m, n = rng.randint(1, 3), rng.randint(2, 3)
+            chart = random_flat_chart(rng, m, n).chart
+            if case % 3:
+                chart = with_monomial(chart, rng)
+            point = tuple(rng.choice((0, 0, Fraction(rng.randint(-3, 3),
+                                                     rng.randint(1, 2))))
+                          for _ in range(n))
+            for order in range(6):
+                try:
+                    connection._local_gammas(chart, order, point)
+                except NonIntegrable:
+                    with pytest.raises(NonIntegrable):
+                        connection._local_inverses(chart, order, point)
+                    thresholds.append(order)
+                    break
+                connection._local_inverses(chart, order, point)
+        assert set(thresholds) == {2, 3, 4, 5}
+
+    def test_built_once_per_point_at_the_highest_order(self, monkeypatch):
+        builds = []
+        original = connection._local_inverses
+
+        def counting(chart, order, point):
+            builds.append((order, point))
+            return original(chart, order, point)
+
+        monkeypatch.setattr(connection, "_local_inverses", counting)
+        gamma_builds = count_builds(monkeypatch)
+        chart = legendre_chart()
+        point = (Fraction(2, 7),)
+        fresh = original(legendre_chart(), 6, point)
+        for order in (3, 6, 2, 6, 0):
+            values = chart.inverses_at(point, order)
+            assert all(values[q] == fresh[q]
+                       for q in graded_monomials(1, order))
+        assert builds == [(3, point), (6, point)]
+        assert gamma_builds == []
+        record = chart._points[point]
+        assert record.inverse_order == 6 and record.gammas is None
 
 
 class TestPointRecords:

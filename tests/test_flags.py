@@ -6,10 +6,12 @@ import pytest
 
 import jetforge.flags as flags
 import jetforge.linalg as la
-from jetforge.connection import (MatrixJet, beta, matrixjet_invert,
-                                 series_oracle)
-from jetforge.errors import (CongruenceSearchExhausted, NoRationalFvPoint,
-                             NoValidChart)
+import jetforge.connection as connection
+from jetforge.connection import (ConnectionChart, MatrixJet, beta,
+                                 matrixjet_invert, series_oracle)
+from jetforge.errors import (ArityMismatch, CongruenceSearchExhausted,
+                             JetforgeError, NonIntegrable, NoRationalFvPoint,
+                             NoValidChart, SingularInitial, SingularPoint)
 from jetforge.examples import legendre_chart, nilpotent_chart
 from jetforge.flags import (FlagChart, FlagJet, HodgeData, TorsorPoint,
                             alpha, check_fv, check_hr1, eta_chartlocal,
@@ -17,7 +19,8 @@ from jetforge.flags import (FlagChart, FlagJet, HodgeData, TorsorPoint,
 from jetforge.poly import Polynomial, graded_monomials
 from jetforge.ratfunc import RationalFunction
 from jetforge.series import JetPoint, TruncatedSeries
-from jetforge.verify import random_flat_chart, random_invertible, random_jet
+from jetforge.verify import (random_flat_chart, random_invertible, random_jet,
+                             random_n1_chart)
 
 
 def weight1_data(m=2):
@@ -348,6 +351,137 @@ class TestAlpha:
             assert coord == h21 * h11.invert_unit()
         else:
             assert coord == h11 * h21.invert_unit()
+
+
+def fresh_chart(chart):
+    """The same chart, with no point records."""
+    hodge = chart.hodge
+    return ConnectionChart(chart.n, chart.m, chart.coeffs, hodge.weight,
+                           hodge.filtration_dims, chart.gram,
+                           hodge.polarization, chart.variables)
+
+
+def outcome(route, *args):
+    """What a route answers: its value, or the class and message of the
+    library error it raises."""
+    try:
+        return route(*args)
+    except JetforgeError as exc:
+        return type(exc), str(exc)
+
+
+def inverted_frame_flag(chart, sigma, matrix):
+    """The flag of the inverse of `beta`'s frame jet: what alpha answers,
+    errors included, by inverting the frame."""
+    return flag_of_matrix(chart.hodge,
+                          matrixjet_invert(beta(chart, sigma, matrix)))
+
+
+def stored_forms(flag):
+    """The chart of a flag jet and the stored form of each coordinate."""
+    return flag.chart, {key: (s.dims, s.order, s._table, s._den, s._arity)
+                        for key, s in flag.coords.items()}
+
+
+class TestAlphaFromTheInverseFrame:
+    """alpha reads the partials K_q of the inverse frame and no frame jet."""
+
+    def test_matches_the_inverted_oracle_frame(self, monkeypatch):
+        rng = random.Random(24)
+        cases = []
+        for case in range(300):
+            m, n = rng.randint(1, 3), rng.randint(1, 2)
+            # free charts on a line, and gauged ones, some hodge-aligned
+            if n == 1 and case % 3 == 0:
+                chart = random_n1_chart(rng, m).chart
+            else:
+                chart = random_flat_chart(rng, m, n,
+                                          hodge_aligned=case % 3 == 1).chart
+            sigma = random_jet(rng, chart, rng.randint(1, 2), rng.randint(0, 6))
+            cases.append((chart, sigma, random_invertible(rng, m)))
+        chart = legendre_chart()
+        for r in range(13):
+            sigma = JetPoint([TruncatedSeries(1, r, {
+                (0,): Fraction(1, 3), (1,): 1, (2,): Fraction(-1, 2)})])
+            cases.append((chart, sigma, random_invertible(rng, 2)))
+        a = [Polynomial.variable(i, 2) for i in range(2)]
+        cases += [(chart, JetPoint([TruncatedSeries(1, r, {
+            (0,): Fraction(2, 5), (1,): a[0], (2,): a[1] * 3 - 1,
+            (3,): a[0] * a[1]})]), [[Fraction(1), Fraction(2)],
+                                     [Fraction(-1), Fraction(1)]])
+                  for r in range(5)]
+        expected = [stored_forms(flag_of_matrix(chart.hodge, matrixjet_invert(
+            series_oracle(chart, sigma, matrix))))
+            for chart, sigma, matrix in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("alpha formed the frame jet")
+
+        sizes = []
+        watched = flags.invert_series_matrix
+
+        def watching(entries):
+            sizes.append((len(entries), m))
+            return watched(entries)
+
+        monkeypatch.setattr(connection, "beta", refuse)
+        monkeypatch.setattr(flags, "beta", refuse)
+        monkeypatch.setattr(connection, "invert_series_matrix", watching)
+        monkeypatch.setattr(flags, "invert_series_matrix", watching)
+        for (chart, sigma, matrix), want in zip(cases, expected):
+            m = chart.m
+            assert stored_forms(alpha(fresh_chart(chart), sigma, matrix)) \
+                == want
+        # only the pivot minors of the flag are inverted
+        assert sizes and all(size < m for size, m in sizes)
+
+    def test_errors_keep_their_class_message_and_order(self):
+        # a chart that fails the mixed-partial condition and has a pole
+        # along z1 = 1: A_1 = z2 / (z1 - 1), A_2 = 0
+        z1, z2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+        zero = RationalFunction.zero(2)
+        chart = ConnectionChart(2, 1, [[[RationalFunction(-z2, z1 - 1), zero]]],
+                                0, (1,), [[RationalFunction.one(2)]], [[1]])
+        a = Polynomial.variable(0, 2)
+
+        def jet(base, r):
+            return JetPoint([TruncatedSeries(2, r, {(0, 0): base, (1, 0): 1}),
+                             TruncatedSeries(2, r, {(0, 1): 1})])
+
+        cases = [
+            (jet(1, 2), [[Fraction(1), 0]]),             # matrix shape
+            (JetPoint([TruncatedSeries(2, 2, {})]), [[0]]),   # jet arity
+            (jet(1, 2), [[0]]),                          # singular M
+            (jet(1, 2), [[a]]),                          # pole
+            (jet(0, 2), [[a]]),                          # curvature, r = 2
+            (jet(0, 1), [[a]]),                          # entry not constant
+            (jet(0, 1), [[Polynomial.const(3, 2)]]),     # answered
+        ]
+        seen = set()
+        for sigma, matrix in cases:
+            want = outcome(inverted_frame_flag, fresh_chart(chart), sigma,
+                           matrix)
+            assert outcome(alpha, fresh_chart(chart), sigma, matrix) == want
+            seen.add(want[0] if isinstance(want, tuple) else None)
+        assert seen == {ArityMismatch, SingularInitial, SingularPoint,
+                        NonIntegrable, None}
+
+    def test_constant_polynomial_entries_are_read_as_rationals(self):
+        chart = legendre_chart()
+        sigma = JetPoint([TruncatedSeries(1, 3, {(0,): Fraction(1, 2),
+                                                 (1,): 1})])
+        half = Polynomial.const(Fraction(1, 2), 2)
+        for matrix in ([[Polynomial.const(1, 2), 0],
+                        [0, Polynomial.const(Fraction(1, 4), 2)]],
+                       [[half, Polynomial.zero(2)], [Fraction(3), half]]):
+            rational = [[x.constant_term() if isinstance(x, Polynomial) else x
+                         for x in row] for row in matrix]
+            flag = alpha(chart, sigma, matrix)
+            assert flag == inverted_frame_flag(chart, sigma, matrix)
+            assert stored_forms(flag) == stored_forms(
+                inverted_frame_flag(chart, sigma, rational))
+        with pytest.raises(SingularInitial, match="rational constant terms"):
+            alpha(chart, sigma, [[Polynomial.variable(0, 2), 0], [0, 1]])
 
 
 class TestEta:

@@ -273,6 +273,36 @@ def test_constant_one_denominators_give_the_general_result(pair):
         assert result.den._den == want.den._den
 
 
+def test_equality_is_the_cross_multiplied_comparison(monkeypatch):
+    # equal denominators compare numerators with no product; other pairs,
+    # such as one value in two multivariate forms, which no gcd reduces,
+    # still cross-multiply
+    rng = random.Random(31)
+    pairs = []
+    for _ in range(60):
+        arity = rng.randint(1, 3)
+        num, other = rand_poly(rng, arity, 2), rand_poly(rng, arity, 2)
+        den = rand_poly(rng, arity, 1) or Polynomial.const(1, arity)
+        factor = rand_poly(rng, arity, 1) or Polynomial.const(2, arity)
+        f = RationalFunction(num, den)
+        pairs += [(f, RationalFunction(num * factor, den * factor)),
+                  (f, RationalFunction(num, den)),
+                  (f, RationalFunction(num + other, den)),
+                  (f, RationalFunction(other, den * factor)),
+                  (f, f.num.constant_term()), (f, f.num)]
+    expected = [f.num * g.den == g.num * f.den for f, g in
+                ((f, f._coerce(g)) for f, g in pairs)]
+    assert any(expected) and not all(expected)
+    assert any(want and f.den != g.den and f.arity > 1 for (f, g), want
+               in zip(pairs, expected) if isinstance(g, RationalFunction))
+    calls = count_products(monkeypatch)
+    for (f, g), want in zip(pairs, expected):
+        del calls[:]
+        assert (f == g) is want and (g == f) is want
+        if f.den == f._coerce(g).den:
+            assert not calls
+
+
 class TestExponentBound:
     """Every total degree, and so every exponent, stays below BOUND: below
     it arithmetic is exact, and input or a result that reaches it raises
@@ -440,8 +470,8 @@ def test_every_rendering_parses_to_the_stored_form(case):
 
 
 # the messages of refused text; the first of several errors is, in rank, an
-# unexpected character, an empty term or factor, a bad factor, a degree at
-# the bound
+# unexpected character, an empty term or factor, a bad factor or an exponent
+# wider than a key's field, a degree at the bound
 REFUSED = [
     ("x^2.5", "bad factor 'x^2.5'"),
     ("x^", "bad factor 'x^'"),
@@ -469,6 +499,14 @@ REFUSED = [
     (f"x^{BOUND} + 2x", "bad coefficient '2x'"),
     # more digits than int() reads: a traceback before
     ("x^" + "1" * 5000, "an exponent of 'x' reaches the exponent bound 2^19"),
+    # exponents whose total has more digits than str() writes: a ValueError
+    # while the message of the total degree was formatted
+    ("x^" + "9" * 4300 + "*x^" + "9" * 4300,
+     "an exponent of 'x' reaches the exponent bound 2^19"),
+    (f"x^{1 << BITS} + 2x", "an exponent of 'x' reaches the exponent bound "
+                           "2^19"),
+    (f"x^{(1 << BITS) - 1}", f"the total degree of ({(1 << BITS) - 1}, 0) "
+                             "reaches the exponent bound 2^19"),
 ]
 
 
