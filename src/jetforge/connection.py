@@ -13,15 +13,18 @@ jet sigma with initial matrix M:
 
 * `beta` expresses every iterated partial of f at the base point as a
   linear form in the entries of f, G_q with d_q f = G_q f (see
-  `ConnectionChart.gammas_at`).  Their values at the point come from the
-  Leibniz rule on d_q f = d_p (A_l f), a recursion over derivative
-  multi-degrees on integer matrices: the partials of the coefficients at
-  the point, read off their Taylor series there and cleared of
-  denominators by one common factor.  `beta` then assembles the Taylor
+  `ConnectionChart.gammas_at`).  Their values at the point come from a
+  short recurrence on integer matrices: with one polynomial denominator P
+  of the chart and the polynomial matrices N_l = P A_l (see
+  `ConnectionChart.factored`), the Leibniz rule on P d_l f = N_l f reads
+  only the finitely many nonzero partials of P and N_l at the point, their
+  Taylor coefficients there from `poly.taylor_shift` cleared of
+  denominators by one common factor, so each step has at most as many
+  terms as the data has monomials.  `beta` then assembles the Taylor
   composition as F = W M, where W[j][i] sums the Taylor weights w_q
   against the values G_q[j][i].  The same partials decide integrability:
-  an order-r jet exists exactly when the curvature vanishes at the base
-  point through order r - 2;
+  an order-r jet exists exactly when the curvature, or P^2 times it,
+  vanishes at the base point through order r - 2;
 * `series_oracle` pulls the system back along sigma and solves the truncated
   equations degree by degree in jet coordinates, forming only the degree
   it reads: degree k of f is a sum of products of homogeneous parts whose
@@ -32,24 +35,24 @@ Both build each entry of the frame with `TruncatedSeries.combination`,
 one sum over one common denominator, and so does `check_flatness`, which
 works at order r - 1, the order it compares; `series_product` forms W M,
 `MatrixJet` products and the block product of `flags.flag_of_matrix` so.
-The values G_q(s) form no series product: past the expansion of the
-coefficients they are integer matrices.
+The values G_q(s) form no series, no product and no inverse of one: they
+are integer matrices from the Taylor coefficients of polynomials.
 
 The inverse of the frame needs no series inverse either.  The inverse
 Phi^-1 of the solution with Phi(s) = I solves the adjoint system
-d_l Psi = -Psi A_l, and the mirror of the recursion for G_q gives its
-partials K_q(s) on the same cleared partials of the A_l (see
+P d_l Psi = -Psi N_l, and the mirror of the recurrence for G_q gives its
+partials K_q(s) on the same cleared partials of P and the N_l (see
 `ConnectionChart.inverses_at`).  So the inverse of the frame with initial
 value M is M^-1 sum_q K_q(s) w_q, a polynomial in the jet coordinates, which
 `flags.alpha` assembles with one combination per entry.
 `invert_series_matrix`, a Neumann sum, is left to the pivot minors of
 `flags.flag_of_matrix` and to `matrixjet_invert`.
 
-They share the series ring and `RationalFunction.eval_all_on_jet`, which
-expands all the nonzero coefficients in one call (along the identity jet at
-the base point for `beta`, along sigma for the oracle), with one inverse per
-distinct denominator, and nothing else, so their exact agreement is a
-genuine cross-check.
+`beta` and the oracle share the series ring and nothing else, so their
+exact agreement is a genuine cross-check: the oracle and `check_flatness`
+expand all the nonzero coefficients along sigma in one call of
+`RationalFunction.eval_all_on_jet`, with one inverse per distinct
+denominator, while `beta` expands nothing along a jet.
 
 A chart keeps one record for each of its last `_POINT_RECORDS` base points
 (see `_PointRecord`): whether `assert_regular` passed there, the values
@@ -72,9 +75,10 @@ from typing import NamedTuple
 from . import linalg
 from .errors import (ArityMismatch, DimensionMismatch, NonIntegrable,
                      SingularInitial, SingularPoint)
-from .poly import Polynomial, default_names, graded_monomials, primitive_parts
+from .poly import (Polynomial, default_names, graded_monomials,
+                   primitive_parts, taylor_shift)
 from .ratfunc import RationalFunction, _univ_divmod, _univ_gcd
-from .series import JetPoint, TruncatedSeries, same_form, taylor_weights
+from .series import TruncatedSeries, same_form, taylor_weights
 
 
 class HodgeData:
@@ -181,13 +185,19 @@ class ConnectionChart:
     """Connection data on one affine chart with coordinates z_1..z_n.
 
     The frame size, weight, filtration and lattice form are validated and
-    held as a HodgeData in `hodge`.  `_points` maps base points to their
-    `_PointRecord`, in the order they were first recorded; reads take no
-    lock, and `_lock` serializes the writes.
+    held as a HodgeData in `hodge`.  The coefficients A_l of the flat-frame
+    system have one polynomial denominator P, and N_l = P A_l are
+    polynomial matrices: `factored` keeps them as factors, built on first
+    use.  P(s) = 0 exactly where some coefficient has a pole, and the
+    values at a base point run a short recurrence on P and the N_l (see
+    `_local_gammas`); the per-entry rational functions stay the public and
+    JSON form.  `_points` maps base points to their `_PointRecord`, in the
+    order they were first recorded; reads take no lock, and `_lock`
+    serializes the writes.
     """
 
     __slots__ = ("n", "m", "coeffs", "hodge", "gram", "variables",
-                 "_a_matrices", "_points", "_lock")
+                 "_a_matrices", "_factored", "_points", "_lock")
 
     def __init__(self, n, m, coeffs, weight, filtration_dims, gram,
                  polarization, variables=None):
@@ -229,6 +239,7 @@ class ConnectionChart:
             a_mats.append(tuple(tuple(-self.coeffs[i][j][l]
                                       for i in range(m)) for j in range(m)))
         object.__setattr__(self, "_a_matrices", tuple(a_mats))
+        object.__setattr__(self, "_factored", None)
         object.__setattr__(self, "_points", {})
         object.__setattr__(self, "_lock", threading.Lock())
 
@@ -242,6 +253,41 @@ class ConnectionChart:
     def c_matrix(self, l):
         return [[self.coeffs[i][j][l] for j in range(self.m)]
                 for i in range(self.m)]
+
+    def factored(self):
+        """(factors, cofactors): the chart's denominator P as a tuple of
+        polynomial factors, and for each denominator d other than 1 of an
+        A_l entry the factors of P / d, so that an entry num / d has
+        N = num * prod(cofactors[d]), and an entry of denominator 1 has
+        N = num * P.
+
+        In one coordinate P is the lcm of the denominators, where the
+        univariate gcd applies, and P / d its quotient by each; in more, P
+        is the product of the distinct denominators, kept unmultiplied.
+        Every A_l polynomial gives P = 1, the empty product, with no gcd.
+        Built on first use and kept; a race between threads costs a
+        recompute.
+        """
+        form = self._factored
+        if form is None:
+            dens = list(dict.fromkeys(
+                rf.den for a in self._a_matrices for row in a for rf in row
+                if rf.den.degree() > 0))
+            if self.n == 1 and dens:
+                # highest degree first, so that most of the others divide
+                den, *others = sorted(dens, key=Polynomial.degree,
+                                      reverse=True)
+                for other in others:
+                    if _univ_divmod(den, other)[1]:
+                        den = _univ_divmod(den * other,
+                                           _univ_gcd(den, other))[0]
+                form = (den,), {d: (_univ_divmod(den, d)[0],) if d != den
+                                 else () for d in dens}
+            else:
+                form = tuple(dens), {d: tuple(e for e in dens if e != d)
+                                     for d in dens}
+            object.__setattr__(self, "_factored", form)
+        return form
 
     def _keep(self, point, record):
         """Store a point's record, dropping the oldest point when full."""
@@ -295,7 +341,9 @@ class ConnectionChart:
         return record.inverses
 
     def assert_regular(self, point):
-        """Raise SingularPoint if any chart denominator vanishes at the point.
+        """Raise SingularPoint if any chart denominator vanishes at the point:
+        P, through its factors (see `factored`), or the denominator of a
+        Gram entry.
 
         A point that passes is recorded, and returns at once next time.
         """
@@ -307,12 +355,9 @@ class ConnectionChart:
             return
         shown = "(" + ", ".join(str(x) for x in point) + ")"
         # a constant denominator is kept equal to 1 and never vanishes
-        for row in self.coeffs:
-            for entry in row:
-                for rf in entry:
-                    if rf.den.degree() > 0 and rf.den.evaluate(point) == 0:
-                        raise SingularPoint(
-                            f"connection coefficient has a pole at {shown}")
+        if any(f.evaluate(point) == 0 for f in self.factored()[0]):
+            raise SingularPoint(
+                f"connection coefficient has a pole at {shown}")
         for row in self.gram:
             for rf in row:
                 if rf.den.degree() > 0 and rf.den.evaluate(point) == 0:
@@ -488,82 +533,121 @@ def _block_product(terms, m):
 
 
 def _cleared_partials(chart, order, point):
-    """(D, partials), partials[l][b] = D d^b A_l(s) an integer matrix for
-    every |b| <= order - 1 where it is not zero: what the recursions of
-    `_local_gammas` and `_local_inverses` read.
+    """(den, partials): den[b] = D d^b P(s), and partials[l][b] = D d^b
+    N_l(s) an integer matrix, for every |b| <= order - 1 where it is not
+    zero, with P the chart's denominator, N_l = P A_l and D one positive
+    integer: what the recurrences of `_local_gammas` and `_local_inverses`
+    read.  P and the N_l are polynomials, so only finitely many of these
+    partials are nonzero.
 
-    Each nonzero entry of each A_l is expanded along the identity jet
-    point + t at order - 1, all in one call of
-    `RationalFunction.eval_all_on_jet`; d^b A_l(s) is b! times the Taylor
-    coefficient of t^b, and D is the lcm of the expansions' denominators.
+    D times the Taylor coefficients of P and the N_l at s come from one
+    `poly.taylor_shift` of their factors (see `ConnectionChart.factored`),
+    and d^b f(s) is b! times the coefficient of t^b.  SingularPoint is
+    raised where P(s) = 0.
 
     For a < b the partials of the frame take d_a d_b Phi = (d_a A_b + A_b
-    A_a) Phi; integrability asks the curvature d_a A_b + A_b A_a - d_b A_a
-    - A_a A_b to vanish at s through order `order - 2`, the part the
-    recursions read.  Each of its partials there, times D^2, is tested in
+    A_a) Phi; integrability asks the curvature K_ab = d_a A_b + A_b A_a -
+    d_b A_a - A_a A_b to vanish at s through order `order - 2`, the part
+    the recurrences read.  Since P(s) != 0 it does exactly when the
+    polynomial matrix
+
+        P^2 K_ab = P (d_a N_b - d_b N_a) - (d_a P) N_b + (d_b P) N_a
+                   + N_b N_a - N_a N_b
+
+    does, and D^2 times each of its Taylor coefficients there is tested in
     integers; otherwise the values would depend on the order of the
     partials, and NonIntegrable is raised.
     """
     m, n = chart.m, chart.n
-    low = max(order - 1, 0)
-    jet = JetPoint([TruncatedSeries.const(x, n, low)
-                    + TruncatedSeries.variable(i, n, low)
-                    for i, x in enumerate(point)])
-    # the nonzero entries A_l[j][i] as (l, j, i, A_l[j][i]), and their
-    # coefficients along the jet
-    entries = [(l, j, i, rf) for l, a in enumerate(chart._a_matrices)
+    factors, cofactors = chart.factored()
+    # the nonzero entries of the A_l as (l, j, i, factors of N_l[j][i])
+    entries = [(l, j, i, (rf.num, *cofactors.get(rf.den, factors)))
+               for l, a in enumerate(chart._a_matrices)
                for j, row in enumerate(a) for i, rf in enumerate(row) if rf]
-    expansions = [s.coeffs for s in RationalFunction.eval_all_on_jet(
-        [rf for *_, rf in entries], jet)]
-    den = math.lcm(*(c.denominator for coeffs in expansions
-                     for c in coeffs.values()))
-    derivs = [{} for _ in range(n)]
-    for (l, j, i, _), coeffs in zip(entries, expansions):
-        table = derivs[l]
-        for b, c in coeffs.items():
-            matrix = table.get(b)
+    _, (den_coeffs, *coeffs) = taylor_shift(
+        [factors] + [f for *_, f in entries], point, max(order - 1, 0))
+    zero = (0,) * n
+    if zero not in den_coeffs:
+        shown = ", ".join(str(x) for x in point)
+        raise SingularPoint(f"connection coefficient has a pole at ({shown})")
+    # the Taylor tables of P, as scalar matrices, and of the N_l
+    tables = [{b: [[c * (i == j) for i in range(m)] for j in range(m)]
+               for b, c in den_coeffs.items()}] + [{} for _ in range(n)]
+    for (l, j, i, _), table in zip(entries, coeffs):
+        for b, c in table.items():
+            matrix = tables[l + 1].get(b)
             if matrix is None:
-                table[b] = matrix = [[0] * m for _ in range(m)]
-            matrix[j][i] = (c.numerator * (den // c.denominator)
-                            * math.prod(map(math.factorial, b)))
-    identity = [[int(i == j) for i in range(m)] for j in range(m)]
-    zero = [[0] * m for _ in range(m)]
+                tables[l + 1][b] = matrix = [[0] * m for _ in range(m)]
+            matrix[j][i] = c
     for a, b in combinations(range(n), 2):
         # empty below order 2
-        for k in graded_monomials(n, order - 2):
-            # D^2 d^k (d_a A_b + A_b A_a - d_b A_a - A_a A_b) at s
-            terms = []
-            for x, y, sign in ((b, a, 1), (a, b, -1)):
-                raised = k[:y] + (k[y] + 1,) + k[y + 1:]
-                terms.append((sign * den, derivs[x].get(raised, zero),
-                              identity))
-                terms += [(sign * c, left, derivs[y][rest])
-                          for c, left, rest in _leibniz_terms(k, derivs[x])
-                          if rest in derivs[y]]
-            if any(map(any, _block_product(terms, m))):
-                shown = ", ".join(str(x) for x in point)
-                raise NonIntegrable("the chart's flat-frame system fails the "
-                                    f"mixed-partial condition at ({shown})")
-    return den, derivs
+        if order >= 2 and not _vanishes_through(
+                _curvature_factors(tables, a, b), order - 2, m):
+            shown = ", ".join(str(x) for x in point)
+            raise NonIntegrable("the chart's flat-frame system fails the "
+                                f"mixed-partial condition at ({shown})")
+    weight = {b: math.prod(map(math.factorial, b)) for table in tables
+              for b in table}
+    return ({b: c * weight[b] for b, c in den_coeffs.items()},
+            [{b: [[x * weight[b] for x in row] for row in matrix]
+              for b, matrix in table.items()} for table in tables[1:]])
+
+
+def _derived(table, a):
+    """The Taylor table of d_a f from that of f: the coefficient of t^k is
+    k_a + 1 times that of t^(k + e_a)."""
+    return {k[:a] + (k[a] - 1,) + k[a + 1:]: [[k[a] * x for x in row]
+                                              for row in matrix]
+            for k, matrix in table.items() if k[a]}
+
+
+def _curvature_factors(tables, a, b):
+    """P^2 K_ab (see `_cleared_partials`) as (sign, X, Y) for its products
+    X Y of Taylor tables, from the tables [P, N_1, ..., N_n]."""
+    p, n_a, n_b = tables[0], tables[a + 1], tables[b + 1]
+    return [(1, p, _derived(n_b, a)), (-1, p, _derived(n_a, b)),
+            (-1, _derived(p, a), n_b), (1, _derived(p, b), n_a),
+            (1, n_b, n_a), (-1, n_a, n_b)]
+
+
+def _vanishes_through(factors, top, m):
+    """Whether the sum of the products sign X Y of Taylor tables of m x m
+    integer matrices has no nonzero coefficient of degree <= top."""
+    products = {}
+    for sign, left, right in factors:
+        for k1, x in left.items():
+            for k2, y in right.items():
+                if sum(k1) + sum(k2) <= top:
+                    products.setdefault(tuple(map(int.__add__, k1, k2)),
+                                        []).append((sign, x, y))
+    return not any(any(map(any, _block_product(terms, m)))
+                   for terms in products.values())
 
 
 def _local_gammas(chart, order, point):
-    """{q: G_q(point)} for every |q| <= order, by a recursion on integer
+    """{q: G_q(point)} for every |q| <= order, by a recurrence on integer
     matrices at the point.
 
     G_q(s) is the q-th partial at s of the solution Phi with Phi(s) = I, so
     with l the lowest index where q_l > 0 and p = q - e_l, the Leibniz rule
-    on d^p (A_l Phi) gives
+    on d^p (P d_l Phi) = d^p (N_l Phi), P and N_l = P A_l the chart's
+    polynomial data, gives the short recurrence
 
-        G_q(s) = sum_{b <= p} C(p, b) d^b A_l(s) G_(p-b)(s).
+        P(s) G_q = sum_{b <= p} C(p, b) d^b N_l(s) G_(p-b)
+                   - sum_{0 != b <= p} C(p, b) d^b P(s) G_(q-b),
 
-    It reads D d^b A_l(s) for |b| <= order - 1 from `_cleared_partials`,
-    which raises NonIntegrable when the chart fails the mixed-partial
-    condition at s below order - 1.  Then H_q = D^|q| G_q(s) is integral,
+    whose sums run over the b where those partials are nonzero, so |b| is
+    at most the degree of the data: the flat frame is D-finite, with
+    P-recursive Taylor coefficients (Stanley, Europ. J. Combin. 1, 1980).
+    It reads the cleared partials D d^b P(s) and D d^b N_l(s) from
+    `_cleared_partials`, which raises NonIntegrable when the chart fails
+    the mixed-partial condition at s below order - 1.  With c = D P(s),
+    H_q = c^|q| G_q(s) is integral,
 
-        H_q = sum_{b <= p} C(p, b) D^|b| (D d^b A_l(s)) H_(p-b),
+        H_q = sum C(p, b) c^|b| (D d^b N_l(s)) H_(p-b)
+              - sum C(p, b) c^(|b| - 1) (D d^b P(s)) H_(q-b),
 
-    each sum one `linalg.mat_mul`, and Fractions are formed only for the
+    each step one `linalg.mat_mul`, and Fractions are formed only for the
     values returned.
     """
     return _local_values(chart, order, point, adjoint=False)
@@ -575,32 +659,43 @@ def _local_inverses(chart, order, point):
 
     Psi solves the adjoint system d_l Psi = -Psi A_l (Coddington and
     Levinson, Theory of Ordinary Differential Equations, 1955), so the
-    mirror of the recursion of `_local_gammas`, on the same partials and
-    with the same integrability test, gives
+    mirror of the recurrence of `_local_gammas`, on P d_l Psi = -Psi N_l
+    and with the same integrability test, gives
 
-        K_q(s) = -sum_{b <= p} C(p, b) K_(p-b)(s) d^b A_l(s),
+        P(s) K_q = -sum_{b <= p} C(p, b) K_(p-b) d^b N_l(s)
+                   - sum_{0 != b <= p} C(p, b) d^b P(s) K_(q-b),
 
-    in integers as L_q = D^|q| K_q(s) = -sum C(p, b) D^|b| L_(p-b)
-    (D d^b A_l(s)).  No series is inverted, and no G_q is formed.
+    in integers on L_q = c^|q| K_q(s) as for H_q.  No series is inverted,
+    and no G_q is formed.
     """
     return _local_values(chart, order, point, adjoint=True)
 
 
 def _local_values(chart, order, point, adjoint):
-    """The integer recursion of `_local_gammas`, or with `adjoint` the one
+    """The integer recurrence of `_local_gammas`, or with `adjoint` the one
     of `_local_inverses`, over the partials of `_cleared_partials`."""
-    den, derivs = _cleared_partials(chart, order, point)
+    den, partials = _cleared_partials(chart, order, point)
     m, n = chart.m, chart.n
-    powers = [den ** k for k in range(order + 1)]
-    scaled = {(0,) * n: [[int(i == j) for i in range(m)] for j in range(m)]}
+    identity = [[int(i == j) for i in range(m)] for j in range(m)]
+    zero = (0,) * n
+    powers = [1]
+    for _ in range(order):
+        powers.append(powers[-1] * den[zero])
+    # the partials of P past its value
+    higher = {b: c for b, c in den.items() if b != zero}
+    scaled = {zero: identity}
     for q in graded_monomials(n, order)[1:]:
         l = next(i for i, e in enumerate(q) if e)
         p = q[:l] + (q[l] - 1,) + q[l + 1:]
-        # C(p, b) D^|b| (D d^b A_l) and H_(p-b), with |b| = |p| - |p-b|
+        # C(p, b) c^|b| (D d^b N_l) and H_(p-b), with |b| = |p| - |p-b|
         terms = [(c * powers[sum(p) - sum(rest)], x, scaled[rest])
-                 for c, x, rest in _leibniz_terms(p, derivs[l])]
+                 for c, x, rest in _leibniz_terms(p, partials[l])]
         if adjoint:
             terms = [(-c, rest, x) for c, x, rest in terms]
+        # -C(p, b) c^(|b| - 1) (D d^b P) and H_(q-b), q - b = p - b + e_l
+        terms += [(-c * x * powers[sum(p) - sum(rest) - 1], identity,
+                   scaled[rest[:l] + (rest[l] + 1,) + rest[l + 1:]])
+                  for c, x, rest in _leibniz_terms(p, higher)]
         scaled[q] = _block_product(terms, m)
     return {q: [[Fraction(x, powers[sum(q)]) for x in row] for row in h]
             for q, h in scaled.items()}
@@ -682,8 +777,8 @@ def series_oracle(chart, sigma, initial):
     homogeneous parts S_e of S, e >= 1.  Step k thus forms only products
     of degree k, one combination per entry, and none at full order.
 
-    Shares with the xi-table route only the series ring and the batched
-    expansion of the coefficients, `RationalFunction.eval_all_on_jet`, one
+    Shares with the xi-table route only the series ring.  It expands the
+    coefficients along sigma with `RationalFunction.eval_all_on_jet`, one
     call for every nonzero A_l[j][i] it reads.  The recursion is linear in
     `initial`, so any square initial matrix is accepted, singular ones
     included.

@@ -11,13 +11,18 @@ Entries may not be None.
 Over any field whose elements support +, -, *, truth testing and `1 / x`
 (Fractions, rational functions): `invert` and the Gauss-Jordan elimination
 `eliminate` it runs, and `det` by Bareiss's (Math. Comp. 22, 1968), which
-inverts no pivot: on the 2x2 Fraction matrices of most calls it costs under
-a quarter of `eliminate`.  Ints are read as Fractions.  `rank`, `kernel_basis`
-and `solve` fill in rational zeros and ones, so they take rational matrices.
+inverts no pivot.  Matrices of ints and Fractions run both in integers:
+each row is cleared of denominators, Bareiss and the fraction-free
+Gauss-Jordan elimination divide exactly with `//`, and Fractions are
+formed only for the result.  In any other matrix ints are read as
+Fractions.  `rank`, `kernel_basis` and `solve` fill in
+rational zeros and ones, so they take rational matrices.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 
 
@@ -67,9 +72,24 @@ def mat_eq(a, b):
 
 
 def det(a):
-    """Determinant over a field by Bareiss's fraction-free elimination."""
-    rows = [[Fraction(x) if isinstance(x, int) else x for x in row]
-            for row in a]
+    """Determinant by Bareiss's elimination, which divides exactly by the
+    previous pivot: in integers once each row of ints and Fractions is
+    cleared of denominators (see `_cleared_rows`), with one Fraction for
+    the result, and with `/` over any other field."""
+    if len(a) == 1:
+        x = a[0][0]
+        return Fraction(x) if isinstance(x, int) else x
+    rows, scale = _cleared_rows(a)
+    if rows is None:
+        return _bareiss([[Fraction(x) if isinstance(x, int) else x
+                          for x in row] for row in a], operator.truediv)
+    return Fraction(_bareiss(rows, operator.floordiv), scale)
+
+
+def _bareiss(rows, divide):
+    """The determinant of a square matrix of rows, which it consumes; each
+    step's entries are minors of the matrix, so `divide` by the previous
+    pivot is exact."""
     negate, prev = False, None
     while len(rows) > 1:
         for i, top in enumerate(rows):
@@ -84,10 +104,31 @@ def det(a):
         pivot, tail = top[0], top[1:]
         rows = [[pivot * x - row[0] * y for x, y in zip(row[1:], tail)]
                 if row[0] else [pivot * x for x in row[1:]] for row in rows]
-        if prev is not None:   # exact, as the entries are minors of a
-            rows = [[x / prev for x in row] for row in rows]
+        if prev is not None:
+            rows = [[divide(x, prev) for x in row] for row in rows]
         prev = pivot
     return -rows[0][0] if negate else rows[0][0]
+
+
+def _cleared_rows(a):
+    """(rows, scale): each row of a matrix of ints and Fractions times the
+    lcm of its denominators, as lists of ints, and the product of those
+    lcms; (None, None) when some entry is neither an int nor a Fraction.
+    Scaling rows keeps their span, and scales the determinant by `scale`.
+    """
+    rows, scale = [], 1
+    for row in a:
+        den = 1
+        for x in row:
+            if isinstance(x, Fraction):
+                if den % x.denominator:
+                    den = math.lcm(den, x.denominator)
+            elif not isinstance(x, int):
+                return None, None
+        rows.append([x * den if isinstance(x, int)
+                     else x.numerator * (den // x.denominator) for x in row])
+        scale *= den
+    return rows, scale
 
 
 def unipotent_inverse(identity, nilpotent, steps):
@@ -108,7 +149,47 @@ def unipotent_inverse(identity, nilpotent, steps):
 
 
 def eliminate(a):
-    """Reduced row echelon form (copy); returns (rows, pivot_columns)."""
+    """Reduced row echelon form (copy); returns (rows, pivot_columns).
+
+    Rows of ints and Fractions are cleared of denominators (see
+    `_cleared_rows`) and reduced by fraction-free Gauss-Jordan elimination:
+    at a pivot p every other row becomes (p row - f top) divided by the
+    previous pivot, exactly, since its entries are minors of the matrix,
+    and each pivot row ends with the last pivot at its pivot column.  The
+    reduced form is unique, and its Fractions are formed once, at the end.
+    Entries of any other field are reduced with `/` by their pivots.
+    """
+    rows, _ = _cleared_rows(a)
+    if rows is None:
+        return _eliminate_over_field(a)
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    prev = 1
+    for col in range(ncols):
+        rank_row = len(pivots)
+        pivot = next((i for i in range(rank_row, nrows) if rows[i][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank_row], rows[pivot] = rows[pivot], rows[rank_row]
+        top = rows[rank_row]
+        p = top[col]
+        for i, row in enumerate(rows):
+            if i != rank_row:
+                f = row[col]
+                rows[i] = ([(p * x - f * y) // prev for x, y in zip(row, top)]
+                           if f else [p * x // prev for x in row])
+        prev = p
+        pivots.append(col)
+        if len(pivots) == nrows:
+            break
+    return [[Fraction(x, prev) for x in row] for row in rows], pivots
+
+
+def _eliminate_over_field(a):
+    """`eliminate` over a field whose elements support +, -, *, truth
+    testing and `1 / x`."""
     rows = [[Fraction(x) if isinstance(x, int) else x for x in row]
             for row in a]
     nrows = len(rows)
@@ -175,7 +256,8 @@ def solve(a, b):
 def invert(a):
     """Inverse of a square matrix over a field; ValueError if singular."""
     m = len(a)
-    augmented = [list(row) + unit for row, unit in zip(a, identity(m))]
+    augmented = [list(row) + [int(i == j) for j in range(m)]
+                 for i, row in enumerate(a)]
     rows, pivots = eliminate(augmented)
     if pivots[:m] != list(range(m)):
         raise ValueError("matrix is singular")

@@ -572,13 +572,11 @@ class Polynomial:
             derive_terms(self._table, index, self.arity), self._den))
 
     def evaluate(self, point):
-        """Exact value at a tuple of rationals."""
-        if len(point) != self.arity:
-            raise ArityMismatch(
-                f"expected {self.arity} values, got {len(point)}")
-        point = [_fr(v) for v in point]
-        return evaluate_terms(self._table, self.arity, point,
-                              Fraction(1)) / self._den
+        """Exact value at a tuple of rationals: the order-0 Taylor
+        coefficient there (see `_shifted`), summed in integers and formed
+        as one Fraction."""
+        table, den = _shifted(self, [_fr(x) for x in point], 0)
+        return Fraction(table.get(0, 0), den)
 
     def evaluate_in(self, values, one):
         """Evaluate on elements of any commutative ring.
@@ -811,10 +809,10 @@ def evaluate_terms(terms, arity, values, one, den=1):
 
     Works over any commutative ring containing the rational coefficients;
     powers of each value are computed once and cached, and the terms are
-    summed with `+`.  It serves `Polynomial.evaluate` at points and
-    `Polynomial.evaluate_in`; substitution into jets goes through
-    `series.series_compose_all`, which forms each polynomial as one
-    combination.
+    summed with `+`.  It serves `Polynomial.evaluate_in`; values at a
+    rational point are summed in integers by `_shifted`, and
+    substitution into jets goes through `series.series_compose_all`, which
+    forms each polynomial as one combination.
     """
     if not terms:
         return one * Fraction(0)
@@ -839,3 +837,84 @@ def evaluate_terms(terms, arity, values, one, den=1):
         term = term * (c if den == 1 else Fraction(c, den))
         total = term if total is None else total + term
     return total
+
+
+# -- values and Taylor coefficients at a rational point, in integers ---------
+
+def taylor_shift(products, point, order):
+    """(den, tables): the Taylor coefficients of products of polynomials at
+    a point of rationals through total degree `order`, in integers.
+
+    Each item of `products` is a sequence of polynomials, and its product
+    f is f(point + t) = sum_b tables[k][b] t^b / den up to that degree:
+    each table maps exponent tuples b, |b| <= order, to nonzero ints, and
+    den is one positive int for them all, with no factor common to it and
+    every coefficient.  Each distinct polynomial is shifted once (see
+    `_shifted`), and the tables of a product's factors are multiplied by
+    `mul_terms` cut above the degree, which is exact up to it; the empty
+    product is 1.  No series is formed.
+    """
+    arity = len(point)
+    point = [_fr(x) for x in point]
+    limit = (order + 1) << BITS * arity
+    # id(f) -> its shifted (table, den)
+    shifted, tables, dens = {}, [], []
+    for factors in products:
+        table, den = {0: 1}, 1
+        for f in factors:
+            one = shifted.get(id(f))
+            if one is None:
+                one = shifted[id(f)] = _shifted(f, point, order)
+            table, den = mul_terms(table, one[0], limit), den * one[1]
+        tables.append(table)
+        dens.append(den)
+    common = math.lcm(*dens)
+    tables = [table if den == common else
+              {p: c * (common // den) for p, c in table.items()}
+              for table, den in zip(tables, dens)]
+    g = math.gcd(common, *(c for table in tables for c in table.values()))
+    return common // g, [{unpack(p, arity): c // g for p, c in table.items()}
+                         for table in tables]
+
+
+def _shifted(f, point, order):
+    """(table, den): f(point + t) = sum table[key] t^key / den through
+    total degree `order`, in packed keys and integers.  One variable at a
+    time: with x_i = u_i / v_i and E_i the top exponent of variable i in
+    f,
+
+        v_i^E_i (x_i + t_i)^e
+            = sum_{j <= e} C(e, j) u_i^(e - j) v_i^(E_i - e + j) t_i^j,
+
+    so each term spreads over at most order + 1 terms by products of
+    integers, and terms that then agree in the key are summed before the
+    next variable."""
+    arity = f.arity
+    if len(point) != arity:
+        raise ArityMismatch(f"expected {arity} values, got {len(point)}")
+    table, den = f._table, f._den
+    for i, x in enumerate(point):
+        shift = BITS * (arity - 1 - i)
+        unit = 1 << BITS * arity | 1 << shift  # the key of x_i, and of t_i
+        u, v = x.numerator, x.denominator
+        top = max(p >> shift & FIELD for p in table) if table else 0
+        if not top:
+            continue
+        den *= v ** top
+        # exponent e -> (key of t_i^j, integer weight); at u = 0 only j = e
+        spreads, out = {}, {}
+        for p, n in table.items():
+            e = p >> shift & FIELD
+            spread = spreads.get(e)
+            if spread is None:
+                spread = spreads[e] = [
+                    (j * unit, math.comb(e, j) * u ** (e - j)
+                     * v ** (top - e + j))
+                    for j in range(min(e, order) + 1) if u or j == e]
+            base = p - e * unit
+            for step, w in spread:
+                key = base + step
+                out[key] = out.get(key, 0) + n * w
+        table = out
+    limit = (order + 1) << BITS * arity
+    return {key: c for key, c in table.items() if c and key < limit}, den

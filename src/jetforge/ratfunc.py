@@ -160,6 +160,9 @@ class RationalFunction:
             self.den * self.den)
 
     def evaluate(self, point):
+        # the constructor keeps a constant denominator equal to 1
+        if self.den._is_one():
+            return self.num.evaluate(point)
         dv = self.den.evaluate(point)
         if dv == 0:
             raise SingularPoint(f"denominator vanishes at {tuple(point)}")

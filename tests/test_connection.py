@@ -159,6 +159,46 @@ def count_evaluations(monkeypatch, polys):
     return calls
 
 
+def gauged_chart(rng, n):
+    """m = 2 with A_l = d_l g adj(g) / det g for a polynomial g of degree
+    one whose determinant is not constant: the flat frames are g times
+    constants, and every coefficient has the multivariate denominator
+    det g (up to its content)."""
+    while True:
+        g = [[random_poly(rng, n) + int(i == j) for j in range(2)]
+             for i in range(2)]
+        det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+        if det.degree() > 0:
+            break
+    adj = [[g[1][1], -g[0][1]], [-g[1][0], g[0][0]]]
+    coeffs = [[[None] * n for _ in range(2)] for _ in range(2)]
+    for l in range(n):
+        a = la.mat_mul([[p.derivative(l) for p in row] for row in g], adj)
+        for i in range(2):
+            for j in range(2):
+                coeffs[i][j][l] = RationalFunction(-a[j][i], det)
+    q = [[0, 1], [-1, 0]]
+    gram = [[RationalFunction.const(x, n) for x in row] for row in q]
+    return ConnectionChart(n, 2, coeffs, 1, (2, 1), gram, q)
+
+
+def random_poly(rng, n):
+    """A random polynomial of degree at most one in n variables."""
+    return Polynomial(n, {mono: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                          for mono in graded_monomials(n, 1)})
+
+
+def regular_point(rng, chart):
+    while True:
+        point = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                      for _ in range(chart.n))
+        try:
+            chart.assert_regular(point)
+            return point
+        except SingularPoint:
+            continue
+
+
 def fresh_copy(chart):
     """The same chart, with no point records."""
     hodge = chart.hodge
@@ -372,10 +412,11 @@ class TestXiTable:
         assert set(thresholds) == {2, 3, 4, 5}
 
     def test_local_values_form_no_series_products(self, monkeypatch):
-        # the recursions for G_q and for the inverse frame's K_q run on
-        # integer matrices at the point: every series product they form,
-        # through `*` or the combination kernel, is inside the expansion of
-        # a chart coefficient
+        # the recurrences for G_q and for the inverse frame's K_q run on
+        # integer matrices at the point, from the Taylor coefficients of
+        # the chart's polynomial data there: they form no series product,
+        # through `*` or the combination kernel, and expand no chart
+        # coefficient along a jet
         rng = random.Random(23)
         cases = [(random_flat_chart(rng, 3, 2).chart, 4, (Fraction(1, 2), 2)),
                  (random_flat_chart(rng, 2, 3).chart, 3, (1, Fraction(-1, 3), 0)),
@@ -413,9 +454,7 @@ class TestXiTable:
                             staticmethod(eval_all_on_jet))
         assert [build(*case) for build in builds for case in cases] \
             == expected
-        assert expanded and not products
-        # the expansions stop at order - 1, the highest partial read
-        assert {jet.order for jet in expanded} == {3, 2, 5}
+        assert not expanded and not products
 
     def test_shared_table_builds_each_point_once(self, monkeypatch):
         builds = count_builds(monkeypatch)
@@ -447,6 +486,110 @@ class TestXiTable:
                                             random_invertible(rng, 2))
         assert builds == [(5, point)]
 
+
+
+class TestChartDenominator:
+    """P and N_l = P A_l, the polynomial data the recurrences read."""
+
+    @staticmethod
+    def assert_cleared(chart):
+        factors, cofactors = chart.factored()
+        den = math.prod(factors, start=Polynomial.const(1, chart.n))
+        for l in range(chart.n):
+            for a_row in chart.a_matrix(l):
+                for rf in a_row:
+                    f = math.prod(cofactors.get(rf.den, factors), start=rf.num)
+                    assert RationalFunction(f) == rf * den
+        return den
+
+    @staticmethod
+    def mixed_chart(n=2):
+        """Coefficients over distinct denominators, and over 1."""
+        z1, z2 = Polynomial.variable(0, n), Polynomial.variable(n - 1, n)
+        zero = RationalFunction.zero(n)
+        if n == 1:
+            coeffs = [[[RationalFunction(z1 + 2, z1 - 1)],
+                       [RationalFunction(Polynomial.const(3, 1),
+                                         z1 * z1 - z1)]],
+                      [[RationalFunction(z1 * z1)], [zero]]]
+        else:
+            coeffs = [[[RationalFunction(z2, z1 + 1), zero],
+                       [RationalFunction(Polynomial.const(1, 2), z1 * z2 - 2),
+                        RationalFunction(z1)]],
+                      [[zero, RationalFunction(z1, z1 + 1)], [zero, zero]]]
+        one = RationalFunction.one(n)
+        return ConnectionChart(n, 2, coeffs, 1, (2, 1),
+                               [[zero, one], [-one, zero]], [[0, 1], [-1, 0]])
+
+    def test_numerators_are_the_denominator_times_the_coefficients(self):
+        rng = random.Random(71)
+        assert self.assert_cleared(legendre_chart()) \
+            == Polynomial(1, {(2,): 1, (1,): -1})
+        assert self.assert_cleared(random_flat_chart(rng, 3, 2).chart) == 1
+        chart = gauged_chart(rng, 2)
+        (factor,), cofactors = chart.factored()
+        assert factor.degree() == 2 and cofactors == {factor: ()}
+        self.assert_cleared(chart)
+        # distinct multivariate denominators multiply
+        chart = self.mixed_chart()
+        z1, z2 = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+        assert self.assert_cleared(chart) == (z1 + 1) * (z1 * z2 - 2)
+        # in one coordinate they have an lcm; a coefficient over 1 counts
+        assert self.assert_cleared(self.mixed_chart(1)) \
+            == Polynomial(1, {(2,): 1, (1,): -1})
+        with pytest.raises(SingularPoint, match="connection coefficient"):
+            chart.assert_regular((Fraction(-1), Fraction(3)))
+        with pytest.raises(SingularPoint, match="connection coefficient"):
+            chart.assert_regular((Fraction(1, 2), Fraction(4)))
+        chart.assert_regular((Fraction(1, 2), Fraction(3)))
+
+    def test_values_over_one_denominator_match_the_series_recursion(self):
+        rng = random.Random(73)
+        for case in range(6):
+            n = 2 + case % 2
+            chart = gauged_chart(rng, n)
+            point = regular_point(rng, chart)
+            for order in range(6 if n == 2 else 5):
+                assert connection._local_gammas(chart, order, point) \
+                    == reference_local_gammas(chart, order, point)
+                TestInverseFrame.assert_leibniz(chart, order, point)
+        # the values where they are defined, and the same verdicts past it
+        verdicts = []
+        for n in (1, 2):
+            chart = self.mixed_chart(n)
+            for _ in range(3):
+                point = regular_point(rng, chart)
+                for order in range(6):
+                    try:
+                        expected = reference_local_gammas(chart, order, point)
+                    except NonIntegrable:
+                        for build in (connection._local_gammas,
+                                      connection._local_inverses):
+                            with pytest.raises(NonIntegrable):
+                                build(chart, order, point)
+                        verdicts.append(order)
+                        break
+                    assert connection._local_gammas(chart, order, point) \
+                        == expected
+                    TestInverseFrame.assert_leibniz(chart, order, point)
+        assert verdicts == [2, 2, 2]
+
+    def test_beta_matches_the_oracle_at_high_order(self):
+        chart = legendre_chart()
+        sigma = JetPoint([TruncatedSeries(1, 60, {(0,): Fraction(1, 3),
+                                                  (1,): 1, (2,): -2})])
+        initial = [[Fraction(1), Fraction(2)], [Fraction(-1), Fraction(1)]]
+        assert beta(chart, sigma, initial) \
+            == series_oracle(chart, sigma, initial)
+        rng = random.Random(79)
+        chart = gauged_chart(rng, 2)
+        point = regular_point(rng, chart)
+        sigma = JetPoint([TruncatedSeries(1, 20, {(0,): point[0], (1,): 1}),
+                          TruncatedSeries(1, 20, {(0,): point[1], (1,): -2,
+                                                  (2,): 1})])
+        initial = random_invertible(rng, 2)
+        assert beta(chart, sigma, initial) \
+            == series_oracle(chart, sigma, initial)
 
 
 class TestInverseFrame:
@@ -540,8 +683,12 @@ class TestPointRecords:
         dens += [rf.den for row in chart.gram for rf in row
                  if rf.den.degree() > 0]
         assert len(dens) == 4
+        # the regularity check reads the chart's one denominator, the lcm
+        # P = z (z - 1) of the four
+        factors = chart.factored()[0]
+        assert factors == (Polynomial(1, {(2,): 1, (1,): -1}),)
         builds = count_builds(monkeypatch)
-        evaluations = count_evaluations(monkeypatch, dens)
+        evaluations = count_evaluations(monkeypatch, dens + list(factors))
         rng = random.Random(12)
         point = (Fraction(1, 3),)
         for r in (4, 2, 4, 3, 0, 4):
@@ -554,7 +701,7 @@ class TestPointRecords:
                 chart, sigma, initial)
             eta_chartlocal(chart, sigma)
         assert builds == [(4, point)]
-        assert evaluations == [point] * 4
+        assert evaluations == [point]
 
     def test_higher_order_rebuilds_and_matches_a_fresh_chart(self,
                                                              monkeypatch):
@@ -807,6 +954,22 @@ class TestBeta:
         rank_two = generic[:2] + [[a + x[4] * b for a, b in zip(*generic[:2])]]
         with pytest.raises(SingularInitial):
             beta(rc.chart, sigma, rank_two)
+
+    def test_polynomial_initial_data_of_size_four(self):
+        # the determinant test mixes ints with the rational functions of
+        # the Polynomial entries, past the 3 x 3 of the case above
+        rng = random.Random(13)
+        rc = random_flat_chart(rng, 4, 1)
+        sigma = random_jet(rng, rc.chart, 1, 3)
+        initial = [[int(i == j) for j in range(4)] for i in range(4)]
+        initial[3][3] = Polynomial.variable(0, 1)
+        assert beta(rc.chart, sigma, initial) == \
+            series_oracle(rc.chart, sigma, initial)
+        assert check_right_equivariance(rc.chart, sigma, initial,
+                                        random_invertible(rng, 4))
+        initial[3][3] = Polynomial.zero(1)
+        with pytest.raises(SingularInitial):
+            beta(rc.chart, sigma, initial)
 
     def test_non_integrable_chart_is_refused(self):
         # beta used to return 1 here while series_oracle returns

@@ -2,6 +2,8 @@
 and Gauss-Jordan elimination over fields, its determinant and its one
 matrix product."""
 
+import operator
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -175,6 +177,88 @@ def test_det_over_rational_functions_matches_the_leibniz_formula(g):
     singular = [list(row) for row in g]
     singular[-1] = [x * g[-1][0] for x in g[0]]
     assert not la.det(singular)
+
+
+def test_det_of_ints_and_rational_functions_reads_the_ints_as_fractions():
+    # ints mixed with rational functions run the `/` Bareiss: int / int
+    # must stay exact, at 3x3 and past it, where the quotient meets an
+    # entry that takes no float
+    z = Polynomial.variable(0, 1)
+    rf = RationalFunction(z + 1, z - 2)
+    for m in (3, 4, 5):
+        a = [[i + 2 if i == j else 0 for j in range(m)] for i in range(m)]
+        a[0] = [1] + [rf] * (m - 1)
+        a[-1][0] = 3
+        value = la.det(a)
+        assert isinstance(value, RationalFunction)
+        assert value == leibniz_det(
+            [[RationalFunction.const(x, 1) if isinstance(x, int) else x
+              for x in row] for row in a])
+    assert la.det([[1, rf, rf], [0, 2, 0], [0, 0, 3]]) == 6
+
+
+def seeded_rational_matrices(seed, count):
+    """Rectangular matrices of ints and Fractions, often sparse, with zero
+    columns, and singular or rank-deficient: rows that are combinations of
+    the others."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+        zero = rng.random()
+
+        def entry():
+            if rng.random() < zero / 2:
+                return 0
+            if rng.random() < 0.4:
+                return rng.randint(-6, 6)
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        a = [[entry() for _ in range(cols)] for _ in range(rows)]
+        for i in range(1, rows):
+            if rng.random() < 0.25:
+                w = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                a[i] = [w * x + y for x, y in zip(a[0], a[i - 1])]
+        if rng.random() < 0.2:
+            column = rng.randrange(cols)
+            for row in a:
+                row[column] = 0
+        yield a
+
+
+def test_fraction_free_elimination_matches_the_field_path():
+    for a in seeded_rational_matrices(5, 600):
+        rows, pivots = la.eliminate(a)
+        assert (rows, pivots) == la._eliminate_over_field(a)
+        assert all(type(x) is Fraction for row in rows for x in row)
+        if len(a) == len(a[0]):
+            value = la.det(a)
+            assert type(value) is Fraction
+            assert value == la._bareiss(
+                [[Fraction(x) for x in row] for row in a], operator.truediv)
+            assert value == leibniz_det(a)
+
+
+def test_the_solvers_follow_the_elimination():
+    cases = list(seeded_rational_matrices(9, 300))
+    singular = 0
+    for a in cases:
+        reduced, pivots = la._eliminate_over_field(a)
+        assert la.rank(a) == len(pivots)
+        for vector in la.kernel_basis(a):
+            assert all(sum(x * v for x, v in zip(row, vector)) == 0
+                       for row in a)
+        assert len(la.kernel_basis(a)) == len(a[0]) - len(pivots)
+        b = [sum(row) for row in a]
+        x = la.solve(a, b)
+        assert [sum(c * v for c, v in zip(row, x)) for row in a] == b
+        if len(a) == len(a[0]):
+            if len(pivots) < len(a):
+                singular += 1
+                with pytest.raises(ValueError, match="singular"):
+                    la.invert(a)
+            else:
+                inverse = la.invert(a)
+                assert la.mat_mul(a, inverse) == la.identity(len(a))
+    assert singular > 5
 
 
 class Counted:

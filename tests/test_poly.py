@@ -12,7 +12,7 @@ import jetforge.ratfunc as ratfunc
 from jetforge import linalg
 from jetforge.errors import ArityMismatch, InputError
 from jetforge.poly import (BITS, BOUND, Polynomial, graded_monomials,
-                          monomial_key)
+                          monomial_key, taylor_shift)
 from jetforge.ratfunc import RationalFunction
 from jetforge.series import TruncatedSeries
 
@@ -60,6 +60,72 @@ def test_evaluate():
     assert p.evaluate((Fraction(3), Fraction(4))) == 5
     with pytest.raises(ArityMismatch):
         p.evaluate((1,))
+
+
+def rational_points(rng, arity):
+    """Points with zero, negative and non-integer coordinates."""
+    return [tuple(rng.choice((0, rng.randint(-3, 3),
+                              Fraction(rng.randint(-5, 5), rng.randint(2, 4))))
+                  for _ in range(arity)) for _ in range(6)]
+
+
+def test_evaluate_sums_in_integers_as_evaluate_in_does_over_fractions():
+    rng = random.Random(17)
+    for case in range(60):
+        arity = 1 + case % 3
+        p = rand_poly(rng, arity, rng.randint(0, 4))
+        for point in rational_points(rng, arity):
+            value = p.evaluate(point)
+            assert type(value) is Fraction
+            assert value == p.evaluate_in([Fraction(x) for x in point],
+                                          Fraction(1)), (p, point)
+    with pytest.raises(TypeError):
+        Polynomial.variable(0, 1).evaluate((0.5,))
+
+
+def test_a_rational_function_over_one_is_its_numerator_value():
+    p = Polynomial(2, {(2, 0): Fraction(1, 3), (0, 1): -1})
+    assert RationalFunction(p).evaluate((Fraction(1, 2), 2)) \
+        == p.evaluate((Fraction(1, 2), 2)) == Fraction(-23, 12)
+
+
+def taylor_reference(f, point, order):
+    """The Taylor coefficients of f at the point through the order, as
+    partials over factorials: the reference for `taylor_shift`."""
+    out = {}
+    for b in graded_monomials(f.arity, order):
+        g = f
+        for i, e in enumerate(b):
+            for _ in range(e):
+                g = g.derivative(i)
+        c = g.evaluate(point) / math.prod(map(math.factorial, b))
+        if c:
+            out[b] = c
+    return out
+
+
+def test_taylor_shift_gives_the_taylor_coefficients_of_products():
+    rng = random.Random(29)
+    for case in range(40):
+        arity = 1 + case % 3
+        factors = [rand_poly(rng, arity, rng.randint(0, 3))
+                   for _ in range(rng.randint(0, 3))]
+        factors = [f for f in factors if f]
+        single = rand_poly(rng, arity, 4) or Polynomial.const(1, arity)
+        # a repeated factor is shifted once and counted twice
+        products = [factors, (single,), (single, *factors, single)]
+        for point in rational_points(rng, arity)[:3]:
+            order = rng.randint(0, 4)
+            den, tables = taylor_shift(products, point, order)
+            assert den > 0 and all(map(all, (t.values() for t in tables)))
+            assert math.gcd(den, *(c for t in tables
+                                   for c in t.values())) == 1
+            for factors_k, table in zip(products, tables):
+                product = math.prod(factors_k,
+                                    start=Polynomial.const(1, arity))
+                assert {b: Fraction(c, den) for b, c in table.items()} \
+                    == taylor_reference(product, point, order)
+    assert taylor_shift([()], (Fraction(1, 2),), 3) == (1, [{(0,): 1}])
 
 
 def test_normalized_clears_denominators_and_content():
