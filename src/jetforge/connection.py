@@ -76,8 +76,8 @@ from . import linalg
 from .errors import (ArityMismatch, DimensionMismatch, NonIntegrable,
                      SingularInitial, SingularPoint)
 from .poly import (Polynomial, default_names, graded_monomials,
-                   primitive_parts, taylor_shift)
-from .ratfunc import RationalFunction, _univ_divmod, _univ_gcd
+                   primitive_parts, taylor_shift, univ_lcm)
+from .ratfunc import RationalFunction, _univ_divmod
 from .series import TruncatedSeries, same_form, taylor_weights
 
 
@@ -96,6 +96,9 @@ class HodgeData:
             raise ValueError("filtration dims must be positive")
         if len(polarization) != m or any(len(r) != m for r in polarization):
             raise ArityMismatch("polarization must be m x m")
+        if any(not isinstance(x, (int, Fraction)) or x.denominator != 1
+               for row in polarization for x in row):
+            raise ValueError("polarization entries must be exact integers")
         sign = -1 if weight % 2 else 1
         for i in range(m):
             for k in range(m):
@@ -274,13 +277,7 @@ class ConnectionChart:
                 rf.den for a in self._a_matrices for row in a for rf in row
                 if rf.den.degree() > 0))
             if self.n == 1 and dens:
-                # highest degree first, so that most of the others divide
-                den, *others = sorted(dens, key=Polynomial.degree,
-                                      reverse=True)
-                for other in others:
-                    if _univ_divmod(den, other)[1]:
-                        den = _univ_divmod(den * other,
-                                           _univ_gcd(den, other))[0]
+                den = univ_lcm(dens)
                 form = (den,), {d: (_univ_divmod(den, d)[0],) if d != den
                                  else () for d in dens}
             else:
@@ -701,12 +698,15 @@ def _local_values(chart, order, point, adjoint):
             for q, h in scaled.items()}
 
 
-def _check_initial(matrix, m):
+def _check_initial(matrix, m, what="initial matrix"):
+    """Refuse a matrix that is not m x m, or whose determinant is zero:
+    polynomial entries are read as rational functions, so that its
+    elimination runs over a field."""
     if len(matrix) != m or any(len(row) != m for row in matrix):
-        raise ArityMismatch("initial matrix has the wrong size")
+        raise ArityMismatch(f"{what} has the wrong size")
     if not linalg.det([[RationalFunction(x) if isinstance(x, Polynomial) else x
                         for x in row] for row in matrix]):
-        raise SingularInitial("initial matrix is singular")
+        raise SingularInitial(f"{what} is singular")
 
 
 def beta(chart, sigma, initial, table=None):
@@ -743,19 +743,27 @@ def _taylor_part(chart, sigma, table):
     if kept is not None and _same_jet(kept[0], sigma):
         return kept[1]
     chart.assert_regular(s)
-    d, r = sigma.dims, sigma.order
+    r = sigma.order
     order = table.order if table is not None and table.chart is chart else r
-    values = chart.gammas_at(s, max(order, r))
-    weight = taylor_weights(sigma.offsets())
-    # a zero weight adds nothing to a combination
-    gammas = [(values[q], weight(q)) for q in graded_monomials(chart.n, r)]
-    m = chart.m
-    w_matrix = tuple(tuple(TruncatedSeries.combination(
-        d, r, [(g[j][i], w) for g, w in gammas]) for i in range(m))
-        for j in range(m))
+    w_matrix = taylor_sum(sigma,
+                          chart.gammas_at(s, max(order, r)).__getitem__)
     chart._keep(s, chart._points.get(s, _NO_RECORD)._replace(
         taylor=(sigma, w_matrix)))
     return w_matrix
+
+
+def taylor_sum(sigma, matrix):
+    """The series matrix sum_q X_q w_q over the Taylor weights w_q of sigma
+    and the multi-degrees q of |q| <= r, X_q = matrix(q) a square rational
+    matrix: one combination per entry, as a tuple of rows."""
+    d, r = sigma.dims, sigma.order
+    weight = taylor_weights(sigma.offsets())
+    # a zero weight adds nothing to a combination
+    terms = [(matrix(q), weight(q)) for q in graded_monomials(sigma.n, r)]
+    m = len(terms[0][0])
+    return tuple(tuple(TruncatedSeries.combination(
+        d, r, [(x[j][i], w) for x, w in terms]) for i in range(m))
+        for j in range(m))
 
 
 def _same_jet(a, b):
@@ -834,10 +842,7 @@ def check_right_equivariance(chart, sigma, initial, action, table=None):
     validates an initial matrix, which M A then passes too.
     """
     m = chart.m
-    if len(action) != m or any(len(row) != m for row in action):
-        raise ArityMismatch("acting matrix has the wrong size")
-    if not linalg.det(action):
-        raise SingularInitial("the acting matrix is singular")
+    _check_initial(action, m, "acting matrix")
     if sigma.n != chart.n:
         raise ArityMismatch("jet does not live on the chart")
     _check_initial(initial, m)
@@ -946,10 +951,6 @@ def normalize_poly_triple(p2, p1, p0):
     """Clear denominators of three rational functions in one variable and
     return primitive integer polynomials with p2's leading coefficient
     positive."""
-    dens = [p.den for p in (p2, p1, p0)]
-    lcm = dens[0]
-    for dpoly in dens[1:]:
-        g = _univ_gcd(lcm, dpoly)
-        lcm = _univ_divmod(lcm * dpoly, g)[0]
+    lcm = univ_lcm([p.den for p in (p2, p1, p0)])
     return tuple(primitive_parts([p.num * _univ_divmod(lcm, p.den)[0]
                                   for p in (p2, p1, p0)]))

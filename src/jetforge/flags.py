@@ -24,11 +24,11 @@ from .congruence import miss_is_proof, solve_congruence
 # HodgeData lives with the charts that hold it, and beta with the frames;
 # both stay importable here
 from .connection import (HodgeData, MatrixJet, _check_initial, beta,
-                         invert_series_matrix, series_product)
+                         invert_series_matrix, series_product, taylor_sum)
 from .errors import (ArityMismatch, CongruenceSearchExhausted,
                      NoRationalFvPoint, NoValidChart, SingularInitial)
-from .poly import Polynomial, graded_monomials
-from .series import TruncatedSeries, taylor_weights
+from .poly import Polynomial
+from .series import TruncatedSeries
 
 
 class FlagChart:
@@ -287,25 +287,18 @@ def alpha(chart, sigma, matrix):
     """
     if sigma.n != chart.n:
         raise ArityMismatch("jet does not live on the chart")
-    m = chart.m
-    _check_initial(matrix, m)
+    _check_initial(matrix, chart.m)
     s = sigma.basepoint()
     chart.assert_regular(s)
-    d, r = sigma.dims, sigma.order
-    values = chart.inverses_at(s, r)
+    values = chart.inverses_at(s, sigma.order)
     if any(isinstance(x, Polynomial) and x.degree() > 0
            for row in matrix for x in row):
         raise SingularInitial(
             "series matrix inversion needs rational constant terms")
     inverse = linalg.invert([[x.constant_term() if isinstance(x, Polynomial)
                               else x for x in row] for row in matrix])
-    weight = taylor_weights(sigma.offsets())
-    # (M^-1 K_q(s), w_q) for every |q| <= r; a zero weight adds nothing
-    terms = [(linalg.mat_mul(inverse, values[q]), weight(q))
-             for q in graded_monomials(chart.n, r)]
-    return flag_of_matrix(chart.hodge, MatrixJet(
-        [[TruncatedSeries.combination(d, r, [(c[j][i], w) for c, w in terms])
-          for i in range(m)] for j in range(m)]))
+    return flag_of_matrix(chart.hodge, MatrixJet(taylor_sum(
+        sigma, lambda q: linalg.mat_mul(inverse, values[q]))))
 
 
 def eta_chartlocal(chart, sigma):

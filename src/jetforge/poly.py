@@ -132,16 +132,13 @@ def leading_exponent(table, arity):
 
 # -- the term-table kernel ---------------------------------------------------
 
-def rational_table(pairs, arity, limit=None, mismatch=ArityMismatch):
+def rational_table(pairs, arity):
     """(numerators, denominator) of caller input in lowest terms, given as
-    (exponent, coefficient) pairs: exponents checked by `pack`, those whose
-    key reaches `limit` dropped, coefficients ints or Fractions (else
-    TypeError), repeats summed and zeros dropped."""
+    (exponent, coefficient) pairs: exponents checked by `pack`, coefficients
+    ints or Fractions (else TypeError), repeats summed and zeros dropped."""
     keys, nums, dens = [], [], []
     for expo, c in pairs:
-        key = pack(expo, arity, mismatch)
-        if limit is not None and key >= limit:
-            continue
+        key = pack(expo, arity)
         if isinstance(c, int):
             n, d = c, 1
         elif isinstance(c, Fraction):
@@ -405,6 +402,18 @@ def univ_gcd(a, b):
         b = _primitive(b)
         a, b = b, _divide(a, b)[1]
     return _from_dense(a, 1)
+
+
+def univ_lcm(polys):
+    """The lcm of univariate polynomials in primitive integer form with
+    positive leading coefficients, in that form: highest degree first, so
+    that most of the others divide it, and a gcd only for one that does
+    not."""
+    lcm, *others = sorted(polys, key=Polynomial.degree, reverse=True)
+    for f in others:
+        if univ_divmod(lcm, f)[1]:
+            lcm = univ_divmod(lcm * f, univ_gcd(lcm, f))[0]
+    return lcm
 
 
 class Polynomial:

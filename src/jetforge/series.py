@@ -5,23 +5,31 @@ Q[a_1..a_k]: a sparse map from exponent tuples of total degree <= r to
 nonzero coefficients.  A generic jet, or symbolic initial data, has
 polynomial coefficients in the jet coordinates a_1..a_k.
 
-Either way a series is stored as `Polynomial` is: a sparse table of nonzero
-integer numerators over one positive common denominator, kept in lowest
-terms, keyed by packed exponent keys (see `poly`).  For R = Q the key of
-t^p is the key of p as a polynomial in d variables: the t-degree in the
-most significant field, then p_1..p_d.  For R = Q[a_1..a_k] the key of
-t^p a^e is the key of p followed by the key of e, a-degree first,
+A rational series is the case k = 0 of a series over Q[a_1..a_k], and
+every operation has one code path for both.  A series is stored as
+`Polynomial` is: a sparse table of nonzero integer numerators over one
+positive common denominator, kept in lowest terms, keyed by packed exponent
+keys (see `poly`).  The key of t^p a^e is the key of p followed by the key
+of e, a-degree first,
 
     key = key(p) << BITS*(k+1) | key(e),
 
-so its low part is the coefficient polynomial's own key, and a rational
-table is padded by one shift and split by one shift and one mask.  Either
-way the t-degree is the most significant field, so a product cut at order
-r keeps exactly the keys below (r + 1) << s, s the shift of that field: one
+and with no a-part at all when k = 0, so that a rational series stores
+what a polynomial in t_1..t_d stores.  The low part of a key is the
+coefficient polynomial's own key, a rational table is padded to Q[a] by one
+shift, and a key is split by one shift and one mask (both nothing at k = 0).
+The t-degree is the most significant field, so a product cut at order r
+keeps exactly the keys below (r + 1) << s, s the shift of that field: one
 comparison.  The order stays below the exponent bound of `poly` (else
 `InputError`), so the t-degrees of two factors add without carrying out of
-their field.  The a-degree of a product over Q[a_1..a_k] is not cut, so a
-product that takes it to the bound raises `InputError`.
+their field.  The a-degree of a product is not cut, so a product that takes
+it to the bound raises `InputError`.  A zero series is rational.
+
+One read tells the rings apart on purpose: one coefficient of a rational
+series is one lookup in the table, with no pass over it, since
+`constant_term` is on every hot path.  `==` compares values, not stored
+forms, so a rational series equals one over Q[a] whose coefficients are
+constants.
 
 The arithmetic runs the term-table kernel of `poly` on the integers and
 keeps the denominator with the rational-table functions of `poly` that
@@ -41,8 +49,8 @@ reads is one product, in a table that lives for the call alone, and each
 polynomial is one `combination` of those monomials.  `series_compose` is its
 one-element case.
 
-`coeffs`, `coefficient` and `homogeneous` read the coefficients by exponent
-tuple, built when read: a constant one as a Fraction, any other as a
+`coeffs`, `coefficient`, `homogeneous` and the text form read the
+coefficients, built when read: a constant one as a Fraction, any other as a
 `Polynomial` in the a-variables.
 
 All values are immutable after construction and every operation is a pure
@@ -61,7 +69,7 @@ from .errors import (ArityMismatch, DimensionMismatch, InputError, NotAUnit,
 from .linalg import unipotent_inverse
 from .poly import (BITS, BOUND, FIELD, Polynomial, add_fractions,
                    default_names, derive_terms, lowest_terms, mul_terms,
-                   pack, past_bound, pow_terms, rational_table,
+                   fraction_table, pack, past_bound, pow_terms,
                    scale_fraction, terms_to_string, unpack)
 
 
@@ -77,13 +85,13 @@ def _check_shape(dims, order):
 
 
 def _low(arity):
-    """The bits below the t-part of a key over Q[a_1..a_arity]."""
+    """The bits below the t-part of a key over Q[a_1..a_arity], 0 over Q."""
     return BITS * (arity + 1) if arity else 0
 
 
 def _shift(dims, arity):
-    """The shift of the t-degree field of a key."""
-    return BITS * dims + _low(arity)
+    """The shift of the t-degree field of a key, `_low(arity)` included."""
+    return BITS * (dims + arity + 1) if arity else BITS * dims
 
 
 def _padded(table, arity):
@@ -94,8 +102,8 @@ def _padded(table, arity):
 
 
 def _common_tables(a, b):
-    """The tables of two series, not both rational, over one ring of
-    coefficients, and the number of its variables."""
+    """The tables of two series over one ring of coefficients, and the
+    number of its variables: a rational table is padded to the other's."""
     ka, kb = a._arity, b._arity
     if ka == kb:
         return a._table, b._table, ka
@@ -108,8 +116,9 @@ def _common_tables(a, b):
 
 def _checked(table, arity):
     """A product's table over Q[a_1..a_arity], refused when the top bit of
-    an a-degree field is set: that degree reached the exponent bound."""
-    if any(map((1 << _low(arity) - 1).__and__, table)):
+    an a-degree field is set: that degree reached the exponent bound.  Over
+    Q, arity 0, a key has no a-degree field."""
+    if arity and any(map((1 << _low(arity) - 1).__and__, table)):
         raise past_bound("the degree in the coefficient variables")
     return table
 
@@ -127,71 +136,60 @@ class TruncatedSeries:
     `_table` maps packed keys (see the module docstring) to nonzero integer
     numerators and `_den` is their positive common denominator, with no
     factor common to all of them.  `_arity` is the number k of coefficient
-    variables: 0 for rational coefficients, whose keys are the keys of the
-    t-exponents; otherwise a key is a t-key followed by an a-key, and the
-    coefficient of t^p is the polynomial of the keys whose t-part is p's.
-    A zero series is rational.  `_coeffs` keeps the coefficients once
-    `coeffs` has been read.
+    variables, 0 for rational coefficients: a key is a t-key followed by an
+    a-key, none when k = 0, and the coefficient of t^p is the polynomial of
+    the keys whose t-part is p's.  A zero series is rational.  `_coeffs`
+    keeps the coefficients once `coeffs` has been read.
     """
 
     __slots__ = ("dims", "order", "_table", "_den", "_arity", "_coeffs")
 
     def __new__(cls, dims, order, coeffs=None):
         _check_shape(dims, order)
-        items = list((coeffs or {}).items())
+        coeffs = coeffs or {}
         arity = 0
-        for i, (p, c) in enumerate(items):
+        for c in coeffs.values():
             if isinstance(c, Polynomial):
-                if not c:
-                    items[i] = (p, 0)
-                elif arity and c.arity != arity:
-                    raise ArityMismatch(
-                        f"coefficients in {arity} and {c.arity} variables")
-                else:
+                if c and c.arity != arity:
+                    if arity:
+                        raise ArityMismatch(
+                            f"coefficients in {arity} and {c.arity} variables")
                     arity = c.arity
             elif not isinstance(c, (int, Fraction)):
                 raise TypeError("series coefficients must be rationals or "
                                 f"Polynomials, got {type(c).__name__}")
-        limit = (order + 1) << BITS * dims
-        if not arity:
-            return cls._new(dims, order, *rational_table(
-                items, dims, limit, DimensionMismatch))
-        # keys and each coefficient's table over the lcm of the denominators
-        terms = []
-        for p, c in items:
-            key = pack(p, dims, DimensionMismatch)
-            if key < limit and c:
-                terms.append((key, c if isinstance(c, Polynomial)
-                              else Polynomial.const(c, arity)))
-        den = math.lcm(*(f._den for _, f in terms))
+        # one term per monomial t^p a^e of a coefficient; a rational
+        # coefficient is the term at e = 0
         low = _low(arity)
-        flat = {}
-        for key, f in terms:
-            scale = den // f._den
+        limit = order + 1 << BITS * dims
+        keys, nums, dens = [], [], []
+        for p, c in coeffs.items():
+            key = pack(p, dims, DimensionMismatch)
+            if key >= limit:
+                continue
             key <<= low
-            for a, n in f._table.items():
-                s = flat.get(key | a, 0) + n * scale
-                if s:
-                    flat[key | a] = s
-                else:
-                    del flat[key | a]
-        return cls._generic(dims, order, *lowest_terms(flat, den), arity)
+            if isinstance(c, Polynomial):
+                for a, n in c._table.items():
+                    keys.append(key | a)
+                    nums.append(n)
+                    dens.append(c._den)
+            elif c:
+                keys.append(key)
+                nums.append(c.numerator)
+                dens.append(c.denominator)
+        return cls._new(dims, order, *fraction_table(keys, nums, dens), arity)
 
     @classmethod
     def _new(cls, dims, order, table, den, arity=0):
-        """The series of a stored form (see the class docstring), taken as is."""
+        """The series of a stored form (see the class docstring), taken as
+        is over Q[a_1..a_arity]; an empty table is rational."""
         self = object.__new__(cls)
         _set_dims(self, dims)
         _set_order(self, order)
         _set_table(self, table)
         _set_den(self, den)
-        _set_arity(self, arity)
+        _set_arity(self, arity if table else 0)
         return self
-
-    @classmethod
-    def _generic(cls, dims, order, table, den, arity):
-        """`_new` for a form over Q[a_1..a_arity]; an empty one is rational."""
-        return cls._new(dims, order, table, den, arity if table else 0)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
@@ -204,29 +202,34 @@ class TruncatedSeries:
         try:
             return self._coeffs
         except AttributeError:
-            d, den = self.dims, self._den
+            d = self.dims
             coeffs = {unpack(p, d): c
-                      for p, c in self._polynomials().items()} \
-                if self._arity else {unpack(p, d): Fraction(n, den)
-                                     for p, n in self._table.items()}
+                      for p, c in self._polynomials().items()}
             _set_coeffs(self, coeffs)
             return coeffs
 
-    def _polynomials(self, keep=None):
-        """The coefficients of a series over Q[a_1..a_k] by t-key, for the
-        t-keys that pass `keep` (all when None), in one pass over the table:
-        a Fraction for a constant coefficient, else a `Polynomial`."""
+    def _polynomials(self, start=0, stop=None):
+        """The coefficients by t-key, for the t-keys in [start, stop), all
+        when stop is None: a Fraction for a constant coefficient, else a
+        `Polynomial`.  The one reader of coefficients; over Q each is one
+        numerator of the table."""
         arity, den = self._arity, self._den
         low = _low(arity)
+        items = self._table.items()
+        if stop is not None:
+            # the keys of a t-key p are those of p << low plus an a-key
+            start, stop = start << low, stop << low
+            items = [(key, n) for key, n in items if start <= key < stop]
+        if not arity:
+            return {p: Fraction(n, den) for p, n in items}
         mask = (1 << low) - 1
         split = {}
-        for key, n in self._table.items():
+        for key, n in items:
             p = key >> low
-            if keep is None or keep(p):
-                part = split.get(p)
-                if part is None:
-                    split[p] = part = {}
-                part[key & mask] = n
+            part = split.get(p)
+            if part is None:
+                split[p] = part = {}
+            part[key & mask] = n
         return {p: Fraction(part[0], den) if len(part) == 1 and 0 in part
                 else Polynomial._new(arity, *lowest_terms(part, den))
                 for p, part in split.items()}
@@ -266,9 +269,11 @@ class TruncatedSeries:
         return self._coefficient(pack(expo, self.dims, DimensionMismatch))
 
     def _coefficient(self, key):
+        # over Q a coefficient is one read of the table, with no pass over
+        # it: `constant_term` is on every hot path
         if not self._arity:
             return Fraction(self._table.get(key, 0), self._den)
-        return self._polynomials(key.__eq__).get(key, Fraction(0))
+        return self._polynomials(key, key + 1).get(key, Fraction(0))
 
     def constant_term(self):
         return self._coefficient(0)
@@ -286,12 +291,9 @@ class TruncatedSeries:
     def homogeneous(self, degree):
         """The degree-s coefficients by exponent tuple (may be empty)."""
         d = self.dims
-        if self._arity:
-            return {unpack(p, d): c for p, c in self._polynomials(
-                lambda p: p >> BITS * d == degree).items()}
-        shift, den = BITS * d, self._den
-        return {unpack(p, d): Fraction(c, den)
-                for p, c in self._table.items() if p >> shift == degree}
+        shift = BITS * d
+        return {unpack(p, d): c for p, c in self._polynomials(
+            degree << shift, degree + 1 << shift).items()}
 
     def graded_parts(self):
         """The homogeneous parts of degrees 0..order, as series of this
@@ -301,9 +303,9 @@ class TruncatedSeries:
         tables = [{} for _ in range(self.order + 1)]
         for key, n in self._table.items():
             tables[key >> shift][key] = n
-        return [TruncatedSeries._generic(d, self.order,
-                                         *lowest_terms(table, self._den),
-                                         arity)
+        return [TruncatedSeries._new(d, self.order,
+                                     *lowest_terms(table, self._den),
+                                     arity)
                 for table in tables]
 
     def __eq__(self, other):
@@ -311,22 +313,18 @@ class TruncatedSeries:
             return NotImplemented
         if self.dims != other.dims or self.order != other.order:
             return False
-        if self._arity != other._arity:
-            # one rational series with constant coefficients can be equal
-            if self._arity and other._arity:
-                return False
-            a, b = (self, other) if self._arity else (other, self)
-            return a._den == b._den and a._table == _padded(b._table,
-                                                            a._arity)
-        return self._den == other._den and self._table == other._table
+        # values, not stored forms, are compared: a rational series equals
+        # one over Q[a_1..a_k] whose coefficients are constants
+        try:
+            a, b, _ = _common_tables(self, other)
+        except ArityMismatch:
+            return False
+        return self._den == other._den and a == b
 
     def __hash__(self):
         # equal series share their t-keys, whatever the coefficients
-        keys = self._table
-        if self._arity:
-            low = _low(self._arity)
-            keys = {key >> low for key in keys}
-        return hash((self.dims, self.order, frozenset(keys)))
+        return hash((self.dims, self.order, frozenset(map(
+            _low(self._arity).__rrshift__, self._table))))
 
     def _check_compatible(self, other):
         if self.dims != other.dims or self.order != other.order:
@@ -340,12 +338,9 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return self + TruncatedSeries.const(other, self.dims, self.order)
         self._check_compatible(other)
-        if self._arity or other._arity:
-            a, b, arity = _common_tables(self, other)
-            return TruncatedSeries._generic(self.dims, self.order, *add_fractions(
-                a, self._den, b, other._den), arity)
+        a, b, arity = _common_tables(self, other)
         return TruncatedSeries._new(self.dims, self.order, *add_fractions(
-            self._table, self._den, other._table, other._den))
+            a, self._den, b, other._den), arity)
 
     __radd__ = __add__
 
@@ -370,38 +365,23 @@ class TruncatedSeries:
         if other._is_one():
             return self
         d, r = self.dims, self.order
-        if self._arity or other._arity:
-            a, b, arity = _common_tables(self, other)
-            return TruncatedSeries._generic(d, r, *lowest_terms(
-                _checked(mul_terms(a, b, r + 1 << _shift(d, arity)), arity),
-                self._den * other._den), arity)
+        a, b, arity = _common_tables(self, other)
         return TruncatedSeries._new(d, r, *lowest_terms(
-            mul_terms(self._table, other._table, r + 1 << BITS * d),
-            self._den * other._den))
+            _checked(mul_terms(a, b, r + 1 << _shift(d, arity)), arity),
+            self._den * other._den), arity)
 
     __rmul__ = __mul__
 
     def scale(self, scalar):
         """Multiply every coefficient by a rational or a `Polynomial`."""
-        if not scalar:
-            return TruncatedSeries.zero(self.dims, self.order)
         if isinstance(scalar, (int, Fraction)):
             return TruncatedSeries._new(self.dims, self.order, *scale_fraction(
                 self._table, self._den, scalar), self._arity)
-        if not isinstance(scalar, Polynomial):
+        if scalar and not isinstance(scalar, Polynomial):
             raise TypeError("series scale by rationals or Polynomials, got "
                             f"{type(scalar).__name__}")
-        # one flat product with the polynomial, whose keys are its keys at
-        # t-exponent 0
-        arity, table = scalar.arity, self._table
-        if self._arity != arity:
-            if self._arity:
-                raise ArityMismatch(f"series over {self._arity} coefficient "
-                                    f"variables scaled in {arity}")
-            table = _padded(table, arity)
-        return TruncatedSeries._generic(self.dims, self.order, *lowest_terms(
-            _checked(mul_terms(table, scalar._table), arity),
-            self._den * scalar._den), arity)
+        return TruncatedSeries.combination(self.dims, self.order,
+                                           [(scalar, self)])
 
     @classmethod
     def combination(cls, dims, order, pairs):
@@ -467,8 +447,9 @@ class TruncatedSeries:
                 a._check_compatible(c)
             ka = a._arity
             if ka or kb:
-                # the lowest t-degrees of a product of series add; past the
-                # order it is cut to nothing and brings no ring in
+                # a term brings its coefficient variables in unless it is a
+                # product of series cut to nothing: the lowest t-degrees of
+                # the factors add past the order
                 if kind is TruncatedSeries and (min(b) >> _shift(dims, kb)) \
                         + (min(table) >> _shift(dims, ka)) > order:
                     continue
@@ -480,21 +461,18 @@ class TruncatedSeries:
             terms.append((table, b, dd, ka, kb))
         if not terms:
             return cls._new(dims, order, {}, 1)
-        arity = 0
-        if arities:
-            arities.discard(0)
-            if len(arities) > 1:
-                raise ArityMismatch(
-                    "series combined over different coefficient variables")
-            arity, = arities
+        arities.discard(0)
+        if len(arities) > 1:
+            raise ArityMismatch(
+                "series combined over different coefficient variables")
+        arity = arities.pop() if arities else 0
         limit = order + 1 << _shift(dims, arity)
         out = None
         for a, b, dd, ka, kb in terms:
-            if arity:
-                if ka != arity:
-                    a = _padded(a, arity)
-                if kb != arity and type(b) is not int:
-                    b = _padded(b, arity)
+            if ka != arity:
+                a = _padded(a, arity)
+            if kb != arity and type(b) is not int:
+                b = _padded(b, arity)
             factor = den // dd
             if type(b) is not int:
                 if factor != 1 and len(b) < len(a):
@@ -511,17 +489,16 @@ class TruncatedSeries:
                     out[p] = s
                 else:
                     del out[p]
-        if arity:
-            _checked(out, arity)
-        return cls._generic(dims, order, *lowest_terms(out, den), arity)
+        return cls._new(dims, order, *lowest_terms(_checked(out, arity), den),
+                        arity)
 
     def __pow__(self, n):
         arity = self._arity
         table = pow_terms(self._table, n, self.order + 1 << _shift(
             self.dims, arity), arity and 1 << _low(arity) - 1)
-        return TruncatedSeries._generic(self.dims, self.order,
-                                        *lowest_terms(table, self._den ** n),
-                                        arity)
+        return TruncatedSeries._new(self.dims, self.order,
+                                    *lowest_terms(table, self._den ** n),
+                                    arity)
 
     # -- truncation structure ----------------------------------------------
 
@@ -534,9 +511,9 @@ class TruncatedSeries:
             raise ValueError("truncation order must be non-negative")
         limit = new_order + 1 << _shift(self.dims, self._arity)
         table = {p: c for p, c in self._table.items() if p < limit}
-        return TruncatedSeries._generic(self.dims, new_order,
-                                        *lowest_terms(table, self._den),
-                                        self._arity)
+        return TruncatedSeries._new(self.dims, new_order,
+                                    *lowest_terms(table, self._den),
+                                    self._arity)
 
     def zero_extended(self, new_order):
         """The zero-fill preimage at a higher order (a section of restrict)."""
@@ -555,9 +532,9 @@ class TruncatedSeries:
         must start from an order r+1 series.
         """
         table = derive_terms(self._table, index, self.dims, _low(self._arity))
-        return TruncatedSeries._generic(self.dims, self.order,
-                                        *lowest_terms(table, self._den),
-                                        self._arity)
+        return TruncatedSeries._new(self.dims, self.order,
+                                    *lowest_terms(table, self._den),
+                                    self._arity)
 
     def invert_unit(self):
         """Multiplicative inverse; the constant term must be a nonzero rational."""
@@ -578,10 +555,8 @@ class TruncatedSeries:
     def to_string(self):
         """Canonical text: graded-lex terms 'c * t1^e1*...' joined by ' + '."""
         d = self.dims
-        names = default_names(d, "t")
-        if self._arity:
-            return terms_to_string(self._polynomials(), d, names, " * ")
-        return terms_to_string(self._table, d, names, " * ", self._den)
+        return terms_to_string(self._polynomials(), d, default_names(d, "t"),
+                               " * ")
 
     @classmethod
     def from_string(cls, text, dims, order):
@@ -761,8 +736,7 @@ def series_compose_all(fs, jet):
                 raise ArityMismatch(
                     f"series in {f.dims} variables applied to a jet with "
                     f"{n} components")
-            jobs.append((f._polynomials() if f._arity
-                         else _fractions(f._table, f._den), True))
+            jobs.append((f._polynomials(), True))
         else:
             raise TypeError(
                 "series_compose expects a Polynomial or TruncatedSeries")

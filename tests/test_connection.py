@@ -10,7 +10,8 @@ import pytest
 
 import jetforge.connection as connection
 import jetforge.linalg as la
-from jetforge.connection import (ConnectionChart, MatrixJet, beta, build_xi,
+from jetforge.connection import (ConnectionChart, HodgeData, MatrixJet, beta,
+                                 build_xi,
                                  check_flatness, check_right_equivariance,
                                  matrixjet_invert, period_system, scalar_ode,
                                  series_oracle)
@@ -1250,6 +1251,22 @@ class TestOracleAgreement:
         assert orders and max(orders) == r - 1
 
 
+class TestHodgeData:
+    def test_a_polarization_entry_that_is_not_an_exact_integer_is_refused(
+            self):
+        # each passes the symmetry and degeneracy checks read exactly
+        for polarization in ([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]],
+                             [[0, 1.5], [-1.5, 0]], [[0, 1.0], [-1.0, 0]]):
+            with pytest.raises(ValueError, match="exact integers"):
+                HodgeData(2, 1, (2, 1), polarization)
+
+    def test_exact_integers_are_kept_as_ints(self):
+        hodge = HodgeData(2, 1, (2, 1), [[0, Fraction(3)], [-3, 0]])
+        assert hodge.polarization == ((0, 3), (-3, 0))
+        assert all(type(x) is int for row in hodge.polarization
+                   for x in row)
+
+
 class TestEquivariance:
     def test_identity_action(self):
         chart = exponential_chart()
@@ -1288,6 +1305,20 @@ class TestEquivariance:
                                match="initial matrix has the wrong size"):
                 check_right_equivariance(chart, sigma, initial,
                                          la.identity(2))
+
+    def test_polynomial_action_of_size_three(self):
+        # the action is read over rational functions, as an initial matrix
+        # is: its determinant runs Bareiss's division, which polynomials
+        # do not have
+        rc = random_flat_chart(random.Random(3), 3, 1)
+        x = Polynomial.variable(0, 1)
+        sigma = random_jet(random.Random(5), rc.chart, 1, 3)
+        initial = random_invertible(random.Random(7), 3)
+        action = [[x, 1, 0], [0, 1, 0], [0, 0, x + 2]]
+        assert check_right_equivariance(rc.chart, sigma, initial, action)
+        singular = [[x, 1, 0], [x, 1, 0], [0, 0, x + 2]]
+        with pytest.raises(SingularInitial, match="acting matrix is singular"):
+            check_right_equivariance(rc.chart, sigma, initial, singular)
 
     def test_taylor_part_is_formed_once(self, monkeypatch):
         weights = count_weights(monkeypatch)

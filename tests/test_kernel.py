@@ -629,6 +629,49 @@ def test_a_product_cut_to_nothing_brings_no_ring():
     assert kept == reference_combination(1, 3, pairs + [(c, b)])
 
 
+def generic_series(rng, dims, order, lowest):
+    """A series over Q[a_1, a_2] with terms of t-degree lowest..order only,
+    one of them with a non-constant coefficient."""
+    a = [Polynomial.variable(i, 2) for i in range(2)]
+    monos = [p for p in graded_monomials(dims, order) if sum(p) >= lowest]
+    coeffs = {p: Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+              + rng.randint(-2, 2) * rng.choice(a) for p in monos}
+    coeffs[rng.choice(monos)] = rng.choice(a) * Fraction(
+        rng.choice((-3, 1, 2)), rng.randint(1, 5)) + rng.randint(-1, 1)
+    return TruncatedSeries(dims, order, coeffs)
+
+
+def test_every_zero_result_is_stored_as_the_rational_zero():
+    """A zero series is rational whatever route made it, so that a later
+    sum with a rational series pads nothing: the stored form of every zero
+    result over Q[a_1, a_2] is ({}, 1, 0)."""
+    rng = random.Random(37)
+    zero_poly = Polynomial.zero(2)
+    for _ in range(30):
+        dims, order = rng.randint(1, 2), rng.randint(1, 4)
+        lowest = rng.randint(1, order)
+        g = generic_series(rng, dims, order, lowest)
+        assert g._arity == 2
+        constant = generic_series(rng, dims, 0, 0).zero_extended(order)
+        p = Polynomial.variable(rng.randrange(2), 2) + Fraction(1, 3)
+        zeros = [g - g, g + (-g), g.scale(0), g.scale(Fraction(0)), g * 0,
+                 g * TruncatedSeries.zero(dims, order), g.scale(zero_poly),
+                 g.restrict(lowest - 1),
+                 *(constant.derive(i) for i in range(dims)),
+                 TruncatedSeries.combination(dims, order,
+                                             [(p, g), (-p, g)]),
+                 TruncatedSeries.combination(dims, order,
+                                             [(g, g), (-1, g * g)])]
+        if 2 * lowest > order:
+            zeros += [g ** 2, g * g]
+        for z in zeros:
+            assert z.dims == dims
+            assert stored(z) == ({}, 1, 0)
+            # and a sum with a rational series stays rational
+            x = TruncatedSeries(dims, z.order, {(0,) * dims: Fraction(1, 2)})
+            assert stored(z + x) == stored(x)
+
+
 def test_generic_operands_of_different_arities_do_not_mix():
     x = TruncatedSeries(1, 2, {(1,): Polynomial.variable(0, 2)})
     y = TruncatedSeries(1, 2, {(0,): Polynomial.variable(0, 3)})

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -8,11 +9,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jetforge.poly as poly_module
 import jetforge.ratfunc as ratfunc
 from jetforge import linalg
 from jetforge.errors import ArityMismatch, InputError
 from jetforge.poly import (BITS, BOUND, Polynomial, graded_monomials,
-                          monomial_key, taylor_shift)
+                          monomial_key, taylor_shift, univ_lcm)
 from jetforge.ratfunc import RationalFunction
 from jetforge.series import TruncatedSeries
 
@@ -669,6 +671,37 @@ def test_univariate_divmod_is_division_over_q(pair):
     assert is_stored_form(q) and is_stored_form(r)
     sq, sr = sympy.div(to_sympy(a), to_sympy(b))
     assert (q, r) == (from_sympy(sq), from_sympy(sr))
+
+
+def test_univariate_lcm_is_the_primitive_form_of_sympys(monkeypatch):
+    """Denominators as rational functions keep them (primitive, with a
+    positive leading coefficient) have one lcm in that form, whatever the
+    order they come in; one that divides the lcm so far takes no gcd."""
+    rng = random.Random(41)
+    x = Polynomial.variable(0, 1)
+    factors = [x, x - 1, 2 * x + 3, x ** 2 + 1, 3 * x ** 2 - x + 5]
+    calls = []
+    original = poly_module.univ_gcd
+
+    def counting(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(poly_module, "univ_gcd", counting)
+    for _ in range(40):
+        dens = [RationalFunction(x, math.prod(
+            rng.sample(factors, rng.randint(0, 3)), start=x ** 0)).den
+            for _ in range(rng.randint(1, 4))]
+        want = from_sympy(functools.reduce(
+            sympy.Poly.lcm, [to_sympy(d) for d in dens]))
+        for order in (dens, dens[::-1]):
+            got = univ_lcm(order)
+            assert got == want.normalized() and is_stored_form(got)
+            assert got._den == 1 and got.leading()[1] > 0
+    del calls[:]
+    assert univ_lcm([x - 1, (x - 1) * (x ** 2 + 1), x ** 0]) \
+        == (x - 1) * (x ** 2 + 1)
+    assert calls == []
 
 
 def test_division_by_a_negative_leading_coefficient():
