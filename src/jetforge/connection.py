@@ -31,10 +31,12 @@ jet sigma with initial matrix M:
   degrees add up to k, the step of an online power-series solver (van der
   Hoeven, "Relax, but don't be too lazy", J. Symbolic Comput. 34, 2002).
 
-Both build each entry of the frame with `TruncatedSeries.combination`,
-one sum over one common denominator, and so does `check_flatness`, which
-works at order r - 1, the order it compares; `series_product` forms W M,
-`MatrixJet` products and the block product of `flags.flag_of_matrix` so.
+`beta` builds each entry of the frame with `TruncatedSeries.combination`,
+one sum over one common denominator; the oracle's `series.euler_solve` and
+`check_flatness`'s `series.is_flat`, which works at order r - 1, the order
+it compares, run the same kernel on stored tables.  `series_product` forms
+W M, `MatrixJet` products and the block product of `flags.flag_of_matrix`
+with one combination per entry.
 The values G_q(s) form no series, no product and no inverse of one: they
 are integer matrices from the Taylor coefficients of polynomials.
 
@@ -78,7 +80,8 @@ from .errors import (ArityMismatch, DimensionMismatch, NonIntegrable,
 from .poly import (Polynomial, default_names, graded_monomials,
                    primitive_parts, taylor_shift, univ_lcm)
 from .ratfunc import RationalFunction, _univ_divmod
-from .series import TruncatedSeries, same_form, taylor_weights
+from .series import (TruncatedSeries, euler_solve, is_flat, same_form,
+                     taylor_weights)
 
 
 class HodgeData:
@@ -780,10 +783,9 @@ def series_oracle(chart, sigma, initial):
 
     The pulled-back system is dF/dt_a = G_a F, with G_a = sum_l (d sigma_l
     / d t_a) (A_l along sigma).  The Euler operator E = sum_a t_a d/dt_a
-    turns it into E F = S F with S = sum_a t_a G_a, and E is k times the
-    degree-k part, so that part of F is (1/k) sum_e S_e F_(k-e) over the
-    homogeneous parts S_e of S, e >= 1.  Step k thus forms only products
-    of degree k, one combination per entry, and none at full order.
+    turns it into E F = S F with S = sum_a t_a G_a, which
+    `series.euler_solve` solves degree by degree, forming only products of
+    the degree it makes.
 
     Shares with the xi-table route only the series ring.  It expands the
     coefficients along sigma with `RationalFunction.eval_all_on_jet`, one
@@ -812,24 +814,9 @@ def series_oracle(chart, sigma, initial):
     for (l, j, i, _), along in zip(entries, RationalFunction.eval_all_on_jet(
             [rf for *_, rf in entries], sigma)):
         pulled[j][i].append((euler[l], along))
-    # the nonzero parts S_e of S, with their degrees e >= 1
-    s_parts = [[[(e, part) for e, part in enumerate(
-        combination(d, r, pairs).graded_parts()) if part] for pairs in row]
-               for row in pulled]
-    # the degree-k part of F is (1/k) sum_e S_e F_(k-e): each product is of
-    # two homogeneous parts and has degree k
-    parts = [[[TruncatedSeries.const(x, d, r)] for x in row]
-             for row in initial]
-    for k in range(1, r + 1):
-        inv_k = Fraction(1, k)
-        for s_row, f_row in zip(s_parts, parts):
-            for c, f_parts in enumerate(f_row):
-                f_parts.append(combination(d, r, [
-                    (part, parts[i][c][k - e])
-                    for i, s_entry in enumerate(s_row)
-                    for e, part in s_entry if e <= k]).scale(inv_k))
-    return MatrixJet([[combination(d, r, [(1, p) for p in entry])
-                       for entry in row] for row in parts])
+    return MatrixJet(euler_solve(
+        [[combination(d, r, pairs) for pairs in row] for row in pulled],
+        initial))
 
 
 def check_right_equivariance(chart, sigma, initial, action, table=None):
@@ -855,40 +842,26 @@ def check_flatness(chart, sigma, frame_jet):
     """Whether a frame jet satisfies the pulled-back system at order r - 1.
 
     For every jet variable t_a, each entry's t_a-derivative plus its pairing
-    with the pulled-back connection forms must vanish through order r - 1,
-    and everything is formed at that order: each derivative is taken from
-    the order-r entry (derivatives lose the top degree) before it is cut,
-    the coefficients are expanded along sigma cut to order r - 1
-    (truncation commutes with evaluation), and each sum is one combination.
+    with the pulled-back connection forms must vanish through order r - 1
+    (see `series.is_flat`), and everything is formed at that order: the
+    coefficients are expanded along sigma cut to order r - 1 (truncation
+    commutes with evaluation).
     """
     d, r = sigma.dims, sigma.order
     if (frame_jet.dims, frame_jet.order) != (d, r):
         raise DimensionMismatch("frame jet and base jet differ in shape")
     if r == 0:
         return True
-    low, combination, m = r - 1, TruncatedSeries.combination, chart.m
-    sigma_low = sigma.restrict(low)
-    jacobian = [[s.derive(a).restrict(low) for a in range(d)]
-                for s in sigma.series]
-    # at [j][i]: c_ij along sigma, each with the d sigma_l / dt_a it pairs with
+    m = chart.m
+    # at [j][i]: c_ij along sigma, each with the l of the d sigma_l it
+    # pairs with
     entries = [(j, i, l, rf) for j in range(m) for i in range(m)
                for l, rf in enumerate(chart.coeffs[i][j]) if rf]
-    along = [[[] for _ in range(m)] for _ in range(m)]
+    forms = [[[] for _ in range(m)] for _ in range(m)]
     for (j, i, l, _), s in zip(entries, RationalFunction.eval_all_on_jet(
-            [rf for *_, rf in entries], sigma_low)):
-        along[j][i].append((s, jacobian[l]))
-    frame = frame_jet.entries
-    columns = list(zip(*[[s.restrict(low) for s in row] for row in frame]))
-    for a in range(d):
-        for along_row, row in zip(along, frame):
-            # the dt_a components of the pulled-back forms c_ij, i = 0..m-1
-            forms = [combination(d, low, [(c, dl[a]) for c, dl in pairs])
-                     for pairs in along_row]
-            for s, column in zip(row, columns):
-                if combination(d, low, [(1, s.derive(a).restrict(low)),
-                                        *zip(forms, column)]):
-                    return False
-    return True
+            [rf for *_, rf in entries], sigma.restrict(r - 1))):
+        forms[j][i].append((l, s))
+    return is_flat(forms, sigma, frame_jet.entries)
 
 
 def period_system(chart):

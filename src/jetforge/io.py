@@ -318,14 +318,3 @@ def flagjet_from_json(data):
         return FlagJet(hodge, chart, coords, d, r)
     except ValueError as exc:
         raise InputError(f"malformed flag jet: {exc}") from None
-
-
-def witness_report_to_json(report):
-    return {
-        "d": report.d,
-        "r_max": report.r_max,
-        "tangent_dim": report.tangent_dim,
-        "found_through": report.found_through(),
-        "witnesses": {str(r): (jet_to_json(j) if j is not None else None)
-                      for r, j in sorted(report.witnesses.items())},
-    }

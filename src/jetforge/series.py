@@ -38,10 +38,16 @@ numerators and the denominator.
 
 `TruncatedSeries.combination` forms a linear combination sum c * a, whose
 coefficients c are rationals, `Polynomial`s or series (then each term is
-a product, cut at the order).  It adds every term into one integer table
-over one common denominator and reduces the sum once, where a chain of
-`scale`, `*` and `+` would build and reduce a series per term.
-`graded_parts` splits a series into its homogeneous parts.
+a product, cut at the order).  Its kernel, `_combined`, adds every term
+into one integer table over one common denominator, so the sum is reduced
+once, where a chain of `scale`, `*` and `+` would build and reduce a series
+per term.  Two solvers run the same kernel on stored tables, with no series
+per intermediate sum: `euler_solve` solves E F = S F degree by degree (E the
+Euler operator), keeping each degree of each entry as a table and building
+one series per entry, and `is_flat` tests dF/dt_a + C_a F = 0 through the
+order below a frame's, forming each C_a entry and each residual as one
+kernel pass, unreduced.  `graded_parts` splits a series into its
+homogeneous parts.
 
 `series_compose_all` substitutes one jet into a list of polynomials (or of
 series, on the jet's offsets) in one call: every distinct monomial the list
@@ -121,6 +127,56 @@ def _checked(table, arity):
     if arity and any(map((1 << _low(arity) - 1).__and__, table)):
         raise past_bound("the degree in the coefficient variables")
     return table
+
+
+def _ring(arities):
+    """The one nonzero number of coefficient variables in `arities`, 0 when
+    there is none; two raise `ArityMismatch`."""
+    arities.discard(0)
+    if len(arities) > 1:
+        raise ArityMismatch(
+            "series combined over different coefficient variables")
+    return arities.pop() if arities else 0
+
+
+def _combined(dims, order, terms, den, arities):
+    """The kernel of every linear combination: sum (den / dd) a b over the
+    terms (a, b, dd, ka, kb), cut at `order`, as an integer table over
+    `den`, unreduced, and the number of its coefficient variables.
+
+    a is a nonempty table over Q[a_1..a_ka] and b one over Q[a_1..a_kb] or
+    a nonzero int numerator (kb = 0); dd is the product of their
+    denominators times any divisor of the sum, and divides `den`.  Of the
+    arities in `arities` at most one is nonzero, else `ArityMismatch`;
+    rational tables are padded to it, as `+` pads them, and the a-degree
+    bound is checked as `*` checks it.  A product of tables is one
+    `mul_terms` pass with the term's share of `den` folded in.
+    """
+    arity = _ring(arities) if arities else 0
+    limit = order + 1 << _shift(dims, arity)
+    out = {}
+    for a, b, dd, ka, kb in terms:
+        if ka != arity:
+            a = _padded(a, arity)
+        if kb != arity and type(b) is not int:
+            b = _padded(b, arity)
+        factor = den // dd
+        if type(b) is not int:
+            if factor != 1 and len(b) < len(a):
+                a, b = b, a
+            mul_terms(a, b, limit, out, factor)
+            continue
+        factor *= b
+        if not out:
+            out = {p: n * factor for p, n in a.items()}
+            continue
+        for p, n in a.items():
+            s = out.get(p, 0) + n * factor
+            if s:
+                out[p] = s
+            else:
+                del out[p]
+    return _checked(out, arity), arity
 
 
 def same_form(x, y):
@@ -373,13 +429,14 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def scale(self, scalar):
-        """Multiply every coefficient by a rational or a `Polynomial`."""
+        """Multiply every coefficient by a rational or a `Polynomial`.
+
+        Any other scalar is the coefficient of a one-term `combination`, so
+        both take coefficients by one rule: a series multiplies, as `*`
+        does, and anything else raises TypeError."""
         if isinstance(scalar, (int, Fraction)):
             return TruncatedSeries._new(self.dims, self.order, *scale_fraction(
                 self._table, self._den, scalar), self._arity)
-        if scalar and not isinstance(scalar, Polynomial):
-            raise TypeError("series scale by rationals or Polynomials, got "
-                            f"{type(scalar).__name__}")
         return TruncatedSeries.combination(self.dims, self.order,
                                            [(scalar, self)])
 
@@ -387,18 +444,18 @@ class TruncatedSeries:
     def combination(cls, dims, order, pairs):
         """The linear combination sum c * a over the pairs (c, a).
 
-        Each a is a series of shape (dims, order) and each c a rational, a
-        `Polynomial` or a series of that shape, whose product with a is cut
-        at the order as `*` cuts it.  A pair with a zero member adds
-        nothing, nor does a product cut to nothing, and the empty sum is
-        zero.  Rational tables are padded to the coefficient variables of
-        the other terms, as `+` pads them.
+        Each a is a series of shape (dims, order) and each c a rational (an
+        int, a bool among them, or a Fraction), a `Polynomial` or a series
+        of that shape, whose product with a is cut at the order as `*` cuts
+        it; any other c raises TypeError, whatever its truth value.  A pair
+        with a zero member adds nothing, nor does a product cut to nothing,
+        and the empty sum is zero.  Rational tables are padded to the
+        coefficient variables of the other terms, as `+` pads them.
 
         One pass over the pairs checks them and keeps each term's tables
         and the product of its denominators, whose lcm is the common
-        denominator.  Each term is then added into one integer table over it,
-        a product of tables with the term's share of that denominator folded
-        into `mul_terms`, and the sum is reduced once, with one gcd.
+        denominator.  The kernel `_combined` adds every term into one
+        integer table over it, and the sum is reduced once, with one gcd.
         """
         if dims < 1 or not 0 <= order < BOUND:
             _check_shape(dims, order)
@@ -407,9 +464,6 @@ class TruncatedSeries:
         # the terms that have one
         terms, den, arities = [], 1, set()
         for c, a in pairs:
-            table = a._table
-            if not table:
-                continue
             kind = type(c)
             if kind is int:
                 if not c:
@@ -431,17 +485,22 @@ class TruncatedSeries:
                 if not b:
                     continue
                 db, kb = c._den, c.arity
-            elif c:
-                b = None
+            elif isinstance(c, (int, Fraction)):
+                # a bool, or another subclass of the rationals, as a Fraction
+                b = c.numerator
+                if not b:
+                    continue
+                db, kb = c.denominator, 0
             else:
+                raise TypeError("series combine with rationals, Polynomials "
+                                f"or series, got {kind.__name__}")
+            table = a._table
+            if not table:
                 continue
             if a.dims != dims or a.order != order:
                 raise DimensionMismatch(
                     f"series in ({a.dims} vars, order {a.order}) in a "
                     f"combination in ({dims} vars, order {order})")
-            if b is None:
-                raise TypeError("series combine with rationals, Polynomials "
-                                f"or series, got {kind.__name__}")
             if kind is TruncatedSeries and (c.dims != dims
                                             or c.order != order):
                 a._check_compatible(c)
@@ -461,36 +520,8 @@ class TruncatedSeries:
             terms.append((table, b, dd, ka, kb))
         if not terms:
             return cls._new(dims, order, {}, 1)
-        arities.discard(0)
-        if len(arities) > 1:
-            raise ArityMismatch(
-                "series combined over different coefficient variables")
-        arity = arities.pop() if arities else 0
-        limit = order + 1 << _shift(dims, arity)
-        out = None
-        for a, b, dd, ka, kb in terms:
-            if ka != arity:
-                a = _padded(a, arity)
-            if kb != arity and type(b) is not int:
-                b = _padded(b, arity)
-            factor = den // dd
-            if type(b) is not int:
-                if factor != 1 and len(b) < len(a):
-                    a, b = b, a
-                out = mul_terms(a, b, limit, out, factor)
-                continue
-            factor *= b
-            if out is None:
-                out = {p: n * factor for p, n in a.items()}
-                continue
-            for p, n in a.items():
-                s = out.get(p, 0) + n * factor
-                if s:
-                    out[p] = s
-                else:
-                    del out[p]
-        return cls._new(dims, order, *lowest_terms(_checked(out, arity), den),
-                        arity)
+        table, arity = _combined(dims, order, terms, den, arities)
+        return cls._new(dims, order, *lowest_terms(table, den), arity)
 
     def __pow__(self, n):
         arity = self._arity
@@ -766,3 +797,145 @@ def series_compose(f, jet):
     The one-element case of `series_compose_all`.
     """
     return series_compose_all([f], jet)[0]
+
+
+def _split(s):
+    """The homogeneous parts of a series of positive valuation, as
+    (degree, table, den, arity) over its denominator, degree ascending."""
+    shift = _shift(s.dims, s._arity)
+    parts = {}
+    for key, n in s._table.items():
+        e = key >> shift
+        part = parts.get(e)
+        if part is None:
+            parts[e] = part = {}
+        part[key] = n
+    if 0 in parts:
+        raise ValueError("the system must have no constant term")
+    return [(e, parts[e], s._den, s._arity) for e in sorted(parts)]
+
+
+def euler_solve(system, initial):
+    """The m x m series F with E F = S F and F(0) = `initial`, S = `system`.
+
+    S is an m x m matrix of series of one shape (d, r), each of positive
+    valuation, and `initial` an m x m matrix of rationals or `Polynomial`s,
+    singular ones included.  The Euler operator E = sum_a t_a d/dt_a is k
+    times the degree-k part, so that part of F is
+
+        F_k = (1/k) sum_(e >= 1) S_e F_(k-e)
+
+    over the homogeneous parts S_e of S: the power-series ODE step of Brent
+    and Kung ("Fast algorithms for manipulating formal power series",
+    J. ACM 25, 1978), which forms only products of degree k.  Each S entry
+    is split into its homogeneous tables once, and each F_k entry is kept
+    as a stored form, one pass of the kernel `_combined` over the lcm of
+    its terms' denominators times k, reduced with one gcd.  A series is
+    built once per returned entry, from its parts.  The rows of F are
+    returned as lists.
+    """
+    m = len(system)
+    d, r = system[0][0].dims, system[0][0].order
+    if any(len(row) != m for row in system) or len(initial) != m \
+            or any(len(row) != m for row in initial):
+        raise ArityMismatch("system and initial matrix must be m x m")
+    if any(s.dims != d or s.order != r for row in system for s in row):
+        raise DimensionMismatch("system entries must share (dims, order)")
+    s_parts = [[_split(s) for s in row] for row in system]
+    # parts[i][c][k] is the stored form (table, den, arity) of F_k[i][c]
+    parts = [[[(x._table, x._den, x._arity)] for x in (
+        TruncatedSeries.const(v, d, r) for v in row)] for row in initial]
+    for k in range(1, r + 1):
+        for s_row, f_row in zip(s_parts, parts):
+            for c, f_parts in enumerate(f_row):
+                terms, den, arities = [], k, set()
+                for s_entry, f_entry in zip(s_row, parts):
+                    f_entry = f_entry[c]
+                    for e, b, db, kb in s_entry:
+                        if e > k:
+                            break
+                        a, da, ka = f_entry[k - e]
+                        if a:
+                            # the term (F_(k-e), S_e)
+                            dd = da * db * k
+                            if dd != den:
+                                den = math.lcm(den, dd)
+                            terms.append((a, b, dd, ka, kb))
+                            arities.add(ka)
+                            arities.add(kb)
+                table, arity = _combined(d, r, terms, den, arities)
+                table, den = lowest_terms(table, den)
+                f_parts.append((table, den, arity if table else 0))
+    return [[_summed(d, r, entry) for entry in row] for row in parts]
+
+
+def _summed(dims, order, parts):
+    """The series of the stored forms (table, den, arity) of its
+    homogeneous parts.  Their keys are disjoint, so each numerator only
+    takes its share of the lcm of the denominators, and the sum needs no
+    gcd: a prime of that lcm leaves some numerator undivided in the part,
+    in lowest terms, whose denominator holds its highest power."""
+    parts = [part for part in parts if part[0]]
+    arity = _ring({k for *_, k in parts})
+    den = math.lcm(*(d for _, d, _ in parts))
+    table = {}
+    for t, d, k in parts:
+        if k != arity:
+            t = _padded(t, arity)
+        factor = den // d
+        table.update(t if factor == 1 else
+                     {p: n * factor for p, n in t.items()})
+    return TruncatedSeries._new(dims, order, table, den, arity)
+
+
+def is_flat(forms, sigma, frame):
+    """Whether d F/dt_a + C_a F vanishes through order r - 1 for every jet
+    variable t_a, F = `frame`, an m x m matrix of series of order r (at
+    r = 0 there is nothing to test).
+
+    C_a[j][i] is the sum of c * d sigma_l/dt_a over the pairs (l, c) of
+    `forms[j][i]`, c a series at order r - 1 and sigma the jet, of the
+    frame's shape: the dt_a part of a connection form pulled back along
+    sigma.  Everything is formed at order r - 1 on stored tables: the
+    partials are read from the order-r tables of sigma and F (a derivative
+    loses the top degree), each C_a entry and each residual is one pass of
+    the kernel `_combined`, cut at r - 1, and a residual is tested for
+    emptiness before any gcd is taken.
+    """
+    d, r = sigma.dims, sigma.order
+    low = r - 1
+    columns = list(zip(*frame))
+    for a in range(d):
+        partials = [(derive_terms(s._table, a, d, _low(s._arity)), s._den,
+                     s._arity) for s in sigma.series]
+        for form_row, row in zip(forms, frame):
+            c_row = []
+            for pairs in form_row:
+                terms, den, arities = [], 1, set()
+                for l, c in pairs:
+                    b, db, kb = partials[l]
+                    if b and c._table:
+                        dd = c._den * db
+                        if dd != den:
+                            den = math.lcm(den, dd)
+                        terms.append((c._table, b, dd, c._arity, kb))
+                        arities.add(c._arity)
+                        arities.add(kb)
+                c_row.append((*_combined(d, low, terms, den, arities), den))
+            for f, column in zip(row, columns):
+                derivative = derive_terms(f._table, a, d, _low(f._arity))
+                terms, den, arities = [], f._den, set()
+                if derivative:
+                    terms.append((derivative, 1, den, f._arity, 0))
+                    arities.add(f._arity)
+                for (b, kb, db), x in zip(c_row, column):
+                    if b and x._table:
+                        dd = db * x._den
+                        if dd != den:
+                            den = math.lcm(den, dd)
+                        terms.append((x._table, b, dd, x._arity, kb))
+                        arities.add(x._arity)
+                        arities.add(kb)
+                if _combined(d, low, terms, den, arities)[0]:
+                    return False
+    return True

@@ -10,6 +10,7 @@ import pytest
 
 import jetforge.connection as connection
 import jetforge.linalg as la
+import jetforge.series as series_module
 from jetforge.connection import (ConnectionChart, HodgeData, MatrixJet, beta,
                                  build_xi,
                                  check_flatness, check_right_equivariance,
@@ -22,8 +23,8 @@ from jetforge.examples import exponential_chart, legendre_chart, \
 from jetforge.flags import eta_chartlocal
 from jetforge.poly import Polynomial, graded_monomials
 from jetforge.ratfunc import RationalFunction
-from jetforge.series import (JetPoint, TruncatedSeries, same_form,
-                             series_compose)
+from jetforge.series import (JetPoint, TruncatedSeries, euler_solve,
+                             same_form, series_compose)
 from jetforge.verify import (random_flat_chart, random_invertible, random_jet,
                              random_n1_chart, run_frame_corpus)
 from symbolic_xi import entry, gamma, is_integrable, word_gamma
@@ -282,14 +283,16 @@ def reference_flatness(chart, sigma, frame_jet):
     return True
 
 
-def perturbed(frame, rng, degree):
-    """The frame with one coefficient of the given degree moved."""
+def perturbed(frame, rng, degree, amount=None):
+    """The frame with one coefficient of the given degree moved, by
+    `amount` or by a random positive rational."""
     d, r, m = frame.dims, frame.order, frame.m
     j, k = rng.randrange(m), rng.randrange(m)
     p = rng.choice([q for q in graded_monomials(d, r) if sum(q) == degree])
     coeffs = dict(frame.entry(j, k).coeffs)
-    coeffs[p] = coeffs.get(p, 0) + Fraction(rng.randint(1, 3),
-                                            rng.randint(1, 3))
+    if amount is None:
+        amount = Fraction(rng.randint(1, 3), rng.randint(1, 3))
+    coeffs[p] = coeffs.get(p, 0) + amount
     entries = [list(row) for row in frame.entries]
     entries[j][k] = TruncatedSeries(d, r, coeffs)
     return MatrixJet(entries)
@@ -1084,11 +1087,13 @@ class TestOracleAgreement:
 
     def test_oracle_forms_only_the_degree_it_reads(self, monkeypatch):
         # every product of series the oracle forms, through `*` or through
-        # the combination kernel, outside the expansion of the chart's
-        # coefficients: the pullback multiplies each Euler derivative
-        # sum_a t_a d sigma_l / d t_a by A_l along sigma once, and every
-        # other product is of two homogeneous parts whose degrees sum to the
-        # degree k <= r it makes
+        # the combination kernel `series._combined`, which every
+        # combination and the Euler solver run, outside the expansion of
+        # the chart's coefficients: the pullback multiplies each Euler
+        # derivative sum_a t_a d sigma_l / d t_a by A_l along sigma once,
+        # and every other product is of two homogeneous parts whose
+        # degrees sum to the degree k <= r it makes.  A product is read as
+        # (c's table, its arity, a's table, its arity), c * a.
         rng = random.Random(16)
         rc = random_flat_chart(rng, 2, 2)
         chart, d, r = rc.chart, 2, 4
@@ -1096,26 +1101,27 @@ class TestOracleAgreement:
         initial = random_invertible(rng, 2)
         expected = series_oracle(chart, sigma, initial)
         euler = [sum((TruncatedSeries.variable(a, d, r) * s.derive(a)
-                      for a in range(d)), TruncatedSeries.zero(d, r))
+                      for a in range(d)), TruncatedSeries.zero(d, r))._table
                  for s in sigma.series]
-        along = [rf.eval_on_jet(sigma) for l in range(chart.n)
+        along = [rf.eval_on_jet(sigma)._table for l in range(chart.n)
                  for row in chart.a_matrix(l) for rf in row if rf]
         products, expanding = [], []
         original_mul = TruncatedSeries.__mul__
-        original_combination = TruncatedSeries.combination
+        original_kernel = series_module._combined
         original_eval = RationalFunction.eval_all_on_jet
 
         def mul(self, other):
             if not expanding and isinstance(other, TruncatedSeries):
-                products.append((self, other))
+                products.append((self._table, self._arity, other._table,
+                                 other._arity))
             return original_mul(self, other)
 
-        def combination(cls, dims, order, pairs):
-            pairs = list(pairs)
+        def kernel(dims, order, terms, den, arities):
+            terms = list(terms)
             if not expanding:
-                products.extend((c, a) for c, a in pairs
-                                if isinstance(c, TruncatedSeries) and c and a)
-            return original_combination(dims, order, pairs)
+                products.extend((b, kb, a, ka) for a, b, _, ka, kb in terms
+                                if type(b) is not int)
+            return original_kernel(dims, order, terms, den, arities)
 
         def eval_all_on_jet(functions, jet):
             expanding.append(jet)
@@ -1125,19 +1131,18 @@ class TestOracleAgreement:
                 expanding.pop()
 
         monkeypatch.setattr(TruncatedSeries, "__mul__", mul)
-        monkeypatch.setattr(TruncatedSeries, "combination",
-                            classmethod(combination))
+        monkeypatch.setattr(series_module, "_combined", kernel)
         monkeypatch.setattr(RationalFunction, "eval_all_on_jet",
                             staticmethod(eval_all_on_jet))
         assert series_oracle(chart, sigma, initial) == expected
-        pullback = [(c, a) for c, a in products if c in euler]
+        pullback = [(c, a) for c, _, a, _ in products if c in euler]
         assert pullback and len(pullback) <= chart.n * chart.m ** 2
         assert all(a in along for _, a in pullback)
         degrees = []
-        for c, a in products:
+        for c, kc, a, ka in products:
             if c not in euler:
-                (e,) = {sum(p) for p in c.coeffs}
-                (f,) = {sum(p) for p in a.coeffs}
+                (e,) = {p >> series_module._shift(d, kc) for p in c}
+                (f,) = {p >> series_module._shift(d, ka) for p in a}
                 assert e >= 1
                 degrees.append(e + f)
         assert set(degrees) == set(range(1, r + 1))
@@ -1225,8 +1230,51 @@ class TestOracleAgreement:
                     assert not verdict
         assert True in verdicts
 
+    def test_flatness_over_coefficient_variables_matches_the_reference(
+            self):
+        # frames over Q[a_1..a_3]: from symbolic initial data, and on the
+        # generic Legendre jet of the test above with rational and symbolic
+        # initial data, each moved at every degree by a rational and by a
+        # polynomial in the a-variables
+        rng = random.Random(43)
+        a = [Polynomial.variable(i, 3) for i in range(3)]
+        frames = []
+        for case in range(12):
+            m, n, d = rng.randint(1, 3), rng.randint(1, 2), rng.randint(1, 2)
+            r = rng.randint(1, 4)
+            chart = (random_flat_chart(rng, m, n) if case % 3 else
+                     random_n1_chart(rng, m)).chart
+            sigma = random_jet(rng, chart, d, r)
+            symbolic = symbolic_initial(rng, m, 3)
+            if la.det([[RationalFunction(x) for x in row]
+                       for row in symbolic]):
+                frames.append((chart, sigma, beta(chart, sigma, symbolic)))
+        chart = legendre_chart()
+        sigma = JetPoint([TruncatedSeries(1, 3, {
+            (0,): Fraction(1, 2), (1,): a[0], (2,): a[1] * 2 + 1,
+            (3,): a[2]})])
+        for matrix in ([[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]],
+                       [[a[0], a[1] + 1], [Fraction(3), a[2]]]):
+            frames.append((chart, sigma, beta(chart, sigma, matrix)))
+        assert len(frames) >= 10
+        verdicts = []
+        for chart, sigma, frame in frames:
+            assert check_flatness(chart, sigma, frame)
+            assert reference_flatness(chart, sigma, frame)
+            for degree in range(sigma.order + 1):
+                for amount in (None, a[rng.randrange(3)] * rng.randint(1, 2)):
+                    moved = perturbed(frame, rng, degree, amount)
+                    verdict = check_flatness(chart, sigma, moved)
+                    assert verdict == reference_flatness(chart, sigma, moved)
+                    verdicts.append(verdict)
+                    if degree == sigma.order:
+                        assert not verdict
+        assert True in verdicts
+
     def test_flatness_forms_nothing_above_order_r_minus_one(self,
                                                             monkeypatch):
+        # through `*` and through the combination kernel `series._combined`,
+        # which every combination and the flatness test itself run
         rng = random.Random(16)
         rc = random_flat_chart(rng, 2, 2)
         d, r = 2, 4
@@ -1234,21 +1282,74 @@ class TestOracleAgreement:
         frame = beta(rc.chart, sigma, random_invertible(rng, 2))
         orders = []
         original_mul = TruncatedSeries.__mul__
-        original_combination = TruncatedSeries.combination
+        original_kernel = series_module._combined
 
         def mul(self, other):
             orders.append(self.order)
             return original_mul(self, other)
 
-        def combination(cls, dims, order, pairs):
+        def kernel(dims, order, terms, den, arities):
             orders.append(order)
-            return original_combination(dims, order, pairs)
+            return original_kernel(dims, order, terms, den, arities)
 
         monkeypatch.setattr(TruncatedSeries, "__mul__", mul)
-        monkeypatch.setattr(TruncatedSeries, "combination",
-                            classmethod(combination))
+        monkeypatch.setattr(series_module, "_combined", kernel)
         assert check_flatness(rc.chart, sigma, frame)
         assert orders and max(orders) == r - 1
+
+
+class TestEulerSolve:
+    """`series.euler_solve` against the system it solves, read through
+    public operations only."""
+
+    def test_solves_the_euler_system_with_the_initial_value(self):
+        rng = random.Random(59)
+        kinds = set()
+        for case in range(30):
+            # S over Q, over Q[a_1] or over Q[a_1, a_2]
+            arity = case % 3
+            m, d, r = rng.randint(1, 3), rng.randint(1, 2), rng.randint(0, 4)
+            system = []
+            for _ in range(m):
+                row = []
+                for _ in range(m):
+                    s = random_series(rng, d, r, arity)
+                    # positive valuation: no constant term
+                    row.append(s - s.restrict(0).zero_extended(r))
+                system.append(row)
+            invertible = random_invertible(rng, m)
+            singular = invertible[:-1] + [[2 * x for x in invertible[0]]] \
+                if m > 1 else [[Fraction(0)]]
+            for kind, initial in (("rational", invertible),
+                                  ("singular", singular),
+                                  ("Polynomial",
+                                   symbolic_initial(rng, m, arity or 2))):
+                frame = euler_solve(system, initial)
+                assert len(frame) == m and all(len(row) == m
+                                               for row in frame)
+                # E F = S F through order r, E = sum_a t_a d/dt_a
+                euler = [[sum((TruncatedSeries.variable(a, d, r) * f.derive(a)
+                               for a in range(d)), TruncatedSeries.zero(d, r))
+                          for f in row] for row in frame]
+                assert euler == la.mat_mul(system, frame)
+                # F(0) = F_0
+                assert [[f.restrict(0) for f in row] for row in frame] == [
+                    [TruncatedSeries.const(x, d, 0) for x in row]
+                    for row in initial]
+                if r and any(s for row in system for s in row):
+                    kinds.add(kind)
+        assert kinds == {"rational", "singular", "Polynomial"}
+
+    def test_refuses_a_constant_term_and_mismatched_shapes(self):
+        t = TruncatedSeries.variable(0, 1, 2)
+        one = TruncatedSeries.one(1, 2)
+        with pytest.raises(ValueError):
+            euler_solve([[t + one]], [[1]])
+        with pytest.raises(ArityMismatch):
+            euler_solve([[t]], [[1, 0], [0, 1]])
+        with pytest.raises(DimensionMismatch):
+            euler_solve([[t, t], [t, TruncatedSeries.variable(0, 1, 3)]],
+                        [[1, 0], [0, 1]])
 
 
 class TestHodgeData:

@@ -10,7 +10,7 @@ from jetforge.errors import InputError
 from jetforge.examples import legendre_chart, nilpotent_chart
 from jetforge.flags import HodgeData, alpha, flag_of_matrix
 from jetforge.poly import Polynomial, graded_monomials
-from jetforge.scheme import AffineMap, AffineScheme, dimension_witness
+from jetforge.scheme import AffineMap, AffineScheme
 from jetforge.series import JetPoint, TruncatedSeries
 from jetforge.verify import rand_poly, random_flat_chart
 
@@ -109,16 +109,6 @@ def test_constant_flag_round_trip():
     flag = flag_of_matrix(hodge, [[2, 1, 0], [1, 1, 1], [0, 3, 1]])
     data = jio.flagjet_to_json(flag)
     assert jio.flagjet_from_json(data) == flag
-
-
-def test_witness_report_serialization():
-    scheme = AffineScheme(2, [Polynomial(2, {(2, 0): 1, (0, 2): 1,
-                                             (0, 0): -1})])
-    report = dimension_witness(scheme, (1, 0), 1, 2)
-    data = jio.witness_report_to_json(report)
-    assert data["found_through"] == 2
-    assert data["witnesses"]["1"] is not None
-    jio.canonical_dumps(data)
 
 
 @pytest.mark.parametrize("key", ["w_x_0", "w_1", "v_1_0", "w_-1_0"])

@@ -472,6 +472,28 @@ def test_combination_refuses_what_it_cannot_combine():
         TruncatedSeries.combination(1, 2, [(1.5, x)])
 
 
+def test_scale_and_combination_take_coefficients_by_one_rule():
+    # a coefficient that is not an int, a Fraction, a Polynomial or a
+    # series is refused by both, whatever its truth value and whatever the
+    # series it multiplies; a bool is an int
+    x = TruncatedSeries(1, 2, {(1,): Fraction(1, 2), (2,): 3})
+    g = TruncatedSeries(1, 2, {(1,): Polynomial.variable(0, 2)})
+    zero = TruncatedSeries.zero(1, 2)
+    for c in (0.0, None, 1.5, 1.0, "", [], 0j):
+        for a in (x, g, zero):
+            for make in (lambda: a.scale(c), lambda: a * c,
+                         lambda: TruncatedSeries.combination(1, 2, [(c, a)])):
+                with pytest.raises(TypeError):
+                    make()
+    for a in (x, g):
+        for c, value in ((True, a), (False, zero)):
+            assert stored(a.scale(c)) == stored(value)
+            assert stored(TruncatedSeries.combination(1, 2, [(c, a)])) \
+                == stored(value)
+        # a series coefficient multiplies, as `*` does
+        assert stored(a.scale(x)) == stored(a * x)
+
+
 def random_table(rng, dims, arity, top, size):
     """A packed integer table of at most `size` terms, exponents up to
     `top`: series keys over Q[a_1..a_arity] in `dims` t-variables."""
