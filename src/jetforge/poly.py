@@ -33,9 +33,11 @@ canonical tables, since over the integral domains Z, Q and Q[x] only a sum
 can cancel to zero.  Rational tables of either class run them on the
 integer numerators and keep the denominator with the functions under
 "rational tables": one lcm to clear Fractions, one gcd to reduce a result
-(the content and primitive part of Knuth, TAOCP vol. 2, 4.6.1).  Univariate
-division and gcd read the numerators as dense integer lists, and text is
-read into a table in one pass over its tokens.
+(the content and primitive part of Knuth, TAOCP vol. 2, 4.6.1).
+`add_fractions` and `scale_fraction` serve `Polynomial` only: every sum and
+product of series takes its common denominator in `series._combined`.
+Univariate division and gcd read the numerators as dense integer lists,
+and text is read into a table in one pass over its tokens.
 """
 
 from __future__ import annotations

@@ -149,7 +149,15 @@ class RationalFunction:
         return self.num * other.den == other.num * self.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # without a multivariate gcd the stored pair is not canonical, so
+        # hash what a factor common to both leaves unchanged: graded lex is
+        # a monomial order, so the leading monomial of the numerator over
+        # that of the denominator, and the ratio of their leading
+        # coefficients
+        if not self.num:
+            return hash((self.arity, 0))
+        (p, c), (q, e) = self.num.leading(), self.den.leading()
+        return hash((self.arity, tuple(x - y for x, y in zip(p, q)), c / e))
 
     # -- calculus and evaluation ---------------------------------------------
 

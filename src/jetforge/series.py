@@ -31,23 +31,26 @@ series is one lookup in the table, with no pass over it, since
 forms, so a rational series equals one over Q[a] whose coefficients are
 constants.
 
-The arithmetic runs the term-table kernel of `poly` on the integers and
-keeps the denominator with the rational-table functions of `poly` that
-`Polynomial` uses too, which reduce each result once, with one gcd over the
-numerators and the denominator.
+Every sum and product of series runs one kernel, `_combined`, on the
+stored forms of its operands: each term is a table, its denominator and
+its arity, times another table or an int numerator, each with its own.
+The kernel takes the common denominator and the one ring of coefficients
+itself, pads rational tables to that ring, multiplies with the term-table
+kernel of `poly` on the integers, cut at the order, and reduces the sum
+once, with one gcd over the numerators and the denominator.  `+` and `-`
+are two unit terms, `*` one product term, and `scale` a one-term
+`combination`.
 
 `TruncatedSeries.combination` forms a linear combination sum c * a, whose
 coefficients c are rationals, `Polynomial`s or series (then each term is
-a product, cut at the order).  Its kernel, `_combined`, adds every term
-into one integer table over one common denominator, so the sum is reduced
-once, where a chain of `scale`, `*` and `+` would build and reduce a series
-per term.  Two solvers run the same kernel on stored tables, with no series
-per intermediate sum: `euler_solve` solves E F = S F degree by degree (E the
-Euler operator), keeping each degree of each entry as a table and building
+a product, cut at the order), as one kernel pass, where a chain of
+`scale`, `*` and `+` would build and reduce a series per term.  Two
+solvers run the kernel on stored tables, with no series per intermediate
+sum: `euler_solve` solves E F = S F degree by degree (E the Euler
+operator), keeping each degree of each entry as a stored form and building
 one series per entry, and `is_flat` tests dF/dt_a + C_a F = 0 through the
 order below a frame's, forming each C_a entry and each residual as one
-kernel pass, unreduced.  `graded_parts` splits a series into its
-homogeneous parts.
+kernel pass.  `graded_parts` splits a series into its homogeneous parts.
 
 `series_compose_all` substitutes one jet into a list of polynomials (or of
 series, on the jet's offsets) in one call: every distinct monomial the list
@@ -73,10 +76,9 @@ from fractions import Fraction
 from .errors import (ArityMismatch, DimensionMismatch, InputError, NotAUnit,
                      OrderIncrease)
 from .linalg import unipotent_inverse
-from .poly import (BITS, BOUND, FIELD, Polynomial, add_fractions,
-                   default_names, derive_terms, lowest_terms, mul_terms,
-                   fraction_table, pack, past_bound, pow_terms,
-                   scale_fraction, terms_to_string, unpack)
+from .poly import (BITS, BOUND, FIELD, Polynomial, default_names,
+                   derive_terms, fraction_table, lowest_terms, mul_terms,
+                   pack, past_bound, pow_terms, terms_to_string, unpack)
 
 
 def _check_shape(dims, order):
@@ -107,28 +109,6 @@ def _padded(table, arity):
     return {p << low: n for p, n in table.items()}
 
 
-def _common_tables(a, b):
-    """The tables of two series over one ring of coefficients, and the
-    number of its variables: a rational table is padded to the other's."""
-    ka, kb = a._arity, b._arity
-    if ka == kb:
-        return a._table, b._table, ka
-    if not kb:
-        return a._table, _padded(b._table, ka), ka
-    if not ka:
-        return _padded(a._table, kb), b._table, kb
-    raise ArityMismatch(f"series over {ka} and {kb} coefficient variables")
-
-
-def _checked(table, arity):
-    """A product's table over Q[a_1..a_arity], refused when the top bit of
-    an a-degree field is set: that degree reached the exponent bound.  Over
-    Q, arity 0, a key has no a-degree field."""
-    if arity and any(map((1 << _low(arity) - 1).__and__, table)):
-        raise past_bound("the degree in the coefficient variables")
-    return table
-
-
 def _ring(arities):
     """The one nonzero number of coefficient variables in `arities`, 0 when
     there is none; two raise `ArityMismatch`."""
@@ -139,36 +119,48 @@ def _ring(arities):
     return arities.pop() if arities else 0
 
 
-def _combined(dims, order, terms, den, arities):
-    """The kernel of every linear combination: sum (den / dd) a b over the
-    terms (a, b, dd, ka, kb), cut at `order`, as an integer table over
-    `den`, unreduced, and the number of its coefficient variables.
+def _combined(dims, order, terms):
+    """The kernel of every sum and product of series: the stored form
+    (table, den, arity) of sum a/da * b/db over the terms (a, da, ka, b,
+    db, kb), cut at `order`, in lowest terms.
 
-    a is a nonempty table over Q[a_1..a_ka] and b one over Q[a_1..a_kb] or
-    a nonzero int numerator (kb = 0); dd is the product of their
-    denominators times any divisor of the sum, and divides `den`.  Of the
-    arities in `arities` at most one is nonzero, else `ArityMismatch`;
-    rational tables are padded to it, as `+` pads them, and the a-degree
-    bound is checked as `*` checks it.  A product of tables is one
-    `mul_terms` pass with the term's share of `den` folded in.
+    a is a table over Q[a_1..a_ka] with denominator da, and b is one over
+    Q[a_1..a_kb] with denominator db, or an int numerator over db (kb = 0).
+    The common denominator is the lcm of the products da db.  Of the
+    arities at most one is nonzero, else `ArityMismatch`: rational tables
+    are padded to it.  A product of tables is one `mul_terms` pass with the
+    term's share of the common denominator folded in, and one whose
+    a-degree reaches the exponent bound raises `InputError`.  The sum is
+    reduced once, with one gcd; the empty sum is the rational zero
+    ({}, 1, 0).
     """
-    arity = _ring(arities) if arities else 0
+    den, arity = 1, 0
+    for _, da, ka, _, db, kb in terms:
+        dd = da * db
+        if den % dd:
+            den = math.lcm(den, dd)
+        if ka or kb:
+            arity = _ring({arity, ka, kb})
     limit = order + 1 << _shift(dims, arity)
-    out = {}
-    for a, b, dd, ka, kb in terms:
+    # guard is the ring once a product is formed: only a product can take
+    # an a-degree to the bound
+    out, guard = {}, 0
+    for a, da, ka, b, db, kb in terms:
         if ka != arity:
             a = _padded(a, arity)
-        if kb != arity and type(b) is not int:
-            b = _padded(b, arity)
-        factor = den // dd
+        factor = den // (da * db)
         if type(b) is not int:
+            if kb != arity:
+                b = _padded(b, arity)
             if factor != 1 and len(b) < len(a):
                 a, b = b, a
             mul_terms(a, b, limit, out, factor)
+            guard = arity
             continue
         factor *= b
         if not out:
-            out = {p: n * factor for p, n in a.items()}
+            out = dict(a) if factor == 1 else {p: n * factor
+                                                for p, n in a.items()}
             continue
         for p, n in a.items():
             s = out.get(p, 0) + n * factor
@@ -176,7 +168,12 @@ def _combined(dims, order, terms, den, arities):
                 out[p] = s
             else:
                 del out[p]
-    return _checked(out, arity), arity
+    if not out:
+        return {}, 1, 0
+    # an a-degree that reached the bound sets the top bit of its field
+    if guard and any(map((1 << _low(guard) - 1).__and__, out)):
+        raise past_bound("the degree in the coefficient variables")
+    return (*lowest_terms(out, den), arity)
 
 
 def same_form(x, y):
@@ -354,28 +351,25 @@ class TruncatedSeries:
     def graded_parts(self):
         """The homogeneous parts of degrees 0..order, as series of this
         shape whose sum is the series."""
-        d, arity = self.dims, self._arity
-        shift = _shift(d, arity)
-        tables = [{} for _ in range(self.order + 1)]
-        for key, n in self._table.items():
-            tables[key >> shift][key] = n
-        return [TruncatedSeries._new(d, self.order,
-                                     *lowest_terms(table, self._den),
-                                     arity)
-                for table in tables]
+        parts = _graded(self)
+        return [TruncatedSeries._new(self.dims, self.order, *lowest_terms(
+            parts.get(e, {}), self._den), self._arity)
+                for e in range(self.order + 1)]
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        if self.dims != other.dims or self.order != other.order:
+        if self.dims != other.dims or self.order != other.order \
+                or self._den != other._den:
             return False
         # values, not stored forms, are compared: a rational series equals
         # one over Q[a_1..a_k] whose coefficients are constants
-        try:
-            a, b, _ = _common_tables(self, other)
-        except ArityMismatch:
+        a, b, ka, kb = self._table, other._table, self._arity, other._arity
+        if ka == kb:
+            return a == b
+        if ka and kb:
             return False
-        return self._den == other._den and a == b
+        return _padded(a, kb) == b if kb else a == _padded(b, ka)
 
     def __hash__(self):
         # equal series share their t-keys, whatever the coefficients
@@ -390,13 +384,19 @@ class TruncatedSeries:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other):
+    def _sum(self, x, other, y):
+        """x self + y other for units x and y, other a series of this shape
+        or a coefficient: two unit terms of the kernel."""
         if not isinstance(other, TruncatedSeries):
-            return self + TruncatedSeries.const(other, self.dims, self.order)
+            other = TruncatedSeries.const(other, self.dims, self.order)
         self._check_compatible(other)
-        a, b, arity = _common_tables(self, other)
-        return TruncatedSeries._new(self.dims, self.order, *add_fractions(
-            a, self._den, b, other._den), arity)
+        return TruncatedSeries._new(self.dims, self.order, *_combined(
+            self.dims, self.order,
+            [(self._table, self._den, self._arity, x, 1, 0),
+             (other._table, other._den, other._arity, y, 1, 0)]))
+
+    def __add__(self, other):
+        return self._sum(1, other, 1)
 
     __radd__ = __add__
 
@@ -406,10 +406,10 @@ class TruncatedSeries:
                                     self._den, self._arity)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._sum(1, other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return self._sum(-1, other, 1)
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -421,22 +421,18 @@ class TruncatedSeries:
         if other._is_one():
             return self
         d, r = self.dims, self.order
-        a, b, arity = _common_tables(self, other)
-        return TruncatedSeries._new(d, r, *lowest_terms(
-            _checked(mul_terms(a, b, r + 1 << _shift(d, arity)), arity),
-            self._den * other._den), arity)
+        return TruncatedSeries._new(d, r, *_combined(d, r, [(
+            self._table, self._den, self._arity,
+            other._table, other._den, other._arity)]))
 
     __rmul__ = __mul__
 
     def scale(self, scalar):
         """Multiply every coefficient by a rational or a `Polynomial`.
 
-        Any other scalar is the coefficient of a one-term `combination`, so
-        both take coefficients by one rule: a series multiplies, as `*`
-        does, and anything else raises TypeError."""
-        if isinstance(scalar, (int, Fraction)):
-            return TruncatedSeries._new(self.dims, self.order, *scale_fraction(
-                self._table, self._den, scalar), self._arity)
+        The scalar is the coefficient of a one-term `combination`, so both
+        take coefficients by one rule: a series multiplies, as `*` does,
+        and anything else raises TypeError."""
         return TruncatedSeries.combination(self.dims, self.order,
                                            [(scalar, self)])
 
@@ -452,17 +448,14 @@ class TruncatedSeries:
         and the empty sum is zero.  Rational tables are padded to the
         coefficient variables of the other terms, as `+` pads them.
 
-        One pass over the pairs checks them and keeps each term's tables
-        and the product of its denominators, whose lcm is the common
-        denominator.  The kernel `_combined` adds every term into one
-        integer table over it, and the sum is reduced once, with one gcd.
+        One pass over the pairs checks them and hands each term's stored
+        forms to the kernel `_combined`, which adds every term into one
+        integer table over one common denominator and reduces the sum once.
         """
         if dims < 1 or not 0 <= order < BOUND:
             _check_shape(dims, order)
-        # (a's table, c's table or int numerator, both denominators'
-        # product) per term, the lcm of those products, and the arities of
-        # the terms that have one
-        terms, den, arities = [], 1, set()
+        # (a's stored form, then c's: a table or an int numerator) per term
+        terms = []
         for c, a in pairs:
             kind = type(c)
             if kind is int:
@@ -505,23 +498,15 @@ class TruncatedSeries:
                                             or c.order != order):
                 a._check_compatible(c)
             ka = a._arity
-            if ka or kb:
-                # a term brings its coefficient variables in unless it is a
-                # product of series cut to nothing: the lowest t-degrees of
-                # the factors add past the order
-                if kind is TruncatedSeries and (min(b) >> _shift(dims, kb)) \
-                        + (min(table) >> _shift(dims, ka)) > order:
-                    continue
-                arities.add(ka)
-                arities.add(kb)
-            dd = a._den * db
-            if dd != 1 and dd != den:
-                den = math.lcm(den, dd)
-            terms.append((table, b, dd, ka, kb))
-        if not terms:
-            return cls._new(dims, order, {}, 1)
-        table, arity = _combined(dims, order, terms, den, arities)
-        return cls._new(dims, order, *lowest_terms(table, den), arity)
+            # a term brings its coefficient variables in unless it is a
+            # product of series cut to nothing: the lowest t-degrees of the
+            # factors add past the order
+            if (ka or kb) and kind is TruncatedSeries and (
+                    min(b) >> _shift(dims, kb)) \
+                    + (min(table) >> _shift(dims, ka)) > order:
+                continue
+            terms.append((table, a._den, ka, b, db, kb))
+        return cls._new(dims, order, *_combined(dims, order, terms))
 
     def __pow__(self, n):
         arity = self._arity
@@ -799,9 +784,9 @@ def series_compose(f, jet):
     return series_compose_all([f], jet)[0]
 
 
-def _split(s):
-    """The homogeneous parts of a series of positive valuation, as
-    (degree, table, den, arity) over its denominator, degree ascending."""
+def _graded(s):
+    """The homogeneous parts of a series by t-degree, {degree: table}, each
+    table a part of its stored table over its denominator."""
     shift = _shift(s.dims, s._arity)
     parts = {}
     for key, n in s._table.items():
@@ -810,6 +795,13 @@ def _split(s):
         if part is None:
             parts[e] = part = {}
         part[key] = n
+    return parts
+
+
+def _split(s):
+    """The homogeneous parts of a series of positive valuation, as
+    (degree, table, den, arity) over its denominator, degree ascending."""
+    parts = _graded(s)
     if 0 in parts:
         raise ValueError("the system must have no constant term")
     return [(e, parts[e], s._den, s._arity) for e in sorted(parts)]
@@ -829,10 +821,10 @@ def euler_solve(system, initial):
     and Kung ("Fast algorithms for manipulating formal power series",
     J. ACM 25, 1978), which forms only products of degree k.  Each S entry
     is split into its homogeneous tables once, and each F_k entry is kept
-    as a stored form, one pass of the kernel `_combined` over the lcm of
-    its terms' denominators times k, reduced with one gcd.  A series is
-    built once per returned entry, from its parts.  The rows of F are
-    returned as lists.
+    as a stored form, one pass of the kernel `_combined` with 1/k folded
+    into the denominators.  A series is built once per returned entry, from
+    one more kernel pass over its parts.  The rows of F are returned as
+    lists.
     """
     m = len(system)
     d, r = system[0][0].dims, system[0][0].order
@@ -848,7 +840,8 @@ def euler_solve(system, initial):
     for k in range(1, r + 1):
         for s_row, f_row in zip(s_parts, parts):
             for c, f_parts in enumerate(f_row):
-                terms, den, arities = [], k, set()
+                # the terms (F_(k-e), S_e / k)
+                terms = []
                 for s_entry, f_entry in zip(s_row, parts):
                     f_entry = f_entry[c]
                     for e, b, db, kb in s_entry:
@@ -856,36 +849,11 @@ def euler_solve(system, initial):
                             break
                         a, da, ka = f_entry[k - e]
                         if a:
-                            # the term (F_(k-e), S_e)
-                            dd = da * db * k
-                            if dd != den:
-                                den = math.lcm(den, dd)
-                            terms.append((a, b, dd, ka, kb))
-                            arities.add(ka)
-                            arities.add(kb)
-                table, arity = _combined(d, r, terms, den, arities)
-                table, den = lowest_terms(table, den)
-                f_parts.append((table, den, arity if table else 0))
-    return [[_summed(d, r, entry) for entry in row] for row in parts]
-
-
-def _summed(dims, order, parts):
-    """The series of the stored forms (table, den, arity) of its
-    homogeneous parts.  Their keys are disjoint, so each numerator only
-    takes its share of the lcm of the denominators, and the sum needs no
-    gcd: a prime of that lcm leaves some numerator undivided in the part,
-    in lowest terms, whose denominator holds its highest power."""
-    parts = [part for part in parts if part[0]]
-    arity = _ring({k for *_, k in parts})
-    den = math.lcm(*(d for _, d, _ in parts))
-    table = {}
-    for t, d, k in parts:
-        if k != arity:
-            t = _padded(t, arity)
-        factor = den // d
-        table.update(t if factor == 1 else
-                     {p: n * factor for p, n in t.items()})
-    return TruncatedSeries._new(dims, order, table, den, arity)
+                            terms.append((a, da, ka, b, db * k, kb))
+                f_parts.append(_combined(d, r, terms))
+    return [[TruncatedSeries._new(d, r, *_combined(d, r, [
+        (a, da, ka, 1, 1, 0) for a, da, ka in entry])) for entry in row]
+            for row in parts]
 
 
 def is_flat(forms, sigma, frame):
@@ -898,9 +866,8 @@ def is_flat(forms, sigma, frame):
     frame's shape: the dt_a part of a connection form pulled back along
     sigma.  Everything is formed at order r - 1 on stored tables: the
     partials are read from the order-r tables of sigma and F (a derivative
-    loses the top degree), each C_a entry and each residual is one pass of
-    the kernel `_combined`, cut at r - 1, and a residual is tested for
-    emptiness before any gcd is taken.
+    loses the top degree), and each C_a entry and each residual is one pass
+    of the kernel `_combined`, cut at r - 1.
     """
     d, r = sigma.dims, sigma.order
     low = r - 1
@@ -909,33 +876,17 @@ def is_flat(forms, sigma, frame):
         partials = [(derive_terms(s._table, a, d, _low(s._arity)), s._den,
                      s._arity) for s in sigma.series]
         for form_row, row in zip(forms, frame):
-            c_row = []
-            for pairs in form_row:
-                terms, den, arities = [], 1, set()
-                for l, c in pairs:
-                    b, db, kb = partials[l]
-                    if b and c._table:
-                        dd = c._den * db
-                        if dd != den:
-                            den = math.lcm(den, dd)
-                        terms.append((c._table, b, dd, c._arity, kb))
-                        arities.add(c._arity)
-                        arities.add(kb)
-                c_row.append((*_combined(d, low, terms, den, arities), den))
+            c_row = [_combined(d, low, [
+                (c._table, c._den, c._arity, *partials[l])
+                for l, c in pairs if partials[l][0] and c._table])
+                     for pairs in form_row]
             for f, column in zip(row, columns):
                 derivative = derive_terms(f._table, a, d, _low(f._arity))
-                terms, den, arities = [], f._den, set()
-                if derivative:
-                    terms.append((derivative, 1, den, f._arity, 0))
-                    arities.add(f._arity)
-                for (b, kb, db), x in zip(c_row, column):
-                    if b and x._table:
-                        dd = db * x._den
-                        if dd != den:
-                            den = math.lcm(den, dd)
-                        terms.append((x._table, b, dd, x._arity, kb))
-                        arities.add(x._arity)
-                        arities.add(kb)
-                if _combined(d, low, terms, den, arities)[0]:
+                terms = [(derivative, f._den, f._arity, 1, 1, 0)] \
+                    if derivative else []
+                terms += [(x._table, x._den, x._arity, b, db, kb)
+                          for (b, db, kb), x in zip(c_row, column)
+                          if b and x._table]
+                if _combined(d, low, terms)[0]:
                     return False
     return True

@@ -1086,14 +1086,15 @@ class TestOracleAgreement:
                         f1.entry(j, k).scale(a) + f2.entry(j, k).scale(b)
 
     def test_oracle_forms_only_the_degree_it_reads(self, monkeypatch):
-        # every product of series the oracle forms, through `*` or through
-        # the combination kernel `series._combined`, which every
-        # combination and the Euler solver run, outside the expansion of
-        # the chart's coefficients: the pullback multiplies each Euler
-        # derivative sum_a t_a d sigma_l / d t_a by A_l along sigma once,
-        # and every other product is of two homogeneous parts whose
-        # degrees sum to the degree k <= r it makes.  A product is read as
-        # (c's table, its arity, a's table, its arity), c * a.
+        # every product of series the oracle forms, in the kernel
+        # `series._combined`, which `*`, every combination and the Euler
+        # solver run, outside the expansion of the chart's coefficients:
+        # the pullback multiplies each Euler derivative
+        # sum_a t_a d sigma_l / d t_a by A_l along sigma once, and every
+        # other product is of two homogeneous parts whose degrees sum to
+        # the degree k <= r it makes.  A kernel term (a, da, ka, b, db, kb)
+        # is a product when b is a table, read as (c's table, its arity,
+        # a's table, its arity) with c = b, c * a.
         rng = random.Random(16)
         rc = random_flat_chart(rng, 2, 2)
         chart, d, r = rc.chart, 2, 4
@@ -1106,22 +1107,16 @@ class TestOracleAgreement:
         along = [rf.eval_on_jet(sigma)._table for l in range(chart.n)
                  for row in chart.a_matrix(l) for rf in row if rf]
         products, expanding = [], []
-        original_mul = TruncatedSeries.__mul__
         original_kernel = series_module._combined
         original_eval = RationalFunction.eval_all_on_jet
 
-        def mul(self, other):
-            if not expanding and isinstance(other, TruncatedSeries):
-                products.append((self._table, self._arity, other._table,
-                                 other._arity))
-            return original_mul(self, other)
-
-        def kernel(dims, order, terms, den, arities):
+        def kernel(dims, order, terms):
             terms = list(terms)
             if not expanding:
-                products.extend((b, kb, a, ka) for a, b, _, ka, kb in terms
+                products.extend((b, kb, a, ka)
+                                for a, _, ka, b, _, kb in terms
                                 if type(b) is not int)
-            return original_kernel(dims, order, terms, den, arities)
+            return original_kernel(dims, order, terms)
 
         def eval_all_on_jet(functions, jet):
             expanding.append(jet)
@@ -1130,7 +1125,6 @@ class TestOracleAgreement:
             finally:
                 expanding.pop()
 
-        monkeypatch.setattr(TruncatedSeries, "__mul__", mul)
         monkeypatch.setattr(series_module, "_combined", kernel)
         monkeypatch.setattr(RationalFunction, "eval_all_on_jet",
                             staticmethod(eval_all_on_jet))
@@ -1273,26 +1267,20 @@ class TestOracleAgreement:
 
     def test_flatness_forms_nothing_above_order_r_minus_one(self,
                                                             monkeypatch):
-        # through `*` and through the combination kernel `series._combined`,
-        # which every combination and the flatness test itself run
+        # in the kernel `series._combined`, which `*`, `+`, every
+        # combination and the flatness test itself run
         rng = random.Random(16)
         rc = random_flat_chart(rng, 2, 2)
         d, r = 2, 4
         sigma = random_jet(rng, rc.chart, d, r)
         frame = beta(rc.chart, sigma, random_invertible(rng, 2))
         orders = []
-        original_mul = TruncatedSeries.__mul__
         original_kernel = series_module._combined
 
-        def mul(self, other):
-            orders.append(self.order)
-            return original_mul(self, other)
-
-        def kernel(dims, order, terms, den, arities):
+        def kernel(dims, order, terms):
             orders.append(order)
-            return original_kernel(dims, order, terms, den, arities)
+            return original_kernel(dims, order, terms)
 
-        monkeypatch.setattr(TruncatedSeries, "__mul__", mul)
         monkeypatch.setattr(series_module, "_combined", kernel)
         assert check_flatness(rc.chart, sigma, frame)
         assert orders and max(orders) == r - 1

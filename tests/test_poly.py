@@ -715,3 +715,31 @@ def test_division_by_a_negative_leading_coefficient():
         assert is_stored_form(q) and is_stored_form(r)
     g = ratfunc._univ_gcd(-(x - 1) * (x + 2), Fraction(-1, 3) * (x - 1))
     assert g == x - 1
+
+
+def test_equal_rational_functions_hash_alike():
+    # f g / (h g) and f / h are one value in two stored pairs when no gcd
+    # reduces them (two variables and more); their hashes agree, so sets
+    # and dicts find either by the other
+    rng = random.Random(41)
+    x, y = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    one = Polynomial.const(1, 2)
+    pairs = [(RationalFunction(x * y, x * y * y), RationalFunction(one, y))]
+    for case in range(120):
+        arity = 1 + case % 3
+        f = rand_poly(rng, arity, 2)
+        h = rand_poly(rng, arity, 1) or Polynomial.const(3, arity)
+        g = rand_poly(rng, arity, 1) or Polynomial.const(-2, arity)
+        pairs.append((RationalFunction(f * g, h * g), RationalFunction(f, h)))
+    distinct = 0
+    for left, right in pairs:
+        assert left == right
+        assert hash(left) == hash(right)
+        assert left in {right} and {left: 1}[right] == 1
+        distinct += (left.num, left.den) != (right.num, right.den)
+    # the multivariate pairs do differ in their stored forms
+    assert distinct >= 40
+    assert len({f for pair in pairs for f in pair}) == len(set(
+        right for _, right in pairs))
+    zero = RationalFunction(Polynomial.zero(2))
+    assert hash(zero) == hash(RationalFunction(Polynomial.zero(2), x + 1))
