@@ -787,7 +787,7 @@ def series_oracle(chart, sigma, initial):
     `series.euler_solve` solves degree by degree, forming only products of
     the degree it makes.
 
-    Shares with the xi-table route only the series ring.  It expands the
+    Shares with `beta` only the series ring.  It expands the
     coefficients along sigma with `RationalFunction.eval_all_on_jet`, one
     call for every nonzero A_l[j][i] it reads.  The recursion is linear in
     `initial`, so any square initial matrix is accepted, singular ones

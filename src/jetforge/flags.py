@@ -225,7 +225,9 @@ def gram_obeys_first_relation(chart):
 
 
 def check_fv(chart, point, matrix):
-    """Whether M^T Gram(point) M equals the lattice polarization exactly."""
+    """Whether M^T Gram(point) M equals the lattice polarization exactly;
+    `SingularPoint` at a pole of the chart (`assert_regular`)."""
+    chart.assert_regular(point)
     gram = chart.gram_at(point)
     lhs = linalg.mat_mul(linalg.transpose(matrix),
                          linalg.mat_mul(gram, matrix))

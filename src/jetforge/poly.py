@@ -36,6 +36,8 @@ integer numerators and keep the denominator with the functions under
 (the content and primitive part of Knuth, TAOCP vol. 2, 4.6.1).
 `add_fractions` and `scale_fraction` serve `Polynomial` only: every sum and
 product of series takes its common denominator in `series._combined`.
+`_monomials` substitutes ring elements into monomials, one product each,
+for `Polynomial.evaluate_in` and `series.series_compose_all`.
 Univariate division and gcd read the numerators as dense integer lists,
 and text is read into a table in one pass over its tokens.
 """
@@ -253,6 +255,37 @@ def pow_terms(table, n, limit=None, guard=0):
     return result
 
 
+def _monomials(keys, arity, values, one):
+    """{p: x^p} for the packed keys p of monomials in `arity` variables,
+    x = `values`, with the key 0 of the constant `one`.
+
+    Each monomial is one product, x^p = x^(p - e_l) * x_l with l the first
+    index where p_l > 0.  A key missing from the table walks down that way
+    to the first monomial already formed, and the products then run back
+    up: a loop, not a recursion, so that an exponent in the hundreds of
+    thousands needs no call stack.  Every chain starts from `one`, so each
+    monomial lies in its ring.
+    """
+    # the key of x_l, one in the degree field and in its exponent field,
+    # by the shift of that field
+    units = {BITS * (arity - 1 - l): 1 << BITS * arity
+             | 1 << BITS * (arity - 1 - l) for l in range(arity)}
+    index = {unit: l for l, unit in enumerate(units.values())}
+    table = {0: one}
+    for p in keys:
+        chain = []
+        while p not in table:
+            chain.append(p)
+            for shift, unit in units.items():
+                if p >> shift & FIELD:
+                    break
+            p -= unit
+        for q in reversed(chain):
+            table[q] = table[p] * values[index[q - p]]
+            p = q
+    return table
+
+
 # -- rational tables: integer numerators over one common denominator ----------
 
 def lowest_terms(num, den):
@@ -318,6 +351,27 @@ def over_primitive(num, den):
                 num._den * abs(g))),
             Polynomial._new(den.arity, table if g == 1 else
                             {p: n // g for p, n in table.items()}, 1))
+
+
+def _quotient_hash(num, den=None):
+    """The hash of num / den (of num when den is None), den nonzero: equal
+    for equal quotients, and to that of the int or Fraction one equals.
+    Keys add when monomials multiply, so a common factor changes neither
+    the difference of the greatest keys nor the ratio of their
+    coefficients, hashed with the arity; zero hashes as 0, and a constant
+    (difference 0) as the ratio."""
+    table = num._table
+    if not table:
+        return 0
+    key = max(table)
+    n, d = table[key], num._den
+    if den is not None:
+        low = max(den._table)
+        key, n, d = key - low, n * den._den, d * den._table[low]
+    if not key:
+        return hash(n if d == 1 else Fraction(n, d))
+    g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
+    return hash((num.arity, key, n // g, d // g))
 
 
 # -- univariate division and gcd on dense integer coefficient lists ----------
@@ -514,7 +568,7 @@ class Polynomial:
                 and self._table == other._table)
 
     def __hash__(self):
-        return hash((self.arity, self._den, frozenset(self._table.items())))
+        return _quotient_hash(self)
 
     # -- ring operations ---------------------------------------------------
 
@@ -593,13 +647,22 @@ class Polynomial:
         """Evaluate on elements of any commutative ring.
 
         `values` substitute the variables; `one` must be the multiplicative
-        identity of the target ring (used for the empty product).
+        identity of the target ring (the empty product; times 0, the zero
+        polynomial's value).  The terms c * x^p, x^p from `_monomials`,
+        are summed with `+` in the order of the stored table.
         """
         if len(values) != self.arity:
             raise ArityMismatch(
                 f"expected {self.arity} values, got {len(values)}")
-        return evaluate_terms(self._table, self.arity, list(values), one,
-                              self._den)
+        table, den = self._table, self._den
+        if not table:
+            return one * Fraction(0)
+        powers = _monomials(table, self.arity, list(values), one)
+        total = None
+        for p, n in table.items():
+            term = powers[p] * (n if den == 1 else Fraction(n, den))
+            total = term if total is None else total + term
+        return total
 
     def rename_into(self, target_arity, index_map):
         """Reinterpret inside a larger ring, sending variable i to index_map[i].
@@ -812,42 +875,6 @@ def terms_to_string(terms, arity, names, times, den=1):
 def default_names(arity, letter):
     """The coordinate names letter1, ..., letter<arity>."""
     return [f"{letter}{i + 1}" for i in range(arity)]
-
-
-def evaluate_terms(terms, arity, values, one, den=1):
-    """Sum of c / den * prod(values[i] ** e) over a sparse term table in
-    `arity` variables.
-
-    Works over any commutative ring containing the rational coefficients;
-    powers of each value are computed once and cached, and the terms are
-    summed with `+`.  It serves `Polynomial.evaluate_in`; values at a
-    rational point are summed in integers by `_shifted`, and
-    substitution into jets goes through `series.series_compose_all`, which
-    forms each polynomial as one combination.
-    """
-    if not terms:
-        return one * Fraction(0)
-    terms = {unpack(p, arity): c for p, c in terms.items()}
-    maxexp = {}
-    for p in terms:
-        for i, e in enumerate(p):
-            if e:
-                maxexp[i] = max(maxexp.get(i, 0), e)
-    powers = {}
-    for i, top in maxexp.items():
-        row = [one]
-        for _ in range(top):
-            row.append(row[-1] * values[i])
-        powers[i] = row
-    total = None
-    for p, c in terms.items():
-        term = one
-        for i, e in enumerate(p):
-            if e:
-                term = term * powers[i][e]
-        term = term * (c if den == 1 else Fraction(c, den))
-        total = term if total is None else total + term
-    return total
 
 
 # -- values and Taylor coefficients at a rational point, in integers ---------

@@ -15,8 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ArityMismatch, NotAUnit, SingularPoint
-from .poly import (Polynomial, over_primitive, univ_divmod as _univ_divmod,
-                   univ_gcd as _univ_gcd)
+from .poly import (Polynomial, _quotient_hash, over_primitive,
+                   univ_divmod as _univ_divmod, univ_gcd as _univ_gcd)
 from .series import series_compose_all
 
 
@@ -141,6 +141,10 @@ class RationalFunction:
         return other / self
 
     def __eq__(self, other):
+        # values of two rings differ, as polynomials of two arities do
+        if isinstance(other, (Polynomial, RationalFunction)) \
+                and other.arity != self.arity:
+            return False
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -150,14 +154,8 @@ class RationalFunction:
 
     def __hash__(self):
         # without a multivariate gcd the stored pair is not canonical, so
-        # hash what a factor common to both leaves unchanged: graded lex is
-        # a monomial order, so the leading monomial of the numerator over
-        # that of the denominator, and the ratio of their leading
-        # coefficients
-        if not self.num:
-            return hash((self.arity, 0))
-        (p, c), (q, e) = self.num.leading(), self.den.leading()
-        return hash((self.arity, tuple(x - y for x, y in zip(p, q)), c / e))
+        # hash what a factor common to both leaves unchanged
+        return _quotient_hash(self.num, self.den)
 
     # -- calculus and evaluation ---------------------------------------------
 

@@ -54,7 +54,8 @@ kernel pass.  `graded_parts` splits a series into its homogeneous parts.
 
 `series_compose_all` substitutes one jet into a list of polynomials (or of
 series, on the jet's offsets) in one call: every distinct monomial the list
-reads is one product, in a table that lives for the call alone, and each
+reads is one product, in a table that `poly._monomials`, the walker that
+`Polynomial.evaluate_in` reads too, builds for the call alone, and each
 polynomial is one `combination` of those monomials.  `series_compose` is its
 one-element case.
 
@@ -76,7 +77,7 @@ from fractions import Fraction
 from .errors import (ArityMismatch, DimensionMismatch, InputError, NotAUnit,
                      OrderIncrease)
 from .linalg import unipotent_inverse
-from .poly import (BITS, BOUND, FIELD, Polynomial, default_names,
+from .poly import (BITS, BOUND, Polynomial, _monomials, default_names,
                    derive_terms, fraction_table, lowest_terms, mul_terms,
                    pack, past_bound, pow_terms, terms_to_string, unpack)
 
@@ -696,41 +697,11 @@ def taylor_weights(offsets):
     return weight
 
 
-def _monomials(keys, arity, values, one):
-    """{p: x^p} for the packed keys p of monomials in `arity` variables,
-    x = `values`, with the key 0 of the constant `one`.
-
-    Each monomial is one product, x^p = x^(p - e_l) * x_l with l the first
-    index where p_l > 0.  A key missing from the table walks down that way
-    to the first monomial already formed, and the products then run back
-    up: a loop, not a recursion, so that an exponent in the hundreds of
-    thousands needs no call stack.
-    """
-    # the key of x_l, one in the degree field and in its exponent field,
-    # by the shift of that field
-    units = {BITS * (arity - 1 - l): 1 << BITS * arity
-             | 1 << BITS * (arity - 1 - l) for l in range(arity)}
-    index = {unit: l for l, unit in enumerate(units.values())}
-    table = {0: one}
-    for p in keys:
-        chain = []
-        while p not in table:
-            chain.append(p)
-            for shift, unit in units.items():
-                if p >> shift & FIELD:
-                    break
-            p -= unit
-        for q in reversed(chain):
-            table[q] = table[p] * values[index[q - p]]
-            p = q
-    return table
-
-
 def series_compose_all(fs, jet):
     """`series_compose(f, jet)` for every f in fs, in one pass.
 
     All the polynomials share one table of the monomials they read, built
-    for this call alone (see `_monomials`), and so do all the series, on
+    for this call alone by `poly._monomials`, and so do all the series, on
     the offsets of the jet.  Each f is then one
     `TruncatedSeries.combination` of its coefficients with those monomials:
     the substitution step of Brent and Kung ("Fast algorithms for

@@ -331,6 +331,20 @@ class TestFrameCommands:
         jet = json.dumps({"d": 1, "r": 2, "series": ["1 * t1^1"]})
         assert run(["beta", "--connection", legendre_file, "--jet", jet]) == 3
 
+    def test_fv_at_a_pole_exits_three(self, legendre_file, capsys):
+        # fv answers at a regular point and refuses the poles 0 and 1 of
+        # the connection, as beta, alpha and verify do
+        matrix = json.dumps([["1", "0"], ["0", "1/4"]])
+        for point, code in (("0", 3), ("1", 3), ("2", 0)):
+            assert run(["fv", "--connection", legendre_file, "--point",
+                        point, "--matrix", matrix]) == code
+            captured = capsys.readouterr()
+            if code:
+                assert captured.out == ""
+                assert "pole" in captured.err
+            else:
+                assert json.loads(captured.out) == {"fv": True}
+
     def test_non_integrable_chart_exit_two(self, non_integrable_file,
                                            capsys):
         # frame jets are not defined on such a chart, so library beta and

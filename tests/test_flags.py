@@ -274,6 +274,17 @@ class TestFv:
         m = [[Fraction(2), 0], [0, Fraction(2)]]
         assert not check_fv(chart, (Fraction(0),), m)
 
+    def test_a_pole_of_the_connection_is_refused(self):
+        # the Legendre Gram is constant, so without the check the torsor
+        # condition would answer at the poles 0 and 1 of the connection
+        chart = legendre_chart()
+        base = [[Fraction(1), 0], [0, Fraction(1, 4)]]
+        for pole in (0, 1):
+            with pytest.raises(SingularPoint, match="pole"):
+                check_fv(chart, (Fraction(pole),), base)
+        assert check_fv(chart, (Fraction(2),), base)
+        assert not check_fv(chart, (Fraction(2),), la.identity(2))
+
     def test_right_action_preserves_fibre(self):
         rng = random.Random(12)
         chart = legendre_chart()

@@ -743,3 +743,37 @@ def test_equal_rational_functions_hash_alike():
         right for _, right in pairs))
     zero = RationalFunction(Polynomial.zero(2))
     assert hash(zero) == hash(RationalFunction(Polynomial.zero(2), x + 1))
+
+
+def test_hash_agrees_with_eq_across_types():
+    # ints, Fractions, polynomials and rational functions that are equal
+    # under `==` hash alike, so each finds the others in a set or a dict
+    rng = random.Random(53)
+    values = []
+    for case in range(60):
+        arity = case % 4
+        c = Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+        f = rand_poly(rng, arity, rng.choice([0, 1, 2]))
+        g = rand_poly(rng, arity, 1) or Polynomial.const(2, arity)
+        values += [c, int(c), f, Polynomial.const(c, arity),
+                   RationalFunction(f), RationalFunction(f * g, g),
+                   RationalFunction(Polynomial.const(c, arity) * g, g)]
+    for arity in (1, 2, 3):
+        x = Polynomial.variable(0, arity)
+        values += [x, RationalFunction(x), RationalFunction(x * (x + 1),
+                                                            x + 1)]
+    equal = crossed = 0
+    for a, b in itertools.product(values, repeat=2):
+        if a == b:
+            equal += 1
+            crossed += type(a) is not type(b)
+            assert hash(a) == hash(b), (a, b)
+            assert a in {b} and {b: 1}[a] == 1
+    assert crossed >= 500 and equal > crossed
+    assert 5 in {Polynomial.const(5, 1)}
+    assert 5 in {RationalFunction(Polynomial.const(5, 1))}
+    x = Polynomial.variable(0, 1)
+    assert x in {RationalFunction(x)} and RationalFunction(x) in {x}
+    assert Polynomial.zero(2) in {0} and RationalFunction.zero(3) in {0}
+    # values of different rings hash alike but stay unequal
+    assert len({RationalFunction.const(5, arity) for arity in (1, 2, 3)}) == 3

@@ -11,6 +11,7 @@ from jetforge.scheme import generic_jet
 from jetforge.series import (JetPoint, TruncatedSeries, same_form,
                              series_compose, series_compose_all,
                              taylor_weights)
+from test_kernel import ref_evaluate_in
 
 
 def S(dims, order, coeffs):
@@ -142,9 +143,10 @@ class TestCompose:
         assert series_compose(f, j) == S(1, 2, {(0,): 5, (1,): 1, (2,): 1})
 
     def test_batch_matches_the_power_products_and_single_calls(self):
-        # `evaluate_in` forms each term from cached powers and sums the
-        # terms with `+`; the batch forms each monomial once and each f as
-        # one combination, over rational and Q[a] jets alike
+        # `series_compose_all` and `evaluate_in` share the monomial table of
+        # `poly`, so both are checked against `ref_evaluate_in`, which
+        # multiplies each term out factor by factor, over rational and Q[a]
+        # jets alike
         rng = random.Random(47)
         for case in range(60):
             n, d, r = rng.randint(1, 3), rng.randint(1, 2), rng.randint(0, 4)
@@ -161,9 +163,36 @@ class TestCompose:
             batch = series_compose_all(polys, jet)
             assert len(batch) == len(polys)
             for f, s in zip(polys, batch):
-                reference = f.evaluate_in(list(jet.series), one)
+                reference = ref_evaluate_in(f.terms, jet.series, one)
                 assert s == reference and same_form(s, reference)
+                assert same_form(f.evaluate_in(jet.series, one), reference)
                 assert same_form(s, series_compose(f, jet))
+
+    def test_evaluate_in_polynomials_and_rationals_matches_the_reference(self):
+        # polynomial and rational values, the zero polynomial and arity 0
+        rng = random.Random(59)
+        for case in range(80):
+            n, m = case % 4, rng.randint(0, 3)
+            f = Polynomial.zero(n) if case % 5 == 0 else Polynomial(n, {
+                p: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                for p in rng.sample(graded_monomials(n, 3),
+                                    min(4, math.comb(n + 3, 3)))})
+            values = [Polynomial(m, {
+                p: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                for p in rng.sample(graded_monomials(m, 2),
+                                    min(3, math.comb(m + 2, 2)))})
+                for _ in range(n)]
+            one = Polynomial.const(1, m)
+            value = f.evaluate_in(values, one)
+            reference = ref_evaluate_in(f.terms, values, one)
+            assert value == reference
+            assert (value.arity, value._table, value._den) == \
+                (reference.arity, reference._table, reference._den)
+            point = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                     for _ in range(n)]
+            value = f.evaluate_in(point, Fraction(1))
+            assert type(value) is Fraction
+            assert value == ref_evaluate_in(f.terms, point, Fraction(1))
 
     def test_batch_mixes_polynomials_and_series(self):
         # a series is evaluated on the offsets, a polynomial on the jet
