@@ -21,8 +21,8 @@ jet sigma with initial matrix M:
   Taylor coefficients there from `poly.taylor_shift` cleared of
   denominators by one common factor, so each step has at most as many
   terms as the data has monomials.  `beta` then assembles the Taylor
-  composition as F = W M, where W[j][i] sums the Taylor weights w_q
-  against the values G_q[j][i].  The same partials decide integrability:
+  composition as F = W M, W = sum_q G_q w_q over the Taylor weights w_q
+  (`series.taylor_sum`).  The same partials decide integrability:
   an order-r jet exists exactly when the curvature, or P^2 times it,
   vanishes at the base point through order r - 2;
 * `series_oracle` pulls the system back along sigma and solves the truncated
@@ -31,7 +31,7 @@ jet sigma with initial matrix M:
   degrees add up to k, the step of an online power-series solver (van der
   Hoeven, "Relax, but don't be too lazy", J. Symbolic Comput. 34, 2002).
 
-`beta` builds each entry of the frame with `TruncatedSeries.combination`,
+`taylor_sum` builds each entry of W with `TruncatedSeries.combination`,
 one sum over one common denominator; the oracle's `series.euler_solve` and
 `check_flatness`'s `series.is_flat`, which works at order r - 1, the order
 it compares, run the same kernel on stored tables.  `series_product` forms
@@ -46,7 +46,7 @@ P d_l Psi = -Psi N_l, and the mirror of the recurrence for G_q gives its
 partials K_q(s) on the same cleared partials of P and the N_l (see
 `ConnectionChart.inverses_at`).  So the inverse of the frame with initial
 value M is M^-1 sum_q K_q(s) w_q, a polynomial in the jet coordinates, which
-`flags.alpha` assembles with one combination per entry.
+`flags.alpha` assembles with the same `series.taylor_sum`.
 `invert_series_matrix`, a Neumann sum, is left to the pivot minors of
 `flags.flag_of_matrix` and to `matrixjet_invert`.
 
@@ -81,7 +81,7 @@ from .poly import (Polynomial, default_names, graded_monomials,
                    primitive_parts, taylor_shift, univ_lcm)
 from .ratfunc import RationalFunction, _univ_divmod
 from .series import (TruncatedSeries, euler_solve, is_flat, same_form,
-                     taylor_weights)
+                     taylor_sum, taylor_weights)
 
 
 class HodgeData:
@@ -203,7 +203,8 @@ class ConnectionChart:
     """
 
     __slots__ = ("n", "m", "coeffs", "hodge", "gram", "variables",
-                 "_a_matrices", "_factored", "_points", "_lock")
+                 "_a_matrices", "_denominators", "_factored", "_points",
+                 "_lock")
 
     def __init__(self, n, m, coeffs, weight, filtration_dims, gram,
                  polarization, variables=None):
@@ -245,6 +246,10 @@ class ConnectionChart:
             a_mats.append(tuple(tuple(-self.coeffs[i][j][l]
                                       for i in range(m)) for j in range(m)))
         object.__setattr__(self, "_a_matrices", tuple(a_mats))
+        # the distinct non-constant A_l denominators: P vanishes where they do
+        object.__setattr__(self, "_denominators", tuple(dict.fromkeys(
+            rf.den for a in a_mats for row in a for rf in row
+            if rf.den.degree() > 0)))
         object.__setattr__(self, "_factored", None)
         object.__setattr__(self, "_points", {})
         object.__setattr__(self, "_lock", threading.Lock())
@@ -276,16 +281,14 @@ class ConnectionChart:
         """
         form = self._factored
         if form is None:
-            dens = list(dict.fromkeys(
-                rf.den for a in self._a_matrices for row in a for rf in row
-                if rf.den.degree() > 0))
+            dens = self._denominators
             if self.n == 1 and dens:
                 den = univ_lcm(dens)
                 form = (den,), {d: (_univ_divmod(den, d)[0],) if d != den
                                  else () for d in dens}
             else:
-                form = tuple(dens), {d: tuple(e for e in dens if e != d)
-                                     for d in dens}
+                form = dens, {d: tuple(e for e in dens if e != d)
+                              for d in dens}
             object.__setattr__(self, "_factored", form)
         return form
 
@@ -342,8 +345,7 @@ class ConnectionChart:
 
     def assert_regular(self, point):
         """Raise SingularPoint if any chart denominator vanishes at the point:
-        P, through its factors (see `factored`), or the denominator of a
-        Gram entry.
+        that of an A_l entry, so P (see `factored`), or of a Gram entry.
 
         A point that passes is recorded, and returns at once next time.
         """
@@ -354,8 +356,7 @@ class ConnectionChart:
         if record.regular:
             return
         shown = "(" + ", ".join(str(x) for x in point) + ")"
-        # a constant denominator is kept equal to 1 and never vanishes
-        if any(f.evaluate(point) == 0 for f in self.factored()[0]):
+        if any(f.evaluate(point) == 0 for f in self._denominators):
             raise SingularPoint(
                 f"connection coefficient has a pole at {shown}")
         for row in self.gram:
@@ -733,9 +734,9 @@ def beta(chart, sigma, initial, table=None):
 
 
 def _taylor_part(chart, sigma, table):
-    """The m x m series matrix W with W[j][i] = sum_q G_q(s)[j][i] w_q over
-    the Taylor weights w_q of sigma, so that the frame jet with initial
-    value M is W M; one combination per entry, as a tuple of rows.
+    """The m x m series matrix W = sum_q G_q(s) w_q over the Taylor weights
+    w_q of sigma, so that the frame jet with initial value M is W M:
+    `series.taylor_sum`, which reads no w_q of a zero G_q(s).
 
     It depends on (chart, sigma) alone: `table` only sets the order the
     values are built at.  The record of the base point keeps the W of the
@@ -748,25 +749,12 @@ def _taylor_part(chart, sigma, table):
     chart.assert_regular(s)
     r = sigma.order
     order = table.order if table is not None and table.chart is chart else r
-    w_matrix = taylor_sum(sigma,
-                          chart.gammas_at(s, max(order, r)).__getitem__)
+    gammas = chart.gammas_at(s, max(order, r))  # may reach past r
+    w_matrix = taylor_sum(taylor_weights(sigma.offsets()), sigma.dims, r, [
+        (q, gammas[q]) for q in graded_monomials(chart.n, r)])
     chart._keep(s, chart._points.get(s, _NO_RECORD)._replace(
         taylor=(sigma, w_matrix)))
     return w_matrix
-
-
-def taylor_sum(sigma, matrix):
-    """The series matrix sum_q X_q w_q over the Taylor weights w_q of sigma
-    and the multi-degrees q of |q| <= r, X_q = matrix(q) a square rational
-    matrix: one combination per entry, as a tuple of rows."""
-    d, r = sigma.dims, sigma.order
-    weight = taylor_weights(sigma.offsets())
-    # a zero weight adds nothing to a combination
-    terms = [(matrix(q), weight(q)) for q in graded_monomials(sigma.n, r)]
-    m = len(terms[0][0])
-    return tuple(tuple(TruncatedSeries.combination(
-        d, r, [(x[j][i], w) for x, w in terms]) for i in range(m))
-        for j in range(m))
 
 
 def _same_jet(a, b):

@@ -24,11 +24,11 @@ from .congruence import miss_is_proof, solve_congruence
 # HodgeData lives with the charts that hold it, and beta with the frames;
 # both stay importable here
 from .connection import (HodgeData, MatrixJet, _check_initial, beta,
-                         invert_series_matrix, series_product, taylor_sum)
+                         invert_series_matrix, series_product)
 from .errors import (ArityMismatch, CongruenceSearchExhausted,
                      NoRationalFvPoint, NoValidChart, SingularInitial)
-from .poly import Polynomial
-from .series import TruncatedSeries
+from .poly import Polynomial, graded_monomials
+from .series import TruncatedSeries, taylor_sum, taylor_weights
 
 
 class FlagChart:
@@ -276,8 +276,8 @@ def alpha(chart, sigma, matrix):
     that is the identity at the base point s, so its inverse is M^-1 Psi
     with Psi = Phi^-1.  That is M^-1 sum_q K_q(s) w_q over the Taylor
     weights w_q of sigma, K_q(s) the partials of Psi at s kept in the
-    chart's record (`ConnectionChart.inverses_at`): one combination per
-    entry, with no frame jet formed and no series inverted.  Its flag is
+    chart's record (`ConnectionChart.inverses_at`): one `series.taylor_sum`,
+    with no frame jet formed and no series inverted.  Its flag is
     `flag_of_matrix` of it, equal to the flag of `matrixjet_invert` of the
     frame `beta` gives.
 
@@ -292,7 +292,7 @@ def alpha(chart, sigma, matrix):
     _check_initial(matrix, chart.m)
     s = sigma.basepoint()
     chart.assert_regular(s)
-    values = chart.inverses_at(s, sigma.order)
+    values = chart.inverses_at(s, sigma.order)  # may reach past the order
     if any(isinstance(x, Polynomial) and x.degree() > 0
            for row in matrix for x in row):
         raise SingularInitial(
@@ -300,7 +300,9 @@ def alpha(chart, sigma, matrix):
     inverse = linalg.invert([[x.constant_term() if isinstance(x, Polynomial)
                               else x for x in row] for row in matrix])
     return flag_of_matrix(chart.hodge, MatrixJet(taylor_sum(
-        sigma, lambda q: linalg.mat_mul(inverse, values[q]))))
+        taylor_weights(sigma.offsets()), sigma.dims, sigma.order, [
+            (q, linalg.mat_mul(inverse, values[q]))
+            for q in graded_monomials(chart.n, sigma.order)])))
 
 
 def eta_chartlocal(chart, sigma):

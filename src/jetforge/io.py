@@ -8,6 +8,7 @@ parsed object reproduces the input.  `canonical_dumps` pins key order.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .connection import ConnectionChart, MatrixJet
@@ -17,6 +18,11 @@ from .poly import Polynomial, default_names
 from .ratfunc import RationalFunction
 from .scheme import AffineMap, AffineScheme
 from .series import JetPoint, TruncatedSeries
+
+# a flag coordinate key w_row_col: each index ASCII digits with no leading
+# zero, so one coordinate has one key ("w_01_0" would be "w_1_0"), and
+# under 100 digits, which any frame row or column is
+_COORDINATE = re.compile(r"w_(0|[1-9][0-9]{0,98})_(0|[1-9][0-9]{0,98})")
 
 
 def canonical_dumps(obj):
@@ -308,11 +314,10 @@ def flagjet_from_json(data):
         raise InputError("flag coords must be an object of series strings")
     coords = {}
     for key, text in raw.items():
-        parts = key.split("_")
-        if len(parts) != 3 or parts[0] != "w" \
-                or not (parts[1].isdecimal() and parts[2].isdecimal()):
+        match = _COORDINATE.fullmatch(key)
+        if match is None:
             raise InputError(f"bad coordinate key {key!r}")
-        coords[(int(parts[1]), int(parts[2]))] = \
+        coords[tuple(map(int, match.groups()))] = \
             TruncatedSeries.from_string(text, d, r)
     try:
         return FlagJet(hodge, chart, coords, d, r)

@@ -11,7 +11,9 @@ provided:
   polynomial and reads off the monomial coefficients;
 * the universal route builds the order-r Taylor expansion of each
   polynomial at the symbolic base point and composes it with the
-  positive-valuation offset of the generic jet.
+  positive-valuation offset of the generic jet: sum_q d_q f w_q for all
+  the polynomials in one `series.taylor_sum`, the sum `connection.beta`
+  and `flags.alpha` form from their partials at a point.
 
 The generic jet and its Taylor weights w_q = offsets^q / q! depend on the
 shape (n, d, r) alone, so both are built once per shape and kept in a
@@ -39,7 +41,7 @@ from .errors import (ArityMismatch, BasepointNotOnScheme, OrderMismatch,
 from .poly import Polynomial, default_names, graded_monomials
 from .ratfunc import RationalFunction
 from .series import (JetPoint, TruncatedSeries, series_compose,
-                     series_compose_all, taylor_weights)
+                     series_compose_all, taylor_sum, taylor_weights)
 
 
 class AffineScheme:
@@ -227,37 +229,24 @@ def _compose_all(polys, sigma, weight):
 
 
 def _taylor_compose_all(polys, sigma, weight):
-    """`_taylor_compose` of each f in polys, all reading the one weight map
-    of sigma, so that a weight is formed once per shape, not once per
-    polynomial."""
-    return [_taylor_compose(f, sigma, weight) for f in polys]
-
-
-def _taylor_compose(f, sigma, weight):
-    """Order-r Taylor expansion of f at the symbolic base point of the
-    generic jet sigma, evaluated on its positive-valuation offsets: the sum
-    of d_q f (base point) w_q over the multi-degrees q, formed as one
-    `TruncatedSeries.combination`.  `weight` is `taylor_weights` of those
-    offsets; only the w_q of a nonzero d_q f are read."""
+    """The Taylor route: for each f in polys, sum_q d_q f w_q, d_q f at the
+    symbolic base point of the generic jet sigma and w_q = weight(q) the
+    Taylor weights of its offsets, as one `series.taylor_sum` on the
+    columns (d_q f)_f."""
     n, r = sigma.n, sigma.order
     ell = math.comb(sigma.dims + r, r)
-    # the base-point symbols are the constant-monomial coordinates
+    # the base-point symbols are the constant-monomial coordinates, and d_q f
+    # is one derivative along one of them of d_p f, p = q - e_l with l the
+    # lowest index where q_l > 0; graded order reaches p first
     base_index = [i * ell for i in range(n)]
-    terms = []
-    # d_q f is one derivative of d_p f, p = q - e_l with l the lowest index
-    # where q_l > 0; graded order reaches p first
-    partials = {}
-    for q in graded_monomials(n, r):
-        if any(q):
-            l = next(i for i, e in enumerate(q) if e)
-            prev = q[:l] + (q[l] - 1,) + q[l + 1:]
-            part = partials[prev].derivative(l)
-        else:
-            part = f
-        partials[q] = part
-        if part:
-            terms.append((part.rename_into(n * ell, base_index), weight(q)))
-    return TruncatedSeries.combination(sigma.dims, r, terms)
+    partials = {(0,) * n: [(f.rename_into(n * ell, base_index),)
+                           for f in polys]}
+    for q in graded_monomials(n, r)[1:]:
+        l = next(i for i, e in enumerate(q) if e)
+        prev = partials[q[:l] + (q[l] - 1,) + q[l + 1:]]
+        partials[q] = [(x.derivative(base_index[l]),) for (x,) in prev]
+    return [row[0] for row in taylor_sum(weight, sigma.dims, r,
+                                         list(partials.items()))]
 
 
 def jet_space_equations(scheme, d, r):

@@ -59,6 +59,10 @@ reads is one product, in a table that `poly._monomials`, the walker that
 polynomial is one `combination` of those monomials.  `series_compose` is its
 one-element case.
 
+`taylor_sum` forms sum_q X_q w_q over the weights w_q = offsets^q / q! of
+`taylor_weights`, with no w_q of a zero X_q: `beta`, `alpha` and the
+Taylor route of `scheme` run it on partials at a base point.
+
 `coeffs`, `coefficient`, `homogeneous` and the text form read the
 coefficients, built when read: a constant one as a Fraction, any other as a
 `Polynomial` in the a-variables.
@@ -695,6 +699,17 @@ def taylor_weights(offsets):
 
     weight.table = table
     return weight
+
+
+def taylor_sum(weight, dims, order, partials):
+    """The matrix sum_q X_q weight(q) over the list of pairs (q, X_q) in
+    `partials`, X_q matrices of rationals or `Polynomial`s of one shape, as
+    a tuple of rows of series of shape (dims, order): one `combination` per
+    entry.  The weight of an all-zero X_q is not read, so not formed."""
+    terms = [(x, weight(q)) for q, x in partials if any(map(any, x))]
+    return tuple(tuple(TruncatedSeries.combination(dims, order, [
+        (x[j][i], w) for x, w in terms]) for i in range(len(row)))
+        for j, row in enumerate(partials[0][1]))
 
 
 def series_compose_all(fs, jet):

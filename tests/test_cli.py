@@ -597,6 +597,21 @@ class TestInputErrors:
                     "--flag", json.dumps(flag)]) == 2
         assert "w_x_0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["w_01_0", "w_1_\u0660",
+                                     "w_" + "1" * 5000 + "_0"],
+                             ids=["zero-row", "arabic-indic", "5000-digits"])
+    def test_a_second_spelling_of_a_flag_coordinate_exits_two(
+            self, legendre_file, capsys, key):
+        # the first two once overwrote w_1_0, and hr1 answered on that
+        # flag; the third ended in a ValueError from int()
+        flag = self._legendre_flag(legendre_file, capsys)
+        assert list(flag["coords"]) == ["w_1_0"]
+        flag["coords"][key] = "2 * t1^1"
+        assert run(["hr1", "--connection", legendre_file,
+                    "--flag", json.dumps(flag)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and repr(key) in captured.err
+
     def test_flag_coordinate_outside_representative(self, legendre_file,
                                                      capsys):
         flag = self._legendre_flag(legendre_file, capsys)

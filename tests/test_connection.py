@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import jetforge.connection as connection
+import jetforge.flags as flags
 import jetforge.linalg as la
 import jetforge.series as series_module
 from jetforge.connection import (ConnectionChart, HodgeData, MatrixJet, beta,
@@ -19,8 +20,8 @@ from jetforge.connection import (ConnectionChart, HodgeData, MatrixJet, beta,
 from jetforge.errors import (ArityMismatch, DimensionMismatch, NonIntegrable,
                              SingularInitial, SingularPoint)
 from jetforge.examples import exponential_chart, legendre_chart, \
-    nilpotent_chart
-from jetforge.flags import eta_chartlocal
+    nilpotent_chart, nilpotent_reference
+from jetforge.flags import alpha, eta_chartlocal, flag_of_matrix
 from jetforge.poly import Polynomial, graded_monomials
 from jetforge.ratfunc import RationalFunction
 from jetforge.series import (JetPoint, TruncatedSeries, euler_solve,
@@ -144,6 +145,24 @@ def count_weights(monkeypatch):
 
     monkeypatch.setattr(connection, "taylor_weights", counting)
     return weights
+
+
+def record_weight_reads(monkeypatch, module):
+    """Record the q of every read of the `taylor_weights` maps that the
+    module forms, in the order read."""
+    reads = []
+    original = module.taylor_weights
+
+    def recording(offsets):
+        weight = original(offsets)
+
+        def read(q):
+            reads.append(q)
+            return weight(q)
+        return read
+
+    monkeypatch.setattr(module, "taylor_weights", recording)
+    return reads
 
 
 def count_evaluations(monkeypatch, polys):
@@ -687,12 +706,13 @@ class TestPointRecords:
         dens += [rf.den for row in chart.gram for rf in row
                  if rf.den.degree() > 0]
         assert len(dens) == 4
-        # the regularity check reads the chart's one denominator, the lcm
-        # P = z (z - 1) of the four
-        factors = chart.factored()[0]
-        assert factors == (Polynomial(1, {(2,): 1, (1,): -1}),)
+        # the regularity check reads the distinct coefficient denominators
+        # z - 1 and z (z - 1) of the four
+        distinct = chart._denominators
+        assert distinct == (Polynomial(1, {(1,): 1, (0,): -1}),
+                            Polynomial(1, {(2,): 1, (1,): -1}))
         builds = count_builds(monkeypatch)
-        evaluations = count_evaluations(monkeypatch, dens + list(factors))
+        evaluations = count_evaluations(monkeypatch, dens)
         rng = random.Random(12)
         point = (Fraction(1, 3),)
         for r in (4, 2, 4, 3, 0, 4):
@@ -705,7 +725,7 @@ class TestPointRecords:
                 chart, sigma, initial)
             eta_chartlocal(chart, sigma)
         assert builds == [(4, point)]
-        assert evaluations == [point]
+        assert evaluations == [point] * len(distinct)
 
     def test_higher_order_rebuilds_and_matches_a_fresh_chart(self,
                                                              monkeypatch):
@@ -1452,6 +1472,49 @@ class TestEquivariance:
                                             action)
             assert stored_forms(w_matrix) == stored_forms(
                 connection._taylor_part(fresh_copy(chart), jet, None))
+
+
+class TestZeroPartials:
+    """`series.taylor_sum` reads no Taylor weight for a zero partial."""
+
+    def test_beta_reads_no_weight_of_a_zero_gamma(self, monkeypatch):
+        # the nilpotent chart's frames are linear: G_q = 0 for |q| >= 2
+        reads = record_weight_reads(monkeypatch, connection)
+        rng = random.Random(43)
+        chart = nilpotent_chart()
+        for d in (1, 2, 1):
+            sigma = random_jet(rng, chart, d, 5)
+            initial = random_invertible(rng, 2)
+            del reads[:]
+            assert beta(chart, sigma, initial) == \
+                nilpotent_reference(sigma, initial)
+            assert reads == [(0,), (1,)]
+
+    def test_alpha_reads_no_weight_of_a_zero_inverse_partial(self,
+                                                             monkeypatch):
+        # a gauged chart's inverse frames are polynomial of degree below
+        # m, so K_q(s) = 0 past it; the kept values reach past the jet
+        # order, where alpha reads nothing either
+        reads = record_weight_reads(monkeypatch, flags)
+        rng = random.Random(47)
+        skipped = beyond = 0
+        for case in range(8):
+            rc = random_flat_chart(rng, 3 - case % 2, 1 + case % 3 // 2)
+            chart, r = rc.chart, (1, 2, 4, 5)[case % 4]
+            sigma = random_jet(rng, chart, 1 + case % 2, r)
+            values = chart.inverses_at(sigma.basepoint(), r + 2)
+            initial = random_invertible(rng, chart.m)
+            del reads[:]
+            flag = alpha(chart, sigma, initial)
+            nonzero = [q for q in graded_monomials(chart.n, r)
+                       if any(map(any, values[q]))]
+            assert reads == nonzero
+            skipped += len(graded_monomials(chart.n, r)) - len(nonzero)
+            beyond += sum(sum(q) > r and any(map(any, x))
+                          for q, x in values.items())
+            assert flag == flag_of_matrix(
+                chart.hodge, matrixjet_invert(beta(chart, sigma, initial)))
+        assert skipped > 0 and beyond > 0
 
 
 def random_series(rng, d, r, arity):

@@ -285,6 +285,22 @@ class TestFv:
         assert check_fv(chart, (Fraction(2),), base)
         assert not check_fv(chart, (Fraction(2),), la.identity(2))
 
+    def test_the_pole_test_builds_no_factored_form(self, monkeypatch):
+        # the coefficient denominators vanish where P does; P and the N_l
+        # are for the recurrences alone
+        def refused(chart):
+            raise AssertionError("factored() built by a pole test")
+
+        monkeypatch.setattr(ConnectionChart, "factored", refused)
+        chart = legendre_chart()
+        base = [[Fraction(1), 0], [0, Fraction(1, 4)]]
+        assert check_fv(chart, (Fraction(1, 2),), base)
+        for pole in (0, 1):
+            with pytest.raises(SingularPoint) as error:
+                check_fv(chart, (Fraction(pole),), base)
+            assert str(error.value) == \
+                f"connection coefficient has a pole at ({pole})"
+
     def test_right_action_preserves_fibre(self):
         rng = random.Random(12)
         chart = legendre_chart()

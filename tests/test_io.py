@@ -120,6 +120,22 @@ def test_malformed_flag_key(key):
         jio.flagjet_from_json(data)
 
 
+@pytest.mark.parametrize("key", [
+    "w_01_0", "w_1_00", "w_1_\u0660", "w_\uff11_0", "w_+1_0",
+    "w_" + "1" * 5000 + "_0"], ids=["zero-row", "zero-column", "arabic-indic",
+                                     "fullwidth", "plus", "5000-digits"])
+def test_one_spelling_per_flag_coordinate(key):
+    # the first four once loaded onto the coordinate (1, 0) of "w_1_0",
+    # the last key silently winning, and the last raised ValueError in
+    # int()
+    data = _flag_data()
+    assert list(data["coords"]) == ["w_1_0"]
+    jio.flagjet_from_json(data)
+    data["coords"][key] = "5"
+    with pytest.raises(InputError, match="bad coordinate key"):
+        jio.flagjet_from_json(data)
+
+
 @pytest.mark.parametrize("key", ["w_1_5", "w_0_0"])
 def test_flag_coordinate_outside_representative(key):
     data = jio.flagjet_to_json(flag_of_matrix(

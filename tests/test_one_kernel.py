@@ -1,5 +1,5 @@
-"""Every sum and product of series runs one kernel, and every substitution
-into monomials one walker.
+"""Every sum and product of series runs one kernel, every substitution
+into monomials one walker, and every Taylor sum one function.
 
 In `series`, the kernel `_combined` is the only reader of `mul_terms`, the
 product of two tables, and `__pow__` the only reader of `pow_terms`; the
@@ -7,9 +7,11 @@ module imports none of the other sums of tables of `poly` (`add_terms`,
 `add_fractions`, `scale_fraction`), which serve `Polynomial`.  The monomial
 walker `_monomials` is defined in `poly` alone, where `evaluate_in` reads
 it, and `series` imports it from there for `series_compose_all`.  The
+Taylor sum sum_q X_q w_q is `series.taylor_sum` alone, which `beta`'s
+Taylor part, `alpha` and the Taylor route of `scheme` import and read.  The
 modules are parsed and searched for every read of those names, for the
 functions they define and for what they import, so a second path for a sum
-or a product of series, or a second walker, fails here.
+or a product of series, a second walker or a second Taylor sum fails here.
 """
 
 import ast
@@ -23,6 +25,10 @@ READERS = {("_combined", "mul_terms"), ("__pow__", "pow_terms")}
 REFUSED = {"add_terms", "add_fractions", "scale_fraction"}
 GUARDED = {name for _, name in READERS} | REFUSED
 WALKER = "_monomials"
+TAYLOR_SUM = "taylor_sum"
+# the one reader of the Taylor sum in each module that forms one
+TAYLOR_READERS = {"connection.py": "_taylor_part", "flags.py": "alpha",
+                  "scheme.py": "_taylor_compose_all"}
 
 
 def reads(tree, names):
@@ -55,17 +61,38 @@ def kernel_reads(path):
     return reads(tree, GUARDED), imported & GUARDED
 
 
-def walker_uses(path):
-    """(the functions a module defines, the functions that read the walker,
-    the names it imports from `poly`)."""
+def uses(path, name, source):
+    """(the functions a module defines, the functions that read `name`, the
+    names it imports from its sibling module `source`)."""
     tree = ast.parse(path.read_text(), filename=str(path))
     defined = {node.name for node in ast.walk(tree) if isinstance(
         node, (ast.FunctionDef, ast.AsyncFunctionDef))}
-    from_poly = {alias.name for node in ast.walk(tree)
-                 if isinstance(node, ast.ImportFrom)
-                 and node.level == 1 and node.module == "poly"
-                 for alias in node.names}
-    return defined, {owner for owner, _ in reads(tree, {WALKER})}, from_poly
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.level == 1 and node.module == source
+                for alias in node.names}
+    return defined, {owner for owner, _ in reads(tree, {name})}, imported
+
+
+def walker_uses(path):
+    """`uses` of the walker, imported from `poly`."""
+    return uses(path, WALKER, "poly")
+
+
+def taylor_sums(package):
+    """The modules of a package directory that define a Taylor sum, and for
+    each module of `TAYLOR_READERS` there: (the functions that read
+    `taylor_sum`, whether it imports `taylor_sum` from `series`, whether it
+    defines `_taylor_compose`)."""
+    defining = {path.name for path in package.glob("*.py")
+                if TAYLOR_SUM in uses(path, TAYLOR_SUM, "series")[0]}
+    callers = {}
+    for name in TAYLOR_READERS:
+        defined, readers, from_series = uses(package / name, TAYLOR_SUM,
+                                             "series")
+        callers[name] = (readers, TAYLOR_SUM in from_series,
+                         "_taylor_compose" in defined)
+    return defining, callers
 
 
 def test_series_sums_and_products_run_one_kernel():
@@ -129,3 +156,39 @@ def test_the_scan_finds_a_second_walker(tmp_path):
     defined, readers, _ = walker_uses(poly)
     assert {WALKER, "evaluate_terms"} <= defined
     assert readers == {"evaluate_terms"}
+
+
+def test_one_taylor_sum():
+    defining, callers = taylor_sums(SERIES.parent)
+    assert defining == {"series.py"}
+    assert callers == {name: ({reader}, True, False)
+                       for name, reader in TAYLOR_READERS.items()}
+
+
+def test_the_scan_finds_a_second_taylor_sum(tmp_path):
+    (tmp_path / "series.py").write_text(
+        "def taylor_sum(weight, dims, order, partials):\n"
+        "    return ()\n")
+    (tmp_path / "connection.py").write_text(
+        "from .series import taylor_sum\n"
+        "def taylor_sum(sigma, matrix):\n"
+        "    return ()\n"
+        "def _taylor_part(chart, sigma, table):\n"
+        "    return taylor_sum(sigma, None)\n")
+    (tmp_path / "flags.py").write_text(
+        "from .connection import taylor_sum\n"
+        "def alpha(chart, sigma, matrix):\n"
+        "    return taylor_sum(sigma, matrix)\n")
+    (tmp_path / "scheme.py").write_text(
+        "from . import series\n"
+        "def _taylor_compose(f, sigma, weight):\n"
+        "    return f\n"
+        "def _taylor_compose_all(polys, sigma, weight):\n"
+        "    return [_taylor_compose(f, sigma, weight) for f in polys]\n"
+        "def jet_prolong_universal(g, d, r):\n"
+        "    return series.taylor_sum(None, d, r, [])\n")
+    defining, callers = taylor_sums(tmp_path)
+    assert defining == {"series.py", "connection.py"}
+    assert callers == {"connection.py": ({"_taylor_part"}, True, False),
+                       "flags.py": ({"alpha"}, False, False),
+                       "scheme.py": ({"jet_prolong_universal"}, False, True)}

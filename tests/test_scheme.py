@@ -187,9 +187,9 @@ class TestUniversalRoutes:
             sigma = scheme_module.generic_jet(n, d, r)
             polys = [rand_poly(rng, n, 3) for _ in range(2)]
             for f in polys:
-                assert scheme_module._taylor_compose(
-                    f, sigma, taylor_weights(sigma.offsets())) == \
-                    running_sum_taylor(f, sigma)
+                assert scheme_module._taylor_compose_all(
+                    [f], sigma, taylor_weights(sigma.offsets())) == \
+                    [running_sum_taylor(f, sigma)]
             amap = AffineMap(n, 2, polys)
             assert list(jet_prolong_universal(amap, d, r).components) == \
                 scheme_module._expand_generic(
