@@ -31,13 +31,15 @@ The module functions `*_terms` are the arithmetic of sparse tables for
 and `parse_table` check their input; the others map canonical tables to
 canonical tables, since over the integral domains Z, Q and Q[x] only a sum
 can cancel to zero.  Rational tables of either class run them on the
-integer numerators and keep the denominator with the functions under
-"rational tables": one lcm to clear Fractions, one gcd to reduce a result
-(the content and primitive part of Knuth, TAOCP vol. 2, 4.6.1).
-`add_fractions` and `scale_fraction` serve `Polynomial` only: every sum and
-product of series takes its common denominator in `series._combined`.
-`_monomials` substitutes ring elements into monomials, one product each,
-for `Polynomial.evaluate_in` and `series.series_compose_all`.
+integer numerators over one common denominator.  `_sum_terms` is the one
+table kernel, the sum of products of tables and of tables times ints over
+a common denominator: `Polynomial` `+`, `-` and `*` run it, and every sum
+and product of series runs it through `series._combined`.  `lowest_terms`
+reduces a result where it is kept, with one gcd (the content and primitive
+part of Knuth, TAOCP vol. 2, 4.6.1), and `fraction_table` clears the
+Fractions of input with one lcm.  `_monomials` substitutes ring elements
+into monomials, one product each, for `Polynomial.evaluate_in` and
+`series.series_compose_all`.
 Univariate division and gcd read the numerators as dense integer lists,
 and text is read into a table in one pass over its tokens.
 """
@@ -177,19 +179,6 @@ def fraction_table(keys, nums, dens):
     return lowest_terms(table, den)
 
 
-def add_terms(a, b):
-    """The sum of two canonical tables."""
-    out = dict(a)
-    for p, c in b.items():
-        s = out.get(p)
-        s = c if s is None else s + c
-        if s:
-            out[p] = s
-        else:
-            del out[p]
-    return out
-
-
 def mul_terms(a, b, limit=None, out=None, factor=1):
     """The product of two canonical tables, without its keys at or above
     `limit`.  A series cuts at order r with the limit (r + 1) << s, s the
@@ -216,6 +205,36 @@ def mul_terms(a, b, limit=None, out=None, factor=1):
                         out[pq] = s
                     else:
                         del out[pq]
+    return out
+
+
+def _sum_terms(terms, den, limit=None):
+    """The numerators over `den` of sum a/da * b/db over the terms (a, da,
+    ka, b, db, kb), cut as `mul_terms` cuts, not reduced: a is a canonical
+    table, b one in its variables or a nonzero int numerator, and `den` a
+    common multiple of the products da db.  The arities are not read: the
+    caller brings the tables into one ring, as `series._combined` does.  A
+    product is one `mul_terms` pass with the term's share den / (da db) of
+    the denominator folded in, and a unit term one scaled add."""
+    out = {}
+    for a, da, _, b, db, _ in terms:
+        factor = den // (da * db)
+        if type(b) is not int:
+            if factor != 1 and len(b) < len(a):
+                a, b = b, a
+            mul_terms(a, b, limit, out, factor)
+            continue
+        factor *= b
+        if not out:
+            out = dict(a) if factor == 1 else {p: n * factor
+                                                for p, n in a.items()}
+            continue
+        for p, n in a.items():
+            s = out.get(p, 0) + n * factor
+            if s:
+                out[p] = s
+            else:
+                del out[p]
     return out
 
 
@@ -297,26 +316,6 @@ def lowest_terms(num, den):
             num = {p: n // g for p, n in num.items()}
             den //= g
     return num, den
-
-
-def add_fractions(a, da, b, db):
-    """The sum a/da + b/db of two integer tables, in lowest terms."""
-    if da != db:
-        g = math.gcd(da, db)
-        if db != g:
-            a = {p: n * (db // g) for p, n in a.items()}
-        if da != g:
-            b = {p: n * (da // g) for p, n in b.items()}
-        da = da // g * db
-    return lowest_terms(add_terms(a, b), da)
-
-
-def scale_fraction(num, den, scalar):
-    """num/den times an int or Fraction, in lowest terms."""
-    if not scalar:
-        return {}, 1
-    return lowest_terms({p: n * scalar.numerator for p, n in num.items()},
-                        den * scalar.denominator)
 
 
 def primitive_parts(polys):
@@ -572,22 +571,31 @@ class Polynomial:
 
     # -- ring operations ---------------------------------------------------
 
-    def _coerce(self, other):
+    def _form(self, other):
+        """(table, den) of a `Polynomial` of this arity or of an int or
+        Fraction, a constant; None for anything else."""
         if isinstance(other, Polynomial):
             if other.arity != self.arity:
                 raise ArityMismatch(
                     f"cannot combine arity {self.arity} with {other.arity}")
-            return other
+            return other._table, other._den
         if isinstance(other, (int, Fraction)):
-            return Polynomial.const(other, self.arity)
+            return {0: other.numerator} if other else {}, other.denominator
         return None
 
-    def __add__(self, other):
-        other = self._coerce(other)
+    def _sum(self, x, other, y):
+        """x self + y other for units x and y: two unit terms of the kernel
+        `_sum_terms` over the lcm of the denominators."""
+        other = self._form(other)
         if other is None:
             return NotImplemented
-        return Polynomial._new(self.arity, *add_fractions(
-            self._table, self._den, other._table, other._den))
+        (b, db), a, da, k = other, self._table, self._den, self.arity
+        den = math.lcm(da, db)
+        return Polynomial._new(k, *lowest_terms(_sum_terms(
+            [(a, da, k, x, 1, 0), (b, db, k, y, 1, 0)], den), den))
+
+    def __add__(self, other):
+        return self._sum(1, other, 1)
 
     __radd__ = __add__
 
@@ -597,29 +605,29 @@ class Polynomial:
                                self._den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._sum(1, other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return self._sum(-1, other, 1)
 
     def __mul__(self, other):
-        # a scalar scales the stored form; no constant polynomial is built
+        a, da, k = self._table, self._den, self.arity
         if not isinstance(other, Polynomial) and isinstance(
                 other, (int, Fraction)):
-            return Polynomial._new(self.arity, *scale_fraction(
-                self._table, self._den, other))
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self._table, other._table
-        # the top keys add to the key of the product's top degree
-        if a and b and max(a) + max(b) >= BOUND << BITS * self.arity:
-            raise past_bound("the degree of a product")
-        return Polynomial._new(self.arity, *lowest_terms(
-            mul_terms(a, b), self._den * other._den))
+            # a unit term of the kernel, the numerator over the denominator
+            # (zero the empty table), so no constant polynomial is built
+            b, db = other.numerator or {}, other.denominator
+        else:
+            other = self._form(other)
+            if other is None:
+                return NotImplemented
+            b, db = other
+            # the top keys add to the key of the product's top degree
+            if a and b and max(a) + max(b) >= BOUND << BITS * k:
+                raise past_bound("the degree of a product")
+        den = da * db
+        return Polynomial._new(k, *lowest_terms(_sum_terms(
+            [(a, da, k, b, db, k)], den), den))
 
     __rmul__ = __mul__
 

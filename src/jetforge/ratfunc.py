@@ -112,7 +112,9 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return RationalFunction(
+            _times(self.num, other.den) - _times(other.num, self.den),
+            _times(self.den, other.den))
 
     def __rsub__(self, other):
         return (-self) + other

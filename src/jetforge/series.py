@@ -31,15 +31,16 @@ series is one lookup in the table, with no pass over it, since
 forms, so a rational series equals one over Q[a] whose coefficients are
 constants.
 
-Every sum and product of series runs one kernel, `_combined`, on the
+Every sum and product of series runs one entry, `_combined`, on the
 stored forms of its operands: each term is a table, its denominator and
 its arity, times another table or an int numerator, each with its own.
-The kernel takes the common denominator and the one ring of coefficients
-itself, pads rational tables to that ring, multiplies with the term-table
-kernel of `poly` on the integers, cut at the order, and reduces the sum
-once, with one gcd over the numerators and the denominator.  `+` and `-`
-are two unit terms, `*` one product term, and `scale` a one-term
-`combination`.
+One pass over the terms takes their common denominator and their one ring
+of coefficients, rational tables are padded to that ring, and the table
+kernel of `poly`, which `Polynomial` arithmetic runs too, sums the terms
+on the integers, cut at the order.  The sum comes back over the common
+denominator, and a series that keeps it reduces it once, with one gcd over
+the numerators and the denominator.  `+` and `-` are two unit terms, `*`
+one product term, and `scale` a one-term `combination`.
 
 `TruncatedSeries.combination` forms a linear combination sum c * a, whose
 coefficients c are rationals, `Polynomial`s or series (then each term is
@@ -47,10 +48,11 @@ a product, cut at the order), as one kernel pass, where a chain of
 `scale`, `*` and `+` would build and reduce a series per term.  Two
 solvers run the kernel on stored tables, with no series per intermediate
 sum: `euler_solve` solves E F = S F degree by degree (E the Euler
-operator), keeping each degree of each entry as a stored form and building
-one series per entry, and `is_flat` tests dF/dt_a + C_a F = 0 through the
-order below a frame's, forming each C_a entry and each residual as one
-kernel pass.  `graded_parts` splits a series into its homogeneous parts.
+operator), keeping each degree of each entry as a stored form in lowest
+terms and building one series per entry from their union, which needs no
+gcd, and `is_flat` tests dF/dt_a + C_a F = 0 through the order below a
+frame's, forming each C_a entry and each residual as one kernel pass and
+reducing none.  `graded_parts` splits a series into its homogeneous parts.
 
 `series_compose_all` substitutes one jet into a list of polynomials (or of
 series, on the jet's offsets) in one call: every distinct monomial the list
@@ -81,8 +83,8 @@ from fractions import Fraction
 from .errors import (ArityMismatch, DimensionMismatch, InputError, NotAUnit,
                      OrderIncrease)
 from .linalg import unipotent_inverse
-from .poly import (BITS, BOUND, Polynomial, _monomials, default_names,
-                   derive_terms, fraction_table, lowest_terms, mul_terms,
+from .poly import (BITS, BOUND, Polynomial, _monomials, _sum_terms,
+                   default_names, derive_terms, fraction_table, lowest_terms,
                    pack, past_bound, pow_terms, terms_to_string, unpack)
 
 
@@ -114,71 +116,49 @@ def _padded(table, arity):
     return {p << low: n for p, n in table.items()}
 
 
-def _ring(arities):
-    """The one nonzero number of coefficient variables in `arities`, 0 when
-    there is none; two raise `ArityMismatch`."""
-    arities.discard(0)
-    if len(arities) > 1:
-        raise ArityMismatch(
-            "series combined over different coefficient variables")
-    return arities.pop() if arities else 0
-
-
 def _combined(dims, order, terms):
-    """The kernel of every sum and product of series: the stored form
-    (table, den, arity) of sum a/da * b/db over the terms (a, da, ka, b,
-    db, kb), cut at `order`, in lowest terms.
+    """The series entry to the table kernel: the stored form (table, den,
+    arity) of sum a/da * b/db over the terms (a, da, ka, b, db, kb), cut
+    at `order`, over the lcm den of the products da db, not reduced.
 
     a is a table over Q[a_1..a_ka] with denominator da, and b is one over
-    Q[a_1..a_kb] with denominator db, or an int numerator over db (kb = 0).
-    The common denominator is the lcm of the products da db.  Of the
-    arities at most one is nonzero, else `ArityMismatch`: rational tables
-    are padded to it.  A product of tables is one `mul_terms` pass with the
-    term's share of the common denominator folded in, and one whose
-    a-degree reaches the exponent bound raises `InputError`.  The sum is
-    reduced once, with one gcd; the empty sum is the rational zero
-    ({}, 1, 0).
+    Q[a_1..a_kb] with denominator db, or a nonzero int numerator over db
+    (kb = 0).  One pass takes den and the one nonzero arity (two raise
+    `ArityMismatch`); rational tables are padded to it, in a new term list
+    only when one needs it, and `poly._sum_terms` sums the terms.  A
+    product of two tables over Q[a] whose a-degree reaches the exponent
+    bound raises `InputError`.  The empty sum is the rational zero ({}, 1,
+    0).
     """
-    den, arity = 1, 0
+    den, arity, guard = 1, 0, 0
     for _, da, ka, _, db, kb in terms:
         dd = da * db
         if den % dd:
             den = math.lcm(den, dd)
         if ka or kb:
-            arity = _ring({arity, ka, kb})
-    limit = order + 1 << _shift(dims, arity)
-    # guard is the ring once a product is formed: only a product can take
-    # an a-degree to the bound
-    out, guard = {}, 0
-    for a, da, ka, b, db, kb in terms:
-        if ka != arity:
-            a = _padded(a, arity)
-        factor = den // (da * db)
-        if type(b) is not int:
-            if kb != arity:
-                b = _padded(b, arity)
-            if factor != 1 and len(b) < len(a):
-                a, b = b, a
-            mul_terms(a, b, limit, out, factor)
-            guard = arity
-            continue
-        factor *= b
-        if not out:
-            out = dict(a) if factor == 1 else {p: n * factor
-                                                for p, n in a.items()}
-            continue
-        for p, n in a.items():
-            s = out.get(p, 0) + n * factor
-            if s:
-                out[p] = s
-            else:
-                del out[p]
+            if len({arity, ka, kb} - {0}) > 1:
+                raise ArityMismatch(
+                    "series combined over different coefficient variables")
+            # only a product of two tables over Q[a] adds a-degrees
+            arity, guard = ka or kb, guard or (ka and kb)
+    if arity and any(ka != arity or kb != arity and type(b) is not int
+                     for _, _, ka, b, _, kb in terms):
+        terms = [(a if ka == arity else _padded(a, arity), da, ka,
+                  b if kb == arity or type(b) is int else _padded(b, arity),
+                  db, kb) for a, da, ka, b, db, kb in terms]
+    out = _sum_terms(terms, den, order + 1 << _shift(dims, arity))
     if not out:
         return {}, 1, 0
     # an a-degree that reached the bound sets the top bit of its field
-    if guard and any(map((1 << _low(guard) - 1).__and__, out)):
+    if guard and any(map((1 << _low(arity) - 1).__and__, out)):
         raise past_bound("the degree in the coefficient variables")
-    return (*lowest_terms(out, den), arity)
+    return out, den, arity
+
+
+def _summed(dims, order, terms):
+    """The series of the kernel's sum over the terms, in lowest terms."""
+    table, den, arity = _combined(dims, order, terms)
+    return TruncatedSeries._new(dims, order, *lowest_terms(table, den), arity)
 
 
 def same_form(x, y):
@@ -395,10 +375,9 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             other = TruncatedSeries.const(other, self.dims, self.order)
         self._check_compatible(other)
-        return TruncatedSeries._new(self.dims, self.order, *_combined(
-            self.dims, self.order,
-            [(self._table, self._den, self._arity, x, 1, 0),
-             (other._table, other._den, other._arity, y, 1, 0)]))
+        return _summed(self.dims, self.order,
+                       [(self._table, self._den, self._arity, x, 1, 0),
+                        (other._table, other._den, other._arity, y, 1, 0)])
 
     def __add__(self, other):
         return self._sum(1, other, 1)
@@ -425,10 +404,9 @@ class TruncatedSeries:
             return other
         if other._is_one():
             return self
-        d, r = self.dims, self.order
-        return TruncatedSeries._new(d, r, *_combined(d, r, [(
+        return _summed(self.dims, self.order, [(
             self._table, self._den, self._arity,
-            other._table, other._den, other._arity)]))
+            other._table, other._den, other._arity)])
 
     __rmul__ = __mul__
 
@@ -511,7 +489,7 @@ class TruncatedSeries:
                     + (min(table) >> _shift(dims, ka)) > order:
                 continue
             terms.append((table, a._den, ka, b, db, kb))
-        return cls._new(dims, order, *_combined(dims, order, terms))
+        return _summed(dims, order, terms)
 
     def __pow__(self, n):
         arity = self._arity
@@ -808,9 +786,9 @@ def euler_solve(system, initial):
     J. ACM 25, 1978), which forms only products of degree k.  Each S entry
     is split into its homogeneous tables once, and each F_k entry is kept
     as a stored form, one pass of the kernel `_combined` with 1/k folded
-    into the denominators.  A series is built once per returned entry, from
-    one more kernel pass over its parts.  The rows of F are returned as
-    lists.
+    into the denominators, reduced with one gcd.  A series is built once
+    per returned entry, from one more kernel pass over its parts and no
+    gcd.  The rows of F are returned as lists.
     """
     m = len(system)
     d, r = system[0][0].dims, system[0][0].order
@@ -836,7 +814,10 @@ def euler_solve(system, initial):
                         a, da, ka = f_entry[k - e]
                         if a:
                             terms.append((a, da, ka, b, db * k, kb))
-                f_parts.append(_combined(d, r, terms))
+                table, den, arity = _combined(d, r, terms)
+                f_parts.append((*lowest_terms(table, den), arity))
+    # the parts of an entry are in lowest terms and have disjoint keys, so
+    # their union over the lcm of their denominators is in lowest terms too
     return [[TruncatedSeries._new(d, r, *_combined(d, r, [
         (a, da, ka, 1, 1, 0) for a, da, ka in entry])) for entry in row]
             for row in parts]
@@ -853,7 +834,8 @@ def is_flat(forms, sigma, frame):
     sigma.  Everything is formed at order r - 1 on stored tables: the
     partials are read from the order-r tables of sigma and F (a derivative
     loses the top degree), and each C_a entry and each residual is one pass
-    of the kernel `_combined`, cut at r - 1.
+    of the kernel `_combined`, cut at r - 1 and not reduced: a residual is
+    only tested for emptiness.
     """
     d, r = sigma.dims, sigma.order
     low = r - 1

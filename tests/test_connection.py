@@ -1305,6 +1305,36 @@ class TestOracleAgreement:
         assert check_flatness(rc.chart, sigma, frame)
         assert orders and max(orders) == r - 1
 
+    def test_flatness_takes_no_gcd(self, monkeypatch):
+        # a C_a entry and a residual are only summed and tested for
+        # emptiness: `is_flat` reduces neither, flat frame or moved one
+        rng = random.Random(17)
+        rc = random_flat_chart(rng, 2, 2)
+        sigma = random_jet(rng, rc.chart, 2, 3)
+        frame = beta(rc.chart, sigma, random_invertible(rng, 2))
+        moved = perturbed(frame, rng, 2, None)
+        inside, reductions = [], []
+        original_flat = series_module.is_flat
+        original_lowest = series_module.lowest_terms
+
+        def is_flat(forms, jet, entries):
+            inside.append(1)
+            try:
+                return original_flat(forms, jet, entries)
+            finally:
+                inside.pop()
+
+        def lowest_terms(num, den):
+            if inside:
+                reductions.append(den)
+            return original_lowest(num, den)
+
+        monkeypatch.setattr(connection, "is_flat", is_flat)
+        monkeypatch.setattr(series_module, "lowest_terms", lowest_terms)
+        assert check_flatness(rc.chart, sigma, frame)
+        assert not check_flatness(rc.chart, sigma, moved)
+        assert reductions == []
+
 
 class TestEulerSolve:
     """`series.euler_solve` against the system it solves, read through
@@ -1347,6 +1377,41 @@ class TestEulerSolve:
                 if r and any(s for row in system for s in row):
                     kinds.add(kind)
         assert kinds == {"rational", "singular", "Polynomial"}
+
+    def test_reduces_each_part_once_and_the_union_never(self, monkeypatch):
+        # one gcd per part F_k, k >= 1, of each entry; the union of an
+        # entry's parts, in lowest terms with disjoint keys, is in lowest
+        # terms already
+        rng = random.Random(61)
+        original = series_module.lowest_terms
+        calls = []
+
+        def lowest_terms(num, den):
+            calls.append(den)
+            return original(num, den)
+
+        monkeypatch.setattr(series_module, "lowest_terms", lowest_terms)
+        for case in range(12):
+            arity = case % 3
+            m, d, r = rng.randint(1, 3), rng.randint(1, 2), rng.randint(1, 4)
+            system = []
+            for _ in range(m):
+                row = []
+                for _ in range(m):
+                    s = random_series(rng, d, r, arity)
+                    row.append(s - s.restrict(0).zero_extended(r))
+                system.append(row)
+            initial = symbolic_initial(rng, m, arity or 2) if case % 2 else \
+                [[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                  for _ in range(m)] for _ in range(m)]
+            del calls[:]
+            frame = euler_solve(system, initial)
+            assert len(calls) == m * m * r
+            for row in frame:
+                for f in row:
+                    assert math.gcd(f._den, *f._table.values()) == 1
+                    assert series_module.same_form(
+                        f, sum(f.graded_parts(), TruncatedSeries.zero(d, r)))
 
     def test_refuses_a_constant_term_and_mismatched_shapes(self):
         t = TruncatedSeries.variable(0, 1, 2)

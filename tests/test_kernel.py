@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import jetforge.series as series_module
+import jetforge.poly as poly_module
 from jetforge.errors import ArityMismatch, DimensionMismatch, NotAUnit
 from jetforge.poly import (BITS, BOUND, Polynomial, default_names,
                           derive_terms, graded_monomials, monomial_key,
@@ -584,13 +584,13 @@ def test_combination_stored_form_matches_the_reference(monkeypatch):
     # `combination`; the stored form in lowest terms is then fixed by the
     # value and the ring, which a term brings in when its product survives
     products = []
-    original = series_module.mul_terms
+    original = poly_module.mul_terms
 
     def recording(a, b, limit=None, out=None, factor=1):
         products.append((a, b, factor))
         return original(a, b, limit, out, factor)
 
-    monkeypatch.setattr(series_module, "mul_terms", recording)
+    monkeypatch.setattr(poly_module, "mul_terms", recording)
     rng = random.Random(23)
     kinds = ("int", "Fraction", "Polynomial", "series")
     seen = set()

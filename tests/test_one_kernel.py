@@ -1,17 +1,26 @@
-"""Every sum and product of series runs one kernel, every substitution
-into monomials one walker, and every Taylor sum one function.
+"""Every sum and product of polynomials and of series runs one table
+kernel, every substitution into monomials one walker, and every Taylor sum
+one function.
 
-In `series`, the kernel `_combined` is the only reader of `mul_terms`, the
-product of two tables, and `__pow__` the only reader of `pow_terms`; the
-module imports none of the other sums of tables of `poly` (`add_terms`,
-`add_fractions`, `scale_fraction`), which serve `Polynomial`.  The monomial
-walker `_monomials` is defined in `poly` alone, where `evaluate_in` reads
-it, and `series` imports it from there for `series_compose_all`.  The
-Taylor sum sum_q X_q w_q is `series.taylor_sum` alone, which `beta`'s
-Taylor part, `alpha` and the Taylor route of `scheme` import and read.  The
-modules are parsed and searched for every read of those names, for the
-functions they define and for what they import, so a second path for a sum
-or a product of series, a second walker or a second Taylor sum fails here.
+`poly._sum_terms` is the one table kernel: the sum of products and scaled
+tables over one common denominator.  In `poly` its readers are
+`Polynomial._sum`, behind `+`, `-` and `__rsub__`, and `Polynomial.__mul__`;
+in `series` it is `_combined`, the entry of every sum and product of series.
+A table sum adds numerators into a table and deletes a key whose sum
+cancels, `del table[key]`: in `poly` only the kernel, the product
+`mul_terms` it runs (which `pow_terms` and `taylor_shift` run too),
+`fraction_table`, which sums the terms of input, and `rename_into`, which
+sums the terms a renaming sends to one key, do, and in `series` no
+function does; no other module reads a stored table.  `add_terms`,
+`add_fractions` and `scale_fraction`, the sums that served `Polynomial`
+beside the kernel, are gone from every module.  The monomial walker
+`_monomials` is defined in `poly` alone, where `evaluate_in` reads it, and
+`series` imports it from there for `series_compose_all`.  The Taylor sum
+sum_q X_q w_q is `series.taylor_sum` alone, which `beta`'s Taylor part,
+`alpha` and the Taylor route of `scheme` import and read.  The modules are
+parsed and searched for every read of those names, for the functions they
+define and for what they import, so a second sum or product of tables, a
+second walker or a second Taylor sum fails here.
 """
 
 import ast
@@ -21,9 +30,18 @@ import jetforge
 
 SERIES = pathlib.Path(jetforge.__file__).parent / "series.py"
 POLY = SERIES.parent / "poly.py"
-READERS = {("_combined", "mul_terms"), ("__pow__", "pow_terms")}
+KERNEL = "_sum_terms"
+# (function, name) for each read of a guarded name, by module
+READERS = {
+    "poly.py": {("_sum", KERNEL), ("__mul__", KERNEL),
+                (KERNEL, "mul_terms"), ("pow_terms", "mul_terms"),
+                ("taylor_shift", "mul_terms"), ("__pow__", "pow_terms")},
+    "series.py": {("_combined", KERNEL), ("__pow__", "pow_terms")}}
+# the functions that sum into a table, by module
+SUMS = {"poly.py": {KERNEL, "mul_terms", "fraction_table", "rename_into"},
+        "series.py": set()}
 REFUSED = {"add_terms", "add_fractions", "scale_fraction"}
-GUARDED = {name for _, name in READERS} | REFUSED
+GUARDED = {KERNEL, "mul_terms", "pow_terms"} | REFUSED
 WALKER = "_monomials"
 TAYLOR_SUM = "taylor_sum"
 # the one reader of the Taylor sum in each module that forms one
@@ -51,14 +69,29 @@ def reads(tree, names):
     return found
 
 
+def table_sums(tree):
+    """The functions of a parsed module that delete a subscripted entry,
+    as a sum into a table drops a key whose sum cancels."""
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(isinstance(target, ast.Subscript)
+                    for inner in ast.walk(node)
+                    if isinstance(inner, ast.Delete)
+                    for target in inner.targets)}
+
+
 def kernel_reads(path):
-    """The reads of the guarded names in a module (see `reads`), and the
-    guarded names the module imports."""
+    """The reads of the guarded names in a module (see `reads`), the
+    guarded names it imports, the functions of it that sum into a table
+    and the refused names it defines."""
     tree = ast.parse(path.read_text(), filename=str(path))
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom))
                 for alias in node.names}
-    return reads(tree, GUARDED), imported & GUARDED
+    defined = {node.name for node in ast.walk(tree) if isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    return (reads(tree, GUARDED), imported & GUARDED, table_sums(tree),
+            defined & REFUSED)
 
 
 def uses(path, name, source):
@@ -95,19 +128,45 @@ def taylor_sums(package):
     return defining, callers
 
 
-def test_series_sums_and_products_run_one_kernel():
-    found, imported = kernel_reads(SERIES)
-    assert found == READERS
-    assert imported == {"mul_terms", "pow_terms"}
+def test_polynomials_and_series_run_one_table_kernel():
+    found = {path.name: kernel_reads(path)
+             for path in sorted(POLY.parent.glob("*.py"))}
+    assert len(found) > 10
+    assert found["poly.py"] == (READERS["poly.py"], set(), SUMS["poly.py"],
+                                set())
+    assert found["series.py"] == (READERS["series.py"], {KERNEL, "pow_terms"},
+                                  set(), set())
+    # no other module, none of which reads a stored table, reads, imports
+    # or defines a sum of tables
+    assert {name: (reads_, imported, refused)
+            for name, (reads_, imported, _, refused) in found.items()
+            if name not in READERS and (reads_ or imported or refused)} == {}
 
 
 def test_the_scan_finds_a_second_path(tmp_path):
-    path = tmp_path / "probe.py"
-    path.write_text(
-        "from .poly import add_fractions, mul_terms, pow_terms\n"
+    poly, series = tmp_path / "poly.py", tmp_path / "series.py"
+    poly.write_text(
+        "def mul_terms(a, b):\n"
+        "    return {}\n"
+        "def _sum_terms(terms, den):\n"
+        "    out = {}\n"
+        "    del out[0]\n"
+        "    return mul_terms(out, out)\n"
+        "def add_terms(a, b):\n"
+        "    out = dict(a)\n"
+        "    for p, c in b.items():\n"
+        "        del out[p]\n"
+        "    return out\n"
+        "class Polynomial:\n"
+        "    def _sum(self, x, other, y):\n"
+        "        return _sum_terms([], 1)\n"
+        "    def __mul__(self, other):\n"
+        "        return mul_terms(self, other)\n")
+    series.write_text(
+        "from .poly import add_fractions, _sum_terms, mul_terms, pow_terms\n"
         "from . import poly\n"
-        "def _combined(a, b):\n"
-        "    return mul_terms(a, b)\n"
+        "def _combined(dims, order, terms):\n"
+        "    return _sum_terms(terms, 1)\n"
         "class S:\n"
         "    def __pow__(self, n):\n"
         "        return pow_terms(self, n)\n"
@@ -116,12 +175,25 @@ def test_the_scan_finds_a_second_path(tmp_path):
         "            return poly.scale_fraction(x, 1, 2)\n"
         "        return mul_terms(self, other), inner\n"
         "    def __add__(self, other):\n"
+        "        out = {}\n"
+        "        for p, n in other.items():\n"
+        "            del out[p]\n"
         "        return add_fractions(self, 1, other, 1)\n")
-    found, imported = kernel_reads(path)
-    assert found - READERS == {("__mul__", "mul_terms"),
-                               ("inner", "scale_fraction"),
-                               ("__add__", "add_fractions")}
-    assert imported == {"add_fractions", "mul_terms", "pow_terms"}
+    reads_, imported, sums, refused = kernel_reads(poly)
+    assert reads_ - READERS["poly.py"] == {("__mul__", "mul_terms")}
+    assert READERS["poly.py"] - reads_ == {
+        ("__mul__", KERNEL), ("pow_terms", "mul_terms"),
+        ("taylor_shift", "mul_terms"), ("__pow__", "pow_terms")}
+    assert imported == set()
+    assert sums - SUMS["poly.py"] == {"add_terms"}
+    assert refused == {"add_terms"}
+    reads_, imported, sums, refused = kernel_reads(series)
+    assert reads_ - READERS["series.py"] == {
+        ("__mul__", "mul_terms"), ("inner", "scale_fraction"),
+        ("__add__", "add_fractions")}
+    assert imported == {"add_fractions", KERNEL, "mul_terms", "pow_terms"}
+    assert sums == {"__add__"}
+    assert refused == set()
 
 
 def test_one_walker_substitutes_into_monomials():

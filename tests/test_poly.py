@@ -250,6 +250,37 @@ def test_negation_keeps_the_reduced_pair(monkeypatch):
         assert (neg.num, neg.den) == (want.num, want.den)
 
 
+def test_subtraction_negates_no_operand(monkeypatch):
+    # `-` is two unit terms of the table kernel with the signs +1 and -1,
+    # and a rational function's difference (a d - c b) / (b d) runs it:
+    # the stored forms are those of the sum with the negated operand
+    rng = random.Random(29)
+    cases = []
+    for arity in (1, 1, 1, 2, 3):
+        for _ in range(6):
+            p, q = rand_poly(rng, arity, 2), rand_poly(rng, arity, 2)
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            f = RationalFunction(p, q) if q else RationalFunction(p)
+            g = RationalFunction(q, p) if p else RationalFunction(q)
+            cases.append(((p, q, c, f, g),
+                          [p + (-q), (-p) + c, p + (-c), f + (-g), f + (-c)]))
+    assert any(f.arity == 1 and f.den.degree() > 0 for (*_, f, _), _ in cases)
+
+    def refuse(self):
+        raise AssertionError("a difference negated an operand")
+
+    def stored(x):
+        if isinstance(x, RationalFunction):
+            return stored(x.num), stored(x.den)
+        return x._table, x._den
+
+    monkeypatch.setattr(Polynomial, "__neg__", refuse)
+    monkeypatch.setattr(RationalFunction, "__neg__", refuse)
+    for (p, q, c, f, g), expected in cases:
+        found = [p - q, c - p, p - c, f - g, f - c]
+        assert list(map(stored, found)) == list(map(stored, expected))
+
+
 def test_constant_one_denominator_is_not_normalized(monkeypatch):
     rng = random.Random(23)
     numerators = [rand_poly(rng, arity, 3) for arity in (1, 2, 3)
